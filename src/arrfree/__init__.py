@@ -26,7 +26,7 @@ from .arrangement import (Arrangement, ArrangementError, ConjectureReport,
                           check_conjecture_Z, defining_polynomial,
                           exponents_from_rgin, is_free_via_rgin,
                           is_free_via_sectional, jacobian_ideal,
-                          realizable_as_free, rgin_from_exponents,
+                          jacobian_rgin, realizable_as_free, rgin_from_exponents,
                           supersolvable_from_exponents, validate)
 
 __version__ = "0.1.0"

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .gin import GinCertificate, GinConfig, rgin
+from .gin import GinCertificate, GinConfig, rgin, substituted
 from .monomial import (INFINITE, BettiTable, MonomialIdeal, SectionalMatrix,
                        StronglyStableIdeal, betti_eliahou_kervaire,
                        is_cm_codim2_stable, reduction_number,
@@ -23,7 +23,7 @@ __all__ = [
     "ArrangementError", "NotFreeRginError", "InternalConsistencyError",
     "ValidationInfo", "Arrangement", "ExponentVector", "FreenessReport",
     "RealizabilityVerdict", "ConjectureReport",
-    "validate", "defining_polynomial", "jacobian_ideal",
+    "validate", "defining_polynomial", "jacobian_ideal", "jacobian_rgin",
     "analyze", "is_free_via_rgin", "is_free_via_sectional",
     "exponents_from_rgin", "rgin_from_exponents",
     "supersolvable_from_exponents", "realizable_as_free", "check_conjecture_Z",
@@ -172,12 +172,20 @@ class Arrangement:
         return f"Arrangement([{', '.join(str(f) for f in self.forms)}])"
 
 
-def defining_polynomial(A: Arrangement) -> Polynomial:
-    """Product of the defining linear forms; homogeneous of degree n."""
-    Q = A.forms[0]
-    for f in A.forms[1:]:
+def _product(forms: Sequence[Polynomial]) -> Polynomial:
+    Q = forms[0]
+    for f in forms[1:]:
         Q = Q * f
     return Q
+
+
+def _partials(Q: Polynomial) -> List[Polynomial]:
+    return [Q.partial_derivative(i) for i in range(1, Q.nvars + 1)]
+
+
+def defining_polynomial(A: Arrangement) -> Polynomial:
+    """Product of the defining linear forms; homogeneous of degree n."""
+    return _product(A.forms)
 
 
 def jacobian_ideal(A: Arrangement) -> List[Polynomial]:
@@ -188,7 +196,7 @@ def jacobian_ideal(A: Arrangement) -> List[Polynomial]:
     the generator list.
     """
     Q = defining_polynomial(A)
-    partials = [Q.partial_derivative(i) for i in range(1, A.nvars + 1)]
+    partials = _partials(Q)
     euler = Polynomial.zero(A.nvars, QQ)
     xs = variables(A.nvars, QQ)
     for xi, dQ in zip(xs, partials):
@@ -196,6 +204,28 @@ def jacobian_ideal(A: Arrangement) -> List[Polynomial]:
     if euler != Q.scale(A.n):
         raise InternalConsistencyError("Euler relation failed for the Jacobian ideal")
     return partials
+
+
+def jacobian_rgin(A: Arrangement, cfg: GinConfig = GinConfig()) -> StronglyStableIdeal:
+    """rgin of the Jacobian ideal of A, the same as ``rgin(jacobian_ideal(A), cfg)``.
+
+    By the chain rule grad(Q o g) = g^T (grad Q o g), and g^T is invertible,
+    so J(Q o g) = J(Q) o g.  Each trial therefore moves the n linear forms,
+    multiplies them and differentiates the product, instead of substituting
+    g into the l dense partials of degree n - 1.  The ideal, and with it the
+    reduced Groebner basis and the rgin, is the same; so are the draws.
+    """
+    J = jacobian_ideal(A)
+
+    def build(g, coeff_field):
+        p = coeff_field.p
+        if p is not None and any(c.denominator % p == 0
+                                 for f in A.forms for c in f._terms.values()):
+            # a form has no image mod p, though Q and its partials may
+            return substituted(J, g, coeff_field)
+        return _partials(_product(substituted(A.forms, g, coeff_field)))
+
+    return rgin(J, cfg, build)
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +313,7 @@ def analyze(A: Arrangement, cfg: GinConfig = GinConfig(),
     if method not in ("rgin", "sectional", "both"):
         raise ValueError(f"unknown method {method!r}")
     n, l = A.n, A.l
-    B = rgin(jacobian_ideal(A), cfg)
+    B = jacobian_rgin(A, cfg)
     reg = regularity_stable(B) if not B.is_zero else None
     if B.is_unit or l < 2:
         d0 = None
@@ -505,7 +535,7 @@ def realizable_as_free(B: StronglyStableIdeal, cfg: GinConfig = GinConfig(),
     arrangement = supersolvable_from_exponents(exponents)
     verified = False
     if verify:
-        B2 = rgin(jacobian_ideal(arrangement), cfg)
+        B2 = jacobian_rgin(arrangement, cfg)
         if MonomialIdeal(B2.generators, l) != MonomialIdeal(B.generators, l):
             raise InternalConsistencyError(
                 f"constructed arrangement has rgin {B2!r}, expected {B!r}")

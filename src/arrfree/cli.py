@@ -464,7 +464,7 @@ def _cmd_analyze(args, out) -> int:
 
 def _rgin_of_document(doc: InputDocument, cfg: GinConfig) -> StronglyStableIdeal:
     if doc.kind == "arrangement":
-        return rgin(arr.jacobian_ideal(doc.as_arrangement()), cfg)
+        return arr.jacobian_rgin(doc.as_arrangement(), cfg)
     ideal = doc.as_monomial_ideal()
     gens = [Polynomial.monomial(pp, ideal.nvars) for pp in ideal.generators]
     return rgin(gens, cfg)

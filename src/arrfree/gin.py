@@ -11,18 +11,17 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .groebner import buchberger, leading_term_ideal
 from .monomial import MonomialIdeal, StronglyStableIdeal, is_strongly_stable
 from .polyring import (GF, QQ, LinearChange, Polynomial, apply_linear_change,
-                       _det, _is_prime)
+                       _is_prime)
 
 __all__ = [
     "GinConfig", "GinCertificate", "GenericityExhaustedError",
     "StronglyStableIdeal", "is_strongly_stable",
-    "random_linear_change", "rgin",
+    "random_linear_change", "substituted", "rgin",
 ]
 
 
@@ -105,27 +104,37 @@ def _trial_stream(seed: int, attempt: int, trial: int, tag: str) -> random.Rando
     return random.Random(f"rgin:{seed}:{attempt}:{trial}:{tag}")
 
 
-def _one_trial(gens, l, rng, cfg: GinConfig, coeff_field) -> Tuple[MonomialIdeal, list]:
+def substituted(polys: Sequence[Polynomial], g: LinearChange,
+                coeff_field) -> List[Polynomial]:
+    """Each polynomial read over ``coeff_field``, with g substituted."""
+    return [apply_linear_change(f.convert(coeff_field), g) for f in polys]
+
+
+def _one_trial(build: Callable, l, rng, cfg: GinConfig,
+               coeff_field) -> Tuple[MonomialIdeal, list]:
+    p = coeff_field.p
     while True:
         g = random_linear_change(l, rng, cfg.entry_bound)
-        if coeff_field.p is None:
-            break
         # a matrix invertible over Q may still be singular mod p
-        det = _det([[Fraction(c) for c in row] for row in g.as_int_rows()])
-        if det.numerator % coeff_field.p != 0:
+        if p is None or g.det.numerator % p:
             break
-    transformed = [apply_linear_change(f.convert(coeff_field), g) for f in gens]
-    gb = buchberger(transformed, degree_cap=cfg.degree_cap)
+    gb = buchberger(build(g, coeff_field), degree_cap=cfg.degree_cap)
     return leading_term_ideal(gb), g.as_int_rows()
 
 
-def rgin(gens: Sequence[Polynomial], cfg: GinConfig = GinConfig()) -> StronglyStableIdeal:
+def rgin(gens: Sequence[Polynomial], cfg: GinConfig = GinConfig(),
+         build: Optional[Callable] = None) -> StronglyStableIdeal:
     """Generic initial ideal of the ideal generated by ``gens``.
 
     Runs ``cfg.trials`` independent random coordinate changes (per prime in
     modular mode); every trial must produce the same strongly stable leading
     term ideal.  A failed batch is retried with fresh randomness up to
     ``cfg.max_retries`` times before giving up.
+
+    ``build(g, field)`` returns the generators of one trial, which must
+    generate the ideal of ``gens`` after the change g, over ``field``.  The
+    default substitutes g into each generator; a caller that knows a cheaper
+    route to the same ideal passes its own.  The draws do not depend on it.
     """
     gens = [g for g in gens]
     if not gens:
@@ -140,6 +149,10 @@ def rgin(gens: Sequence[Polynomial], cfg: GinConfig = GinConfig()) -> StronglySt
         ideal = StronglyStableIdeal((), l)
         return ideal
 
+    if build is None:
+        def build(g, coeff_field):
+            return substituted(nonzero, g, coeff_field)
+
     if cfg.mode == "exact":
         fields = [("exact", QQ)]
     else:
@@ -153,7 +166,7 @@ def rgin(gens: Sequence[Polynomial], cfg: GinConfig = GinConfig()) -> StronglySt
         for tag, coeff_field in fields:
             for trial in range(cfg.trials):
                 rng = _trial_stream(cfg.seed, attempt, trial, tag)
-                ideal, rows = _one_trial(nonzero, l, rng, cfg, coeff_field)
+                ideal, rows = _one_trial(build, l, rng, cfg, coeff_field)
                 candidates.append(ideal)
                 matrices.append(tuple(tuple(r) for r in rows))
                 if not is_strongly_stable(ideal):

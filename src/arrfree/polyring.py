@@ -507,19 +507,24 @@ def _det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
 
 
 class LinearChange:
-    """Invertible linear substitution x_j -> sum_k matrix[j][k] * x_k."""
+    """Invertible linear substitution x_j -> sum_k matrix[j][k] * x_k.
 
-    __slots__ = ("matrix", "nvars")
+    ``det`` is the exact determinant, computed once at construction.
+    """
+
+    __slots__ = ("matrix", "nvars", "det")
 
     def __init__(self, matrix: Sequence[Sequence[CoeffLike]]):
         rows = tuple(tuple(Fraction(c) for c in row) for row in matrix)
         n = len(rows)
         if n == 0 or any(len(r) != n for r in rows):
             raise ValueError("matrix must be square and non-empty")
-        if _det(rows) == 0:
+        det = _det(rows)
+        if det == 0:
             raise ValueError("singular matrix rejected")
         self.matrix = rows
         self.nvars = n
+        self.det = det
 
     @classmethod
     def identity(cls, nvars: int) -> "LinearChange":

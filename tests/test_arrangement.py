@@ -1,6 +1,7 @@
 """Arrangements: validation, Jacobian ideals, freeness, exponents."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -8,10 +9,10 @@ from arrfree import (Arrangement, ArrangementError, ExponentVector, GinConfig,
                      NotFreeRginError, Polynomial, PowerProduct,
                      StronglyStableIdeal, analyze, check_conjecture_Z,
                      defining_polynomial, exponents_from_rgin, is_free_via_rgin,
-                     is_free_via_sectional, jacobian_ideal, realizable_as_free,
-                     rgin_from_exponents, supersolvable_from_exponents,
-                     validate)
-from helpers import distinct_random_forms, poly, polys
+                     is_free_via_sectional, jacobian_ideal, jacobian_rgin,
+                     realizable_as_free, rgin, rgin_from_exponents,
+                     supersolvable_from_exponents, validate)
+from helpers import distinct_random_forms, poly, polys, random_linear_form
 
 CFG = GinConfig(seed=9)
 
@@ -73,6 +74,53 @@ class TestJacobianIdeal:
         gens = jacobian_ideal(A)
         assert len(gens) == 3
         assert all(g.total_degree() == 3 for g in gens)
+
+
+def perturbed_staircase():
+    """The staircase with exponents (1, 2, 3), last form made random."""
+    base = supersolvable_from_exponents((1, 2, 3))
+    rng = random.Random(4)
+    while True:
+        forms = list(base.forms[:-1]) + [random_linear_form(3, rng, bound=7)]
+        if validate(forms).distinct:
+            return Arrangement(forms)
+
+
+class TestTrialRoutes:
+    """Moving the forms gives what substituting into the partials gives."""
+
+    CASES = {
+        "five_free": ["x", "y", "z", "x+y", "x-y"],
+        "five_not_free": ["x", "x+y-z", "x+z", "x+2z", "x+y+z"],
+        "seven_a": ["x", "y", "z", "x-z", "x+z", "y-z", "y+z"],
+        "seven_b": ["x", "y", "z", "x+y-z", "x+y+z", "x-y-z", "x-y+z"],
+    }
+
+    def arrangements(self):
+        for name, forms in self.CASES.items():
+            yield name, arrangement(forms, 3)
+        yield "staircase", supersolvable_from_exponents((1, 2, 3))
+        yield "perturbed", perturbed_staircase()
+
+    @pytest.mark.parametrize("mode", ["exact", "modular"])
+    def test_same_rgin_and_matrices(self, mode):
+        cfg = GinConfig(seed=13, mode=mode)
+        for name, A in self.arrangements():
+            moved = jacobian_rgin(A, cfg)
+            substituted = rgin(jacobian_ideal(A), cfg)
+            assert moved.generators == substituted.generators, name
+            assert moved.certificate == substituted.certificate, name
+
+    def test_forms_without_an_image_mod_p(self):
+        # x/p and p*y have no image mod p, but their product does
+        p = 32003
+        A = Arrangement([poly("x", 3).scale(Fraction(1, p)), poly("y", 3).scale(p),
+                         poly("z", 3), poly("x+y", 3), poly("x-y+z", 3)])
+        cfg = GinConfig(seed=5, mode="modular", primes=(p, 32009))
+        moved = jacobian_rgin(A, cfg)
+        substituted = rgin(jacobian_ideal(A), cfg)
+        assert moved.generators == substituted.generators
+        assert moved.certificate == substituted.certificate
 
 
 class TestFreenessGoldens:

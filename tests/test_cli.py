@@ -2,6 +2,7 @@
 
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -37,6 +38,10 @@ gen x^2
 gen x*y
 gen y^5
 """
+
+
+INPUTS = Path(__file__).resolve().parent.parent / "inputs"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run_cli(*argv):
@@ -153,6 +158,15 @@ class TestCommands:
                 for _ in range(2)]
         assert all(r.returncode == 0 for r in runs)
         assert runs[0].stdout == runs[1].stdout != ""
+
+    @pytest.mark.parametrize("name", ["five_planes", "five_planes_nonfree"])
+    def test_analyze_json_golden_bytes(self, name):
+        # answer and provenance are fixed by the seed alone, not by how a
+        # trial builds its generators; these bytes must never change
+        code, text = run_cli("analyze", str(INPUTS / f"{name}.arr"),
+                             "--json", "--seed", "11")
+        assert code == EXIT_OK
+        assert text == (GOLDEN / f"analyze_{name}_seed11.json").read_text()
 
     def test_rgin_on_ideal(self, tmp_path):
         path = tmp_path / "b.ideal"

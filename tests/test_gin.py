@@ -126,6 +126,26 @@ class TestModularMode:
             rgin([f], GinConfig(seed=1, mode="modular", primes=(7, 11)))
 
 
+class TestChainRule:
+    def test_moved_product_and_substituted_partials_agree(self):
+        # grad(Q o g) = g^T (grad Q o g) with g^T invertible, so the two
+        # generator lists differ but span one ideal: one reduced basis
+        from arrfree import (GF, QQ, Arrangement, apply_linear_change,
+                             defining_polynomial, jacobian_ideal)
+        from helpers import distinct_random_forms
+        rng = random.Random(31)
+        A = Arrangement(distinct_random_forms(3, 6, rng))
+        for field in (QQ, GF(32003)):
+            for _ in range(3):
+                # entries in [-10, 10] keep |det| below 32003: g stays invertible
+                g = random_linear_change(3, rng, 10)
+                Qg = apply_linear_change(defining_polynomial(A).convert(field), g)
+                moved = [Qg.partial_derivative(i) for i in (1, 2, 3)]
+                substituted = gin_module.substituted(jacobian_ideal(A), g, field)
+                assert moved != substituted
+                assert buchberger(moved) == buchberger(substituted)
+
+
 class TestStructuralProperties:
     def test_idempotent_on_borel_corpus(self):
         rng = random.Random(2024)

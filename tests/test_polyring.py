@@ -150,6 +150,11 @@ class TestLinearChange:
         with pytest.raises(ValueError):
             LinearChange([[1, 2], [2, 4]])
 
+    def test_determinant_kept(self):
+        assert LinearChange([[2, 1, 0], [1, 1, 3], [0, -1, 1]]).det == 7
+        assert LinearChange([[0, 1], [1, 0]]).det == -1
+        assert LinearChange([["1/2", 0], [0, 3]]).det == Fraction(3, 2)
+
     def test_degree_preserved_and_homomorphism(self):
         rng = random.Random(99)
         g = LinearChange([[1, 2, 0], [0, 1, 5], [3, 0, 1]])
