@@ -17,14 +17,15 @@ from .monomial import (INFINITE, BettiTable, MonomialIdeal, SectionalMatrix,
                        StronglyStableIdeal, betti_eliahou_kervaire,
                        is_cm_codim2_stable, reduction_number,
                        regularity_stable, sectional_matrix)
-from .polyring import QQ, DimensionError, Polynomial, PowerProduct, variables
+from .polyring import (QQ, DimensionError, Polynomial, PowerProduct,
+                       row_reduce, variables)
 
 __all__ = [
     "ArrangementError", "NotFreeRginError", "InternalConsistencyError",
     "ValidationInfo", "Arrangement", "ExponentVector", "FreenessReport",
     "RealizabilityVerdict", "ConjectureReport",
     "validate", "defining_polynomial", "jacobian_ideal", "jacobian_rgin",
-    "analyze", "is_free_via_rgin", "is_free_via_sectional",
+    "sectional_bounds", "analyze", "is_free_via_rgin", "is_free_via_sectional",
     "exponents_from_rgin", "rgin_from_exponents",
     "supersolvable_from_exponents", "realizable_as_free", "check_conjecture_Z",
 ]
@@ -77,25 +78,6 @@ def _is_linear_form(f: Polynomial) -> bool:
     return (not f.is_zero and f.is_homogeneous() and f.total_degree() == 1)
 
 
-def _rank(rows: List[List[Fraction]], ncols: int) -> int:
-    m = [row[:] for row in rows]
-    rank = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = Fraction(1) / m[rank][col]
-        for r in range(rank + 1, len(m)):
-            if m[r][col]:
-                factor = m[r][col] * inv
-                m[r] = [v - factor * p for v, p in zip(m[r], m[rank])]
-        rank += 1
-        if rank == ncols:
-            break
-    return rank
-
-
 def _coefficient_vector(f: Polynomial) -> List[Fraction]:
     out = [Fraction(0)] * f.nvars
     for pp, c in f._terms.items():
@@ -139,7 +121,8 @@ def validate(forms: Sequence[Polynomial]) -> ValidationInfo:
                 seen[key] = idx
     essential = False
     if central:
-        essential = _rank([_coefficient_vector(f) for f in forms], l) == l
+        rows = [_coefficient_vector(f) for f in forms]
+        essential = len(row_reduce(rows)[1]) == l
     return ValidationInfo(central=central, distinct=distinct, essential=essential,
                           n=len(forms), l=l, problems=tuple(problems))
 
@@ -302,6 +285,25 @@ def _free_by_sectional(B: StronglyStableIdeal, M: SectionalMatrix,
     return flat and M.m(3, d0) == row_sum
 
 
+def sectional_bounds(B: StronglyStableIdeal) -> Tuple[Optional[int], Optional[int], int]:
+    """(d0, regularity, default dmax) of an rgin B in l variables.
+
+    d0 is the reduction number r_{l-2}(B), None when B is the unit ideal,
+    l < 2 or the number is infinite; the regularity is None for the zero
+    ideal.  The default dmax, regularity + 2 and at least d0 + 2, is the
+    narrowest sectional matrix that both freeness tests can read.
+    """
+    reg = regularity_stable(B) if not B.is_zero else None
+    d0 = None
+    if not B.is_unit and B.nvars >= 2:
+        r = reduction_number(B, B.nvars - 2)
+        d0 = None if r is INFINITE else r
+    floor = (reg or 0) + 2
+    if d0 is not None:
+        floor = max(floor, d0 + 2)
+    return d0, reg, floor
+
+
 def analyze(A: Arrangement, cfg: GinConfig = GinConfig(),
             method: str = "both", dmax: Optional[int] = None) -> FreenessReport:
     """Full freeness report for one arrangement.
@@ -314,17 +316,8 @@ def analyze(A: Arrangement, cfg: GinConfig = GinConfig(),
         raise ValueError(f"unknown method {method!r}")
     n, l = A.n, A.l
     B = jacobian_rgin(A, cfg)
-    reg = regularity_stable(B) if not B.is_zero else None
-    if B.is_unit or l < 2:
-        d0 = None
-    else:
-        r = reduction_number(B, l - 2)
-        d0 = None if r is INFINITE else r
-    floor = (reg if reg is not None else 0) + 2
-    if d0 is not None:
-        floor = max(floor, d0 + 2)
-    dmax = floor if dmax is None else max(dmax, floor)
-    M = sectional_matrix(B, dmax)
+    d0, reg, floor = sectional_bounds(B)
+    M = sectional_matrix(B, floor if dmax is None else max(dmax, floor))
 
     verdicts = {}
     if method in ("rgin", "both"):

@@ -23,9 +23,8 @@ from .arrangement import (Arrangement, ArrangementError, ExponentVector,
                           realizable_as_free, supersolvable_from_exponents)
 from .gin import GenericityExhaustedError, GinCertificate, GinConfig, rgin
 from .groebner import DegreeCapExceeded
-from .monomial import (INFINITE, MonomialIdeal, SectionalMatrix,
-                       StronglyStableIdeal, betti_eliahou_kervaire,
-                       reduction_number, regularity_stable, sectional_matrix)
+from .monomial import (MonomialIdeal, SectionalMatrix, StronglyStableIdeal,
+                       betti_eliahou_kervaire, sectional_matrix)
 from .polyring import (Polynomial, PowerProduct, format_power_product,
                        var_names, _is_prime)
 
@@ -95,12 +94,14 @@ def _tokenize(text: str, names: Sequence[str], source: str, line: int) -> List[t
 
 
 class _ExprParser:
-    def __init__(self, tokens: List[tuple], nvars: int, source: str, line: int):
+    def __init__(self, tokens: List[tuple], nvars: int, source: str, line: int,
+                 sum_powers: bool):
         self.tokens = tokens
         self.pos = 0
         self.nvars = nvars
         self.source = source
         self.line = line
+        self.sum_powers = sum_powers   # allow ^k, k >= 2, on a sum of terms
 
     def _peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -155,6 +156,8 @@ class _ExprParser:
             etok = self._peek()
             if etok is None or etok[0] != "num":
                 self._error("exponent must be a non-negative integer")
+            if not self.sum_powers and etok[1] >= 2 and len(base) >= 2:
+                self._error("a power of a sum is not a linear form or a monomial")
             self.pos += 1
             return base ** etok[1]
         return base
@@ -181,13 +184,18 @@ class _ExprParser:
         self._error(f"unexpected {kind!r}")
 
 
-def parse_expression(text: str, names: Sequence[str], source: str = "<input>",
-                     line: int = 1) -> Polynomial:
-    """Parse one polynomial expression over the declared variables."""
+def _parse(text: str, names: Sequence[str], source: str, line: int,
+           sum_powers: bool) -> Polynomial:
     tokens = _tokenize(text, names, source, line)
     if not tokens:
         raise ParseError("empty expression", source, line, 1)
-    return _ExprParser(tokens, len(names), source, line).parse()
+    return _ExprParser(tokens, len(names), source, line, sum_powers).parse()
+
+
+def parse_expression(text: str, names: Sequence[str], source: str = "<input>",
+                     line: int = 1) -> Polynomial:
+    """Parse one polynomial expression over the declared variables."""
+    return _parse(text, names, source, line, sum_powers=True)
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +256,9 @@ def parse_input(text: str, source: str = "<input>") -> InputDocument:
             elif kind != this_kind:
                 raise ParseError("cannot mix hyperplane and gen lines",
                                  source, lineno, 1)
-            poly = parse_expression(rest, names, source, lineno)
+            # neither a linear form nor a monomial needs a power of a sum,
+            # and expanding one, say (x+y+z)^400, would not finish
+            poly = _parse(rest, names, source, lineno, sum_powers=False)
             if keyword == "hyperplane":
                 if poly.is_zero or not poly.is_homogeneous() or poly.total_degree() != 1:
                     raise ParseError(f"hyperplane form must be linear homogeneous, "
@@ -483,23 +493,12 @@ def _cmd_rgin(args, out) -> int:
     return EXIT_OK
 
 
-def _document_d0(B: StronglyStableIdeal) -> Optional[int]:
-    if B.is_unit or B.nvars < 2:
-        return None
-    r = reduction_number(B, B.nvars - 2)
-    return None if r is INFINITE else r
-
-
 def _cmd_sm(args, out) -> int:
     doc = load_input(args.input)
     B = _rgin_of_document(doc, _config_from_args(args))
-    d0 = _document_d0(B)
-    dmax = args.dmax
-    if dmax is None:
-        reg = regularity_stable(B) if not B.is_zero else 0
-        dmax = reg + 2
-        if d0 is not None:
-            dmax = max(dmax, d0 + 2)
+    d0, _, dmax = arr.sectional_bounds(B)
+    if args.dmax is not None:
+        dmax = args.dmax
     M = sectional_matrix(B, dmax)
     if args.json:
         print(json.dumps({"rgin": _ideal_strings(B), "d0": d0,

@@ -1,9 +1,11 @@
 """Buchberger's algorithm under DegRevLex, normal forms and Hilbert functions.
 
-Exact-mode reductions run fraction-free over the integers: divisors are kept
-primitive (content 1, positive leading coefficient) and the working
-polynomial is rescaled instead of introducing fractions, with the
-accumulated multiplier divided out at the end.  Pairs are pruned with
+Both coefficient fields share one fraction-free reduction kernel on integer
+term dicts.  Over QQ divisors are kept primitive (content 1, positive leading
+coefficient) and the working polynomial is rescaled instead of introducing
+fractions, with the accumulated multiplier divided out at the end.  Over
+GF(p) the same kernel reduces every coefficient mod p; divisors are monic, so
+no rescaling ever happens.  Pairs are pruned with
 Buchberger's coprimality and chain criteria (Gebauer-Moeller installation)
 and selected by smallest lcm degree first.
 """
@@ -29,32 +31,54 @@ class DegreeCapExceeded(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# internal integer / modular reduction kernels
+# internal reduction kernel: integer terms, reduced mod p when p is set
 # ---------------------------------------------------------------------------
 
 def _int_terms(f: Polynomial) -> Tuple[dict, int]:
-    """Coefficients of f scaled to integers; returns (terms, multiplier)."""
+    """Integer terms of f and the multiplier m with terms = m * f.
+
+    Over QQ the coefficients are scaled to integers; mod p they are the
+    residues already stored, with m = 1.
+    """
+    if f.field.p is not None:
+        return dict(f._terms), 1
     denom_lcm = 1
     for c in f._terms.values():
         denom_lcm = denom_lcm * c.denominator // math.gcd(denom_lcm, c.denominator)
     return {pp: int(c * denom_lcm) for pp, c in f._terms.items()}, denom_lcm
 
 
-def _primitive(terms: dict) -> dict:
-    """Divide by the integer content and normalize the leading sign."""
+def _poly(terms: dict, denom: int, nvars: int, field) -> Polynomial:
+    """The polynomial terms / denom; mod p the terms are residues, denom 1."""
+    if field.p is None:
+        terms = {pp: Fraction(v, denom) for pp, v in terms.items()}
+    return Polynomial(terms, nvars, field, _trusted=True)
+
+
+def _normalize(terms: dict, p: Optional[int]) -> dict:
+    """Primitive with a positive lead over QQ (p is None); monic mod p."""
     if not terms:
         return terms
+    lead = max(terms)
+    if p is not None:
+        inv = pow(terms[lead], -1, p)
+        return terms if inv == 1 else {pp: c * inv % p for pp, c in terms.items()}
     content = 0
     for v in terms.values():
         content = math.gcd(content, v)
         if content == 1:
             break
-    lead = max(terms)
     if terms[lead] < 0:
         content = -content
     if content != 1:
         terms = {pp: v // content for pp, v in terms.items()}
     return terms
+
+
+def _pack(terms: dict) -> tuple:
+    """The divisor triple (lt, lc, tail) of a normalized term dict."""
+    lead = max(terms)
+    return lead, terms[lead], [(pp, c) for pp, c in terms.items() if pp != lead]
 
 
 def _shrink(work: dict, rem: dict, mult: int) -> int:
@@ -77,12 +101,27 @@ def _shrink(work: dict, rem: dict, mult: int) -> int:
     return mult
 
 
-def _reduce_int(work: dict, divisors: Sequence[tuple],
-                degree_cap: Optional[int] = None) -> Tuple[dict, int]:
+def _subtract(work: dict, tail: list, q, b: int, p: Optional[int]) -> None:
+    """work -= b * q * tail in place, mod p when p is set."""
+    trivial_q = q.degree() == 0
+    for gm, gc in tail:
+        k = gm if trivial_q else gm * q
+        v = work.get(k, 0) - b * gc
+        if p:
+            v %= p
+        if v:
+            work[k] = v
+        else:
+            work.pop(k, None)
+
+
+def _reduce(work: dict, divisors: Sequence[tuple], p: Optional[int],
+            degree_cap: Optional[int] = None) -> Tuple[dict, int]:
     """Fraction-free full reduction of an integer term dict.
 
     ``divisors`` holds (lt, lc, tail) triples with lc > 0 and tail the
-    non-leading terms.  Returns (remainder, mult) with
+    non-leading terms; mod p they are monic, so lc = 1 and the multiplier
+    stays 1.  Returns (remainder, mult) with
     remainder = mult * NF(original work).
     """
     mult = 1
@@ -95,62 +134,21 @@ def _reduce_int(work: dict, divisors: Sequence[tuple],
         c = work.pop(t)
         for lt, lc, tail in divisors:
             if lt.divides(t):
-                q = t / lt
                 g = math.gcd(c, lc)
                 a = lc // g
-                b = c // g
                 if a != 1:
                     mult *= a
                     for k in work:
                         work[k] *= a
                     for k in rem:
                         rem[k] *= a
-                trivial_q = q.degree() == 0
-                for gm, gc in tail:
-                    k = gm if trivial_q else gm * q
-                    v = work.get(k, 0) - b * gc
-                    if v:
-                        work[k] = v
-                    else:
-                        work.pop(k, None)
+                _subtract(work, tail, t / lt, c // g, p)
                 if mult.bit_length() > 512:
                     mult = _shrink(work, rem, mult)
                 break
         else:
             rem[t] = c
     return rem, mult
-
-
-def _reduce_mod(work: dict, divisors: Sequence[tuple], p: int,
-                degree_cap: Optional[int] = None) -> dict:
-    """Full reduction mod p; divisors are monic (lt, tail) pairs."""
-    rem: dict = {}
-    while work:
-        t = max(work)
-        if degree_cap is not None and t.degree() > degree_cap:
-            raise DegreeCapExceeded(
-                f"reduction reached degree {t.degree()} > cap {degree_cap}")
-        c = work.pop(t)
-        for lt, tail in divisors:
-            if lt.divides(t):
-                q = t / lt
-                trivial_q = q.degree() == 0
-                for gm, gc in tail:
-                    k = gm if trivial_q else gm * q
-                    v = (work.get(k, 0) - c * gc) % p
-                    if v:
-                        work[k] = v
-                    else:
-                        work.pop(k, None)
-                break
-        else:
-            rem[t] = c
-    return rem
-
-
-def _tail(terms: dict) -> list:
-    lead = max(terms)
-    return [(pp, c) for pp, c in terms.items() if pp != lead]
 
 
 # ---------------------------------------------------------------------------
@@ -170,22 +168,11 @@ def normal_form(f: Polynomial, G: Sequence[Polynomial],
         f._check_compatible(g)
     if f.is_zero or not divisors:
         return f
-    field = f.field
-    if field.p is None:
-        work, m0 = _int_terms(f)
-        packed = []
-        for g in divisors:
-            terms = _primitive(_int_terms(g)[0])
-            packed.append((max(terms), terms[max(terms)], _tail(terms)))
-        rem, mult = _reduce_int(work, packed, degree_cap)
-        denom = m0 * mult
-        return Polynomial({pp: Fraction(v, denom) for pp, v in rem.items()},
-                          f.nvars, field)
-    work = dict(f._terms)
-    packed = [(g.leading_power_product(), _tail(g.monic()._terms))
-              for g in divisors]
-    rem = _reduce_mod(work, packed, field.p, degree_cap)
-    return Polynomial(rem, f.nvars, field, _trusted=True)
+    p = f.field.p
+    work, m0 = _int_terms(f)
+    packed = [_pack(_normalize(_int_terms(g)[0], p)) for g in divisors]
+    rem, mult = _reduce(work, packed, p, degree_cap)
+    return _poly(rem, m0 * mult, f.nvars, f.field)
 
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -240,66 +227,33 @@ class GroebnerBasis:
 
 
 class _Engine:
-    """State of one Buchberger run (one coefficient field, one ambient)."""
+    """State of one Buchberger run over QQ (p is None) or GF(p)."""
 
-    def __init__(self, nvars: int, field, degree_cap: Optional[int]):
-        self.nvars = nvars
-        self.field = field
-        self.p = field.p
+    def __init__(self, p: Optional[int], degree_cap: Optional[int]):
+        self.p = p
         self.degree_cap = degree_cap
-        self.store: dict = {}      # id -> term dict (never mutated)
+        self.packed: dict = {}     # id -> (lt, lc, tail), never mutated
         self.lts: dict = {}        # id -> leading power product
         self.active: list = []     # ids sorted by (lt degree, lt, id)
+        self.divisors: list = []   # packed triples of the active ids, in order
         self.pairs: dict = {}      # (i, j) i<j -> lcm power product
         self.next_id = 0
 
     # -- plumbing ----------------------------------------------------------
 
-    def _normalize(self, terms: dict) -> dict:
-        if self.p is None:
-            return _primitive(terms)
-        lead = max(terms)
-        inv = pow(terms[lead], -1, self.p)
-        if inv == 1:
-            return terms
-        return {pp: c * inv % self.p for pp, c in terms.items()}
-
-    def _divisor_list(self) -> list:
-        if self.p is None:
-            return [(self.lts[i], self.store[i][self.lts[i]], _tail(self.store[i]))
-                    for i in self.active]
-        return [(self.lts[i], _tail(self.store[i])) for i in self.active]
-
     def _nf(self, work: dict) -> dict:
-        if self.p is None:
-            rem, _ = _reduce_int(work, self._divisor_list(), self.degree_cap)
-            return _primitive(rem)
-        rem = _reduce_mod(work, self._divisor_list(), self.p, self.degree_cap)
-        return self._normalize(rem) if rem else rem
+        rem, _ = _reduce(work, self.divisors, self.p, self.degree_cap)
+        return _normalize(rem, self.p)
 
     def _spair_terms(self, i: int, j: int) -> dict:
-        fi, fj = self.store[i], self.store[j]
-        lt_i, lt_j = self.lts[i], self.lts[j]
+        lt_i, lc_i, tail_i = self.packed[i]
+        lt_j, lc_j, tail_j = self.packed[j]
         lcm = lt_i.lcm(lt_j)
-        qi, qj = lcm / lt_i, lcm / lt_j
-        if self.p is None:
-            lc_i, lc_j = fi[lt_i], fj[lt_j]
-            g = math.gcd(lc_i, lc_j)
-            a, b = lc_j // g, lc_i // g
-        else:
-            a = b = 1
-        out: dict = {}
-        for pp, c in fi.items():
-            out[pp * qi] = a * c
-        for pp, c in fj.items():
-            k = pp * qj
-            v = out.get(k, 0) - b * c
-            if v:
-                out[k] = v
-            else:
-                out.pop(k, None)
-        if self.p is not None:
-            out = {pp: v % self.p for pp, v in out.items() if v % self.p}
+        qi = lcm / lt_i
+        g = math.gcd(lc_i, lc_j)
+        # the leading terms cancel: (lc_j / g) * lc_i = (lc_i / g) * lc_j
+        out = {pp * qi: lc_j // g * c for pp, c in tail_i}
+        _subtract(out, tail_j, lcm / lt_j, lc_i // g, self.p)
         return out
 
     # -- Gebauer-Moeller update ---------------------------------------------
@@ -307,8 +261,8 @@ class _Engine:
     def add(self, terms: dict) -> None:
         h = self.next_id
         self.next_id += 1
-        self.store[h] = terms
-        lt_h = max(terms)
+        self.packed[h] = _pack(terms)
+        lt_h = self.packed[h][0]
         self.lts[h] = lt_h
 
         # candidate pairs of h with the current basis, pruned by the chain
@@ -340,6 +294,7 @@ class _Engine:
         self.active = [g for g in self.active if not lt_h.divides(self.lts[g])]
         self.active.append(h)
         self.active.sort(key=lambda g: (self.lts[g].degree(), self.lts[g], g))
+        self.divisors = [self.packed[g] for g in self.active]
 
     def select_pair(self):
         """Normal strategy: smallest lcm degree first, then lcm, then ids."""
@@ -360,19 +315,13 @@ class _Engine:
     def reduced_basis(self) -> list:
         """Tail-reduce the surviving elements against each other."""
         final = []
-        ids = sorted(self.active, key=lambda g: (self.lts[g].degree(), self.lts[g], g))
-        for g in ids:
-            others = [i for i in ids if i != g]
-            if self.p is None:
-                packed = [(self.lts[i], self.store[i][self.lts[i]],
-                           _tail(self.store[i])) for i in others]
-                rem, _ = _reduce_int(dict(self.store[g]), packed, self.degree_cap)
-                final.append(_primitive(rem))
-            else:
-                packed = [(self.lts[i], _tail(self.store[i])) for i in others]
-                rem = _reduce_mod(dict(self.store[g]), packed, self.p,
-                                  self.degree_cap)
-                final.append(self._normalize(rem))
+        for g in self.active:
+            lt, lc, tail = self.packed[g]
+            work = dict(tail)
+            work[lt] = lc
+            others = [self.packed[i] for i in self.active if i != g]
+            rem, _ = _reduce(work, others, self.p, self.degree_cap)
+            final.append(_normalize(rem, self.p))
         return final
 
 
@@ -398,30 +347,19 @@ def buchberger(gens: Sequence[Polynomial],
         if top > degree_cap:
             raise DegreeCapExceeded(f"generator degree {top} > cap {degree_cap}")
 
-    engine = _Engine(nvars, field, degree_cap)
-    if field.p is None:
-        items = [_primitive(_int_terms(g)[0]) for g in nonzero]
-    else:
-        items = [engine._normalize(dict(g._terms)) for g in nonzero]
+    engine = _Engine(field.p, degree_cap)
+    items = [_normalize(_int_terms(g)[0], field.p) for g in nonzero]
     # feed generators smallest leading term first, reducing each against the
     # basis built so far
     items.sort(key=lambda t: (max(t).degree(), max(t)))
     for terms in items:
-        reduced = engine._nf(dict(terms)) if engine.active else terms
+        reduced = engine._nf(terms) if engine.active else terms
         if reduced:
             engine.add(reduced)
     engine.run()
 
-    elements = []
-    for terms in engine.reduced_basis():
-        if field.p is None:
-            lead = max(terms)
-            lc = terms[lead]
-            poly = Polynomial({pp: Fraction(v, lc) for pp, v in terms.items()},
-                              nvars, field)
-        else:
-            poly = Polynomial(terms, nvars, field, _trusted=True)
-        elements.append(poly)
+    elements = [_poly(terms, terms[max(terms)], nvars, field)
+                for terms in engine.reduced_basis()]
     elements.sort(key=lambda g: g.leading_power_product())
     return GroebnerBasis(elements, nvars, field)
 

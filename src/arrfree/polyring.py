@@ -15,7 +15,7 @@ __all__ = [
     "DimensionError", "PowerProduct", "cmp_degrevlex",
     "Rationals", "PrimeField", "QQ", "GF",
     "Polynomial", "variables", "multiply", "partial_derivative",
-    "LinearChange", "apply_linear_change",
+    "LinearChange", "apply_linear_change", "row_reduce",
     "var_names", "format_power_product",
 ]
 
@@ -485,25 +485,37 @@ def partial_derivative(f: Polynomial, i: int) -> Polynomial:
 # invertible linear changes of coordinates
 # ---------------------------------------------------------------------------
 
-def _det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
-    n = len(rows)
-    m = [list(r) for r in rows]
+def row_reduce(rows: Sequence[Sequence[CoeffLike]]) -> tuple:
+    """Gauss-Jordan elimination over QQ: (reduced rows, pivot columns, det).
+
+    The reduced row echelon form has a leading 1 in each pivot row and zero
+    rows last.  ``det`` is the determinant of the leading square block (the
+    first len(rows) columns), 0 when that block is singular.
+    """
+    m = [[Fraction(c) for c in row] for row in rows]
+    pivots: list = []
     det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
+    for col in range(len(m[0]) if m else 0):
+        top = len(pivots)
+        pivot = next((r for r in range(top, len(m)) if m[r][col]), None)
         if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
+            continue
+        if pivot != top:
+            m[top], m[pivot] = m[pivot], m[top]
             det = -det
-        det *= m[col][col]
-        inv = Fraction(1) / m[col][col]
-        for r in range(col + 1, n):
-            factor = m[r][col] * inv
-            if factor:
-                for c in range(col, n):
-                    m[r][c] -= factor * m[col][c]
-    return det
+        lead = m[top][col]
+        det *= lead
+        m[top] = [v / lead for v in m[top]]
+        for r in range(len(m)):
+            if r != top and m[r][col]:
+                factor = m[r][col]
+                m[r] = [v - factor * w for v, w in zip(m[r], m[top])]
+        pivots.append(col)
+        if len(pivots) == len(m):
+            break
+    if pivots != list(range(len(m))):
+        det = Fraction(0)
+    return m, pivots, det
 
 
 class LinearChange:
@@ -519,7 +531,7 @@ class LinearChange:
         n = len(rows)
         if n == 0 or any(len(r) != n for r in rows):
             raise ValueError("matrix must be square and non-empty")
-        det = _det(rows)
+        det = row_reduce(rows)[2]
         if det == 0:
             raise ValueError("singular matrix rejected")
         self.matrix = rows
@@ -532,18 +544,9 @@ class LinearChange:
 
     def inverse(self) -> "LinearChange":
         n = self.nvars
-        aug = [list(row) + [Fraction(int(i == j)) for j in range(n)]
+        aug = [list(row) + [int(i == j) for j in range(n)]
                for i, row in enumerate(self.matrix)]
-        for col in range(n):
-            pivot = next(r for r in range(col, n) if aug[r][col] != 0)
-            aug[col], aug[pivot] = aug[pivot], aug[col]
-            inv = Fraction(1) / aug[col][col]
-            aug[col] = [v * inv for v in aug[col]]
-            for r in range(n):
-                if r != col and aug[r][col]:
-                    factor = aug[r][col]
-                    aug[r] = [v - factor * p for v, p in zip(aug[r], aug[col])]
-        return LinearChange([row[n:] for row in aug])
+        return LinearChange([row[n:] for row in row_reduce(aug)[0]])
 
     def __eq__(self, other):
         return isinstance(other, LinearChange) and self.matrix == other.matrix

@@ -12,6 +12,7 @@ from arrfree import (Arrangement, ArrangementError, ExponentVector, GinConfig,
                      is_free_via_sectional, jacobian_ideal, jacobian_rgin,
                      realizable_as_free, rgin, rgin_from_exponents,
                      supersolvable_from_exponents, validate)
+from arrfree.arrangement import sectional_bounds
 from helpers import distinct_random_forms, poly, polys, random_linear_form
 
 CFG = GinConfig(seed=9)
@@ -130,6 +131,15 @@ class TestFreenessGoldens:
         assert rep.free and not rep.trivially_free
         assert str(rep.rgin) == "<x^4, x^3*y, x^2*y^2, x*y^4, y^6>"
         assert rep.exponents == (1, 1, 3)
+
+    def test_sectional_bounds_match_report(self):
+        for texts in (["x", "y", "z", "x+y", "x-y"],
+                      ["x", "x+y-z", "x+z", "x+2z", "x+y+z"]):
+            rep = analyze(arrangement(texts, 3), CFG)
+            d0, reg, dmax = sectional_bounds(rep.rgin)
+            assert (d0, reg) == (rep.d0, rep.regularity)
+            assert dmax == rep.sectional.dmax == max(reg, d0) + 2
+        assert sectional_bounds(StronglyStableIdeal([], 3))[:2] == (None, None)
 
     def test_not_free_five_planes(self):
         A = arrangement(["x", "x+y-z", "x+z", "x+2z", "x+y+z"], 3)

@@ -2,6 +2,8 @@
 
 import io
 import json
+import signal
+import time
 from pathlib import Path
 
 import pytest
@@ -270,6 +272,30 @@ class TestExitCodes:
         assert run_cli("analyze", str(path))[0] == EXIT_PARSE
         missing = tmp_path / "missing.arr"
         assert run_cli("analyze", str(missing))[0] == EXIT_PARSE
+
+    @pytest.mark.parametrize("keyword", ["hyperplane", "gen"])
+    def test_power_of_sum_rejected_before_expansion(self, tmp_path, keyword):
+        path = tmp_path / "power.txt"
+        path.write_text(f"vars x y z\n{keyword} (x+y+z)^400 - (x+y+z)^400 + x\n")
+
+        def expanded(signum, frame):   # fail instead of hanging the suite
+            raise TimeoutError("the power of the sum was expanded")
+        previous = signal.signal(signal.SIGALRM, expanded)
+        signal.setitimer(signal.ITIMER_REAL, 5.0)
+        try:
+            start = time.perf_counter()
+            code, _ = run_cli("rgin", str(path))
+            elapsed = time.perf_counter() - start
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert code == EXIT_PARSE
+        assert elapsed < 1.0
+        # a first power of a sum and a power of a monomial stay allowed
+        line, parsed = {"hyperplane": ("(x+y)^1*(2x)^0", "x + y"),
+                        "gen": ("(x+y)^0*(x*y)^3", "x^3*y^3")}[keyword]
+        doc = parse_input(f"vars x y\n{keyword} {line}\n")
+        assert str(doc.items[0]) == parsed
 
     def test_duplicate_hyperplane_is_input_error(self, tmp_path):
         path = tmp_path / "dup.arr"

@@ -4,11 +4,13 @@ import random
 
 import pytest
 
-from arrfree import (GF, DegreeCapExceeded, LinearChange, MonomialIdeal,
+from arrfree import (GF, QQ, DegreeCapExceeded, LinearChange, MonomialIdeal,
                      Polynomial, PowerProduct, apply_linear_change, buchberger,
                      hilbert_function, leading_term_ideal, normal_form,
                      s_polynomial)
 from helpers import poly, polys, random_polynomial
+
+FIELDS = pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["QQ", "GF32003"])
 
 
 class TestNormalForm:
@@ -28,14 +30,20 @@ class TestNormalForm:
         f = poly("x + 1", 2)
         assert normal_form(f, []) == f
 
-    def test_exact_difference_in_ideal(self):
+    @FIELDS
+    def test_exact_difference_in_ideal(self, field):
         rng = random.Random(17)
-        G = [poly("x^2 - y", 2), poly("x*y - 1", 2)]
+        G = [g.convert(field) for g in polys(["x^2 - y", "x*y - 1"], 2)]
         gb = buchberger(G)
+        lts = [g.leading_power_product() for g in G]
+        nonzero = 0
         for _ in range(20):
-            f = random_polynomial(2, 4, 4, rng)
+            f = random_polynomial(2, 4, 4, rng).convert(field)
             r = normal_form(f, G)
             assert normal_form(f - r, gb.elements).is_zero
+            assert not any(lt.divides(pp) for pp, _ in r.terms() for lt in lts)
+            nonzero += not r.is_zero
+        assert nonzero > 10
 
     def test_first_divisor_priority(self):
         f = poly("x*y", 2)
@@ -125,10 +133,20 @@ class TestBuchberger:
         assert [str(g) for g in gb.elements] == ["1"]
         assert leading_term_ideal(gb).is_unit
 
-    def test_degree_cap(self):
-        with pytest.raises(DegreeCapExceeded):
-            buchberger(polys(["x^2 - y*z", "x*y^2 - z^3", "y^4 - x*z^2"], 3),
-                       degree_cap=3)
+    @FIELDS
+    def test_degree_cap(self, field):
+        gens = [g.convert(field) for g in
+                polys(["x^2 - y*z", "x*y^2 - z^3", "y^4 - x*z^2"], 3)]
+        with pytest.raises(DegreeCapExceeded, match="generator"):
+            buchberger(gens, degree_cap=3)
+        with pytest.raises(DegreeCapExceeded, match="S-pair"):
+            buchberger(gens, degree_cap=7)
+        assert buchberger(gens, degree_cap=8) == buchberger(gens)
+        # the cap inside the reduction kernel
+        f = gens[2] * gens[0]
+        with pytest.raises(DegreeCapExceeded, match="reduction"):
+            normal_form(f, gens, degree_cap=5)
+        assert normal_form(f, gens, degree_cap=6).is_zero
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):

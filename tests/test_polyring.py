@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from arrfree import (EQUAL, GF, GREATER, DimensionError, LinearChange,
                      Polynomial, PowerProduct, apply_linear_change,
                      cmp_degrevlex, variables)
+from arrfree.polyring import row_reduce
 from helpers import poly, random_linear_form, random_polynomial
 
 exponents3 = st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(0, 6))
@@ -154,6 +155,16 @@ class TestLinearChange:
         assert LinearChange([[2, 1, 0], [1, 1, 3], [0, -1, 1]]).det == 7
         assert LinearChange([[0, 1], [1, 0]]).det == -1
         assert LinearChange([["1/2", 0], [0, 3]]).det == Fraction(3, 2)
+
+    def test_row_reduce(self):
+        rows, pivots, det = row_reduce([[0, 2, 4], [1, 1, 1], [1, 3, 5]])
+        assert rows == [[1, 0, -1], [0, 1, 2], [0, 0, 0]]
+        assert pivots == [0, 1] and det == 0
+        assert row_reduce([[0, 1], [1, 0]])[2] == -1
+        assert row_reduce([["1/2", 1, 7], [0, 3, 5]])[1:] == ([0, 1], Fraction(3, 2))
+        g = LinearChange([[2, 1, 0], [1, 1, 3], [0, -1, 1]])
+        assert g.inverse().det == Fraction(1, 7)
+        assert g.inverse().inverse() == g
 
     def test_degree_preserved_and_homomorphism(self):
         rng = random.Random(99)
