@@ -59,8 +59,13 @@ class ParseError(ValueError):
 _OPS = set("+-*^()")
 
 
-def _tokenize(text: str, names: Sequence[str], source: str, line: int) -> List[tuple]:
-    """Tokens: ("num", int, col), ("name", index, col), (op, None, col)."""
+def _tokenize(text: str, names: Sequence[str], source: str, line: int,
+              offset: int = 0) -> List[tuple]:
+    """Tokens: ("num", int, col), ("name", index, col), (op, None, col).
+
+    ``offset`` is the position of ``text`` within its file line, so that
+    columns count from the start of that line.
+    """
     tokens = []
     i = 0
     while i < len(text):
@@ -68,7 +73,7 @@ def _tokenize(text: str, names: Sequence[str], source: str, line: int) -> List[t
         if ch.isspace():
             i += 1
             continue
-        col = i + 1
+        col = offset + i + 1
         if ch in _OPS:
             tokens.append((ch, None, col))
             i += 1
@@ -101,7 +106,8 @@ class _ExprParser:
         self.nvars = nvars
         self.source = source
         self.line = line
-        self.sum_powers = sum_powers   # allow ^k, k >= 2, on a sum of terms
+        # allow ^k, k >= 2, on a sum of terms and a product of two sums
+        self.sum_powers = sum_powers
 
     def _peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -141,11 +147,13 @@ class _ExprParser:
                 break
             if tok[0] == "*":
                 self.pos += 1
-                poly = poly * self._factor()
-            elif tok[0] in ("num", "name", "("):
-                poly = poly * self._factor()   # implicit multiplication
-            else:
-                break
+            elif tok[0] not in ("num", "name", "("):
+                break                          # else implicit multiplication
+            rhs = self._factor()
+            if not self.sum_powers and len(poly) >= 2 and len(rhs) >= 2:
+                raise ParseError("a product of sums is not a linear form or "
+                                 "a monomial", self.source, self.line, tok[2])
+            poly = poly * rhs
         return poly
 
     def _factor(self) -> Polynomial:
@@ -185,10 +193,10 @@ class _ExprParser:
 
 
 def _parse(text: str, names: Sequence[str], source: str, line: int,
-           sum_powers: bool) -> Polynomial:
-    tokens = _tokenize(text, names, source, line)
+           sum_powers: bool, offset: int = 0) -> Polynomial:
+    tokens = _tokenize(text, names, source, line, offset)
     if not tokens:
-        raise ParseError("empty expression", source, line, 1)
+        raise ParseError("empty expression", source, line, offset + 1)
     return _ExprParser(tokens, len(names), source, line, sum_powers).parse()
 
 
@@ -256,9 +264,12 @@ def parse_input(text: str, source: str = "<input>") -> InputDocument:
             elif kind != this_kind:
                 raise ParseError("cannot mix hyperplane and gen lines",
                                  source, lineno, 1)
-            # neither a linear form nor a monomial needs a power of a sum,
-            # and expanding one, say (x+y+z)^400, would not finish
-            poly = _parse(rest, names, source, lineno, sum_powers=False)
+            # neither a linear form nor a monomial needs a power or a
+            # product of sums, and expanding one, say (x+y+z)^400, would not
+            # finish; rest is the tail of line, which starts after the indent
+            indent = len(raw) - len(raw.lstrip())
+            poly = _parse(rest, names, source, lineno, sum_powers=False,
+                          offset=indent + len(line) - len(rest))
             if keyword == "hyperplane":
                 if poly.is_zero or not poly.is_homogeneous() or poly.total_degree() != 1:
                     raise ParseError(f"hyperplane form must be linear homogeneous, "

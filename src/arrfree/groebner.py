@@ -1,5 +1,12 @@
 """Buchberger's algorithm under DegRevLex, normal forms and Hilbert functions.
 
+Inside the kernel a monomial x_1^e_1 ... x_l^e_l is the plain tuple
+(deg, -e_l, ..., -e_1).  That tuple is its DegRevLex sort key, so Python's
+native tuple order is DegRevLex: ``max`` and ``sort`` compare in C, products
+and quotients are componentwise sums and differences, and no internal
+product is validated.  ``_int_terms`` converts from ``PowerProduct`` on the
+way in and ``_poly`` converts back on the way out.
+
 Both coefficient fields share one fraction-free reduction kernel on integer
 term dicts.  Over QQ divisors are kept primitive (content 1, positive leading
 coefficient) and the working polynomial is rescaled instead of introducing
@@ -14,10 +21,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import add, ge, mul, neg, sub
 from typing import Optional, Sequence, Tuple
 
 from .monomial import MonomialIdeal, count_standard_monomials
-from .polyring import Polynomial
+from .polyring import Polynomial, PowerProduct
 
 __all__ = [
     "DegreeCapExceeded", "GroebnerBasis",
@@ -31,28 +39,57 @@ class DegreeCapExceeded(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
+# monomials as DegRevLex sort keys: (deg, -e_l, ..., -e_1)
+# ---------------------------------------------------------------------------
+
+def _key(pp: PowerProduct) -> tuple:
+    """The DegRevLex sort key of a power product."""
+    return (sum(pp), *map(neg, reversed(pp)))
+
+
+def _power_product(k: tuple) -> PowerProduct:
+    """The power product whose sort key is k (its exponents are valid)."""
+    return tuple.__new__(PowerProduct, map(neg, k[:0:-1]))
+
+
+def _lcm(a: tuple, b: tuple) -> tuple:
+    low = tuple(map(min, a[1:], b[1:]))
+    return (-sum(low), *low)
+
+
+def _divides(a: tuple, b: tuple) -> bool:
+    return a[0] <= b[0] and all(map(ge, a[1:], b[1:]))
+
+
+def _coprime(a: tuple, b: tuple) -> bool:
+    return not any(map(mul, a[1:], b[1:]))
+
+
+# ---------------------------------------------------------------------------
 # internal reduction kernel: integer terms, reduced mod p when p is set
 # ---------------------------------------------------------------------------
 
 def _int_terms(f: Polynomial) -> Tuple[dict, int]:
-    """Integer terms of f and the multiplier m with terms = m * f.
+    """Integer terms of f, keyed by sort key, and m with terms = m * f.
 
     Over QQ the coefficients are scaled to integers; mod p they are the
     residues already stored, with m = 1.
     """
     if f.field.p is not None:
-        return dict(f._terms), 1
+        return {_key(pp): c for pp, c in f._terms.items()}, 1
     denom_lcm = 1
     for c in f._terms.values():
         denom_lcm = denom_lcm * c.denominator // math.gcd(denom_lcm, c.denominator)
-    return {pp: int(c * denom_lcm) for pp, c in f._terms.items()}, denom_lcm
+    return {_key(pp): int(c * denom_lcm) for pp, c in f._terms.items()}, denom_lcm
 
 
 def _poly(terms: dict, denom: int, nvars: int, field) -> Polynomial:
     """The polynomial terms / denom; mod p the terms are residues, denom 1."""
     if field.p is None:
-        terms = {pp: Fraction(v, denom) for pp, v in terms.items()}
-    return Polynomial(terms, nvars, field, _trusted=True)
+        out = {_power_product(k): Fraction(v, denom) for k, v in terms.items()}
+    else:
+        out = {_power_product(k): v for k, v in terms.items()}
+    return Polynomial(out, nvars, field, _trusted=True)
 
 
 def _normalize(terms: dict, p: Optional[int]) -> dict:
@@ -62,7 +99,7 @@ def _normalize(terms: dict, p: Optional[int]) -> dict:
     lead = max(terms)
     if p is not None:
         inv = pow(terms[lead], -1, p)
-        return terms if inv == 1 else {pp: c * inv % p for pp, c in terms.items()}
+        return terms if inv == 1 else {k: c * inv % p for k, c in terms.items()}
     content = 0
     for v in terms.values():
         content = math.gcd(content, v)
@@ -71,14 +108,14 @@ def _normalize(terms: dict, p: Optional[int]) -> dict:
     if terms[lead] < 0:
         content = -content
     if content != 1:
-        terms = {pp: v // content for pp, v in terms.items()}
+        terms = {k: v // content for k, v in terms.items()}
     return terms
 
 
 def _pack(terms: dict) -> tuple:
     """The divisor triple (lt, lc, tail) of a normalized term dict."""
     lead = max(terms)
-    return lead, terms[lead], [(pp, c) for pp, c in terms.items() if pp != lead]
+    return lead, terms[lead], [(k, c) for k, c in terms.items() if k != lead]
 
 
 def _shrink(work: dict, rem: dict, mult: int) -> int:
@@ -101,11 +138,11 @@ def _shrink(work: dict, rem: dict, mult: int) -> int:
     return mult
 
 
-def _subtract(work: dict, tail: list, q, b: int, p: Optional[int]) -> None:
-    """work -= b * q * tail in place, mod p when p is set."""
-    trivial_q = q.degree() == 0
+def _subtract(work: dict, tail: list, q: tuple, b: int, p: Optional[int]) -> None:
+    """work -= b * q * tail in place, mod p when p is set; q is a sort key."""
+    shift = q[0] != 0
     for gm, gc in tail:
-        k = gm if trivial_q else gm * q
+        k = tuple(map(add, gm, q)) if shift else gm
         v = work.get(k, 0) - b * gc
         if p:
             v %= p
@@ -128,12 +165,14 @@ def _reduce(work: dict, divisors: Sequence[tuple], p: Optional[int],
     rem: dict = {}
     while work:
         t = max(work)
-        if degree_cap is not None and t.degree() > degree_cap:
+        deg = t[0]
+        if degree_cap is not None and deg > degree_cap:
             raise DegreeCapExceeded(
-                f"reduction reached degree {t.degree()} > cap {degree_cap}")
+                f"reduction reached degree {deg} > cap {degree_cap}")
         c = work.pop(t)
+        t_low = t[1:]
         for lt, lc, tail in divisors:
-            if lt.divides(t):
+            if lt[0] <= deg and all(map(ge, lt[1:], t_low)):   # _divides(lt, t)
                 g = math.gcd(c, lc)
                 a = lc // g
                 if a != 1:
@@ -142,7 +181,7 @@ def _reduce(work: dict, divisors: Sequence[tuple], p: Optional[int],
                         work[k] *= a
                     for k in rem:
                         rem[k] *= a
-                _subtract(work, tail, t / lt, c // g, p)
+                _subtract(work, tail, tuple(map(sub, t, lt)), c // g, p)
                 if mult.bit_length() > 512:
                     mult = _shrink(work, rem, mult)
                 break
@@ -233,10 +272,10 @@ class _Engine:
         self.p = p
         self.degree_cap = degree_cap
         self.packed: dict = {}     # id -> (lt, lc, tail), never mutated
-        self.lts: dict = {}        # id -> leading power product
-        self.active: list = []     # ids sorted by (lt degree, lt, id)
+        self.lts: dict = {}        # id -> sort key of the leading term
+        self.active: list = []     # ids sorted by (lt, id)
         self.divisors: list = []   # packed triples of the active ids, in order
-        self.pairs: dict = {}      # (i, j) i<j -> lcm power product
+        self.pairs: dict = {}      # (i, j) i<j -> sort key of the lcm
         self.next_id = 0
 
     # -- plumbing ----------------------------------------------------------
@@ -248,12 +287,12 @@ class _Engine:
     def _spair_terms(self, i: int, j: int) -> dict:
         lt_i, lc_i, tail_i = self.packed[i]
         lt_j, lc_j, tail_j = self.packed[j]
-        lcm = lt_i.lcm(lt_j)
-        qi = lcm / lt_i
+        lcm = _lcm(lt_i, lt_j)
         g = math.gcd(lc_i, lc_j)
         # the leading terms cancel: (lc_j / g) * lc_i = (lc_i / g) * lc_j
-        out = {pp * qi: lc_j // g * c for pp, c in tail_i}
-        _subtract(out, tail_j, lcm / lt_j, lc_i // g, self.p)
+        qi = tuple(map(sub, lcm, lt_i))
+        out = {tuple(map(add, k, qi)): lc_j // g * c for k, c in tail_i}
+        _subtract(out, tail_j, tuple(map(sub, lcm, lt_j)), lc_i // g, self.p)
         return out
 
     # -- Gebauer-Moeller update ---------------------------------------------
@@ -269,45 +308,45 @@ class _Engine:
         # criterion: drop a pair whose lcm is covered by a kept pair, by a
         # strictly smaller pending lcm, or by an equal lcm still pending
         kept: list = []
-        pending = [(g, lt_h.lcm(self.lts[g])) for g in self.active]
+        pending = [(g, _lcm(lt_h, self.lts[g])) for g in self.active]
         while pending:
             g, lcm_hg = pending.pop(0)
             covered = (
-                any(o.divides(lcm_hg) for _, o in kept)
-                or any(o.divides(lcm_hg) and o != lcm_hg for _, o in pending)
+                any(_divides(o, lcm_hg) for _, o in kept)
+                or any(_divides(o, lcm_hg) and o != lcm_hg for _, o in pending)
                 or any(o == lcm_hg for _, o in pending))
-            if lt_h.coprime(self.lts[g]) or not covered:
+            if _coprime(lt_h, self.lts[g]) or not covered:
                 kept.append((g, lcm_hg))
         new_pairs = [(g, lcm_hg) for g, lcm_hg in kept
-                     if not lt_h.coprime(self.lts[g])]
+                     if not _coprime(lt_h, self.lts[g])]
 
         # drop old pairs whose lcm is strictly covered by h
         for (i, j), lcm_ij in list(self.pairs.items()):
-            if lt_h.divides(lcm_ij) \
-                    and self.lts[i].lcm(lt_h) != lcm_ij \
-                    and lt_h.lcm(self.lts[j]) != lcm_ij:
+            if _divides(lt_h, lcm_ij) \
+                    and _lcm(self.lts[i], lt_h) != lcm_ij \
+                    and _lcm(lt_h, self.lts[j]) != lcm_ij:
                 del self.pairs[(i, j)]
         for g, lcm_hg in new_pairs:
             self.pairs[(min(g, h), max(g, h))] = lcm_hg
 
         # retire basis elements whose leading term h covers
-        self.active = [g for g in self.active if not lt_h.divides(self.lts[g])]
+        self.active = [g for g in self.active if not _divides(lt_h, self.lts[g])]
         self.active.append(h)
-        self.active.sort(key=lambda g: (self.lts[g].degree(), self.lts[g], g))
+        self.active.sort(key=lambda g: (self.lts[g], g))
         self.divisors = [self.packed[g] for g in self.active]
 
     def select_pair(self):
-        """Normal strategy: smallest lcm degree first, then lcm, then ids."""
-        return min(self.pairs.items(),
-                   key=lambda kv: (kv[1].degree(), kv[1], kv[0]))
+        """Normal strategy: smallest lcm first (its key starts with the
+        degree), then ids."""
+        return min(self.pairs.items(), key=lambda kv: (kv[1], kv[0]))
 
     def run(self) -> None:
         while self.pairs:
             (i, j), lcm = self.select_pair()
             del self.pairs[(i, j)]
-            if self.degree_cap is not None and lcm.degree() > self.degree_cap:
+            if self.degree_cap is not None and lcm[0] > self.degree_cap:
                 raise DegreeCapExceeded(
-                    f"S-pair lcm degree {lcm.degree()} > cap {self.degree_cap}")
+                    f"S-pair lcm degree {lcm[0]} > cap {self.degree_cap}")
             h = self._nf(self._spair_terms(i, j))
             if h:
                 self.add(h)
@@ -351,7 +390,7 @@ def buchberger(gens: Sequence[Polynomial],
     items = [_normalize(_int_terms(g)[0], field.p) for g in nonzero]
     # feed generators smallest leading term first, reducing each against the
     # basis built so far
-    items.sort(key=lambda t: (max(t).degree(), max(t)))
+    items.sort(key=max)
     for terms in items:
         reduced = engine._nf(terms) if engine.active else terms
         if reduced:

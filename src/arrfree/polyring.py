@@ -8,6 +8,7 @@ values are immutable after construction and safe to share across workers.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 __all__ = [
@@ -62,10 +63,12 @@ class PowerProduct(tuple):
     def degree(self) -> int:
         return sum(self)
 
+    # Sums and maxima of valid exponents are valid, so products and lcms
+    # skip the validation in __new__.
     def __mul__(self, other: "PowerProduct") -> "PowerProduct":
         if len(self) != len(other):
             raise DimensionError("power products of different lengths")
-        return PowerProduct(tuple(a + b for a, b in zip(self, other)))
+        return tuple.__new__(PowerProduct, map(add, self, other))
 
     def __truediv__(self, other: "PowerProduct") -> "PowerProduct":
         """Exact division; raises if ``other`` does not divide ``self``."""
@@ -84,10 +87,7 @@ class PowerProduct(tuple):
     def lcm(self, other: "PowerProduct") -> "PowerProduct":
         if len(self) != len(other):
             raise DimensionError("power products of different lengths")
-        return PowerProduct(tuple(max(a, b) for a, b in zip(self, other)))
-
-    def coprime(self, other: "PowerProduct") -> bool:
-        return all(a == 0 or b == 0 for a, b in zip(self, other))
+        return tuple.__new__(PowerProduct, map(max, self, other))
 
     def max_variable(self) -> int:
         """1-based index of the biggest variable dividing this monomial; 0 for 1."""

@@ -114,6 +114,21 @@ class TestInputDocuments:
         with pytest.raises(ParseError):
             parse_input("vars x x\nhyperplane x\n")
 
+    @pytest.mark.parametrize("text, col", [
+        # the exponent 400 starts at column 20 of the file line
+        ("vars x y z\nhyperplane (x+y+z)^400 - (x+y+z)^400 + x\n", 20),
+        # leading indentation and a second blank count too
+        ("vars x y z\n   hyperplane  x + q\n", 20),
+        ("vars x y z\n\tgen x*y*q # comment\n", 10),
+        # the second factor of a product of sums starts at column 19
+        ("vars x y z\nhyperplane (x+y+z)(x-y)\n", 19),
+    ], ids=["power", "indented", "tab-comment", "product"])
+    def test_error_column_counts_from_line_start(self, text, col):
+        with pytest.raises(ParseError) as err:
+            parse_input(text, "f.arr")
+        assert (err.value.line, err.value.col) == (2, col)
+        assert str(err.value).startswith(f"f.arr:2:{col}: ")
+
 
 class TestCommands:
     def test_analyze_pretty(self, tmp_path):
@@ -275,22 +290,25 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("keyword", ["hyperplane", "gen"])
     def test_power_of_sum_rejected_before_expansion(self, tmp_path, keyword):
-        path = tmp_path / "power.txt"
-        path.write_text(f"vars x y z\n{keyword} (x+y+z)^400 - (x+y+z)^400 + x\n")
+        power = "(x+y+z)^400 - (x+y+z)^400 + x"
+        product = "(x+y+z)" * 150
+        for expr in (power, f"{product} - {product} + x"):
+            path = tmp_path / "power.txt"
+            path.write_text(f"vars x y z\n{keyword} {expr}\n")
 
-        def expanded(signum, frame):   # fail instead of hanging the suite
-            raise TimeoutError("the power of the sum was expanded")
-        previous = signal.signal(signal.SIGALRM, expanded)
-        signal.setitimer(signal.ITIMER_REAL, 5.0)
-        try:
-            start = time.perf_counter()
-            code, _ = run_cli("rgin", str(path))
-            elapsed = time.perf_counter() - start
-        finally:
-            signal.setitimer(signal.ITIMER_REAL, 0)
-            signal.signal(signal.SIGALRM, previous)
-        assert code == EXIT_PARSE
-        assert elapsed < 1.0
+            def expanded(signum, frame):   # fail instead of hanging the suite
+                raise TimeoutError("the sums were expanded")
+            previous = signal.signal(signal.SIGALRM, expanded)
+            signal.setitimer(signal.ITIMER_REAL, 5.0)
+            try:
+                start = time.perf_counter()
+                code, _ = run_cli("rgin", str(path))
+                elapsed = time.perf_counter() - start
+            finally:
+                signal.setitimer(signal.ITIMER_REAL, 0)
+                signal.signal(signal.SIGALRM, previous)
+            assert code == EXIT_PARSE
+            assert elapsed < 1.0
         # a first power of a sum and a power of a monomial stay allowed
         line, parsed = {"hyperplane": ("(x+y)^1*(2x)^0", "x + y"),
                         "gen": ("(x+y)^0*(x*y)^3", "x^3*y^3")}[keyword]

@@ -1,16 +1,55 @@
 """Buchberger, normal forms, leading term ideals and Hilbert functions."""
 
 import random
+from operator import add, sub
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from arrfree import (GF, QQ, DegreeCapExceeded, LinearChange, MonomialIdeal,
                      Polynomial, PowerProduct, apply_linear_change, buchberger,
-                     hilbert_function, leading_term_ideal, normal_form,
-                     s_polynomial)
+                     cmp_degrevlex, hilbert_function, leading_term_ideal,
+                     normal_form, s_polynomial)
+from arrfree.groebner import _coprime, _divides, _key, _lcm, _power_product
 from helpers import poly, polys, random_polynomial
 
 FIELDS = pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["QQ", "GF32003"])
+
+# three exponent vectors of one length l <= 5
+exponent_triples = st.integers(1, 5).flatmap(lambda l: st.tuples(
+    *[st.tuples(*[st.integers(0, 6)] * l)] * 3)).map(
+        lambda t: tuple(PowerProduct(e) for e in t))
+
+
+class TestSortKeys:
+    """The kernel's monomials (deg, -e_l, ..., -e_1) against PowerProduct."""
+
+    @given(exponent_triples)
+    def test_order_agrees_with_degrevlex(self, t):
+        a, b, _ = t
+        ka, kb = _key(a), _key(b)
+        assert (ka > kb) - (ka < kb) == cmp_degrevlex(a, b)
+
+    @given(exponent_triples)
+    def test_arithmetic_agrees(self, t):
+        a, b, c = t
+        ka, kb, kc = _key(a), _key(b), _key(c)
+        ab = tuple(map(add, ka, kb))
+        assert ab == _key(a * b)
+        assert tuple(map(sub, ab, ka)) == _key((a * b) / a)
+        assert ab[0] == (a * b).degree()
+        assert _lcm(ka, kb) == _key(a.lcm(b))
+        assert _divides(ka, kb) == a.divides(b)
+        assert _divides(ka, ab) and _divides(kc, _key(a * c))
+        assert _coprime(ka, kb) == all(x == 0 or y == 0 for x, y in zip(a, b))
+
+    @given(exponent_triples)
+    def test_round_trip(self, t):
+        for a in t:
+            back = _power_product(_key(a))
+            assert type(back) is PowerProduct and back == a
+            assert _key(back) == _key(a)
 
 
 class TestNormalForm:

@@ -48,6 +48,26 @@ class TestDegRevLex:
         if pa > pb:
             assert pa * ps > pb * ps
 
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            PowerProduct((1, -1))
+        with pytest.raises(ValueError):
+            PowerProduct(())
+
+    @given(st.integers(1, 5).flatmap(
+        lambda l: st.tuples(*[st.tuples(*[st.integers(0, 6)] * l)] * 2)))
+    def test_unvalidated_products_and_lcms(self, ab):
+        a, b = ab
+        pa, pb = PowerProduct(a), PowerProduct(b)
+        product, lcm = pa * pb, pa.lcm(pb)
+        assert type(product) is PowerProduct and type(lcm) is PowerProduct
+        assert product == PowerProduct(tuple(x + y for x, y in zip(a, b)))
+        assert lcm == PowerProduct(tuple(max(x, y) for x, y in zip(a, b)))
+        with pytest.raises(DimensionError):
+            pa * PowerProduct(a + (0,))
+        with pytest.raises(DimensionError):
+            pa.lcm(PowerProduct(a + (0,)))
+
     def test_power_product_division(self):
         t = PowerProduct((2, 1, 0))
         assert t / PowerProduct((1, 1, 0)) == PowerProduct((1, 0, 0))
