@@ -39,6 +39,12 @@ EXIT_USAGE = 1
 EXIT_PARSE = 2
 EXIT_COMPUTE = 3
 
+# Input limits.  The Groebner work grows steeply with the number of
+# hyperplanes and the generator degree, so a larger input is rejected
+# (exit 2) before any computation starts.
+MAX_HYPERPLANES = 100
+MAX_GEN_DEGREE = 100
+
 
 class ParseError(ValueError):
     """Input rejected, with a line/column anchor."""
@@ -264,12 +270,17 @@ def parse_input(text: str, source: str = "<input>") -> InputDocument:
             elif kind != this_kind:
                 raise ParseError("cannot mix hyperplane and gen lines",
                                  source, lineno, 1)
+            # rest is the tail of line, which starts after the indent
+            indent = len(raw) - len(raw.lstrip())
+            start = indent + len(line) - len(rest)
+            if keyword == "hyperplane" and len(items) == MAX_HYPERPLANES:
+                raise ParseError(f"more than {MAX_HYPERPLANES} hyperplanes",
+                                 source, lineno, indent + 1)
             # neither a linear form nor a monomial needs a power or a
             # product of sums, and expanding one, say (x+y+z)^400, would not
-            # finish; rest is the tail of line, which starts after the indent
-            indent = len(raw) - len(raw.lstrip())
+            # finish
             poly = _parse(rest, names, source, lineno, sum_powers=False,
-                          offset=indent + len(line) - len(rest))
+                          offset=start)
             if keyword == "hyperplane":
                 if poly.is_zero or not poly.is_homogeneous() or poly.total_degree() != 1:
                     raise ParseError(f"hyperplane form must be linear homogeneous, "
@@ -278,6 +289,9 @@ def parse_input(text: str, source: str = "<input>") -> InputDocument:
                 if poly.is_zero or len(poly) != 1:
                     raise ParseError(f"ideal generator must be a single monomial, "
                                      f"got {poly}", source, lineno, 1)
+                if poly.total_degree() > MAX_GEN_DEGREE:
+                    raise ParseError(f"generator of degree {poly.total_degree()} "
+                                     f"> {MAX_GEN_DEGREE}", source, lineno, start + 1)
             items.append(poly)
             continue
         raise ParseError(f"unknown directive {keyword!r}", source, lineno, 1)
@@ -610,7 +624,8 @@ def _build_parser() -> _Parser:
     common.add_argument("--trials", type=int, default=2,
                         help="number of agreeing random trials required")
     common.add_argument("--entry-bound", type=int, default=10,
-                        help="random matrix entries are drawn from [-b, b]")
+                        help="exact mode: random matrix entries are drawn "
+                             "from [-b, b] (modular draws are uniform mod p)")
     common.add_argument("--coeff", type=_parse_coeff,
                         default=("exact", (32003, 32009)),
                         help="coefficient mode: exact or mod:<p>[,<p2>]")

@@ -2,7 +2,10 @@
 
 Genericity of a coordinate change cannot be certified symbolically, so the
 result is accepted only when several independently drawn integer matrices
-produce the same Borel-fixed leading term ideal.  In prime-field mode the
+produce the same Borel-fixed leading term ideal.  The gin is the largest
+initial ideal over all coordinate changes, compared degree by degree, so a
+draw that is not Borel-fixed or gives a smaller ideal is redrawn on its own;
+a larger one replaces every draw kept before it.  In prime-field mode the
 agreement must additionally hold across two distinct primes, and the result
 is flagged as modular.
 """
@@ -10,7 +13,7 @@ is flagged as modular.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .groebner import buchberger, leading_term_ideal
@@ -19,7 +22,7 @@ from .polyring import (GF, QQ, LinearChange, Polynomial, apply_linear_change,
                        _is_prime)
 
 __all__ = [
-    "GinConfig", "GinCertificate", "GenericityExhaustedError",
+    "GinConfig", "GinCertificate", "Draw", "GenericityExhaustedError",
     "StronglyStableIdeal", "is_strongly_stable",
     "random_linear_change", "substituted", "rgin",
 ]
@@ -27,7 +30,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GinConfig:
-    """Parameters of the randomized gin computation."""
+    """Parameters of the randomized gin computation.
+
+    Each field (QQ, or each of the two primes) may make ``max_retries *
+    trials`` draws.  ``entry_bound`` bounds the matrix entries in exact mode
+    only; modular draws are uniform over GF(p).
+    """
 
     seed: int = 1
     trials: int = 2
@@ -65,7 +73,9 @@ class GinCertificate:
     seed: int
     trials: int
     coeff_mode: str
-    matrices: tuple   # one l x l integer matrix per trial (per prime if modular)
+    matrices: tuple   # one l x l integer matrix per kept draw, field by field
+    # the other draws, in the order they were made; not part of the JSON
+    discarded: tuple = field(default=(), compare=False)
 
     def as_dict(self) -> dict:
         return {
@@ -77,25 +87,48 @@ class GinCertificate:
         }
 
 
-class GenericityExhaustedError(RuntimeError):
-    """All retry batches produced disagreeing or non-Borel candidates."""
+@dataclass(frozen=True)
+class Draw:
+    """One random coordinate change of an rgin run and what became of it."""
 
-    def __init__(self, message: str, observed: Sequence[MonomialIdeal]):
+    field: str        # "exact" or "mod<p>"
+    index: int        # k for the k-th draw of its field, from 0
+    matrix: tuple
+    borel: bool
+    kept: bool
+
+
+class GenericityExhaustedError(RuntimeError):
+    """A field used up its draws before ``trials`` of them agreed."""
+
+    def __init__(self, message: str, observed: Sequence[MonomialIdeal],
+                 draws: Sequence[Draw] = ()):
         super().__init__(message)
         self.observed = tuple(observed)
+        self.draws = tuple(draws)
 
 
-def random_linear_change(l: int, rng: random.Random, bound: int) -> LinearChange:
-    """Random integer matrix with entries in [-bound, bound], resampled
-    until the determinant is nonzero."""
-    if l < 1 or bound < 1:
-        raise ValueError("need l >= 1 and bound >= 1")
+def random_linear_change(l: int, rng: random.Random, bound: Optional[int] = None,
+                         modulus: Optional[int] = None) -> LinearChange:
+    """Random invertible l x l integer matrix.
+
+    Give exactly one of ``bound`` (entries in [-bound, bound]) and
+    ``modulus`` p (entries uniform in [0, p), invertible mod p).  Singular
+    draws are resampled.
+    """
+    if (bound is None) == (modulus is None):
+        raise ValueError("give exactly one of bound and modulus")
+    lo, hi = (-bound, bound) if modulus is None else (0, modulus - 1)
+    if l < 1 or hi < 1:
+        raise ValueError("need l >= 1, bound >= 1 and modulus >= 2")
     while True:
-        rows = [[rng.randint(-bound, bound) for _ in range(l)] for _ in range(l)]
+        rows = [[rng.randint(lo, hi) for _ in range(l)] for _ in range(l)]
         try:
-            return LinearChange(rows)
+            g = LinearChange(rows)
         except ValueError:
             continue
+        if modulus is None or g.det.numerator % modulus:
+            return g
 
 
 def _trial_stream(seed: int, attempt: int, trial: int, tag: str) -> random.Random:
@@ -112,24 +145,42 @@ def substituted(polys: Sequence[Polynomial], g: LinearChange,
 
 def _one_trial(build: Callable, l, rng, cfg: GinConfig,
                coeff_field) -> Tuple[MonomialIdeal, list]:
-    p = coeff_field.p
-    while True:
+    if coeff_field.p is None:
         g = random_linear_change(l, rng, cfg.entry_bound)
-        # a matrix invertible over Q may still be singular mod p
-        if p is None or g.det.numerator % p:
-            break
+    else:
+        g = random_linear_change(l, rng, modulus=coeff_field.p)
     gb = buchberger(build(g, coeff_field), degree_cap=cfg.degree_cap)
     return leading_term_ideal(gb), g.as_int_rows()
+
+
+def _larger(a: MonomialIdeal, b: MonomialIdeal) -> bool:
+    """True when a is larger than b in the order the gin maximizes.
+
+    In the first degree d where the minimal generators differ, the larger
+    ideal holds the DegRevLex-largest degree-d monomial of the symmetric
+    difference.  Below d the ideals agree, so in degree d the generators
+    differ exactly where the ideals do.
+    """
+    diff = set(a.generators) ^ set(b.generators)
+    if not diff:
+        return False
+    d = min(m.degree() for m in diff)
+    return max(m for m in diff if m.degree() == d) in a.generators
 
 
 def rgin(gens: Sequence[Polynomial], cfg: GinConfig = GinConfig(),
          build: Optional[Callable] = None) -> StronglyStableIdeal:
     """Generic initial ideal of the ideal generated by ``gens``.
 
-    Runs ``cfg.trials`` independent random coordinate changes (per prime in
-    modular mode); every trial must produce the same strongly stable leading
-    term ideal.  A failed batch is retried with fresh randomness up to
-    ``cfg.max_retries`` times before giving up.
+    Draws random coordinate changes until every field (QQ, or each prime in
+    modular mode) has ``cfg.trials`` draws giving the same strongly stable
+    leading term ideal.  Each draw is judged on its own against the best
+    candidate so far: one that is not strongly stable, or smaller, is
+    discarded and redrawn; one that is larger becomes the candidate and
+    discards every draw kept so far.  A field that has made
+    ``cfg.max_retries * cfg.trials`` draws without that raises
+    ``GenericityExhaustedError``.  The k-th draw of a field uses the same
+    random stream whatever happened to the draws before it.
 
     ``build(g, field)`` returns the generators of one trial, which must
     generate the ideal of ``gens`` after the change g, over ``field``.  The
@@ -158,29 +209,53 @@ def rgin(gens: Sequence[Polynomial], cfg: GinConfig = GinConfig(),
     else:
         fields = [(f"mod{p}", GF(p)) for p in cfg.primes]
 
-    observed = []
-    for attempt in range(cfg.max_retries):
-        candidates = []
-        matrices = []
-        all_ok = True
+    budget = cfg.max_retries * cfg.trials
+    draws = []                                # (tag, k, matrix, borel, ideal)
+    made = {tag: 0 for tag, _ in fields}
+    kept = {tag: [] for tag, _ in fields}     # indices into draws
+    best = None
+    while any(len(v) < cfg.trials for v in kept.values()):
         for tag, coeff_field in fields:
-            for trial in range(cfg.trials):
-                rng = _trial_stream(cfg.seed, attempt, trial, tag)
+            while len(kept[tag]) < cfg.trials:
+                k = made[tag]
+                if k == budget:
+                    raise _exhausted(cfg, tag, draws, kept)
+                made[tag] += 1
+                rng = _trial_stream(cfg.seed, k // cfg.trials, k % cfg.trials, tag)
                 ideal, rows = _one_trial(build, l, rng, cfg, coeff_field)
-                candidates.append(ideal)
-                matrices.append(tuple(tuple(r) for r in rows))
-                if not is_strongly_stable(ideal):
-                    all_ok = False
-        agreed = all(c == candidates[0] for c in candidates[1:])
-        if all_ok and agreed:
-            cert = GinCertificate(seed=cfg.seed, trials=cfg.trials,
-                                  coeff_mode=cfg.coeff_mode,
-                                  matrices=tuple(matrices))
-            return StronglyStableIdeal(candidates[0].generators, l, certificate=cert)
-        observed.extend(candidates)
+                borel = is_strongly_stable(ideal)
+                draws.append((tag, k, tuple(tuple(r) for r in rows), borel, ideal))
+                if borel and (best is None or _larger(ideal, best)):
+                    best = ideal
+                    for v in kept.values():
+                        v.clear()
+                if borel and ideal == best:
+                    kept[tag].append(len(draws) - 1)
 
-    raise GenericityExhaustedError(
-        f"no agreeing Borel-fixed leading term ideal after {cfg.max_retries} "
-        f"batches of {cfg.trials} trials (seed {cfg.seed}, bound {cfg.entry_bound}); "
-        f"observed {len(set(observed))} distinct candidates",
-        observed)
+    chosen = [i for tag, _ in fields for i in kept[tag]]
+    cert = GinCertificate(
+        seed=cfg.seed, trials=cfg.trials, coeff_mode=cfg.coeff_mode,
+        matrices=tuple(draws[i][2] for i in chosen),
+        discarded=tuple(d[2] for i, d in enumerate(draws) if i not in chosen))
+    return StronglyStableIdeal(best.generators, l, certificate=cert)
+
+
+def _exhausted(cfg: GinConfig, tag: str, draws: list,
+               kept: dict) -> GenericityExhaustedError:
+    chosen = {i for v in kept.values() for i in v}
+    history = [Draw(t, k, m, borel, i in chosen)
+               for i, (t, k, m, borel, _) in enumerate(draws)]
+    observed = [d[4] for d in draws]
+    if cfg.mode == "exact":
+        entries = f"entries in [-{cfg.entry_bound}, {cfg.entry_bound}]"
+        hint = "retry with a different seed or a larger entry bound"
+    else:
+        entries = "entries uniform mod p"
+        hint = "retry with a different seed"
+    return GenericityExhaustedError(
+        f"no {cfg.trials} agreeing Borel-fixed leading term ideals: {tag} used "
+        f"all {cfg.max_retries * cfg.trials} of its draws (seed {cfg.seed}, "
+        f"{entries}); {len(draws)} draws, "
+        f"{sum(not d.borel for d in history)} not Borel, "
+        f"{len(set(observed))} distinct candidates; {hint}",
+        observed, history)

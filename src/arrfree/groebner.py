@@ -182,7 +182,9 @@ def _reduce(work: dict, divisors: Sequence[tuple], p: Optional[int],
                     for k in rem:
                         rem[k] *= a
                 _subtract(work, tail, tuple(map(sub, t, lt)), c // g, p)
-                if mult.bit_length() > 512:
+                # rescan only when the multiplier grew: after the other
+                # steps the rescan almost never finds a common factor
+                if a != 1 and mult.bit_length() > 512:
                     mult = _shrink(work, rem, mult)
                 break
         else:

@@ -52,6 +52,21 @@ def run_cli(*argv):
     return code, out.getvalue()
 
 
+def _guarded_cli(*argv):
+    """(exit code, seconds) of one CLI run, cut after 5 s by SIGALRM."""
+    def too_slow(signum, frame):   # fail instead of hanging the suite
+        raise TimeoutError("the input was not rejected before computing")
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.setitimer(signal.ITIMER_REAL, 5.0)
+    try:
+        start = time.perf_counter()
+        code, _ = run_cli(*argv)
+        return code, time.perf_counter() - start
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 class TestExpressionParsing:
     def test_basic_forms(self):
         names = ("x", "y", "z")
@@ -295,18 +310,7 @@ class TestExitCodes:
         for expr in (power, f"{product} - {product} + x"):
             path = tmp_path / "power.txt"
             path.write_text(f"vars x y z\n{keyword} {expr}\n")
-
-            def expanded(signum, frame):   # fail instead of hanging the suite
-                raise TimeoutError("the sums were expanded")
-            previous = signal.signal(signal.SIGALRM, expanded)
-            signal.setitimer(signal.ITIMER_REAL, 5.0)
-            try:
-                start = time.perf_counter()
-                code, _ = run_cli("rgin", str(path))
-                elapsed = time.perf_counter() - start
-            finally:
-                signal.setitimer(signal.ITIMER_REAL, 0)
-                signal.signal(signal.SIGALRM, previous)
+            code, elapsed = _guarded_cli("rgin", str(path))
             assert code == EXIT_PARSE
             assert elapsed < 1.0
         # a first power of a sum and a power of a monomial stay allowed
@@ -314,6 +318,22 @@ class TestExitCodes:
                         "gen": ("(x+y)^0*(x*y)^3", "x^3*y^3")}[keyword]
         doc = parse_input(f"vars x y\n{keyword} {line}\n")
         assert str(doc.items[0]) == parsed
+
+    @pytest.mark.parametrize("text, where", [
+        ("vars x y z\n" + "".join(f"hyperplane x + {k}*y - z\n"
+                                  for k in range(1, 201)), (102, 1)),
+        ("vars x y z\ngen x^100000\n", (2, 5)),
+    ], ids=["200-hyperplanes", "gen-degree"])
+    def test_oversized_input_rejected_fast(self, tmp_path, text, where):
+        with pytest.raises(ParseError) as err:
+            parse_input(text, "big.txt")
+        assert (err.value.line, err.value.col) == where
+        path = tmp_path / "big.txt"
+        path.write_text(text)
+        code, elapsed = _guarded_cli("analyze" if "hyperplane" in text else "rgin",
+                                     str(path))
+        assert code == EXIT_PARSE
+        assert elapsed < 1.0
 
     def test_duplicate_hyperplane_is_input_error(self, tmp_path):
         path = tmp_path / "dup.arr"

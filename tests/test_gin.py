@@ -1,6 +1,9 @@
 """Randomized generic initial ideals: goldens, certification, agreement."""
 
+import importlib.util
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -29,6 +32,17 @@ class TestRandomLinearChange:
         rng = random.Random(10)
         for _ in range(20):
             random_linear_change(2, rng, 1)  # construction validates det != 0
+
+    def test_modular_entries_uniform_and_invertible_mod_p(self):
+        rng = random.Random(11)
+        for _ in range(50):
+            g = random_linear_change(2, rng, modulus=3)
+            assert all(0 <= int(c) < 3 for row in g.matrix for c in row)
+            assert g.det.numerator % 3
+        with pytest.raises(ValueError):
+            random_linear_change(2, rng, 10, modulus=3)
+        with pytest.raises(ValueError):
+            random_linear_change(2, rng)
 
 
 class TestGoldens:
@@ -91,15 +105,136 @@ class TestGenericityFailure:
             rgin(gens, GinConfig(seed=1, max_retries=2))
         assert len(err.value.observed) == 4  # 2 retries x 2 trials
 
-    def test_tiny_entry_bound_can_exhaust(self):
-        # with entries in {-1, 0, 1} this seed never reaches agreement
-        gens = polys(["x^4 - y^2*z^2", "x*y^2 - y*z^2 - z^3"], 3)
+    def test_history_of_an_exhausted_run(self):
+        gens = polys(["z^5", "x*y*z^3"], 3)
+        seen = []
+
+        def build(g, field):  # only draw 0 is generic; the rest keep gens
+            seen.append(tuple(tuple(r) for r in g.as_int_rows()))
+            return gin_module.substituted(gens, g, field) if len(seen) == 1 else gens
         with pytest.raises(GenericityExhaustedError) as err:
-            rgin(gens, GinConfig(seed=2, entry_bound=1))
-        assert err.value.observed
-        # a slightly larger bound restores the golden answer
-        B = rgin(gens, GinConfig(seed=2, entry_bound=2))
+            rgin(gens, GinConfig(seed=2, max_retries=2), build)
+        draws = err.value.draws
+        assert [(d.field, d.index) for d in draws] == [("exact", k) for k in range(4)]
+        assert [d.matrix for d in draws] == seen
+        assert [d.borel for d in draws] == [True, False, False, False]
+        assert [d.kept for d in draws] == [True, False, False, False]
+        assert len(err.value.observed) == 4
+        assert "4 draws, 3 not Borel, 2 distinct candidates" in str(err.value)
+        assert "larger entry bound" in str(err.value)
+
+    def test_modular_exhaustion_does_not_suggest_entry_bound(self):
+        gens = polys(["z^5", "x*y*z^3"], 3)
+        with pytest.raises(GenericityExhaustedError) as err:
+            rgin(gens, GinConfig(seed=1, max_retries=1, mode="modular"),
+                 lambda g, field: [f.convert(field) for f in gens])
+        assert len(err.value.draws) == 2  # the first prime's budget
+        assert "uniform mod p" in str(err.value)
+        assert "entry bound" not in str(err.value)
+
+
+def _x5(field):
+    # <x^5> is strongly stable and smaller than the gin <x^5, x^4*y, x^3*y^3>
+    return [poly("x^5", 3).convert(field)]
+
+
+class TestRedraws:
+    GENS = polys(["z^5", "x*y*z^3"], 3)
+    GIN = "<x^5, x^4*y, x^3*y^3>"
+
+    def test_order_within_a_degree(self):
+        a = MonomialIdeal([(2, 0), (1, 1)], 2)
+        b = MonomialIdeal([(2, 0), (0, 2)], 2)
+        assert gin_module._larger(a, b)
+        assert not gin_module._larger(b, a)
+
+    def test_equal_ideals_are_not_larger(self):
+        a = MonomialIdeal([(2, 0), (1, 1)], 2)
+        assert not gin_module._larger(a, MonomialIdeal([(1, 1), (2, 0)], 2))
+
+    def test_first_differing_degree_decides(self):
+        a = MonomialIdeal([(2, 0), (1, 2), (0, 4)], 2)
+        b = MonomialIdeal([(2, 0), (1, 1), (0, 5)], 2)
+        assert gin_module._larger(b, a)
+        assert not gin_module._larger(a, b)
+
+    def test_smaller_borel_draw_is_discarded(self):
+        seen = []
+
+        def build(g, field):
+            seen.append(tuple(tuple(r) for r in g.as_int_rows()))
+            if len(seen) == 1:
+                return _x5(field)
+            return gin_module.substituted(self.GENS, g, field)
+        B = rgin(self.GENS, CFG, build)
+        assert str(B) == self.GIN
+        assert B.certificate.matrices == tuple(seen[1:3])
+        assert B.certificate.discarded == (seen[0],)
+
+    def test_larger_candidate_resets_kept_draws_in_both_fields(self):
+        # calls 0-2 (mod p1 draws 0 and 1, mod p2 draw 0) are kept until
+        # call 3 (mod p2 draw 1) brings the larger gin
+        seen = []
+
+        def build(g, field):
+            seen.append(tuple(tuple(r) for r in g.as_int_rows()))
+            if len(seen) <= 3:
+                return _x5(field)
+            return gin_module.substituted(self.GENS, g, field)
+        B = rgin(self.GENS, GinConfig(seed=42, mode="modular"), build)
+        assert str(B) == self.GIN
+        assert len(seen) == 7
+        assert B.certificate.matrices == (seen[5], seen[6], seen[3], seen[4])
+        assert B.certificate.discarded == tuple(seen[:3])
+
+    def test_draws_keep_their_streams(self):
+        # the k-th draw of a field reads stream (k // trials, k % trials)
+        rows = []
+
+        def build(g, field):
+            rows.append(g.as_int_rows())
+            return _x5(field) if len(rows) == 1 else \
+                gin_module.substituted(self.GENS, g, field)
+        rgin(self.GENS, CFG, build)
+        for k, got in enumerate(rows):
+            rng = gin_module._trial_stream(CFG.seed, k // 2, k % 2, "exact")
+            assert got == random_linear_change(3, rng, CFG.entry_bound).as_int_rows()
+
+    def test_modular_entries_lie_in_the_field(self):
+        B = rgin(self.GENS, GinConfig(seed=5, mode="modular"))
+        cert = B.certificate
+        for m, p in zip(cert.matrices + cert.discarded, (32003, 32003, 32009, 32009)):
+            assert all(0 <= c < p for row in m for c in row)
+
+    def test_tiny_entry_bound_reaches_gin(self):
+        # entries in {-1, 0, 1} often give a non-generic draw; it is redrawn
+        # on its own instead of throwing its batch away
+        gens = polys(["x^4 - y^2*z^2", "x*y^2 - y*z^2 - z^3"], 3)
+        B = rgin(gens, GinConfig(seed=2, entry_bound=1))
         assert str(B) == "<x^3, x^2*y^2, x*y^4, y^6>"
+        assert B.certificate.discarded
+
+    @pytest.mark.stretch
+    def test_ziegler_sweep_near_minimum_trials(self, monkeypatch):
+        from arrfree import Arrangement, jacobian_rgin
+        from arrfree.cli import parse_expression
+        # the pair and its golden rgins, from the benchmark's input module
+        path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("_bench_workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)
+        spec.loader.exec_module(workloads)
+        pair = {name: Arrangement([parse_expression(
+                    "+".join(f"({c})*{v}" for c, v in zip(row, "xyz")), "xyz")
+                    for row in getattr(workloads, name.upper())])
+                for name in ("ziegler_1", "ziegler_2")}
+        trials = 0
+        for seed in range(1, 21):
+            for name, A in pair.items():
+                B = jacobian_rgin(A, GinConfig(seed=seed, mode="modular"))
+                assert B == MonomialIdeal(workloads.GOLDEN_RGIN[name], 3), (seed, name)
+                trials += len(B.certificate.matrices) + len(B.certificate.discarded)
+        assert trials <= 176  # 1.1 x the minimum of 20 x 2 x 4
 
 
 class TestModularMode:
