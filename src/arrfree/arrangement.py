@@ -8,11 +8,13 @@ Cohen-Macaulayness of the Jacobian ring, so they must always agree.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .gin import GinCertificate, GinConfig, rgin, substituted
+from .groebner import InternalConsistencyError
 from .monomial import (INFINITE, BettiTable, MonomialIdeal, SectionalMatrix,
                        StronglyStableIdeal, betti_eliahou_kervaire,
                        is_cm_codim2_stable, reduction_number,
@@ -37,11 +39,6 @@ class ArrangementError(ValueError):
 
 class NotFreeRginError(ValueError):
     """The ideal does not have the generator shape of a free arrangement."""
-
-
-class InternalConsistencyError(RuntimeError):
-    """Two routes that must agree did not; indicates a failed genericity
-    certificate or a bug."""
 
 
 class ExponentVector(tuple):
@@ -189,6 +186,37 @@ def jacobian_ideal(A: Arrangement) -> List[Polynomial]:
     return partials
 
 
+def _int_partials(forms: Sequence[Polynomial], field) -> List[Polynomial]:
+    """The partials of the product of the forms, up to one common nonzero
+    factor: each form becomes a primitive integer row (residues mod p), the
+    product and partials are plain int dicts, wrapped once over ``field``."""
+    p, l = field.p, forms[0].nvars
+    Q = {(0,) * l: 1}
+    for f in forms:
+        row = [(pp.index(1), c) for pp, c in f._terms.items()]
+        if p is None:
+            scale = math.lcm(*(c.denominator for _, c in row))
+            content = math.gcd(*(c.numerator * scale // c.denominator for _, c in row))
+            row = [(j, c.numerator * scale // c.denominator // content) for j, c in row]
+        out: dict = {}
+        for j, a in row:
+            for m, c in Q.items():
+                k = m[:j] + (m[j] + 1,) + m[j + 1:]
+                out[k] = out.get(k, 0) + a * c
+        if p:
+            out = {k: c % p for k, c in out.items()}
+        Q = {k: c for k, c in out.items() if c}
+    partials = []
+    for j in range(l):
+        terms = {}
+        for m, c in Q.items():
+            c = c * m[j] % p if p else Fraction(c * m[j])
+            if c:
+                terms[PowerProduct(m[:j] + (m[j] - 1,) + m[j + 1:])] = c
+        partials.append(Polynomial(terms, l, field, _trusted=True))
+    return partials
+
+
 def jacobian_rgin(A: Arrangement, cfg: GinConfig = GinConfig()) -> StronglyStableIdeal:
     """rgin of the Jacobian ideal of A, the same as ``rgin(jacobian_ideal(A), cfg)``.
 
@@ -197,6 +225,8 @@ def jacobian_rgin(A: Arrangement, cfg: GinConfig = GinConfig()) -> StronglyStabl
     multiplies them and differentiates the product, instead of substituting
     g into the l dense partials of degree n - 1.  The ideal, and with it the
     reduced Groebner basis and the rgin, is the same; so are the draws.
+    Scaling a moved form changes no ideal, so the product is taken over
+    primitive integer rows (or residues mod p).
     """
     J = jacobian_ideal(A)
 
@@ -206,7 +236,7 @@ def jacobian_rgin(A: Arrangement, cfg: GinConfig = GinConfig()) -> StronglyStabl
                                  for f in A.forms for c in f._terms.values()):
             # a form has no image mod p, though Q and its partials may
             return substituted(J, g, coeff_field)
-        return _partials(_product(substituted(A.forms, g, coeff_field)))
+        return _int_partials(substituted(A.forms, g, coeff_field), coeff_field)
 
     return rgin(J, cfg, build)
 

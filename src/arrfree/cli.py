@@ -44,6 +44,9 @@ EXIT_COMPUTE = 3
 # (exit 2) before any computation starts.
 MAX_HYPERPLANES = 100
 MAX_GEN_DEGREE = 100
+# A number literal, and a power of a coefficient on an input line, may not
+# exceed this many bits: 3^200000000 is rejected before it is computed.
+MAX_COEFF_BITS = 1024
 
 
 class ParseError(ValueError):
@@ -87,6 +90,10 @@ def _tokenize(text: str, names: Sequence[str], source: str, line: int,
             j = i
             while j < len(text) and text[j].isdigit():
                 j += 1
+            # the digit count bounds the bits before int() reads them
+            if j - i > MAX_COEFF_BITS or int(text[i:j]).bit_length() > MAX_COEFF_BITS:
+                raise ParseError(f"number of more than {MAX_COEFF_BITS} bits",
+                                 source, line, col)
             tokens.append(("num", int(text[i:j]), col))
             i = j
         elif ch.isalpha() or ch == "_":
@@ -172,6 +179,12 @@ class _ExprParser:
                 self._error("exponent must be a non-negative integer")
             if not self.sum_powers and etok[1] >= 2 and len(base) >= 2:
                 self._error("a power of a sum is not a linear form or a monomial")
+            if not self.sum_powers and len(base) == 1:
+                c = base.leading_coefficient()
+                bits = max(abs(c.numerator), c.denominator).bit_length()
+                if bits > 1 and etok[1] * bits > MAX_COEFF_BITS:   # not 0 or +-1
+                    self._error(f"a power of {c} has more than "
+                                f"{MAX_COEFF_BITS} bits")
             self.pos += 1
             return base ** etok[1]
         return base

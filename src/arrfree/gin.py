@@ -143,13 +143,14 @@ def substituted(polys: Sequence[Polynomial], g: LinearChange,
     return [apply_linear_change(f.convert(coeff_field), g) for f in polys]
 
 
-def _one_trial(build: Callable, l, rng, cfg: GinConfig,
-               coeff_field) -> Tuple[MonomialIdeal, list]:
+def _one_trial(build: Callable, l, rng, cfg: GinConfig, coeff_field,
+               hint: Optional[MonomialIdeal]) -> Tuple[MonomialIdeal, list]:
     if coeff_field.p is None:
         g = random_linear_change(l, rng, cfg.entry_bound)
     else:
         g = random_linear_change(l, rng, modulus=coeff_field.p)
-    gb = buchberger(build(g, coeff_field), degree_cap=cfg.degree_cap)
+    gb = buchberger(build(g, coeff_field), degree_cap=cfg.degree_cap,
+                    hilbert=hint)
     return leading_term_ideal(gb), g.as_int_rows()
 
 
@@ -186,6 +187,8 @@ def rgin(gens: Sequence[Polynomial], cfg: GinConfig = GinConfig(),
     generate the ideal of ``gens`` after the change g, over ``field``.  The
     default substitutes g into each generator; a caller that knows a cheaper
     route to the same ideal passes its own.  The draws do not depend on it.
+    All draws of one field share a Hilbert function, so ``buchberger`` skips
+    pairs in later draws by the leading terms of the first.
     """
     gens = [g for g in gens]
     if not gens:
@@ -213,6 +216,7 @@ def rgin(gens: Sequence[Polynomial], cfg: GinConfig = GinConfig(),
     draws = []                                # (tag, k, matrix, borel, ideal)
     made = {tag: 0 for tag, _ in fields}
     kept = {tag: [] for tag, _ in fields}     # indices into draws
+    hints = {}                                # tag -> first leading term ideal
     best = None
     while any(len(v) < cfg.trials for v in kept.values()):
         for tag, coeff_field in fields:
@@ -222,7 +226,9 @@ def rgin(gens: Sequence[Polynomial], cfg: GinConfig = GinConfig(),
                     raise _exhausted(cfg, tag, draws, kept)
                 made[tag] += 1
                 rng = _trial_stream(cfg.seed, k // cfg.trials, k % cfg.trials, tag)
-                ideal, rows = _one_trial(build, l, rng, cfg, coeff_field)
+                ideal, rows = _one_trial(build, l, rng, cfg, coeff_field,
+                                         hints.get(tag))
+                hints.setdefault(tag, ideal)
                 borel = is_strongly_stable(ideal)
                 draws.append((tag, k, tuple(tuple(r) for r in rows), borel, ideal))
                 if borel and (best is None or _larger(ideal, best)):

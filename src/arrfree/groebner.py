@@ -15,6 +15,12 @@ GF(p) the same kernel reduces every coefficient mod p; divisors are monic, so
 no rescaling ever happens.  Pairs are pruned with
 Buchberger's coprimality and chain criteria (Gebauer-Moeller installation)
 and selected by smallest lcm degree first.
+
+For homogeneous generators a caller may pass a monomial ideal with the same
+Hilbert function (Traverso, "Hilbert functions and the Buchberger
+algorithm", JSC 22, 1996).  Homogeneous pairs are reduced degree by degree,
+so once the leading terms found span as many degree-d monomials as that
+ideal does, every remaining degree-d pair reduces to zero and is dropped.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from .monomial import MonomialIdeal, count_standard_monomials
 from .polyring import Polynomial, PowerProduct
 
 __all__ = [
-    "DegreeCapExceeded", "GroebnerBasis",
+    "DegreeCapExceeded", "InternalConsistencyError", "GroebnerBasis",
     "normal_form", "s_polynomial", "buchberger",
     "leading_term_ideal", "hilbert_function",
 ]
@@ -36,6 +42,11 @@ __all__ = [
 
 class DegreeCapExceeded(RuntimeError):
     """The computation needed a total degree above the configured cap."""
+
+
+class InternalConsistencyError(RuntimeError):
+    """Two routes that must agree did not; indicates a failed genericity
+    certificate or a bug."""
 
 
 # ---------------------------------------------------------------------------
@@ -80,7 +91,8 @@ def _int_terms(f: Polynomial) -> Tuple[dict, int]:
     denom_lcm = 1
     for c in f._terms.values():
         denom_lcm = denom_lcm * c.denominator // math.gcd(denom_lcm, c.denominator)
-    return {_key(pp): int(c * denom_lcm) for pp, c in f._terms.items()}, denom_lcm
+    return {_key(pp): c.numerator * (denom_lcm // c.denominator)
+            for pp, c in f._terms.items()}, denom_lcm
 
 
 def _poly(terms: dict, denom: int, nvars: int, field) -> Polynomial:
@@ -232,16 +244,30 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
 
 
 class GroebnerBasis:
-    """Reduced Groebner basis under DegRevLex: monic, interreduced, sorted."""
+    """Reduced Groebner basis under DegRevLex: monic, interreduced, sorted.
 
-    __slots__ = ("elements", "nvars", "field")
+    It holds the kernel's packed elements, whose leading terms generate the
+    leading term ideal minimally and in order; it tail-reduces and converts
+    them only when ``elements`` is first read.
+    """
+
+    __slots__ = ("_divisors", "_elements", "nvars", "field")
 
     order = "degrevlex"
 
-    def __init__(self, elements: Sequence[Polynomial], nvars: int, field):
-        self.elements = tuple(elements)
+    def __init__(self, divisors: list, nvars: int, field):
+        self._divisors = divisors
+        self._elements = None
         self.nvars = nvars
         self.field = field
+
+    @property
+    def elements(self) -> tuple:
+        if self._elements is None:
+            self._elements = tuple(
+                _poly(terms, terms[max(terms)], self.nvars, self.field)
+                for terms in _interreduce(self._divisors, self.field.p))
+        return self._elements
 
     def __iter__(self):
         return iter(self.elements)
@@ -251,7 +277,7 @@ class GroebnerBasis:
 
     @property
     def is_zero_ideal(self) -> bool:
-        return not self.elements
+        return not self._divisors
 
     def reduce(self, f: Polynomial) -> Polynomial:
         return normal_form(f, self.elements)
@@ -267,12 +293,51 @@ class GroebnerBasis:
         return f"GroebnerBasis([{', '.join(str(g) for g in self.elements)}])"
 
 
+def _interreduce(divisors: list, p: Optional[int]) -> list:
+    """Tail-reduce each packed divisor against the others."""
+    final = []
+    for i, (lt, lc, tail) in enumerate(divisors):
+        rem, _ = _reduce({lt: lc, **dict(tail)}, divisors[:i] + divisors[i + 1:], p)
+        final.append(_normalize(rem, p))
+    return final
+
+
+class _Staircase:
+    """Degree-d monomials of a monomial ideal as sort keys, for d rising: the
+    set for d - 1 times each variable, plus the generators of degree d."""
+
+    def __init__(self, gens, nvars: int):
+        self.gens: dict = {}       # degree -> keys of generators not yet used
+        self.degree, self.monomials = -1, set()
+        # the key of a variable: degree 1 and one exponent -1
+        self.steps = [(1, *(-(k == j) for k in range(nvars))) for j in range(nvars)]
+        for k in gens:
+            self.add(k)
+
+    def add(self, k: tuple) -> None:
+        if k[0] <= self.degree:    # homogeneous runs add only in the current degree
+            self.monomials.add(k)
+        else:
+            self.gens.setdefault(k[0], []).append(k)
+
+    def count(self, d: int) -> int:
+        while self.degree < d:
+            self.degree += 1
+            self.monomials = {tuple(map(add, k, step)) for k in self.monomials
+                              for step in self.steps}
+            self.monomials.update(self.gens.pop(self.degree, ()))
+        return len(self.monomials)
+
+
 class _Engine:
     """State of one Buchberger run over QQ (p is None) or GF(p)."""
 
-    def __init__(self, p: Optional[int], degree_cap: Optional[int]):
+    def __init__(self, p: Optional[int], degree_cap: Optional[int],
+                 hint: Optional[_Staircase], nvars: int):
         self.p = p
         self.degree_cap = degree_cap
+        self.hint = hint           # the target Hilbert function, or None
+        self.found = _Staircase((), nvars)   # the leading terms so far
         self.packed: dict = {}     # id -> (lt, lc, tail), never mutated
         self.lts: dict = {}        # id -> sort key of the leading term
         self.active: list = []     # ids sorted by (lt, id)
@@ -305,6 +370,7 @@ class _Engine:
         self.packed[h] = _pack(terms)
         lt_h = self.packed[h][0]
         self.lts[h] = lt_h
+        self.found.add(lt_h)
 
         # candidate pairs of h with the current basis, pruned by the chain
         # criterion: drop a pair whose lcm is covered by a kept pair, by a
@@ -346,32 +412,32 @@ class _Engine:
         while self.pairs:
             (i, j), lcm = self.select_pair()
             del self.pairs[(i, j)]
-            if self.degree_cap is not None and lcm[0] > self.degree_cap:
+            d = lcm[0]
+            if self.degree_cap is not None and d > self.degree_cap:
                 raise DegreeCapExceeded(
-                    f"S-pair lcm degree {lcm[0]} > cap {self.degree_cap}")
+                    f"S-pair lcm degree {d} > cap {self.degree_cap}")
+            if self.hint is not None:   # homogeneous: pairs go degree by degree
+                found, target = self.found.count(d), self.hint.count(d)
+                if found > target:
+                    raise InternalConsistencyError(
+                        f"leading terms span {found} monomials of degree {d}, "
+                        f"but the Hilbert function allows {target}")
+                if found == target:
+                    continue
             h = self._nf(self._spair_terms(i, j))
             if h:
                 self.add(h)
 
-    def reduced_basis(self) -> list:
-        """Tail-reduce the surviving elements against each other."""
-        final = []
-        for g in self.active:
-            lt, lc, tail = self.packed[g]
-            work = dict(tail)
-            work[lt] = lc
-            others = [self.packed[i] for i in self.active if i != g]
-            rem, _ = _reduce(work, others, self.p, self.degree_cap)
-            final.append(_normalize(rem, self.p))
-        return final
 
-
-def buchberger(gens: Sequence[Polynomial],
-               degree_cap: Optional[int] = None) -> GroebnerBasis:
+def buchberger(gens: Sequence[Polynomial], degree_cap: Optional[int] = None,
+               hilbert: Optional[MonomialIdeal] = None) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal generated by ``gens``.
 
     Zero generators are discarded; an all-zero input yields the zero ideal,
-    represented by an empty basis.
+    represented by an empty basis.  ``hilbert``, a monomial ideal with the
+    Hilbert function of that ideal, is used only when every generator is
+    homogeneous: it drops the pairs it proves to reduce to zero, and a basis
+    that outgrows it raises ``InternalConsistencyError``.
     """
     gens = list(gens)
     if not gens:
@@ -382,14 +448,17 @@ def buchberger(gens: Sequence[Polynomial],
         gens[0]._check_compatible(g)
     nonzero = [g for g in gens if not g.is_zero]
     if not nonzero:
-        return GroebnerBasis((), nvars, field)
+        return GroebnerBasis([], nvars, field)
     if degree_cap is not None:
         top = max(g.total_degree() for g in nonzero)
         if top > degree_cap:
             raise DegreeCapExceeded(f"generator degree {top} > cap {degree_cap}")
 
-    engine = _Engine(field.p, degree_cap)
     items = [_normalize(_int_terms(g)[0], field.p) for g in nonzero]
+    hint = None
+    if hilbert is not None and all(len({k[0] for k in t}) == 1 for t in items):
+        hint = _Staircase(map(_key, hilbert.generators), nvars)
+    engine = _Engine(field.p, degree_cap, hint, nvars)
     # feed generators smallest leading term first, reducing each against the
     # basis built so far
     items.sort(key=max)
@@ -398,16 +467,17 @@ def buchberger(gens: Sequence[Polynomial],
         if reduced:
             engine.add(reduced)
     engine.run()
-
-    elements = [_poly(terms, terms[max(terms)], nvars, field)
-                for terms in engine.reduced_basis()]
-    elements.sort(key=lambda g: g.leading_power_product())
-    return GroebnerBasis(elements, nvars, field)
+    return GroebnerBasis(engine.divisors, nvars, field)
 
 
 def leading_term_ideal(G: GroebnerBasis) -> MonomialIdeal:
-    """Monomial ideal of the leading terms of a reduced basis."""
-    return MonomialIdeal((g.leading_power_product() for g in G.elements), G.nvars)
+    """Monomial ideal of the leading terms of a reduced basis.
+
+    It reads the kernel's elements without tail-reducing them: each new
+    element is fully reduced and retires every element whose leading term
+    it divides, so their leading terms are already the minimal generators.
+    """
+    return MonomialIdeal((_power_product(d[0]) for d in G._divisors), G.nvars)
 
 
 def hilbert_function(B: MonomialIdeal, d: int) -> int:

@@ -102,6 +102,10 @@ class TestTrialRoutes:
             yield name, arrangement(forms, 3)
         yield "staircase", supersolvable_from_exponents((1, 2, 3))
         yield "perturbed", perturbed_staircase()
+        yield "fractions", Arrangement([  # non-integer coefficients
+            poly("x", 3).scale(Fraction(2, 3)), poly("y - z", 3).scale(Fraction(-7, 4)),
+            poly("z", 3), poly("3x + 5y", 3).scale(Fraction(1, 10)),
+            poly("x + y + z", 3).scale(Fraction(5, 6))])
 
     @pytest.mark.parametrize("mode", ["exact", "modular"])
     def test_same_rgin_and_matrices(self, mode):

@@ -335,6 +335,24 @@ class TestExitCodes:
         assert code == EXIT_PARSE
         assert elapsed < 1.0
 
+    @pytest.mark.parametrize("expr, col", [
+        ("3^200000000*x", 14),
+        ("2x + " + "7" * 5000 + "*y", 17),
+    ], ids=["power-of-constant", "long-literal"])
+    def test_oversized_coefficient_rejected_fast(self, tmp_path, expr, col):
+        text = f"vars x y z\nhyperplane {expr}\nhyperplane y\nhyperplane z\n"
+        with pytest.raises(ParseError) as err:
+            parse_input(text, "coeff.arr")
+        assert (err.value.line, err.value.col) == (2, col)
+        path = tmp_path / "coeff.arr"
+        path.write_text(text)
+        code, elapsed = _guarded_cli("analyze", str(path))
+        assert code == EXIT_PARSE
+        assert elapsed < 1.0
+        # powers below the limit, and of 0 and 1, stay allowed
+        doc = parse_input("vars x y\nhyperplane 2^500*x + 1^5000*0^5000*y\n")
+        assert doc.items[0].leading_coefficient() == 2 ** 500
+
     def test_duplicate_hyperplane_is_input_error(self, tmp_path):
         path = tmp_path / "dup.arr"
         path.write_text("vars x y\nhyperplane x\nhyperplane 2x\n")

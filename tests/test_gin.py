@@ -134,8 +134,9 @@ class TestGenericityFailure:
 
 
 def _x5(field):
-    # <x^5> is strongly stable and smaller than the gin <x^5, x^4*y, x^3*y^3>
-    return [poly("x^5", 3).convert(field)]
+    # strongly stable, smaller than the gin <x^5, x^4*y, x^3*y^3> and with
+    # its Hilbert function, as every draw of one field must be
+    return [f.convert(field) for f in polys(["x^5", "x^4*y", "x^4*z^2", "x^3*y^4"], 3)]
 
 
 class TestRedraws:
@@ -186,6 +187,19 @@ class TestRedraws:
         assert len(seen) == 7
         assert B.certificate.matrices == (seen[5], seen[6], seen[3], seen[4])
         assert B.certificate.discarded == tuple(seen[:3])
+
+    def test_later_draws_with_another_hilbert_function_raise(self):
+        from arrfree import InternalConsistencyError
+        calls = []
+
+        def build(g, field):  # the first draw computes <x^5>, not the ideal
+            calls.append(g)
+            if len(calls) == 1:
+                return [poly("x^5", 3).convert(field)]
+            return gin_module.substituted(self.GENS, g, field)
+        with pytest.raises(InternalConsistencyError, match="Hilbert function"):
+            rgin(self.GENS, CFG, build)
+        assert len(calls) == 2
 
     def test_draws_keep_their_streams(self):
         # the k-th draw of a field reads stream (k // trials, k % trials)

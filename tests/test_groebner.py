@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from arrfree import (GF, QQ, DegreeCapExceeded, LinearChange, MonomialIdeal,
-                     Polynomial, PowerProduct, apply_linear_change, buchberger,
-                     cmp_degrevlex, hilbert_function, leading_term_ideal,
-                     normal_form, s_polynomial)
+from arrfree import (GF, QQ, Arrangement, DegreeCapExceeded, LinearChange,
+                     MonomialIdeal, Polynomial, PowerProduct,
+                     apply_linear_change, buchberger, cmp_degrevlex,
+                     hilbert_function, jacobian_ideal, leading_term_ideal,
+                     normal_form, random_linear_change, s_polynomial)
+from arrfree import groebner as groebner_module
 from arrfree.groebner import _coprime, _divides, _key, _lcm, _power_product
-from helpers import poly, polys, random_polynomial
+from helpers import poly, polys, random_exponent, random_polynomial
 
 FIELDS = pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["QQ", "GF32003"])
 
@@ -263,3 +265,75 @@ class TestHilbert:
             lt2 = leading_term_ideal(buchberger(moved))
             for d in range(0, 11):
                 assert hilbert_function(lt, d) == hilbert_function(lt2, d)
+
+
+def _random_form(nvars, deg, terms, rng):
+    """A random homogeneous polynomial of degree deg."""
+    return Polynomial({random_exponent(deg, nvars, rng): rng.randint(1, 9)
+                       for _ in range(terms)}, nvars)
+
+
+def _hint(gens, rng):
+    """The leading term ideal of gens after a random change of coordinates:
+    another ideal with the Hilbert function of gens."""
+    g = random_linear_change(gens[0].nvars, rng, 5)
+    return leading_term_ideal(buchberger([apply_linear_change(f, g) for f in gens]))
+
+
+class TestHilbertDriven:
+    @FIELDS
+    def test_hint_gives_the_same_basis(self, field):
+        rng = random.Random(41)
+        for _ in range(12):
+            nv = rng.randint(2, 4)
+            gens = [_random_form(nv, rng.randint(1, 4), rng.randint(1, 4), rng).convert(field)
+                    for _ in range(rng.randint(2, 3))]
+            hinted = buchberger(gens, hilbert=_hint(gens, rng))
+            assert hinted == buchberger(gens)
+            assert leading_term_ideal(hinted) == leading_term_ideal(buchberger(gens))
+
+    def test_hint_saves_reductions(self, monkeypatch):
+        # the first Ziegler arrangement, moved by a random change
+        rows = ((0, 0, 1), (0, 1, -4), (1, 1, -7), (-7, 1, 25), (0, 1, 4),
+                (2, 1, 10), (-2, 1, -10), (-1, 3, -5), (4, 3, 0), (-4, 3, 0))
+        A = Arrangement([poly("+".join(f"({c})*{v}" for c, v in zip(r, "xyz")), 3)
+                         for r in rows])
+        rng = random.Random(43)
+        field = GF(32003)
+        g = random_linear_change(3, rng, 5)
+        gens = [apply_linear_change(f.convert(field), g) for f in jacobian_ideal(A)]
+        hint = _hint([f.convert(field) for f in jacobian_ideal(A)], rng)
+        calls = []
+        original = groebner_module._reduce
+        monkeypatch.setattr(groebner_module, "_reduce",
+                            lambda *a, **k: calls.append(1) or original(*a, **k))
+        plain = leading_term_ideal(buchberger(gens))
+        unhinted, calls[:] = len(calls), []
+        assert leading_term_ideal(buchberger(gens, hilbert=hint)) == plain
+        assert 0 < len(calls) < unhinted
+
+    def test_inhomogeneous_input_ignores_the_hint(self):
+        gens = polys(["x^2 - y", "x*y - 1"], 2)
+        wrong = MonomialIdeal([PowerProduct((1, 0))], 2)
+        assert buchberger(gens, hilbert=wrong) == buchberger(gens)
+
+    def test_outgrowing_the_hint_raises(self):
+        from arrfree import InternalConsistencyError
+        assert InternalConsistencyError is groebner_module.InternalConsistencyError
+        gens = polys(["x^2", "y^2", "x*z - y*z"], 3)
+        with pytest.raises(InternalConsistencyError, match="Hilbert function"):
+            buchberger(gens, hilbert=MonomialIdeal([PowerProduct((2, 0, 0))], 3))
+
+    def test_leading_terms_before_and_after_the_elements(self, monkeypatch):
+        gens = polys(["x^2 - y*z", "x*y^2 - z^3", "y^4 - x*z^2"], 3)
+        calls = []
+        original = groebner_module._interreduce
+        monkeypatch.setattr(groebner_module, "_interreduce",
+                            lambda *a: calls.append(1) or original(*a))
+        G = buchberger(gens)
+        before = leading_term_ideal(G)
+        assert not calls                   # nothing read the elements yet
+        assert len(G) == len(before.generators) and calls == [1]
+        assert leading_term_ideal(G) == before == MonomialIdeal(
+            [g.leading_power_product() for g in G.elements], 3)
+        assert calls == [1]
