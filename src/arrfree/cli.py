@@ -44,7 +44,7 @@ EXIT_COMPUTE = 3
 # (exit 2) before any computation starts.
 MAX_HYPERPLANES = 100
 MAX_GEN_DEGREE = 100
-# A number literal, and a power of a coefficient on an input line, may not
+# A number literal, and a power of a coefficient in any expression, may not
 # exceed this many bits: 3^200000000 is rejected before it is computed.
 MAX_COEFF_BITS = 1024
 
@@ -179,7 +179,7 @@ class _ExprParser:
                 self._error("exponent must be a non-negative integer")
             if not self.sum_powers and etok[1] >= 2 and len(base) >= 2:
                 self._error("a power of a sum is not a linear form or a monomial")
-            if not self.sum_powers and len(base) == 1:
+            if len(base) == 1:
                 c = base.leading_coefficient()
                 bits = max(abs(c.numerator), c.denominator).bit_length()
                 if bits > 1 and etok[1] * bits > MAX_COEFF_BITS:   # not 0 or +-1

@@ -1,11 +1,17 @@
 """Buchberger's algorithm under DegRevLex, normal forms and Hilbert functions.
 
-Inside the kernel a monomial x_1^e_1 ... x_l^e_l is the plain tuple
-(deg, -e_l, ..., -e_1).  That tuple is its DegRevLex sort key, so Python's
-native tuple order is DegRevLex: ``max`` and ``sort`` compare in C, products
-and quotients are componentwise sums and differences, and no internal
-product is validated.  ``_int_terms`` converts from ``PowerProduct`` on the
-way in and ``_poly`` converts back on the way out.
+Inside the kernel a monomial x_1^e_1 ... x_l^e_l is one int, its packed
+DegRevLex key (deg << W*l) - (e_l << W*(l-1)) - ... - e_1 with W = 16-bit
+exponent fields (Monagan and Pearce, "Polynomial division using dynamic
+arrays, heaps, and packed exponent vectors", CASC 2007).  Plain int order is
+DegRevLex, a product is a sum of keys and a quotient a difference.  The
+fields alone, R = (deg << W*l) - key, hold the exponents with a spare top bit
+each, so a divides b exactly when ((R_b | G) - R_a) & G == G for G the top
+bits.  Every exponent must stay below 2^15, so a monomial of degree 2^15 or
+more raises ``DegreeCapExceeded`` on its way in, and so does an S-pair whose
+lcm reaches that degree; reduction never raises the degree.  ``_int_terms``
+converts from ``PowerProduct`` on the way in and ``_poly`` converts back on
+the way out.
 
 Both coefficient fields share one fraction-free reduction kernel on integer
 term dicts.  Over QQ divisors are kept primitive (content 1, positive leading
@@ -27,7 +33,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import add, ge, mul, neg, sub
 from typing import Optional, Sequence, Tuple
 
 from .monomial import MonomialIdeal, count_standard_monomials
@@ -50,30 +55,68 @@ class InternalConsistencyError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# monomials as DegRevLex sort keys: (deg, -e_l, ..., -e_1)
+# monomials as packed DegRevLex keys
 # ---------------------------------------------------------------------------
 
-def _key(pp: PowerProduct) -> tuple:
-    """The DegRevLex sort key of a power product."""
-    return (sum(pp), *map(neg, reversed(pp)))
+_W = 16                     # bits per exponent field
+_LIMIT = 1 << (_W - 1)      # exponents and input degrees stay below this
 
 
-def _power_product(k: tuple) -> PowerProduct:
-    """The power product whose sort key is k (its exponents are valid)."""
-    return tuple.__new__(PowerProduct, map(neg, k[:0:-1]))
+def _guards(nvars: int) -> int:
+    """The top bit of each of the nvars exponent fields."""
+    return ((1 << _W * nvars) - 1) // ((1 << _W) - 1) << (_W - 1)
 
 
-def _lcm(a: tuple, b: tuple) -> tuple:
-    low = tuple(map(min, a[1:], b[1:]))
-    return (-sum(low), *low)
+def _fields(k: int, nvars: int) -> int:
+    """R = (deg << W*l) - k: the exponent fields of the key k alone."""
+    return -k & ((1 << _W * nvars) - 1)
 
 
-def _divides(a: tuple, b: tuple) -> bool:
-    return a[0] <= b[0] and all(map(ge, a[1:], b[1:]))
+def _exponents(r: int, nvars: int) -> list:
+    """The exponents in the low W*l bits of r."""
+    return [r >> _W * i & (1 << _W) - 1 for i in range(nvars)]
 
 
-def _coprime(a: tuple, b: tuple) -> bool:
-    return not any(map(mul, a[1:], b[1:]))
+def _degree(k: int, nvars: int) -> int:
+    return -(-k >> _W * nvars)
+
+
+def _key(pp: PowerProduct) -> int:
+    """The packed key of a power product; raises past the field limit."""
+    deg = sum(pp)
+    if deg >= _LIMIT:
+        raise DegreeCapExceeded(
+            f"monomial degree {deg} > kernel limit {_LIMIT - 1}")
+    r = 0
+    for e in reversed(pp):
+        r = r << _W | e
+    return (deg << _W * len(pp)) - r
+
+
+def _power_product(k: int, nvars: int) -> PowerProduct:
+    """The power product whose key is k (its exponents are valid)."""
+    return tuple.__new__(PowerProduct, _exponents(-k, nvars))   # -k ends in R
+
+
+def _lcm(a: int, b: int, nvars: int) -> int:
+    """The key of lcm(a, b); no limit applies."""
+    g = _guards(nvars)
+    ra, rb = _fields(a, nvars), _fields(b, nvars)
+    top = ((ra | g) - rb) & g          # guard bits of the fields where a >= b
+    take_a = top | (top - (top >> (_W - 1)))   # widened to whole fields
+    r = ra & take_a | rb & ~take_a
+    return (sum(_exponents(r, nvars)) << _W * nvars) - r
+
+
+def _divides(a: int, b: int, nvars: int) -> bool:
+    g = _guards(nvars)
+    return (_fields(b, nvars) | g) - _fields(a, nvars) & g == g
+
+
+def _coprime(a: int, b: int, nvars: int) -> bool:
+    g = _guards(nvars)
+    low = g >> (_W - 1)                # the bottom bit of each field
+    return not ((_fields(a, nvars) | g) - low) & ((_fields(b, nvars) | g) - low) & g
 
 
 # ---------------------------------------------------------------------------
@@ -98,9 +141,9 @@ def _int_terms(f: Polynomial) -> Tuple[dict, int]:
 def _poly(terms: dict, denom: int, nvars: int, field) -> Polynomial:
     """The polynomial terms / denom; mod p the terms are residues, denom 1."""
     if field.p is None:
-        out = {_power_product(k): Fraction(v, denom) for k, v in terms.items()}
+        out = {_power_product(k, nvars): Fraction(v, denom) for k, v in terms.items()}
     else:
-        out = {_power_product(k): v for k, v in terms.items()}
+        out = {_power_product(k, nvars): v for k, v in terms.items()}
     return Polynomial(out, nvars, field, _trusted=True)
 
 
@@ -124,10 +167,11 @@ def _normalize(terms: dict, p: Optional[int]) -> dict:
     return terms
 
 
-def _pack(terms: dict) -> tuple:
-    """The divisor triple (lt, lc, tail) of a normalized term dict."""
+def _pack(terms: dict, nvars: int) -> tuple:
+    """The divisor (fields of lt, lt, lc, tail) of a normalized term dict."""
     lead = max(terms)
-    return lead, terms[lead], [(k, c) for k, c in terms.items() if k != lead]
+    return (_fields(lead, nvars), lead, terms[lead],
+            [(k, c) for k, c in terms.items() if k != lead])
 
 
 def _shrink(work: dict, rem: dict, mult: int) -> int:
@@ -150,11 +194,10 @@ def _shrink(work: dict, rem: dict, mult: int) -> int:
     return mult
 
 
-def _subtract(work: dict, tail: list, q: tuple, b: int, p: Optional[int]) -> None:
-    """work -= b * q * tail in place, mod p when p is set; q is a sort key."""
-    shift = q[0] != 0
+def _subtract(work: dict, tail: list, q: int, b: int, p: Optional[int]) -> None:
+    """work -= b * q * tail in place, mod p when p is set; q is a key."""
     for gm, gc in tail:
-        k = tuple(map(add, gm, q)) if shift else gm
+        k = gm + q
         v = work.get(k, 0) - b * gc
         if p:
             v %= p
@@ -165,26 +208,26 @@ def _subtract(work: dict, tail: list, q: tuple, b: int, p: Optional[int]) -> Non
 
 
 def _reduce(work: dict, divisors: Sequence[tuple], p: Optional[int],
-            degree_cap: Optional[int] = None) -> Tuple[dict, int]:
+            nvars: int, degree_cap: Optional[int] = None) -> Tuple[dict, int]:
     """Fraction-free full reduction of an integer term dict.
 
-    ``divisors`` holds (lt, lc, tail) triples with lc > 0 and tail the
+    ``divisors`` holds ``_pack`` tuples with lc > 0 and tail the
     non-leading terms; mod p they are monic, so lc = 1 and the multiplier
     stays 1.  Returns (remainder, mult) with
     remainder = mult * NF(original work).
     """
     mult = 1
     rem: dict = {}
+    guards, mask = _guards(nvars), (1 << _W * nvars) - 1
     while work:
         t = max(work)
-        deg = t[0]
-        if degree_cap is not None and deg > degree_cap:
-            raise DegreeCapExceeded(
-                f"reduction reached degree {deg} > cap {degree_cap}")
+        if degree_cap is not None and _degree(t, nvars) > degree_cap:
+            raise DegreeCapExceeded(f"reduction reached degree "
+                                    f"{_degree(t, nvars)} > cap {degree_cap}")
         c = work.pop(t)
-        t_low = t[1:]
-        for lt, lc, tail in divisors:
-            if lt[0] <= deg and all(map(ge, lt[1:], t_low)):   # _divides(lt, t)
+        rt = -t & mask | guards            # the fields of t, guard bits set
+        for r, lt, lc, tail in divisors:
+            if (rt - r) & guards == guards:     # _divides(lt, t)
                 g = math.gcd(c, lc)
                 a = lc // g
                 if a != 1:
@@ -193,7 +236,7 @@ def _reduce(work: dict, divisors: Sequence[tuple], p: Optional[int],
                         work[k] *= a
                     for k in rem:
                         rem[k] *= a
-                _subtract(work, tail, tuple(map(sub, t, lt)), c // g, p)
+                _subtract(work, tail, t - lt, c // g, p)
                 # rescan only when the multiplier grew: after the other
                 # steps the rescan almost never finds a common factor
                 if a != 1 and mult.bit_length() > 512:
@@ -223,8 +266,8 @@ def normal_form(f: Polynomial, G: Sequence[Polynomial],
         return f
     p = f.field.p
     work, m0 = _int_terms(f)
-    packed = [_pack(_normalize(_int_terms(g)[0], p)) for g in divisors]
-    rem, mult = _reduce(work, packed, p, degree_cap)
+    packed = [_pack(_normalize(_int_terms(g)[0], p), f.nvars) for g in divisors]
+    rem, mult = _reduce(work, packed, p, f.nvars, degree_cap)
     return _poly(rem, m0 * mult, f.nvars, f.field)
 
 
@@ -266,7 +309,7 @@ class GroebnerBasis:
         if self._elements is None:
             self._elements = tuple(
                 _poly(terms, terms[max(terms)], self.nvars, self.field)
-                for terms in _interreduce(self._divisors, self.field.p))
+                for terms in _interreduce(self._divisors, self.field.p, self.nvars))
         return self._elements
 
     def __iter__(self):
@@ -293,37 +336,39 @@ class GroebnerBasis:
         return f"GroebnerBasis([{', '.join(str(g) for g in self.elements)}])"
 
 
-def _interreduce(divisors: list, p: Optional[int]) -> list:
+def _interreduce(divisors: list, p: Optional[int], nvars: int) -> list:
     """Tail-reduce each packed divisor against the others."""
     final = []
-    for i, (lt, lc, tail) in enumerate(divisors):
-        rem, _ = _reduce({lt: lc, **dict(tail)}, divisors[:i] + divisors[i + 1:], p)
+    for i, (_, lt, lc, tail) in enumerate(divisors):
+        rem, _ = _reduce({lt: lc, **dict(tail)}, divisors[:i] + divisors[i + 1:],
+                         p, nvars)
         final.append(_normalize(rem, p))
     return final
 
 
 class _Staircase:
-    """Degree-d monomials of a monomial ideal as sort keys, for d rising: the
+    """Degree-d monomials of a monomial ideal as keys, for d rising: the
     set for d - 1 times each variable, plus the generators of degree d."""
 
     def __init__(self, gens, nvars: int):
+        self.nvars = nvars
         self.gens: dict = {}       # degree -> keys of generators not yet used
         self.degree, self.monomials = -1, set()
-        # the key of a variable: degree 1 and one exponent -1
-        self.steps = [(1, *(-(k == j) for k in range(nvars))) for j in range(nvars)]
+        self.steps = [(1 << _W * nvars) - (1 << _W * j) for j in range(nvars)]
         for k in gens:
             self.add(k)
 
-    def add(self, k: tuple) -> None:
-        if k[0] <= self.degree:    # homogeneous runs add only in the current degree
+    def add(self, k: int) -> None:
+        d = _degree(k, self.nvars)
+        if d <= self.degree:       # homogeneous runs add only in the current degree
             self.monomials.add(k)
         else:
-            self.gens.setdefault(k[0], []).append(k)
+            self.gens.setdefault(d, []).append(k)
 
     def count(self, d: int) -> int:
         while self.degree < d:
             self.degree += 1
-            self.monomials = {tuple(map(add, k, step)) for k in self.monomials
+            self.monomials = {k + step for k in self.monomials
                               for step in self.steps}
             self.monomials.update(self.gens.pop(self.degree, ()))
         return len(self.monomials)
@@ -335,40 +380,42 @@ class _Engine:
     def __init__(self, p: Optional[int], degree_cap: Optional[int],
                  hint: Optional[_Staircase], nvars: int):
         self.p = p
+        self.nvars = nvars
         self.degree_cap = degree_cap
+        # S-pairs stop at the cap and below the field limit
+        self.top = _LIMIT - 1 if degree_cap is None else min(degree_cap, _LIMIT - 1)
         self.hint = hint           # the target Hilbert function, or None
         self.found = _Staircase((), nvars)   # the leading terms so far
-        self.packed: dict = {}     # id -> (lt, lc, tail), never mutated
-        self.lts: dict = {}        # id -> sort key of the leading term
+        self.packed: dict = {}     # id -> _pack tuple, never mutated
+        self.lts: dict = {}        # id -> key of the leading term
         self.active: list = []     # ids sorted by (lt, id)
-        self.divisors: list = []   # packed triples of the active ids, in order
-        self.pairs: dict = {}      # (i, j) i<j -> sort key of the lcm
+        self.divisors: list = []   # _pack tuples of the active ids, in order
+        self.pairs: dict = {}      # (i, j) i<j -> key of the lcm
         self.next_id = 0
 
     # -- plumbing ----------------------------------------------------------
 
     def _nf(self, work: dict) -> dict:
-        rem, _ = _reduce(work, self.divisors, self.p, self.degree_cap)
+        rem, _ = _reduce(work, self.divisors, self.p, self.nvars, self.degree_cap)
         return _normalize(rem, self.p)
 
-    def _spair_terms(self, i: int, j: int) -> dict:
-        lt_i, lc_i, tail_i = self.packed[i]
-        lt_j, lc_j, tail_j = self.packed[j]
-        lcm = _lcm(lt_i, lt_j)
+    def _spair_terms(self, i: int, j: int, lcm: int) -> dict:
+        _, lt_i, lc_i, tail_i = self.packed[i]
+        _, lt_j, lc_j, tail_j = self.packed[j]
         g = math.gcd(lc_i, lc_j)
         # the leading terms cancel: (lc_j / g) * lc_i = (lc_i / g) * lc_j
-        qi = tuple(map(sub, lcm, lt_i))
-        out = {tuple(map(add, k, qi)): lc_j // g * c for k, c in tail_i}
-        _subtract(out, tail_j, tuple(map(sub, lcm, lt_j)), lc_i // g, self.p)
+        qi = lcm - lt_i
+        out = {k + qi: lc_j // g * c for k, c in tail_i}
+        _subtract(out, tail_j, lcm - lt_j, lc_i // g, self.p)
         return out
 
     # -- Gebauer-Moeller update ---------------------------------------------
 
     def add(self, terms: dict) -> None:
-        h = self.next_id
+        h, n = self.next_id, self.nvars
         self.next_id += 1
-        self.packed[h] = _pack(terms)
-        lt_h = self.packed[h][0]
+        self.packed[h] = _pack(terms, n)
+        lt_h = self.packed[h][1]
         self.lts[h] = lt_h
         self.found.add(lt_h)
 
@@ -376,46 +423,45 @@ class _Engine:
         # criterion: drop a pair whose lcm is covered by a kept pair, by a
         # strictly smaller pending lcm, or by an equal lcm still pending
         kept: list = []
-        pending = [(g, _lcm(lt_h, self.lts[g])) for g in self.active]
+        pending = [(g, _lcm(lt_h, self.lts[g], n)) for g in self.active]
         while pending:
             g, lcm_hg = pending.pop(0)
             covered = (
-                any(_divides(o, lcm_hg) for _, o in kept)
-                or any(_divides(o, lcm_hg) and o != lcm_hg for _, o in pending)
+                any(_divides(o, lcm_hg, n) for _, o in kept)
+                or any(_divides(o, lcm_hg, n) and o != lcm_hg for _, o in pending)
                 or any(o == lcm_hg for _, o in pending))
-            if _coprime(lt_h, self.lts[g]) or not covered:
+            if _coprime(lt_h, self.lts[g], n) or not covered:
                 kept.append((g, lcm_hg))
         new_pairs = [(g, lcm_hg) for g, lcm_hg in kept
-                     if not _coprime(lt_h, self.lts[g])]
+                     if not _coprime(lt_h, self.lts[g], n)]
 
         # drop old pairs whose lcm is strictly covered by h
         for (i, j), lcm_ij in list(self.pairs.items()):
-            if _divides(lt_h, lcm_ij) \
-                    and _lcm(self.lts[i], lt_h) != lcm_ij \
-                    and _lcm(lt_h, self.lts[j]) != lcm_ij:
+            if _divides(lt_h, lcm_ij, n) \
+                    and _lcm(self.lts[i], lt_h, n) != lcm_ij \
+                    and _lcm(lt_h, self.lts[j], n) != lcm_ij:
                 del self.pairs[(i, j)]
         for g, lcm_hg in new_pairs:
             self.pairs[(min(g, h), max(g, h))] = lcm_hg
 
         # retire basis elements whose leading term h covers
-        self.active = [g for g in self.active if not _divides(lt_h, self.lts[g])]
+        self.active = [g for g in self.active if not _divides(lt_h, self.lts[g], n)]
         self.active.append(h)
         self.active.sort(key=lambda g: (self.lts[g], g))
         self.divisors = [self.packed[g] for g in self.active]
 
     def select_pair(self):
-        """Normal strategy: smallest lcm first (its key starts with the
-        degree), then ids."""
+        """Normal strategy: smallest lcm first (its key orders by degree
+        first), then ids."""
         return min(self.pairs.items(), key=lambda kv: (kv[1], kv[0]))
 
     def run(self) -> None:
         while self.pairs:
             (i, j), lcm = self.select_pair()
             del self.pairs[(i, j)]
-            d = lcm[0]
-            if self.degree_cap is not None and d > self.degree_cap:
-                raise DegreeCapExceeded(
-                    f"S-pair lcm degree {d} > cap {self.degree_cap}")
+            d = _degree(lcm, self.nvars)
+            if d > self.top:
+                raise DegreeCapExceeded(f"S-pair lcm degree {d} > cap {self.top}")
             if self.hint is not None:   # homogeneous: pairs go degree by degree
                 found, target = self.found.count(d), self.hint.count(d)
                 if found > target:
@@ -424,7 +470,7 @@ class _Engine:
                         f"but the Hilbert function allows {target}")
                 if found == target:
                     continue
-            h = self._nf(self._spair_terms(i, j))
+            h = self._nf(self._spair_terms(i, j, lcm))
             if h:
                 self.add(h)
 
@@ -456,7 +502,7 @@ def buchberger(gens: Sequence[Polynomial], degree_cap: Optional[int] = None,
 
     items = [_normalize(_int_terms(g)[0], field.p) for g in nonzero]
     hint = None
-    if hilbert is not None and all(len({k[0] for k in t}) == 1 for t in items):
+    if hilbert is not None and all(g.is_homogeneous() for g in nonzero):
         hint = _Staircase(map(_key, hilbert.generators), nvars)
     engine = _Engine(field.p, degree_cap, hint, nvars)
     # feed generators smallest leading term first, reducing each against the
@@ -477,7 +523,8 @@ def leading_term_ideal(G: GroebnerBasis) -> MonomialIdeal:
     element is fully reduced and retires every element whose leading term
     it divides, so their leading terms are already the minimal generators.
     """
-    return MonomialIdeal((_power_product(d[0]) for d in G._divisors), G.nvars)
+    return MonomialIdeal((_power_product(d[1], G.nvars) for d in G._divisors),
+                         G.nvars)
 
 
 def hilbert_function(B: MonomialIdeal, d: int) -> int:

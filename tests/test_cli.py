@@ -353,6 +353,25 @@ class TestExitCodes:
         doc = parse_input("vars x y\nhyperplane 2^500*x + 1^5000*0^5000*y\n")
         assert doc.items[0].leading_coefficient() == 2 ** 500
 
+    def test_library_parser_limits_powers_of_constants(self):
+        def too_slow(signum, frame):   # fail instead of hanging the suite
+            raise TimeoutError("the power was computed before any limit")
+        previous = signal.signal(signal.SIGALRM, too_slow)
+        signal.setitimer(signal.ITIMER_REAL, 5.0)
+        try:
+            start = time.perf_counter()
+            with pytest.raises(ParseError) as err:
+                parse_expression("3^200000000*x", ("x", "y", "z"))
+            elapsed = time.perf_counter() - start
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert (err.value.line, err.value.col) == (1, 3)
+        assert elapsed < 1.0
+        # powers of sums stay allowed there, and so do small powers
+        f = parse_expression("2^500*x + (x+y)^2", ("x", "y"))
+        assert f.leading_coefficient() == 1 and len(f) == 4
+
     def test_duplicate_hyperplane_is_input_error(self, tmp_path):
         path = tmp_path / "dup.arr"
         path.write_text("vars x y\nhyperplane x\nhyperplane 2x\n")

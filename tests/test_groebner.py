@@ -1,7 +1,6 @@
 """Buchberger, normal forms, leading term ideals and Hilbert functions."""
 
 import random
-from operator import add, sub
 
 import pytest
 from hypothesis import given
@@ -13,19 +12,22 @@ from arrfree import (GF, QQ, Arrangement, DegreeCapExceeded, LinearChange,
                      hilbert_function, jacobian_ideal, leading_term_ideal,
                      normal_form, random_linear_change, s_polynomial)
 from arrfree import groebner as groebner_module
-from arrfree.groebner import _coprime, _divides, _key, _lcm, _power_product
+from arrfree.groebner import (_coprime, _degree, _divides, _key, _lcm,
+                              _power_product)
 from helpers import poly, polys, random_exponent, random_polynomial
 
 FIELDS = pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["QQ", "GF32003"])
 
-# three exponent vectors of one length l <= 5
-exponent_triples = st.integers(1, 5).flatmap(lambda l: st.tuples(
+# three exponent vectors of one length l <= 6
+exponent_triples = st.integers(1, 6).flatmap(lambda l: st.tuples(
     *[st.tuples(*[st.integers(0, 6)] * l)] * 3)).map(
         lambda t: tuple(PowerProduct(e) for e in t))
 
+TOP = (1 << 15) - 1         # the largest exponent a kernel field holds
+
 
 class TestSortKeys:
-    """The kernel's monomials (deg, -e_l, ..., -e_1) against PowerProduct."""
+    """The kernel's packed int monomials against PowerProduct."""
 
     @given(exponent_triples)
     def test_order_agrees_with_degrevlex(self, t):
@@ -36,22 +38,58 @@ class TestSortKeys:
     @given(exponent_triples)
     def test_arithmetic_agrees(self, t):
         a, b, c = t
+        l = len(a)
         ka, kb, kc = _key(a), _key(b), _key(c)
-        ab = tuple(map(add, ka, kb))
+        ab = ka + kb
         assert ab == _key(a * b)
-        assert tuple(map(sub, ab, ka)) == _key((a * b) / a)
-        assert ab[0] == (a * b).degree()
-        assert _lcm(ka, kb) == _key(a.lcm(b))
-        assert _divides(ka, kb) == a.divides(b)
-        assert _divides(ka, ab) and _divides(kc, _key(a * c))
-        assert _coprime(ka, kb) == all(x == 0 or y == 0 for x, y in zip(a, b))
+        assert ab - ka == _key((a * b) / a)
+        assert _degree(ab, l) == (a * b).degree()
+        assert _lcm(ka, kb, l) == _key(a.lcm(b))
+        assert _divides(ka, kb, l) == a.divides(b)
+        assert _divides(ka, ab, l) and _divides(kc, _key(a * c), l)
+        assert _coprime(ka, kb, l) == all(x == 0 or y == 0 for x, y in zip(a, b))
 
     @given(exponent_triples)
     def test_round_trip(self, t):
         for a in t:
-            back = _power_product(_key(a))
+            back = _power_product(_key(a), len(a))
             assert type(back) is PowerProduct and back == a
             assert _key(back) == _key(a)
+
+    @pytest.mark.parametrize("l", range(1, 7))
+    def test_field_boundaries(self, l):
+        for i in range(l):
+            top = PowerProduct([TOP if j == i else 0 for j in range(l)])
+            below = PowerProduct([TOP - 1 if j == i else 0 for j in range(l)])
+            assert _power_product(_key(top), l) == top
+            assert _degree(_key(top), l) == TOP
+            assert _divides(_key(below), _key(top), l)
+            assert not _divides(_key(top), _key(below), l)
+            for j in range(l):
+                x = PowerProduct.variable(j + 1, l)
+                assert _divides(_key(x), _key(top), l) == (i == j)
+                assert not _divides(_key(top), _key(x), l)
+                assert _coprime(_key(top), _key(x), l) == (i != j)
+                # an lcm may pass the limit; its key stays exact
+                assert _power_product(_lcm(_key(top), _key(x), l), l) == top.lcm(x)
+                assert _degree(_lcm(_key(top), _key(x), l), l) == top.lcm(x).degree()
+
+    def test_degree_limit_raises_at_once(self):
+        big = Polynomial.monomial(PowerProduct((TOP + 1, 0, 0)), 3)
+        x = poly("x", 3)
+        with pytest.raises(DegreeCapExceeded, match="kernel limit"):
+            buchberger([poly("x - y", 3), big])
+        with pytest.raises(DegreeCapExceeded, match="kernel limit"):
+            normal_form(big, [x])
+        with pytest.raises(DegreeCapExceeded, match="kernel limit"):
+            normal_form(x, [big])
+        hint = MonomialIdeal([PowerProduct((TOP + 1, 0, 0))], 3)
+        with pytest.raises(DegreeCapExceeded, match="kernel limit"):
+            buchberger(polys(["x^2", "y^2"], 3), hilbert=hint)
+        # an S-pair whose lcm reaches degree 2^15 raises before it is built
+        gens = polys([f"x^{TOP - 1}*y - z^{TOP}", "y*z"], 3)
+        with pytest.raises(DegreeCapExceeded, match=f"S-pair lcm degree {TOP + 1}"):
+            buchberger(gens)
 
 
 class TestNormalForm:
@@ -235,6 +273,38 @@ class TestAgainstSympy:
                 converted.add(sympy.expand(expr))
             assert converted == {sympy.expand(e / sympy.LC(e, *xs, order="grevlex"))
                                  for e in ref.exprs}
+
+
+    @FIELDS
+    @pytest.mark.parametrize("nvars", range(1, 5))
+    def test_whole_monic_bases_match(self, field, nvars):
+        sympy = pytest.importorskip("sympy")
+        p = field.p
+        xs = sympy.symbols(f"s0:{nvars}")
+        rng = random.Random(31 + nvars)
+        for k in range(8):   # homogeneous ideals, then inhomogeneous ones
+            gens = [g.convert(field) for g in (
+                _random_form(nvars, rng.randint(2, 3), rng.randint(2, 4), rng)
+                if k < 4 else random_polynomial(nvars, 3, 3, rng)
+                for _ in range(3)) if not g.is_zero]
+            if not gens:
+                continue
+            sgens = [sympy.Poly.from_dict({tuple(pp): sympy.Rational(c)
+                                           for pp, c in g.terms()}, *xs).as_expr()
+                     for g in gens]
+            options = {"order": "grevlex"} if p is None else {
+                "order": "grevlex", "modulus": p}
+            ref = set()
+            for f in sympy.groebner(sgens, *xs, **options).polys:
+                lc = f.LC(order="grevlex")
+                terms = (((m, sympy.Rational(c / lc)) if p is None else
+                          (m, int(c) * pow(int(lc), -1, p) % p))
+                         for m, c in f.terms())
+                ref.add(frozenset(terms))
+            mine = {frozenset((tuple(pp), sympy.Rational(c) if p is None else c)
+                              for pp, c in g.terms())
+                    for g in buchberger(gens).elements}
+            assert mine == ref
 
 
 class TestHilbert:
