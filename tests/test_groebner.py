@@ -274,7 +274,6 @@ class TestAgainstSympy:
             assert converted == {sympy.expand(e / sympy.LC(e, *xs, order="grevlex"))
                                  for e in ref.exprs}
 
-
     @FIELDS
     @pytest.mark.parametrize("nvars", range(1, 5))
     def test_whole_monic_bases_match(self, field, nvars):
