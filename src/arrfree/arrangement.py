@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .gin import GinCertificate, GinConfig, rgin, substituted
+from .gin import GinCertificate, GinConfig, rgin
 from .groebner import InternalConsistencyError
 from .monomial import (INFINITE, BettiTable, MonomialIdeal, SectionalMatrix,
                        StronglyStableIdeal, betti_eliahou_kervaire,
@@ -127,13 +127,24 @@ def validate(forms: Sequence[Polynomial]) -> ValidationInfo:
 class Arrangement:
     """A central arrangement of pairwise distinct hyperplanes."""
 
-    __slots__ = ("forms", "nvars", "labels", "essential")
+    __slots__ = ("forms", "rows", "content", "nvars", "labels", "essential")
 
     def __init__(self, forms: Sequence[Polynomial], labels: Optional[Sequence[str]] = None):
         info = validate(forms)
         if not info.central or not info.distinct:
             raise ArrangementError("; ".join(info.problems))
         self.forms = tuple(forms)
+        # each form is content * row, with row a primitive integer vector of
+        # the same signs; Q is the product of the rows times self.content
+        rows, self.content = [], Fraction(1)
+        for f in self.forms:
+            vec = _coefficient_vector(f)
+            den = math.lcm(*(c.denominator for c in vec))
+            ints = [c.numerator * (den // c.denominator) for c in vec]
+            content = math.gcd(*ints)
+            rows.append(tuple(v // content for v in ints))
+            self.content *= Fraction(content, den)
+        self.rows = tuple(rows)
         self.nvars = info.l
         self.essential = info.essential
         self.labels = tuple(labels) if labels is not None else None
@@ -152,20 +163,38 @@ class Arrangement:
         return f"Arrangement([{', '.join(str(f) for f in self.forms)}])"
 
 
-def _product(forms: Sequence[Polynomial]) -> Polynomial:
-    Q = forms[0]
-    for f in forms[1:]:
-        Q = Q * f
-    return Q
-
-
-def _partials(Q: Polynomial) -> List[Polynomial]:
-    return [Q.partial_derivative(i) for i in range(1, Q.nvars + 1)]
+def _expand(rows: Sequence[Sequence[int]], field) -> List[Polynomial]:
+    """[Q, dQ/dx_1, ..., dQ/dx_l] over ``field`` for Q the product of the
+    integer rows, each row the coefficients of one linear form.  The product
+    and partials are plain int dicts (residues mod p), wrapped once."""
+    p, l = field.p, len(rows[0])
+    Q = {(0,) * l: 1}
+    for row in rows:
+        out: dict = {}
+        for j, a in enumerate(row):
+            if a:
+                for m, c in Q.items():
+                    k = m[:j] + (m[j] + 1,) + m[j + 1:]
+                    out[k] = out.get(k, 0) + a * c
+        if p:
+            out = {k: c % p for k, c in out.items()}
+        Q = {k: c for k, c in out.items() if c}
+    wrap = int if p else Fraction
+    polys = [Polynomial({PowerProduct(m): wrap(c) for m, c in Q.items()},
+                        l, field, _trusted=True)]
+    for j in range(l):
+        terms = {}
+        for m, c in Q.items():
+            c = c * m[j] % p if p else c * m[j]
+            if c:
+                terms[PowerProduct(m[:j] + (m[j] - 1,) + m[j + 1:])] = wrap(c)
+        polys.append(Polynomial(terms, l, field, _trusted=True))
+    return polys
 
 
 def defining_polynomial(A: Arrangement) -> Polynomial:
     """Product of the defining linear forms; homogeneous of degree n."""
-    return _product(A.forms)
+    return _expand(A.rows, QQ)[0].scale(A.content)
 
 
 def jacobian_ideal(A: Arrangement) -> List[Polynomial]:
@@ -175,8 +204,7 @@ def jacobian_ideal(A: Arrangement) -> List[Polynomial]:
     is a combination of its partials (checked here), so it is omitted from
     the generator list.
     """
-    Q = defining_polynomial(A)
-    partials = _partials(Q)
+    Q, *partials = [f.scale(A.content) for f in _expand(A.rows, QQ)]
     euler = Polynomial.zero(A.nvars, QQ)
     xs = variables(A.nvars, QQ)
     for xi, dQ in zip(xs, partials):
@@ -186,59 +214,26 @@ def jacobian_ideal(A: Arrangement) -> List[Polynomial]:
     return partials
 
 
-def _int_partials(forms: Sequence[Polynomial], field) -> List[Polynomial]:
-    """The partials of the product of the forms, up to one common nonzero
-    factor: each form becomes a primitive integer row (residues mod p), the
-    product and partials are plain int dicts, wrapped once over ``field``."""
-    p, l = field.p, forms[0].nvars
-    Q = {(0,) * l: 1}
-    for f in forms:
-        row = [(pp.index(1), c) for pp, c in f._terms.items()]
-        if p is None:
-            scale = math.lcm(*(c.denominator for _, c in row))
-            content = math.gcd(*(c.numerator * scale // c.denominator for _, c in row))
-            row = [(j, c.numerator * scale // c.denominator // content) for j, c in row]
-        out: dict = {}
-        for j, a in row:
-            for m, c in Q.items():
-                k = m[:j] + (m[j] + 1,) + m[j + 1:]
-                out[k] = out.get(k, 0) + a * c
-        if p:
-            out = {k: c % p for k, c in out.items()}
-        Q = {k: c for k, c in out.items() if c}
-    partials = []
-    for j in range(l):
-        terms = {}
-        for m, c in Q.items():
-            c = c * m[j] % p if p else Fraction(c * m[j])
-            if c:
-                terms[PowerProduct(m[:j] + (m[j] - 1,) + m[j + 1:])] = c
-        partials.append(Polynomial(terms, l, field, _trusted=True))
-    return partials
-
-
 def jacobian_rgin(A: Arrangement, cfg: GinConfig = GinConfig()) -> StronglyStableIdeal:
-    """rgin of the Jacobian ideal of A, the same as ``rgin(jacobian_ideal(A), cfg)``.
+    """rgin of the Jacobian ideal of A.
 
-    By the chain rule grad(Q o g) = g^T (grad Q o g), and g^T is invertible,
-    so J(Q o g) = J(Q) o g.  Each trial therefore moves the n linear forms,
-    multiplies them and differentiates the product, instead of substituting
-    g into the l dense partials of degree n - 1.  The ideal, and with it the
-    reduced Groebner basis and the rgin, is the same; so are the draws.
-    Scaling a moved form changes no ideal, so the product is taken over
-    primitive integer rows (or residues mod p).
+    In exact mode this is ``rgin(jacobian_ideal(A), cfg)``, with the same
+    draws; in modular mode it is that too whenever p divides the content of
+    no form.  By the chain rule grad(Q o g) = g^T (grad Q o g), and g^T is
+    invertible, so J(Q o g) = J(Q) o g.  Each trial therefore moves the n
+    primitive integer rows of the forms by g, multiplies them and
+    differentiates the product, instead of substituting g into the l dense
+    partials of degree n - 1.  Scaling a form changes no ideal, and a
+    primitive row moved by a matrix invertible mod p never vanishes mod p,
+    so modular answers do not depend on how the forms are scaled.
     """
-    J = jacobian_ideal(A)
-
     def build(g, coeff_field):
-        p = coeff_field.p
-        if p is not None and any(c.denominator % p == 0
-                                 for f in A.forms for c in f._terms.values()):
-            # a form has no image mod p, though Q and its partials may
-            return substituted(J, g, coeff_field)
-        return _int_partials(substituted(A.forms, g, coeff_field), coeff_field)
+        cols = list(zip(*g.as_int_rows()))
+        moved = [[sum(a * b for a, b in zip(row, col)) for col in cols]
+                 for row in A.rows]
+        return _expand(moved, coeff_field)[1:]
 
-    return rgin(J, cfg, build)
+    return rgin(jacobian_ideal(A), cfg, build)
 
 
 # ---------------------------------------------------------------------------

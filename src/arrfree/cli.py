@@ -491,6 +491,17 @@ def _config_from_args(args) -> GinConfig:
                      entry_bound=args.entry_bound, mode=mode, primes=primes)
 
 
+def _at_least(low: int):
+    """argparse type: an int that is at least ``low``."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    parse.__name__ = "int"   # argparse names the type in its messages
+    return parse
+
+
 def _exponent_list(text: str) -> ExponentVector:
     try:
         return ExponentVector(int(v) for v in text.split(","))
@@ -634,9 +645,9 @@ def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=1,
                         help="seed of the randomized coordinate changes")
-    common.add_argument("--trials", type=int, default=2,
+    common.add_argument("--trials", type=_at_least(2), default=2,
                         help="number of agreeing random trials required")
-    common.add_argument("--entry-bound", type=int, default=10,
+    common.add_argument("--entry-bound", type=_at_least(1), default=10,
                         help="exact mode: random matrix entries are drawn "
                              "from [-b, b] (modular draws are uniform mod p)")
     common.add_argument("--coeff", type=_parse_coeff,
@@ -651,7 +662,7 @@ def _build_parser() -> _Parser:
     p.add_argument("input")
     p.add_argument("--method", choices=("rgin", "sectional", "both"),
                    default="both")
-    p.add_argument("--dmax", type=int, default=None,
+    p.add_argument("--dmax", type=_at_least(0), default=None,
                    help="largest displayed degree of the sectional matrix")
     p.set_defaults(func=_cmd_analyze)
 
@@ -663,7 +674,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("sm", parents=[common], help="sectional matrix")
     p.add_argument("input")
-    p.add_argument("--dmax", type=int, default=None,
+    p.add_argument("--dmax", type=_at_least(0), default=None,
                    help="largest displayed degree")
     p.set_defaults(func=_cmd_sm)
 

@@ -51,20 +51,8 @@ def _canonical_order(gens: Iterable[PowerProduct]) -> tuple:
 
 
 def _gen_sort_key(pp: PowerProduct):
-    return (pp.degree(), _DescendingPP(pp))
-
-
-class _DescendingPP:
-    __slots__ = ("pp",)
-
-    def __init__(self, pp):
-        self.pp = pp
-
-    def __lt__(self, other):
-        return self.pp > other.pp
-
-    def __eq__(self, other):
-        return self.pp == other.pp
+    # within a degree, lex order of the reversed exponents is DegRevLex reversed
+    return (pp.degree(), pp[::-1])
 
 
 class MonomialIdeal:
@@ -192,7 +180,7 @@ class StronglyStableIdeal(MonomialIdeal):
 
     def __init__(self, gens: Iterable[PowerProduct], nvars: int, certificate=None):
         super().__init__(gens, nvars)
-        if not is_strongly_stable(MonomialIdeal(self.generators, nvars)):
+        if not is_strongly_stable(self):
             raise NotStronglyStableError(f"{self!r} is not strongly stable")
         self.certificate = certificate
 

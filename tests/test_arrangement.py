@@ -128,6 +128,54 @@ class TestTrialRoutes:
         assert moved.certificate == substituted.certificate
 
 
+def random_fraction(rng):
+    return Fraction(rng.choice([-1, 1]) * rng.randint(1, 40), rng.randint(1, 40))
+
+
+class TestScaledForms:
+    """J(A) depends only on the hyperplanes, not on how each form is scaled."""
+
+    @pytest.mark.parametrize("mode", ["exact", "modular"])
+    def test_same_rgin_and_matrices(self, mode):
+        # forms that vanish mod p, then forms whose denominators p divides,
+        # then both; the other forms get random fractions
+        cfg = GinConfig(seed=13, mode=mode)
+        rng = random.Random(23)
+        p, q = cfg.primes
+        for name, A in TestTrialRoutes().arrangements():
+            before = jacobian_rgin(A, cfg)
+            for primes in ([p, q], [Fraction(1, p), Fraction(-1, q)],
+                           [p, Fraction(1, p), -q, Fraction(1, q)]):
+                factors = [Fraction(c) for c in primes]
+                factors += [random_fraction(rng) for _ in A.forms[len(factors):]]
+                rng.shuffle(factors)
+                after = jacobian_rgin(
+                    Arrangement([f.scale(c) for f, c in zip(A.forms, factors)]), cfg)
+                assert after.generators == before.generators, (name, primes)
+                assert after.certificate == before.certificate, (name, primes)
+
+
+class TestAgainstSympy:
+    @pytest.mark.parametrize("l", range(1, 6))
+    def test_product_and_partials(self, l):
+        sympy = pytest.importorskip("sympy")
+        xs = sympy.symbols(f"s0:{l}")
+
+        def to_sympy(f):
+            return sympy.Poly.from_dict(
+                {tuple(pp): sympy.Rational(c) for pp, c in f.terms()}, *xs)
+
+        rng = random.Random(40 + l)
+        for _ in range(4):
+            n = 1 if l == 1 else rng.randint(2, 6)
+            A = Arrangement([f.scale(random_fraction(rng))
+                             for f in distinct_random_forms(l, n, rng)])
+            Q = sympy.prod(sympy.expand(to_sympy(f).as_expr()) for f in A.forms)
+            Q = sympy.Poly(sympy.expand(Q), *xs)
+            assert to_sympy(defining_polynomial(A)) == Q
+            assert [to_sympy(dQ) for dQ in jacobian_ideal(A)] == [Q.diff(x) for x in xs]
+
+
 class TestFreenessGoldens:
     def test_free_five_planes(self):
         A = arrangement(["x", "y", "z", "x+y", "x-y"], 3)

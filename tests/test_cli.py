@@ -200,6 +200,17 @@ class TestCommands:
         assert code == EXIT_OK
         assert text == (GOLDEN / f"analyze_{name}_seed11.json").read_text()
 
+    @pytest.mark.parametrize("p", [32003, 32009])
+    def test_form_scaled_by_a_prime(self, tmp_path, p):
+        # the form vanishes mod p, but the hyperplane does not
+        path = tmp_path / "scaled.arr"
+        path.write_text(FIVE_ARR.replace("hyperplane x+y", f"hyperplane {p}*x + {p}*y"))
+        for coeff in ("exact", "mod:32003,32009"):
+            code, text = run_cli("analyze", str(path), "--coeff", coeff, "--seed", "7")
+            assert code == EXIT_OK, coeff
+            assert "verdict   : FREE" in text
+            assert "<x^4, x^3*y, x^2*y^2, x*y^4, y^6>" in text
+
     def test_rgin_on_ideal(self, tmp_path):
         path = tmp_path / "b.ideal"
         path.write_text(STAIR_IDEAL)
@@ -295,6 +306,25 @@ class TestExitCodes:
         assert run_cli("analyze", str(path), "--coeff", "mod:4")[0] == EXIT_USAGE
         assert run_cli("analyze", str(path),
                        "--coeff", "mod:7,7")[0] == EXIT_USAGE
+
+    @pytest.mark.parametrize("argv", [
+        ("analyze", "--trials", "1"),
+        ("analyze", "--entry-bound", "0"), ("rgin", "--entry-bound", "-3"),
+        ("sm", "--dmax", "-3"), ("analyze", "--dmax", "-1")],
+        ids=lambda argv: " ".join(argv))
+    def test_out_of_range_flag_is_usage(self, tmp_path, argv):
+        path = tmp_path / "five.arr"
+        path.write_text(FIVE_ARR)
+        command, *flag = argv
+        assert run_cli(command, str(path), *flag)[0] == EXIT_USAGE
+
+    def test_smallest_flag_values_accepted(self, tmp_path):
+        path = tmp_path / "b.ideal"
+        path.write_text(STAIR_IDEAL)
+        code, text = run_cli("sm", str(path), "--trials", "2", "--entry-bound", "1",
+                             "--dmax", "0", "--json")
+        assert code == EXIT_OK
+        assert json.loads(text)["sectional_matrix"] == [[1], [1]]
 
     def test_parse_error(self, tmp_path):
         path = tmp_path / "bad.arr"

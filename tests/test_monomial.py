@@ -33,6 +33,17 @@ class TestMinimalizeContains:
                             [(1, 1), (2, 1), (0, 3), (1, 3)]], 2)
         assert mixed == B([(1, 1), (0, 3)], 2)
 
+    def test_generator_order(self):
+        # by degree, then DegRevLex descending: PowerProduct compares by DegRevLex
+        rng = random.Random(3)
+        same_degree = 0
+        for _ in range(30):
+            gens = random_borel_ideal(4, 5, 3, rng).generators
+            for a, b in zip(gens, gens[1:]):
+                assert a.degree() < b.degree() or a > b
+                same_degree += a.degree() == b.degree()
+        assert same_degree > 100
+
     def test_membership(self):
         I = B([(2, 0)], 2)
         assert contains(I, PowerProduct((3, 1)))
