@@ -24,7 +24,8 @@ from .arrangement import (Arrangement, ArrangementError, ExponentVector,
 from .gin import GenericityExhaustedError, GinCertificate, GinConfig, rgin
 from .groebner import DegreeCapExceeded
 from .monomial import (MonomialIdeal, SectionalMatrix, StronglyStableIdeal,
-                       betti_eliahou_kervaire, sectional_matrix)
+                       betti_eliahou_kervaire, sectional_matrix,
+                       triangle_equality)
 from .polyring import (Polynomial, PowerProduct, format_power_product,
                        var_names, _is_prime)
 
@@ -405,18 +406,13 @@ def report_from_dict(data: dict) -> FreenessReport:
 def render_sectional_matrix(M: SectionalMatrix, d0: Optional[int] = None) -> str:
     """ASCII table; the d0 column is bracketed and triangle-equality
     failures are marked with '!'."""
-    failures = set()
-    for i in range(2, M.nrows + 1):
-        for d in range(1, M.dmax + 1):
-            if M.m(i, d) != M.m(i - 1, d) + M.m(i, d - 1):
-                failures.add((i, d))
     header = ["d:"] + [f"[{d}]" if d == d0 else str(d) for d in range(M.dmax + 1)]
     rows = [header]
     for i in range(1, M.nrows + 1):
         cells = [f"i={i}:"]
         for d in range(M.dmax + 1):
             text = str(M.m(i, d))
-            if (i, d) in failures:
+            if i >= 2 and d >= 1 and not triangle_equality(M, i, d):
                 text = "!" + text
             cells.append(text)
         rows.append(cells)

@@ -12,8 +12,10 @@ is flagged as modular.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .groebner import buchberger, leading_term_ideal
@@ -185,8 +187,9 @@ def rgin(gens: Sequence[Polynomial], cfg: GinConfig = GinConfig(),
 
     ``build(g, field)`` returns the generators of one trial, which must
     generate the ideal of ``gens`` after the change g, over ``field``.  The
-    default substitutes g into each generator; a caller that knows a cheaper
-    route to the same ideal passes its own.  The draws do not depend on it.
+    default substitutes g into each generator, divided once by the gcd of
+    its coefficient numerators; a caller that knows a cheaper route to the
+    same ideal passes its own.  The draws do not depend on it.
     All draws of one field share a Hilbert function, so ``buchberger`` skips
     pairs in later draws by the leading terms of the first.
     """
@@ -204,8 +207,13 @@ def rgin(gens: Sequence[Polynomial], cfg: GinConfig = GinConfig(),
         return ideal
 
     if build is None:
+        # dividing out the numerators' gcd keeps the ideal but stops a prime
+        # that divides every coefficient from killing the generator mod p
+        primitive = [f.scale(Fraction(1, math.gcd(
+            *(c.numerator for c in f.term_dict().values())))) for f in nonzero]
+
         def build(g, coeff_field):
-            return substituted(nonzero, g, coeff_field)
+            return substituted(primitive, g, coeff_field)
 
     if cfg.mode == "exact":
         fields = [("exact", QQ)]

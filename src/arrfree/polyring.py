@@ -542,12 +542,6 @@ class LinearChange:
     def identity(cls, nvars: int) -> "LinearChange":
         return cls([[1 if i == j else 0 for j in range(nvars)] for i in range(nvars)])
 
-    def inverse(self) -> "LinearChange":
-        n = self.nvars
-        aug = [list(row) + [int(i == j) for j in range(n)]
-               for i, row in enumerate(self.matrix)]
-        return LinearChange([row[n:] for row in row_reduce(aug)[0]])
-
     def __eq__(self, other):
         return isinstance(other, LinearChange) and self.matrix == other.matrix
 

@@ -274,6 +274,18 @@ class TestModularMode:
         with pytest.raises(ZeroDivisionError):
             rgin([f], GinConfig(seed=1, mode="modular", primes=(7, 11)))
 
+    def test_generator_that_p_divides(self):
+        # every coefficient of the first generator vanishes mod 32003
+        gens = polys(["32003*(x^2+y^2+z^2)", "x*y"], 3)
+        exact = rgin(gens, GinConfig(seed=1))
+        modular = rgin(gens, GinConfig(seed=1, mode="modular"))
+        assert exact == modular == MonomialIdeal(
+            [PowerProduct(e) for e in [(2, 0, 0), (1, 1, 0), (0, 3, 0)]], 3)
+        # numerators divisible by p over a denominator it does not divide
+        fifths = [poly("32003*x^2 + 64006*y^2", 3).scale("1/5"), poly("x*y", 3)]
+        assert rgin(fifths, GinConfig(seed=1, mode="modular")) == \
+            rgin(fifths, GinConfig(seed=1))
+
 
 class TestChainRule:
     def test_moved_product_and_substituted_partials_agree(self):

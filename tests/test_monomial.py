@@ -5,13 +5,16 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arrfree import (INFINITE, MonomialIdeal, NotStronglyStableError,
-                     PowerProduct, StronglyStableIdeal,
-                     betti_eliahou_kervaire, codimension, contains,
+                     PowerProduct, StronglyStableIdeal, betti_eliahou_kervaire,
+                     borel_closure, codimension, contains,
                      is_cm_codim2_stable, is_cohen_macaulay,
                      is_strongly_stable, minimalize, reduction_number,
                      regularity_stable, sectional_matrix, triangle_equality)
+from arrfree.cli import render_sectional_matrix
 from arrfree.monomial import count_standard_monomials, degree_monomials
 from helpers import random_borel_ideal
 
@@ -22,6 +25,42 @@ def B(gens, nvars):
 
 FIVE = B([(4, 0, 0), (3, 1, 0), (2, 2, 0), (1, 4, 0), (0, 6, 0)], 3)
 FIVE_Z = B([(4, 0, 0), (3, 1, 0), (2, 2, 0), (1, 4, 0), (0, 5, 0), (1, 3, 2)], 3)
+# x2*x4^3 has degree 4 and is divisible by x2, but its largest variable is x4
+X2X4 = B([(2, 0, 0, 0, 0), (1, 1, 0, 0, 0), (0, 2, 0, 0, 0), (1, 0, 1, 0, 0),
+          (0, 1, 1, 0, 0), (1, 0, 0, 3, 0), (0, 1, 0, 3, 0), (1, 0, 0, 2, 1),
+          (0, 1, 0, 2, 1), (1, 0, 0, 1, 2), (0, 1, 0, 1, 2)], 5)
+
+
+def _all_moves(t):
+    # every x_i * t / x_j with i < j, not only the adjacent ones
+    for j in range(len(t)):
+        if t[j]:
+            for i in range(j):
+                moved = list(t)
+                moved[j] -= 1
+                moved[i] += 1
+                yield PowerProduct(moved)
+
+
+def _stable_all_pairs(I):
+    return all(I.contains(m) for g in I.generators for m in _all_moves(g))
+
+
+def _closure_all_pairs(gens, nvars):
+    seen, queue = set(), list(gens)
+    while queue:
+        t = queue.pop()
+        if t not in seen:
+            seen.add(t)
+            queue.extend(_all_moves(t))
+    return MonomialIdeal(seen, nvars)
+
+
+# monomial ideals in l = 1..6 variables: up to four generators of degree <= 4
+small_ideals = st.integers(1, 6).flatmap(lambda l: st.lists(
+    st.lists(st.integers(0, l - 1), max_size=4).map(
+        lambda vs: PowerProduct([vs.count(k) for k in range(l)])),
+    min_size=1, max_size=4).map(lambda gens: MonomialIdeal(gens, l)))
 
 
 class TestMinimalizeContains:
@@ -76,6 +115,19 @@ class TestBorel:
     def test_certified_constructor_rejects(self):
         with pytest.raises(NotStronglyStableError):
             StronglyStableIdeal([PowerProduct((0, 1))], 2)
+
+    @settings(deadline=None)
+    @given(small_ideals)
+    def test_adjacent_moves_agree_with_all_pairs(self, I):
+        assert is_strongly_stable(I) == _stable_all_pairs(I)
+        closed = borel_closure(I.generators, I.nvars)
+        assert closed == _closure_all_pairs(I.generators, I.nvars)
+        assert is_strongly_stable(closed) and _stable_all_pairs(closed)
+        # dropping a generator may or may not leave a Borel ideal
+        for k in range(len(closed.generators)):
+            J = MonomialIdeal(closed.generators[:k] + closed.generators[k + 1:],
+                              I.nvars)
+            assert is_strongly_stable(J) == _stable_all_pairs(J)
 
 
 def counting_oracle(I, i, d):
@@ -214,6 +266,37 @@ class TestTriangleEquality:
                 lhs = all(triangle_equality(M, i + 1, d) for d in range(1, reg + 1))
                 rhs = M.m(i + 1, reg) == sum(M.m(i, d) for d in range(0, reg + 1))
                 assert lhs == rhs
+
+
+class TestEliahouKervaireDefect:
+    """M(i,d) - M(i-1,d) - M(i,d-1) is minus the number of degree-d minimal
+    generators whose largest variable is x_i."""
+
+    def test_largest_variable_not_divisibility(self):
+        assert is_strongly_stable(X2X4)
+        M = sectional_matrix(X2X4)
+        assert triangle_equality(M, 2, 4)
+        assert not triangle_equality(M, 4, 4)
+        row2 = render_sectional_matrix(M).splitlines()[2].split()
+        assert row2[0] == "i=2:" and not row2[1 + 4].startswith("!")
+
+    # the ideals of test_row_propagation (seed 79) and test_summation_form (80)
+    @pytest.mark.parametrize("seed, min_vars", [(79, 3), (80, 2)])
+    def test_defect_counts_generators(self, seed, min_vars):
+        rng = random.Random(seed)
+        defects = 0
+        for _ in range(25):
+            I = random_borel_ideal(rng.randint(min_vars, 4), 5, rng.randint(1, 2), rng)
+            if I.is_zero or I.is_unit:
+                continue
+            M = sectional_matrix(I, regularity_stable(I) + 3)
+            m_table = betti_eliahou_kervaire(I).m_table
+            for i in range(2, M.nrows + 1):
+                for d in range(1, M.dmax + 1):
+                    defect = M.m(i, d) - M.m(i - 1, d) - M.m(i, d - 1)
+                    assert defect == -m_table.get((i, d), 0)
+                    defects += defect < 0
+        assert defects > 20
 
 
 class TestReductionNumbers:
