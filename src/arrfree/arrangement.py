@@ -14,7 +14,8 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .gin import GinCertificate, GinConfig, rgin
-from .groebner import InternalConsistencyError
+from .groebner import (_W, InternalConsistencyError, _poly, _residues,
+                       _variables)
 from .monomial import (INFINITE, BettiTable, MonomialIdeal, SectionalMatrix,
                        StronglyStableIdeal, betti_eliahou_kervaire,
                        is_cm_codim2_stable, reduction_number,
@@ -163,38 +164,32 @@ class Arrangement:
         return f"Arrangement([{', '.join(str(f) for f in self.forms)}])"
 
 
-def _expand(rows: Sequence[Sequence[int]], field) -> List[Polynomial]:
+def _expand(rows: Sequence[Sequence[int]], field) -> List[dict]:
     """[Q, dQ/dx_1, ..., dQ/dx_l] over ``field`` for Q the product of the
-    integer rows, each row the coefficients of one linear form.  The product
-    and partials are plain int dicts (residues mod p), wrapped once."""
+    integer rows, each row the coefficients of one linear form.  All are
+    term dicts in the Groebner kernel's packed keys (integers, residues mod
+    p): a product by x_j adds the key of x_j, and the exponent of x_j in a
+    term is read off its field."""
     p, l = field.p, len(rows[0])
-    Q = {(0,) * l: 1}
+    xs = _variables(l)
+    Q = {0: 1}                              # key 0 is the monomial 1
     for row in rows:
         out: dict = {}
-        for j, a in enumerate(row):
+        for x, a in zip(xs, row):
             if a:
-                for m, c in Q.items():
-                    k = m[:j] + (m[j] + 1,) + m[j + 1:]
-                    out[k] = out.get(k, 0) + a * c
-        if p:
-            out = {k: c % p for k, c in out.items()}
-        Q = {k: c for k, c in out.items() if c}
-    wrap = int if p else Fraction
-    polys = [Polynomial({PowerProduct(m): wrap(c) for m, c in Q.items()},
-                        l, field, _trusted=True)]
-    for j in range(l):
-        terms = {}
-        for m, c in Q.items():
-            c = c * m[j] % p if p else c * m[j]
-            if c:
-                terms[PowerProduct(m[:j] + (m[j] - 1,) + m[j + 1:])] = wrap(c)
-        polys.append(Polynomial(terms, l, field, _trusted=True))
-    return polys
+                for k, c in Q.items():
+                    out[k + x] = out.get(k + x, 0) + a * c
+        Q = _residues(out, p)
+    partials, low = [], (1 << _W) - 1
+    for j, x in enumerate(xs):            # -k >> W*j & low: the exponent of x
+        partials.append(_residues(
+            {k - x: c * (-k >> _W * j & low) for k, c in Q.items()}, p))
+    return [Q] + partials
 
 
 def defining_polynomial(A: Arrangement) -> Polynomial:
     """Product of the defining linear forms; homogeneous of degree n."""
-    return _expand(A.rows, QQ)[0].scale(A.content)
+    return _poly(_expand(A.rows, QQ)[0], 1, A.nvars, QQ).scale(A.content)
 
 
 def jacobian_ideal(A: Arrangement) -> List[Polynomial]:
@@ -202,9 +197,11 @@ def jacobian_ideal(A: Arrangement) -> List[Polynomial]:
 
     For a product of n linear forms over the rationals the polynomial itself
     is a combination of its partials (checked here), so it is omitted from
-    the generator list.
+    the generator list.  ``analyze`` does not build this list: its rgin
+    trials move the forms instead (see ``jacobian_rgin``).
     """
-    Q, *partials = [f.scale(A.content) for f in _expand(A.rows, QQ)]
+    Q, *partials = [_poly(t, 1, A.nvars, QQ).scale(A.content)
+                    for t in _expand(A.rows, QQ)]
     euler = Polynomial.zero(A.nvars, QQ)
     xs = variables(A.nvars, QQ)
     for xi, dQ in zip(xs, partials):
@@ -222,8 +219,9 @@ def jacobian_rgin(A: Arrangement, cfg: GinConfig = GinConfig()) -> StronglyStabl
     no form.  By the chain rule grad(Q o g) = g^T (grad Q o g), and g^T is
     invertible, so J(Q o g) = J(Q) o g.  Each trial therefore moves the n
     primitive integer rows of the forms by g, multiplies them and
-    differentiates the product, instead of substituting g into the l dense
-    partials of degree n - 1.  Scaling a form changes no ideal, and a
+    differentiates the product in the Groebner kernel's packed keys,
+    instead of substituting g into the l dense partials of degree n - 1;
+    J(A) itself is never built.  Scaling a form changes no ideal, and a
     primitive row moved by a matrix invertible mod p never vanishes mod p,
     so modular answers do not depend on how the forms are scaled.
     """
@@ -233,7 +231,7 @@ def jacobian_rgin(A: Arrangement, cfg: GinConfig = GinConfig()) -> StronglyStabl
                  for row in A.rows]
         return _expand(moved, coeff_field)[1:]
 
-    return rgin(jacobian_ideal(A), cfg, build)
+    return rgin(A.nvars, cfg, build)
 
 
 # ---------------------------------------------------------------------------

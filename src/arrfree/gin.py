@@ -16,9 +16,9 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
-from .groebner import buchberger, leading_term_ideal
+from .groebner import _int_terms, buchberger, leading_term_ideal
 from .monomial import MonomialIdeal, StronglyStableIdeal, is_strongly_stable
 from .polyring import (GF, QQ, LinearChange, Polynomial, apply_linear_change,
                        _is_prime)
@@ -152,7 +152,7 @@ def _one_trial(build: Callable, l, rng, cfg: GinConfig, coeff_field,
     else:
         g = random_linear_change(l, rng, modulus=coeff_field.p)
     gb = buchberger(build(g, coeff_field), degree_cap=cfg.degree_cap,
-                    hilbert=hint)
+                    hilbert=hint, ring=(l, coeff_field))
     return leading_term_ideal(gb), g.as_int_rows()
 
 
@@ -171,7 +171,7 @@ def _larger(a: MonomialIdeal, b: MonomialIdeal) -> bool:
     return max(m for m in diff if m.degree() == d) in a.generators
 
 
-def rgin(gens: Sequence[Polynomial], cfg: GinConfig = GinConfig(),
+def rgin(gens: Union[Sequence[Polynomial], int], cfg: GinConfig = GinConfig(),
          build: Optional[Callable] = None) -> StronglyStableIdeal:
     """Generic initial ideal of the ideal generated by ``gens``.
 
@@ -185,35 +185,38 @@ def rgin(gens: Sequence[Polynomial], cfg: GinConfig = GinConfig(),
     ``GenericityExhaustedError``.  The k-th draw of a field uses the same
     random stream whatever happened to the draws before it.
 
-    ``build(g, field)`` returns the generators of one trial, which must
-    generate the ideal of ``gens`` after the change g, over ``field``.  The
-    default substitutes g into each generator, divided once by the gcd of
-    its coefficient numerators; a caller that knows a cheaper route to the
-    same ideal passes its own.  The draws do not depend on it.
+    ``build(g, field)`` returns the generators of one trial as the
+    kernel's packed term dicts (see ``buchberger``), which must generate the
+    ideal of ``gens`` after the change g, over ``field``.  The default
+    substitutes g into each generator, divided once by the gcd of its
+    coefficient numerators; a caller that knows a cheaper route to the same
+    ideal passes its own, and passes the number of variables l as ``gens``.
+    The draws do not depend on the route.
     All draws of one field share a Hilbert function, so ``buchberger`` skips
     pairs in later draws by the leading terms of the first.
     """
-    gens = [g for g in gens]
-    if not gens:
-        raise ValueError("rgin requires at least one generator")
-    l = gens[0].nvars
-    for g in gens[1:]:
-        gens[0]._check_compatible(g)
-    if gens[0].field != QQ:
-        raise ValueError("rgin input must be given over the rationals")
-    nonzero = [g for g in gens if not g.is_zero]
-    if not nonzero:
-        ideal = StronglyStableIdeal((), l)
-        return ideal
-
-    if build is None:
+    if build is not None:
+        l = gens
+    else:
+        gens = list(gens)
+        if not gens:
+            raise ValueError("rgin requires at least one generator")
+        l = gens[0].nvars
+        for g in gens[1:]:
+            gens[0]._check_compatible(g)
+        if gens[0].field != QQ:
+            raise ValueError("rgin input must be given over the rationals")
+        nonzero = [g for g in gens if not g.is_zero]
+        if not nonzero:
+            return StronglyStableIdeal((), l)
         # dividing out the numerators' gcd keeps the ideal but stops a prime
         # that divides every coefficient from killing the generator mod p
         primitive = [f.scale(Fraction(1, math.gcd(
             *(c.numerator for c in f.term_dict().values())))) for f in nonzero]
 
         def build(g, coeff_field):
-            return substituted(primitive, g, coeff_field)
+            return [_int_terms(f)[0]
+                    for f in substituted(primitive, g, coeff_field)]
 
     if cfg.mode == "exact":
         fields = [("exact", QQ)]
@@ -251,7 +254,7 @@ def rgin(gens: Sequence[Polynomial], cfg: GinConfig = GinConfig(),
         seed=cfg.seed, trials=cfg.trials, coeff_mode=cfg.coeff_mode,
         matrices=tuple(draws[i][2] for i in chosen),
         discarded=tuple(d[2] for i, d in enumerate(draws) if i not in chosen))
-    return StronglyStableIdeal(best.generators, l, certificate=cert)
+    return StronglyStableIdeal._checked(best, cert)
 
 
 def _exhausted(cfg: GinConfig, tag: str, draws: list,

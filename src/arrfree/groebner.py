@@ -7,18 +7,28 @@ arrays, heaps, and packed exponent vectors", CASC 2007).  Plain int order is
 DegRevLex, a product is a sum of keys and a quotient a difference.  The
 fields alone, R = (deg << W*l) - key, hold the exponents with a spare top bit
 each, so a divides b exactly when ((R_b | G) - R_a) & G == G for G the top
-bits.  Every exponent must stay below 2^15, so a monomial of degree 2^15 or
-more raises ``DegreeCapExceeded`` on its way in, and so does an S-pair whose
-lcm reaches that degree; reduction never raises the degree.  ``_int_terms``
-converts from ``PowerProduct`` on the way in and ``_poly`` converts back on
-the way out.
+bits, an lcm is the fieldwise maximum and coprime monomials are those whose
+lcm is R_a + R_b; the pair update reads these off the fields that each
+packed basis element keeps.  Every exponent must stay below 2^15, so a
+monomial of degree 2^15 or more raises ``DegreeCapExceeded`` on its way in,
+and so does an S-pair whose lcm reaches that degree; reduction never raises
+the degree.  ``_int_terms`` converts from ``PowerProduct`` on the way in and
+``_poly`` converts back on the way out; ``arrangement`` builds each rgin
+trial in these keys directly, so a trial never converts on the way in.
 
 Both coefficient fields share one fraction-free reduction kernel on integer
 term dicts.  Over QQ divisors are kept primitive (content 1, positive leading
 coefficient) and the working polynomial is rescaled instead of introducing
 fractions, with the accumulated multiplier divided out at the end.  Over
-GF(p) the same kernel reduces every coefficient mod p; divisors are monic, so
-no rescaling ever happens.  Pairs are pruned with
+GF(p) divisors are monic, so no rescaling ever happens.  Residues are
+lazy: a subtraction neither drops a zero nor, over GF(p), reduces mod p; a
+term is read mod p, or skipped as zero, only when it is popped or emitted.
+
+Buchberger's algorithm only top-reduces each S-polynomial: it stops at the
+first leading term that no basis element divides.  The leading terms, all
+that the pair update and ``leading_term_ideal`` read, are those of full
+reduction; the tails are reduced once, against the final basis, when
+``GroebnerBasis.elements`` is first read.  Pairs are pruned with
 Buchberger's coprimality and chain criteria (Gebauer-Moeller installation)
 and selected by smallest lcm degree first.
 
@@ -81,6 +91,11 @@ def _degree(k: int, nvars: int) -> int:
     return -(-k >> _W * nvars)
 
 
+def _variables(nvars: int) -> list:
+    """The keys of x_1, ..., x_l."""
+    return [(1 << _W * nvars) - (1 << _W * j) for j in range(nvars)]
+
+
 def _key(pp: PowerProduct) -> int:
     """The packed key of a power product; raises past the field limit."""
     deg = sum(pp)
@@ -98,13 +113,16 @@ def _power_product(k: int, nvars: int) -> PowerProduct:
     return tuple.__new__(PowerProduct, _exponents(-k, nvars))   # -k ends in R
 
 
-def _lcm(a: int, b: int, nvars: int) -> int:
-    """The key of lcm(a, b); no limit applies."""
-    g = _guards(nvars)
-    ra, rb = _fields(a, nvars), _fields(b, nvars)
+def _max_fields(ra: int, rb: int, g: int) -> int:
+    """The fieldwise maximum of two exponent fields; g = _guards(l)."""
     top = ((ra | g) - rb) & g          # guard bits of the fields where a >= b
     take_a = top | (top - (top >> (_W - 1)))   # widened to whole fields
-    r = ra & take_a | rb & ~take_a
+    return ra & take_a | rb & ~take_a
+
+
+def _lcm(a: int, b: int, nvars: int) -> int:
+    """The key of lcm(a, b); no limit applies."""
+    r = _max_fields(_fields(a, nvars), _fields(b, nvars), _guards(nvars))
     return (sum(_exponents(r, nvars)) << _W * nvars) - r
 
 
@@ -114,9 +132,9 @@ def _divides(a: int, b: int, nvars: int) -> bool:
 
 
 def _coprime(a: int, b: int, nvars: int) -> bool:
-    g = _guards(nvars)
-    low = g >> (_W - 1)                # the bottom bit of each field
-    return not ((_fields(a, nvars) | g) - low) & ((_fields(b, nvars) | g) - low) & g
+    """No variable divides both: the lcm is the product."""
+    ra, rb = _fields(a, nvars), _fields(b, nvars)
+    return _max_fields(ra, rb, _guards(nvars)) == ra + rb
 
 
 # ---------------------------------------------------------------------------
@@ -194,37 +212,48 @@ def _shrink(work: dict, rem: dict, mult: int) -> int:
     return mult
 
 
-def _subtract(work: dict, tail: list, q: int, b: int, p: Optional[int]) -> None:
-    """work -= b * q * tail in place, mod p when p is set; q is a key."""
-    for gm, gc in tail:
-        k = gm + q
-        v = work.get(k, 0) - b * gc
-        if p:
-            v %= p
-        if v:
-            work[k] = v
-        else:
-            work.pop(k, None)
+def _residues(terms: dict, p: Optional[int]) -> dict:
+    """terms without its zero entries; mod p each entry is read mod p."""
+    if p:
+        return {k: r for k, v in terms.items() if (r := v % p)}
+    return {k: v for k, v in terms.items() if v}
+
+
+def _subtract(work: dict, tail: list, q: int, b: int) -> None:
+    """work -= b * q * tail in place; q is a key.  Entries that reach zero
+    stay, and mod p no entry is reduced: ``_reduce`` does both on reading."""
+    get = work.get
+    for k, gc in tail:
+        k += q
+        work[k] = get(k, 0) - b * gc
 
 
 def _reduce(work: dict, divisors: Sequence[tuple], p: Optional[int],
-            nvars: int, degree_cap: Optional[int] = None) -> Tuple[dict, int]:
-    """Fraction-free full reduction of an integer term dict.
+            nvars: int, degree_cap: Optional[int] = None,
+            top: bool = False) -> Tuple[dict, int]:
+    """Fraction-free reduction of an integer term dict, consumed in place.
 
     ``divisors`` holds ``_pack`` tuples with lc > 0 and tail the
     non-leading terms; mod p they are monic, so lc = 1 and the multiplier
-    stays 1.  Returns (remainder, mult) with
-    remainder = mult * NF(original work).
+    stays 1.  An entry of ``work`` may be zero, and mod p any integer: each
+    term is read mod p when it is popped and skipped when it is zero.
+    Returns (remainder, mult) with remainder = mult * NF(original work); with
+    ``top`` it stops at the first leading term that no divisor reduces and
+    returns that term with the rest of the work unreduced.
     """
     mult = 1
     rem: dict = {}
     guards, mask = _guards(nvars), (1 << _W * nvars) - 1
     while work:
         t = max(work)
+        c = work.pop(t)
+        if p:
+            c %= p
+        if not c:
+            continue
         if degree_cap is not None and _degree(t, nvars) > degree_cap:
             raise DegreeCapExceeded(f"reduction reached degree "
                                     f"{_degree(t, nvars)} > cap {degree_cap}")
-        c = work.pop(t)
         rt = -t & mask | guards            # the fields of t, guard bits set
         for r, lt, lc, tail in divisors:
             if (rt - r) & guards == guards:     # _divides(lt, t)
@@ -236,7 +265,7 @@ def _reduce(work: dict, divisors: Sequence[tuple], p: Optional[int],
                         work[k] *= a
                     for k in rem:
                         rem[k] *= a
-                _subtract(work, tail, t - lt, c // g, p)
+                _subtract(work, tail, t - lt, c // g)
                 # rescan only when the multiplier grew: after the other
                 # steps the rescan almost never finds a common factor
                 if a != 1 and mult.bit_length() > 512:
@@ -244,6 +273,9 @@ def _reduce(work: dict, divisors: Sequence[tuple], p: Optional[int],
                 break
         else:
             rem[t] = c
+            if top:
+                rem.update(_residues(work, p))
+                break
     return rem, mult
 
 
@@ -289,9 +321,10 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
 class GroebnerBasis:
     """Reduced Groebner basis under DegRevLex: monic, interreduced, sorted.
 
-    It holds the kernel's packed elements, whose leading terms generate the
-    leading term ideal minimally and in order; it tail-reduces and converts
-    them only when ``elements`` is first read.
+    It holds the kernel's packed elements, top-reduced only: their leading
+    terms generate the leading term ideal minimally and in order, but their
+    tails are reduced, and the elements converted, only when ``elements`` is
+    first read.
     """
 
     __slots__ = ("_divisors", "_elements", "nvars", "field")
@@ -354,7 +387,7 @@ class _Staircase:
         self.nvars = nvars
         self.gens: dict = {}       # degree -> keys of generators not yet used
         self.degree, self.monomials = -1, set()
-        self.steps = [(1 << _W * nvars) - (1 << _W * j) for j in range(nvars)]
+        self.steps = _variables(nvars)
         for k in gens:
             self.add(k)
 
@@ -387,7 +420,6 @@ class _Engine:
         self.hint = hint           # the target Hilbert function, or None
         self.found = _Staircase((), nvars)   # the leading terms so far
         self.packed: dict = {}     # id -> _pack tuple, never mutated
-        self.lts: dict = {}        # id -> key of the leading term
         self.active: list = []     # ids sorted by (lt, id)
         self.divisors: list = []   # _pack tuples of the active ids, in order
         self.pairs: dict = {}      # (i, j) i<j -> key of the lcm
@@ -396,7 +428,9 @@ class _Engine:
     # -- plumbing ----------------------------------------------------------
 
     def _nf(self, work: dict) -> dict:
-        rem, _ = _reduce(work, self.divisors, self.p, self.nvars, self.degree_cap)
+        """work top-reduced by the basis; tails wait for ``_interreduce``."""
+        rem, _ = _reduce(work, self.divisors, self.p, self.nvars,
+                         self.degree_cap, top=True)
         return _normalize(rem, self.p)
 
     def _spair_terms(self, i: int, j: int, lcm: int) -> dict:
@@ -406,48 +440,47 @@ class _Engine:
         # the leading terms cancel: (lc_j / g) * lc_i = (lc_i / g) * lc_j
         qi = lcm - lt_i
         out = {k + qi: lc_j // g * c for k, c in tail_i}
-        _subtract(out, tail_j, lcm - lt_j, lc_i // g, self.p)
-        return out
+        _subtract(out, tail_j, lcm - lt_j, lc_i // g)
+        return _residues(out, self.p)
 
-    # -- Gebauer-Moeller update ---------------------------------------------
+    # -- Gebauer-Moeller update, on the fields that ``_pack`` keeps ----------
 
     def add(self, terms: dict) -> None:
-        h, n = self.next_id, self.nvars
+        h, n, G = self.next_id, self.nvars, _guards(self.nvars)
         self.next_id += 1
-        self.packed[h] = _pack(terms, n)
-        lt_h = self.packed[h][1]
-        self.lts[h] = lt_h
+        packed = self.packed[h] = _pack(terms, n)
+        rh, lt_h = packed[0], packed[1]
         self.found.add(lt_h)
 
-        # candidate pairs of h with the current basis, pruned by the chain
-        # criterion: drop a pair whose lcm is covered by a kept pair, by a
-        # strictly smaller pending lcm, or by an equal lcm still pending
+        # candidate pairs of h with the current basis, as (g, fields of the
+        # lcm), pruned by the chain criterion: drop a pair whose lcm is
+        # divisible by the lcm of a kept pair or of a pair still pending
+        pending = [(g, _max_fields(rh, self.packed[g][0], G)) for g in self.active]
         kept: list = []
-        pending = [(g, _lcm(lt_h, self.lts[g], n)) for g in self.active]
         while pending:
-            g, lcm_hg = pending.pop(0)
-            covered = (
-                any(_divides(o, lcm_hg, n) for _, o in kept)
-                or any(_divides(o, lcm_hg, n) and o != lcm_hg for _, o in pending)
-                or any(o == lcm_hg for _, o in pending))
-            if _coprime(lt_h, self.lts[g], n) or not covered:
-                kept.append((g, lcm_hg))
-        new_pairs = [(g, lcm_hg) for g, lcm_hg in kept
-                     if not _coprime(lt_h, self.lts[g], n)]
+            g, r = pending.pop(0)
+            coprime = r == rh + self.packed[g][0]     # the lcm is the product
+            rG = r | G
+            if coprime or not any((rG - o) & G == G for _, o, _ in kept) \
+                    and not any((rG - o) & G == G for _, o in pending):
+                kept.append((g, r, coprime))
 
         # drop old pairs whose lcm is strictly covered by h
         for (i, j), lcm_ij in list(self.pairs.items()):
-            if _divides(lt_h, lcm_ij, n) \
-                    and _lcm(self.lts[i], lt_h, n) != lcm_ij \
-                    and _lcm(lt_h, self.lts[j], n) != lcm_ij:
+            r = _fields(lcm_ij, n)
+            if ((r | G) - rh) & G == G \
+                    and _max_fields(self.packed[i][0], rh, G) != r \
+                    and _max_fields(rh, self.packed[j][0], G) != r:
                 del self.pairs[(i, j)]
-        for g, lcm_hg in new_pairs:
-            self.pairs[(min(g, h), max(g, h))] = lcm_hg
+        for g, r, coprime in kept:
+            if not coprime:
+                self.pairs[(g, h)] = (sum(_exponents(r, n)) << _W * n) - r
 
         # retire basis elements whose leading term h covers
-        self.active = [g for g in self.active if not _divides(lt_h, self.lts[g], n)]
+        self.active = [g for g in self.active
+                       if ((self.packed[g][0] | G) - rh) & G != G]
         self.active.append(h)
-        self.active.sort(key=lambda g: (self.lts[g], g))
+        self.active.sort(key=lambda g: (self.packed[g][1], g))
         self.divisors = [self.packed[g] for g in self.active]
 
     def select_pair(self):
@@ -475,40 +508,47 @@ class _Engine:
                 self.add(h)
 
 
-def buchberger(gens: Sequence[Polynomial], degree_cap: Optional[int] = None,
-               hilbert: Optional[MonomialIdeal] = None) -> GroebnerBasis:
+def buchberger(gens: Sequence, degree_cap: Optional[int] = None,
+               hilbert: Optional[MonomialIdeal] = None,
+               ring: Optional[tuple] = None) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal generated by ``gens``.
 
-    Zero generators are discarded; an all-zero input yields the zero ideal,
-    represented by an empty basis.  ``hilbert``, a monomial ideal with the
-    Hilbert function of that ideal, is used only when every generator is
-    homogeneous: it drops the pairs it proves to reduce to zero, and a basis
-    that outgrows it raises ``InternalConsistencyError``.
+    ``gens`` are Polynomials or, with ``ring`` = (nvars, field), integer
+    term dicts in the kernel's packed keys, read mod p over GF(p) and never
+    changed.  Zero generators are discarded; an all-zero input yields the
+    zero ideal, represented by an empty basis.  ``hilbert``, a monomial
+    ideal with the Hilbert function of that ideal, is used only when every
+    generator is homogeneous: it drops the pairs it proves to reduce to
+    zero, and a basis that outgrows it raises ``InternalConsistencyError``.
     """
     gens = list(gens)
     if not gens:
         raise ValueError("buchberger requires at least one generator")
-    nvars = gens[0].nvars
-    field = gens[0].field
-    for g in gens[1:]:
-        gens[0]._check_compatible(g)
-    nonzero = [g for g in gens if not g.is_zero]
+    if ring is None:
+        nvars, field = gens[0].nvars, gens[0].field
+        for g in gens[1:]:
+            gens[0]._check_compatible(g)
+        gens = [_int_terms(g)[0] for g in gens]
+    else:
+        nvars, field = ring
+    nonzero = [g for g in (_residues(g, field.p) for g in gens) if g]
     if not nonzero:
         return GroebnerBasis([], nvars, field)
     if degree_cap is not None:
-        top = max(g.total_degree() for g in nonzero)
+        top = max(_degree(max(g), nvars) for g in nonzero)
         if top > degree_cap:
             raise DegreeCapExceeded(f"generator degree {top} > cap {degree_cap}")
 
-    items = [_normalize(_int_terms(g)[0], field.p) for g in nonzero]
     hint = None
-    if hilbert is not None and all(g.is_homogeneous() for g in nonzero):
+    # keys order by degree first, so g is homogeneous when its least and
+    # greatest keys share a degree
+    if hilbert is not None and all(
+            _degree(min(g), nvars) == _degree(max(g), nvars) for g in nonzero):
         hint = _Staircase(map(_key, hilbert.generators), nvars)
     engine = _Engine(field.p, degree_cap, hint, nvars)
     # feed generators smallest leading term first, reducing each against the
     # basis built so far
-    items.sort(key=max)
-    for terms in items:
+    for terms in sorted((_normalize(g, field.p) for g in nonzero), key=max):
         reduced = engine._nf(terms) if engine.active else terms
         if reduced:
             engine.add(reduced)

@@ -196,6 +196,14 @@ class StronglyStableIdeal(MonomialIdeal):
     def from_ideal(cls, B: MonomialIdeal, certificate=None) -> "StronglyStableIdeal":
         return cls(B.generators, B.nvars, certificate)
 
+    @classmethod
+    def _checked(cls, B: MonomialIdeal, certificate=None) -> "StronglyStableIdeal":
+        """B as it is, for a caller that has already checked it strongly
+        stable: no second minimalize pass and no second check."""
+        out = cls.__new__(cls)
+        out.generators, out.nvars, out.certificate = B.generators, B.nvars, certificate
+        return out
+
 
 def _as_stable(B: MonomialIdeal) -> MonomialIdeal:
     if isinstance(B, StronglyStableIdeal):

@@ -12,7 +12,11 @@ from arrfree import (Arrangement, ArrangementError, ExponentVector, GinConfig,
                      is_free_via_sectional, jacobian_ideal, jacobian_rgin,
                      realizable_as_free, rgin, rgin_from_exponents,
                      supersolvable_from_exponents, validate)
-from arrfree.arrangement import sectional_bounds
+from arrfree import (GF, QQ, apply_linear_change, random_linear_change,
+                     variables)
+from arrfree import arrangement as arrangement_module
+from arrfree.arrangement import _expand, sectional_bounds
+from arrfree.groebner import _poly
 from helpers import distinct_random_forms, poly, polys, random_linear_form
 
 CFG = GinConfig(seed=9)
@@ -116,6 +120,18 @@ class TestTrialRoutes:
             assert moved.generators == substituted.generators, name
             assert moved.certificate == substituted.certificate, name
 
+    @pytest.mark.parametrize("mode", ["exact", "modular"])
+    @pytest.mark.parametrize("l", range(2, 5))
+    def test_random_arrangements(self, l, mode):
+        # one form that p divides and one with fraction coefficients
+        rng = random.Random(50 + l)
+        A = random_arrangement(l, rng)
+        cfg = GinConfig(seed=l, mode=mode)
+        moved = jacobian_rgin(A, cfg)
+        substituted = rgin(jacobian_ideal(A), cfg)
+        assert moved.generators == substituted.generators
+        assert moved.certificate == substituted.certificate
+
     def test_forms_without_an_image_mod_p(self):
         # x/p and p*y have no image mod p, but their product does
         p = 32003
@@ -130,6 +146,61 @@ class TestTrialRoutes:
 
 def random_fraction(rng):
     return Fraction(rng.choice([-1, 1]) * rng.randint(1, 40), rng.randint(1, 40))
+
+
+def random_arrangement(l, rng):
+    """l + 1 forms in l variables: one that 32003 divides, one with
+    fraction coefficients, the rest integer."""
+    forms = distinct_random_forms(l, l + 1, rng)
+    return Arrangement([forms[0].scale(32003), forms[1].scale(random_fraction(rng)),
+                        *forms[2:]])
+
+
+PACKED_FIELDS = pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["QQ", "GF32003"])
+
+
+class TestPackedTrials:
+    """Each rgin trial is built by ``_expand`` in the kernel's packed keys."""
+
+    @PACKED_FIELDS
+    @pytest.mark.parametrize("l", range(2, 6))
+    def test_trials_are_the_moved_partials(self, l, field, monkeypatch):
+        builds = []
+        monkeypatch.setattr(arrangement_module, "rgin",
+                            lambda nvars, cfg, build: builds.append(build))
+        rng = random.Random(60 + l)
+        for _ in range(3 if l < 5 else 1):     # substitution is slow at l = 5
+            A = random_arrangement(l, rng)
+            jacobian_rgin(A, CFG)
+            if field.p is None:
+                g = random_linear_change(l, rng, 10)
+            else:
+                g = random_linear_change(l, rng, modulus=field.p)
+            trial = builds.pop()(g, field)
+            # the reference: the primitive product, moved, then differentiated
+            Qg = apply_linear_change(
+                defining_polynomial(A).scale(1 / A.content).convert(field), g)
+            assert [_poly(t, 1, l, field) for t in trial] == \
+                [Qg.partial_derivative(i) for i in range(1, l + 1)]
+            residues = range(1, field.p) if field.p else None
+            for t in trial:
+                assert all(c and (residues is None or c in residues) for c in t.values())
+
+    @PACKED_FIELDS
+    @pytest.mark.parametrize("l", range(1, 6))
+    def test_euler_relation(self, l, field):
+        # sum x_i * dQ/dx_i = n * Q on _expand's output, with entries far
+        # outside [0, p) and rows that p divides
+        rng = random.Random(70 + l)
+        for n in (1, 4, 7):
+            rows = [[rng.randint(-40000, 40000) for _ in range(l)] for _ in range(n)]
+            rows[0] = [32003 * rng.randint(1, 3)] + [0] * (l - 1)
+            Q, *partials = [_poly(t, 1, l, field) for t in _expand(rows, field)]
+            euler = Polynomial.zero(l, field)
+            for x, dQ in zip(variables(l, field), partials):
+                euler = euler + x * dQ
+            assert euler == Q.scale(n)
+            assert Q.is_zero == (field.p is not None)
 
 
 class TestScaledForms:

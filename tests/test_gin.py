@@ -12,10 +12,20 @@ from arrfree import (GenericityExhaustedError, GinConfig, LinearChange,
                      hilbert_function, leading_term_ideal,
                      random_linear_change, regularity_stable, rgin)
 from arrfree import gin as gin_module
+from arrfree.groebner import _int_terms
 from helpers import monomial_gens, poly, polys, random_borel_ideal, \
     random_polynomial
 
 CFG = GinConfig(seed=42)
+
+
+def _packed(polys):
+    # a trial's generators in the kernel's packed keys, as build returns them
+    return [_int_terms(f)[0] for f in polys]
+
+
+def _moved(gens, g, field):
+    return _packed(gin_module.substituted(gens, g, field))
 
 
 class TestRandomLinearChange:
@@ -111,9 +121,9 @@ class TestGenericityFailure:
 
         def build(g, field):  # only draw 0 is generic; the rest keep gens
             seen.append(tuple(tuple(r) for r in g.as_int_rows()))
-            return gin_module.substituted(gens, g, field) if len(seen) == 1 else gens
+            return _moved(gens, g, field) if len(seen) == 1 else _packed(gens)
         with pytest.raises(GenericityExhaustedError) as err:
-            rgin(gens, GinConfig(seed=2, max_retries=2), build)
+            rgin(3, GinConfig(seed=2, max_retries=2), build)
         draws = err.value.draws
         assert [(d.field, d.index) for d in draws] == [("exact", k) for k in range(4)]
         assert [d.matrix for d in draws] == seen
@@ -126,8 +136,8 @@ class TestGenericityFailure:
     def test_modular_exhaustion_does_not_suggest_entry_bound(self):
         gens = polys(["z^5", "x*y*z^3"], 3)
         with pytest.raises(GenericityExhaustedError) as err:
-            rgin(gens, GinConfig(seed=1, max_retries=1, mode="modular"),
-                 lambda g, field: [f.convert(field) for f in gens])
+            rgin(3, GinConfig(seed=1, max_retries=1, mode="modular"),
+                 lambda g, field: _packed(f.convert(field) for f in gens))
         assert len(err.value.draws) == 2  # the first prime's budget
         assert "uniform mod p" in str(err.value)
         assert "entry bound" not in str(err.value)
@@ -136,7 +146,8 @@ class TestGenericityFailure:
 def _x5(field):
     # strongly stable, smaller than the gin <x^5, x^4*y, x^3*y^3> and with
     # its Hilbert function, as every draw of one field must be
-    return [f.convert(field) for f in polys(["x^5", "x^4*y", "x^4*z^2", "x^3*y^4"], 3)]
+    return _packed(f.convert(field)
+                   for f in polys(["x^5", "x^4*y", "x^4*z^2", "x^3*y^4"], 3))
 
 
 class TestRedraws:
@@ -166,8 +177,8 @@ class TestRedraws:
             seen.append(tuple(tuple(r) for r in g.as_int_rows()))
             if len(seen) == 1:
                 return _x5(field)
-            return gin_module.substituted(self.GENS, g, field)
-        B = rgin(self.GENS, CFG, build)
+            return _moved(self.GENS, g, field)
+        B = rgin(3, CFG, build)
         assert str(B) == self.GIN
         assert B.certificate.matrices == tuple(seen[1:3])
         assert B.certificate.discarded == (seen[0],)
@@ -181,8 +192,8 @@ class TestRedraws:
             seen.append(tuple(tuple(r) for r in g.as_int_rows()))
             if len(seen) <= 3:
                 return _x5(field)
-            return gin_module.substituted(self.GENS, g, field)
-        B = rgin(self.GENS, GinConfig(seed=42, mode="modular"), build)
+            return _moved(self.GENS, g, field)
+        B = rgin(3, GinConfig(seed=42, mode="modular"), build)
         assert str(B) == self.GIN
         assert len(seen) == 7
         assert B.certificate.matrices == (seen[5], seen[6], seen[3], seen[4])
@@ -195,10 +206,10 @@ class TestRedraws:
         def build(g, field):  # the first draw computes <x^5>, not the ideal
             calls.append(g)
             if len(calls) == 1:
-                return [poly("x^5", 3).convert(field)]
-            return gin_module.substituted(self.GENS, g, field)
+                return _packed([poly("x^5", 3).convert(field)])
+            return _moved(self.GENS, g, field)
         with pytest.raises(InternalConsistencyError, match="Hilbert function"):
-            rgin(self.GENS, CFG, build)
+            rgin(3, CFG, build)
         assert len(calls) == 2
 
     def test_draws_keep_their_streams(self):
@@ -208,8 +219,8 @@ class TestRedraws:
         def build(g, field):
             rows.append(g.as_int_rows())
             return _x5(field) if len(rows) == 1 else \
-                gin_module.substituted(self.GENS, g, field)
-        rgin(self.GENS, CFG, build)
+                _moved(self.GENS, g, field)
+        rgin(3, CFG, build)
         for k, got in enumerate(rows):
             rng = gin_module._trial_stream(CFG.seed, k // 2, k % 2, "exact")
             assert got == random_linear_change(3, rng, CFG.entry_bound).as_int_rows()
@@ -285,6 +296,22 @@ class TestModularMode:
         fifths = [poly("32003*x^2 + 64006*y^2", 3).scale("1/5"), poly("x*y", 3)]
         assert rgin(fifths, GinConfig(seed=1, mode="modular")) == \
             rgin(fifths, GinConfig(seed=1))
+
+
+class TestResultIsCheckedOnce:
+    def test_no_second_borel_check(self, monkeypatch):
+        # rgin checks each draw through its own name and builds the result
+        # without StronglyStableIdeal.__init__, which would check it again
+        from arrfree import StronglyStableIdeal, monomial
+        calls = []
+        check = monomial.is_strongly_stable
+        monkeypatch.setattr(monomial, "is_strongly_stable",
+                            lambda B: calls.append(B) or check(B))
+        B = rgin(polys(["z^5", "x*y*z^3"], 3), CFG)
+        assert not calls
+        assert type(B) is StronglyStableIdeal and B.certificate.seed == CFG.seed
+        assert B == StronglyStableIdeal(B.generators, 3) and calls
+        assert str(B) == TestRedraws.GIN
 
 
 class TestChainRule:

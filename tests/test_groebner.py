@@ -13,7 +13,7 @@ from arrfree import (GF, QQ, Arrangement, DegreeCapExceeded, LinearChange,
                      normal_form, random_linear_change, s_polynomial)
 from arrfree import groebner as groebner_module
 from arrfree.groebner import (_coprime, _degree, _divides, _key, _lcm,
-                              _power_product)
+                              _pack, _power_product, _reduce)
 from helpers import poly, polys, random_exponent, random_polynomial
 
 FIELDS = pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["QQ", "GF32003"])
@@ -394,15 +394,88 @@ class TestHilbertDriven:
             buchberger(gens, hilbert=MonomialIdeal([PowerProduct((2, 0, 0))], 3))
 
     def test_leading_terms_before_and_after_the_elements(self, monkeypatch):
-        gens = polys(["x^2 - y*z", "x*y^2 - z^3", "y^4 - x*z^2"], 3)
-        calls = []
-        original = groebner_module._interreduce
-        monkeypatch.setattr(groebner_module, "_interreduce",
-                            lambda *a: calls.append(1) or original(*a))
-        G = buchberger(gens)
-        before = leading_term_ideal(G)
-        assert not calls                   # nothing read the elements yet
-        assert len(G) == len(before.generators) and calls == [1]
-        assert leading_term_ideal(G) == before == MonomialIdeal(
-            [g.leading_power_product() for g in G.elements], 3)
-        assert calls == [1]
+        for field in (QQ, GF(32003)):
+            gens = [g.convert(field) for g in
+                    polys(["x^2 - y*z", "x*y^2 - z^3", "y^4 - x*z^2"], 3)]
+            calls, full = [], []
+            original = groebner_module._interreduce
+            monkeypatch.setattr(groebner_module, "_interreduce",
+                                lambda *a: calls.append(1) or original(*a))
+            reduce = groebner_module._reduce
+
+            def tracked(*a, top=False, **k):
+                full.append(not top)
+                return reduce(*a, top=top, **k)
+            monkeypatch.setattr(groebner_module, "_reduce", tracked)
+            G = buchberger(gens)
+            before = leading_term_ideal(G)
+            # the engine only top-reduced, and nothing read the elements yet
+            assert full and not any(full) and not calls
+            assert len(G) == len(before.generators) and calls == [1] and all(full[-len(G):])
+            assert leading_term_ideal(G) == before == MonomialIdeal(
+                [g.leading_power_product() for g in G.elements], 3)
+            assert calls == [1]
+            # the engine's leading terms are those of the reduced basis, in order,
+            # while some tail still holds a term that a leading term divides
+            assert [_power_product(d[1], 3) for d in G._divisors] == \
+                [g.leading_power_product() for g in G.elements]
+            assert any(_divides(lt, k, 3) for *_, tail in G._divisors
+                       for k, _ in tail for _, lt, _, _ in G._divisors)
+            monkeypatch.undo()
+
+
+P = 7
+
+
+def _k(*e):
+    return _key(PowerProduct(e))
+
+
+class TestLazyResidues:
+    """Over GF(p) a subtraction leaves its entry as any integer, zero
+    included; the kernel reads an entry mod p when it pops or emits it."""
+
+    # f = b*x^2 + a*x*y + y^2 + m*p*x + (p + 4) by x + 3*y: popping x^2
+    # leaves a - 3*b = -m*p at x*y, and the entry at x is m*p from the start
+    @pytest.mark.parametrize("m, b, a", [(1, 3, 2), (2, 5, 1)])
+    @pytest.mark.parametrize("top", [False, True])
+    def test_entries_that_sum_to_multiples_of_p(self, m, b, a, top, monkeypatch):
+        seen = []
+        subtract = groebner_module._subtract
+        monkeypatch.setattr(groebner_module, "_subtract", lambda work, *rest:
+                            subtract(work, *rest) or seen.append(work.get(_k(1, 1))))
+        divisors = [_pack({_k(1, 0): 1, _k(0, 1): 3}, 2)]
+        work = {_k(2, 0): b, _k(1, 1): a, _k(0, 2): 1, _k(1, 0): m * P, _k(0, 0): P + 4}
+        rem, mult = _reduce(work, divisors, P, 2, top=top)
+        assert seen == [-m * P]
+        # neither x*y nor x is a leading or remainder term, and the
+        # remainder holds canonical residues
+        assert rem == {_k(0, 2): 1, _k(0, 0): 4} and mult == 1
+        assert max(rem) == _k(0, 2)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_zero_entry_above_the_cap(self, m):
+        # the zero entry at x^3 is skipped before the cap is checked
+        work = {_k(3, 0): m * P, _k(1, 1): 2 * P + 3}
+        assert _reduce(dict(work), [], P, 2, degree_cap=2) == ({_k(1, 1): 3}, 1)
+        work[_k(3, 0)] += 1
+        with pytest.raises(DegreeCapExceeded, match="reduction reached degree 3"):
+            _reduce(work, [], P, 2, degree_cap=2)
+
+    def test_spair_terms_and_basis(self, monkeypatch):
+        # S(x*y + 3*y^2, x^2 + 3*x*y + y^2) = 3*x*y^2 - 3*x*y^2 - y^3: the
+        # x*y^2 entry cancels
+        outputs = []
+        spair = groebner_module._Engine._spair_terms
+
+        def recorded(self, *a):
+            out = spair(self, *a)
+            outputs.append(dict(out))      # the reduction consumes out
+            return out
+        monkeypatch.setattr(groebner_module._Engine, "_spair_terms", recorded)
+        G = buchberger([g.convert(GF(P)) for g in
+                        polys(["x*y + 3*y^2", "x^2 + 3*x*y + y^2"], 2)])
+        assert outputs[0] == {_k(0, 3): P - 1}
+        for terms in outputs + [{lt: lc, **dict(tail)} for _, lt, lc, tail in G._divisors]:
+            assert all(0 < c < P for c in terms.values())
+        assert [str(g) for g in G.elements] == ["x*y + 3*y^2", "x^2 + 6*y^2", "y^3"]

@@ -113,8 +113,13 @@ class TestBorel:
             assert is_strongly_stable(I)
 
     def test_certified_constructor_rejects(self):
+        # the public constructor still checks; only gin.rgin skips the check
         with pytest.raises(NotStronglyStableError):
             StronglyStableIdeal([PowerProduct((0, 1))], 2)
+        with pytest.raises(NotStronglyStableError):     # minimalized first
+            StronglyStableIdeal([(2, 0, 0), (1, 1, 0), (0, 0, 3), (1, 1, 1)], 3)
+        with pytest.raises(NotStronglyStableError):
+            StronglyStableIdeal.from_ideal(MonomialIdeal([(0, 2)], 2))
 
     @settings(deadline=None)
     @given(small_ideals)
