@@ -23,6 +23,12 @@ fractions, with the accumulated multiplier divided out at the end.  Over
 GF(p) divisors are monic, so no rescaling ever happens.  Residues are
 lazy: a subtraction neither drops a zero nor, over GF(p), reduces mod p; a
 term is read mod p, or skipped as zero, only when it is popped or emitted.
+When every generator is homogeneous and holds at least half of the monomials
+of its degree, as after the random change of every rgin trial, Buchberger's
+algorithm reduces on dense rows instead (degree by degree, as in Faugere's
+F4, JPAA 139, 1999): a degree-d polynomial is a list over the degree-d keys
+in descending order, a step is one list comprehension, reduced mod p at
+once, and each multiple x^q * g is built as a row once per run.
 
 Buchberger's algorithm only top-reduces each S-polynomial: it stops at the
 first leading term that no basis element divides.  The leading terms, all
@@ -43,9 +49,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
+from itertools import compress, count, islice
 from typing import Optional, Sequence, Tuple
 
-from .monomial import MonomialIdeal, count_standard_monomials
+from .monomial import MonomialIdeal, count_standard_monomials, degree_monomials
 from .polyring import Polynomial, PowerProduct
 
 __all__ = [
@@ -279,6 +287,20 @@ def _reduce(work: dict, divisors: Sequence[tuple], p: Optional[int],
     return rem, mult
 
 
+def _dense(gens: Sequence[dict], nvars: int) -> bool:
+    """Every generator is homogeneous and holds at least half of the
+    monomials of its degree, as after a random change of coordinates."""
+    return all(_degree(min(g), nvars) == (d := _degree(max(g), nvars))
+               and 2 * len(g) >= math.comb(d + nvars - 1, nvars - 1) for g in gens)
+
+
+@lru_cache(maxsize=64)
+def _columns(nvars: int, d: int) -> Tuple[list, dict]:
+    """The degree-d keys in descending order, and the column of each."""
+    keys = sorted(map(_key, degree_monomials(d, nvars)), reverse=True)
+    return keys, {k: i for i, k in enumerate(keys)}
+
+
 # ---------------------------------------------------------------------------
 # public operations
 # ---------------------------------------------------------------------------
@@ -411,8 +433,9 @@ class _Engine:
     """State of one Buchberger run over QQ (p is None) or GF(p)."""
 
     def __init__(self, p: Optional[int], degree_cap: Optional[int],
-                 hint: Optional[_Staircase], nvars: int):
+                 hint: Optional[_Staircase], nvars: int, dense: bool):
         self.p = p
+        self.rows = {} if dense else None   # (lt of g, t) -> ``_row(g, t)``
         self.nvars = nvars
         self.degree_cap = degree_cap
         # S-pairs stop at the cap and below the field limit
@@ -429,9 +452,72 @@ class _Engine:
 
     def _nf(self, work: dict) -> dict:
         """work top-reduced by the basis; tails wait for ``_interreduce``."""
+        if self.rows is not None:
+            cols = _columns(self.nvars, _degree(max(work), self.nvars))[0]
+            return self._reduce_row([work.get(k, 0) for k in cols], cols[0])
         rem, _ = _reduce(work, self.divisors, self.p, self.nvars,
                          self.degree_cap, top=True)
         return _normalize(rem, self.p)
+
+    def _row(self, g: tuple, t: int) -> list:
+        """x^q * g for the packed g with x^q * lt = t, as a row from the
+        column of t on."""
+        row = self.rows.get((g[1], t))
+        if row is None:
+            _, lt, lc, tail = g
+            index = _columns(self.nvars, _degree(t, self.nvars))[1]
+            start, q = index[t], t - lt
+            row = [0] * (len(index) - start)
+            row[0] = lc
+            for k, c in tail:
+                row[index[k + q] - start] = c
+            self.rows[lt, t] = row
+        return row
+
+    def _spair_row(self, i: int, j: int, lcm: int) -> list:
+        """The S-polynomial of i and j as a row from the column of lcm on."""
+        gi, gj = self.packed[i], self.packed[j]
+        ri, rj = self._row(gi, lcm), self._row(gj, lcm)
+        if self.p:              # monic divisors
+            return [(x - y) % self.p for x, y in zip(ri, rj)]
+        g = math.gcd(gi[2], gj[2])
+        a, b = gj[2] // g, gi[2] // g
+        return [a * x - b * y for x, y in zip(ri, rj)]
+
+    def _reduce_row(self, w: list, first: int) -> dict:
+        """The row w, whose entries are the coefficients of the monomials
+        from the key first down in its degree, top-reduced by the basis and
+        returned as a normalized term dict; w is consumed."""
+        p, n = self.p, self.nvars
+        cols, index = _columns(n, _degree(first, n))
+        o = index[first]
+        guards, mask = _guards(n), (1 << _W * n) - 1
+        j, mult = 0, 1
+        while True:
+            j = next(compress(count(j), islice(w, j, None)), None)
+            if j is None:
+                return {}
+            t = cols[o + j]
+            rt = -t & mask | guards
+            for g in self.divisors:
+                if (rt - g[0]) & guards == guards:     # _divides(lt, t)
+                    break
+            else:
+                return _normalize({cols[o + k]: c for k, c in
+                                   enumerate(islice(w, j, None), j) if c}, p)
+            row, c = self._row(g, t), w[j]
+            if p:
+                w[j:] = [(x - c * y) % p for x, y in zip(islice(w, j, None), row)]
+                continue
+            gcd = math.gcd(c, g[2])
+            a, b = g[2] // gcd, c // gcd
+            w[j:] = [a * x - b * y for x, y in zip(islice(w, j, None), row)]
+            mult *= a
+            if mult.bit_length() > 512:     # the multiplier grew: drop the content
+                gcd = math.gcd(*islice(w, j, None))
+                if gcd > 1:
+                    w[j:] = [x // gcd for x in islice(w, j, None)]
+                mult = 1
 
     def _spair_terms(self, i: int, j: int, lcm: int) -> dict:
         _, lt_i, lc_i, tail_i = self.packed[i]
@@ -503,7 +589,8 @@ class _Engine:
                         f"but the Hilbert function allows {target}")
                 if found == target:
                     continue
-            h = self._nf(self._spair_terms(i, j, lcm))
+            h = self._nf(self._spair_terms(i, j, lcm)) if self.rows is None \
+                else self._reduce_row(self._spair_row(i, j, lcm), lcm)
             if h:
                 self.add(h)
 
@@ -545,7 +632,7 @@ def buchberger(gens: Sequence, degree_cap: Optional[int] = None,
     if hilbert is not None and all(
             _degree(min(g), nvars) == _degree(max(g), nvars) for g in nonzero):
         hint = _Staircase(map(_key, hilbert.generators), nvars)
-    engine = _Engine(field.p, degree_cap, hint, nvars)
+    engine = _Engine(field.p, degree_cap, hint, nvars, _dense(nonzero, nvars))
     # feed generators smallest leading term first, reducing each against the
     # basis built so far
     for terms in sorted((_normalize(g, field.p) for g in nonzero), key=max):
@@ -561,10 +648,11 @@ def leading_term_ideal(G: GroebnerBasis) -> MonomialIdeal:
 
     It reads the kernel's elements without tail-reducing them: each new
     element is fully reduced and retires every element whose leading term
-    it divides, so their leading terms are already the minimal generators.
+    it divides, so their leading terms are already the minimal generators
+    and the ideal takes them without a second minimalize pass.
     """
-    return MonomialIdeal((_power_product(d[1], G.nvars) for d in G._divisors),
-                         G.nvars)
+    return MonomialIdeal._minimal(
+        (_power_product(d[1], G.nvars) for d in G._divisors), G.nvars)
 
 
 def hilbert_function(B: MonomialIdeal, d: int) -> int:

@@ -73,6 +73,14 @@ class MonomialIdeal:
         self.nvars = nvars
 
     @classmethod
+    def _minimal(cls, gens: Iterable[PowerProduct], nvars: int) -> "MonomialIdeal":
+        """The ideal of gens, for a caller that knows them to be the minimal
+        generators: put in canonical order, not minimalized again."""
+        out = cls.__new__(cls)
+        out.generators, out.nvars = _canonical_order(gens), nvars
+        return out
+
+    @classmethod
     def zero(cls, nvars: int) -> "MonomialIdeal":
         return cls((), nvars)
 
@@ -200,8 +208,8 @@ class StronglyStableIdeal(MonomialIdeal):
     def _checked(cls, B: MonomialIdeal, certificate=None) -> "StronglyStableIdeal":
         """B as it is, for a caller that has already checked it strongly
         stable: no second minimalize pass and no second check."""
-        out = cls.__new__(cls)
-        out.generators, out.nvars, out.certificate = B.generators, B.nvars, certificate
+        out = cls._minimal(B.generators, B.nvars)
+        out.certificate = certificate
         return out
 
 

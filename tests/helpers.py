@@ -1,6 +1,10 @@
 """Shared builders for the test suite."""
 
-from arrfree import Polynomial, PowerProduct, borel_closure
+import importlib.util
+import sys
+from pathlib import Path
+
+from arrfree import Arrangement, Polynomial, PowerProduct, borel_closure
 from arrfree.cli import parse_expression
 from arrfree.polyring import var_names
 
@@ -70,3 +74,21 @@ def distinct_random_forms(nvars, count, rng, bound=4):
         seen.add(key)
         forms.append(f)
     return forms
+
+
+def bench_workloads(monkeypatch):
+    """The benchmark's input module, bench/workloads.py, loaded by path."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up while the module runs
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
+def arrangement(rows):
+    """The arrangement of integer coefficient rows."""
+    names = var_names(len(rows[0]))
+    return Arrangement([parse_expression(
+        "+".join(f"({c})*{v}" for c, v in zip(row, names)), names) for row in rows])

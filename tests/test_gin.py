@@ -1,9 +1,6 @@
 """Randomized generic initial ideals: goldens, certification, agreement."""
 
-import importlib.util
 import random
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -13,8 +10,8 @@ from arrfree import (GenericityExhaustedError, GinConfig, LinearChange,
                      random_linear_change, regularity_stable, rgin)
 from arrfree import gin as gin_module
 from arrfree.groebner import _int_terms
-from helpers import monomial_gens, poly, polys, random_borel_ideal, \
-    random_polynomial
+from helpers import arrangement, bench_workloads, monomial_gens, poly, polys, \
+    random_borel_ideal, random_polynomial
 
 CFG = GinConfig(seed=42)
 
@@ -241,17 +238,10 @@ class TestRedraws:
 
     @pytest.mark.stretch
     def test_ziegler_sweep_near_minimum_trials(self, monkeypatch):
-        from arrfree import Arrangement, jacobian_rgin
-        from arrfree.cli import parse_expression
+        from arrfree import jacobian_rgin
         # the pair and its golden rgins, from the benchmark's input module
-        path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
-        spec = importlib.util.spec_from_file_location("_bench_workloads", path)
-        workloads = importlib.util.module_from_spec(spec)
-        monkeypatch.setitem(sys.modules, spec.name, workloads)
-        spec.loader.exec_module(workloads)
-        pair = {name: Arrangement([parse_expression(
-                    "+".join(f"({c})*{v}" for c, v in zip(row, "xyz")), "xyz")
-                    for row in getattr(workloads, name.upper())])
+        workloads = bench_workloads(monkeypatch)
+        pair = {name: arrangement(getattr(workloads, name.upper()))
                 for name in ("ziegler_1", "ziegler_2")}
         trials = 0
         for seed in range(1, 21):

@@ -3,18 +3,22 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arrfree import (GF, QQ, Arrangement, DegreeCapExceeded, LinearChange,
-                     MonomialIdeal, Polynomial, PowerProduct,
+from arrfree import (GF, QQ, Arrangement, DegreeCapExceeded, GinConfig,
+                     LinearChange, MonomialIdeal, Polynomial, PowerProduct,
                      apply_linear_change, buchberger, cmp_degrevlex,
-                     hilbert_function, jacobian_ideal, leading_term_ideal,
-                     normal_form, random_linear_change, s_polynomial)
+                     hilbert_function, jacobian_ideal, jacobian_rgin,
+                     leading_term_ideal, normal_form, random_linear_change,
+                     s_polynomial)
+from arrfree import gin as gin_module
 from arrfree import groebner as groebner_module
-from arrfree.groebner import (_coprime, _degree, _divides, _key, _lcm,
-                              _pack, _power_product, _reduce)
-from helpers import poly, polys, random_exponent, random_polynomial
+from arrfree.groebner import (_coprime, _degree, _divides, _int_terms, _key,
+                              _lcm, _pack, _power_product, _reduce)
+from arrfree.monomial import degree_monomials
+from helpers import (arrangement, bench_workloads, poly, polys,
+                     random_exponent, random_polynomial)
 
 FIELDS = pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["QQ", "GF32003"])
 
@@ -240,6 +244,56 @@ class TestBuchberger:
             assert normal_form(s, gb.elements).is_zero
 
 
+class TestLeadingTermIdeal:
+    def test_trusted_on_the_corpus_trials(self, monkeypatch):
+        # the engine's leading terms, taken as they are, against the ideal
+        # that minimalizes them again, on every trial of the exact corpus
+        bases = []
+        original = gin_module.buchberger
+        monkeypatch.setattr(gin_module, "buchberger",
+                            lambda *a, **k: bases.append(original(*a, **k)) or bases[-1])
+        for case in bench_workloads(monkeypatch).corpus_exact(1, 0):
+            jacobian_rgin(arrangement(case.forms), GinConfig(seed=case.gin_seed))
+        assert len(bases) > 13
+        for G in bases:
+            lts = [_power_product(d[1], G.nvars) for d in G._divisors]
+            B = leading_term_ideal(G)
+            assert type(B) is MonomialIdeal and B == MonomialIdeal(lts, G.nvars)
+
+
+@st.composite
+def dense_forms(draw):
+    """l <= 4 variables and up to three forms of degree <= 4, each holding
+    at least half of the monomials of its degree."""
+    l = draw(st.integers(1, 4))
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        monomials = list(degree_monomials(draw(st.integers(1, 4)), l))
+        coeffs = draw(st.lists(st.integers(-9, 9), min_size=len(monomials),
+                               max_size=len(monomials))
+                      .filter(lambda c: 2 * sum(map(bool, c)) >= len(c)))
+        gens.append(Polynomial({PowerProduct(m): c for m, c in zip(monomials, coeffs)
+                                if c}, l))
+    return l, gens
+
+
+class TestDenseRows:
+    @FIELDS
+    @settings(max_examples=40, deadline=None)
+    @given(dense_forms())
+    def test_rows_and_dicts_agree(self, field, case):
+        l, gens = case
+        gens = [g.convert(field) for g in gens]
+        assert groebner_module._dense([_int_terms(g)[0] for g in gens], l)
+        rows = buchberger(gens)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(groebner_module, "_dense", lambda gens, nvars: False)
+            dicts = buchberger(gens)
+        assert [d[1] for d in rows._divisors] == [d[1] for d in dicts._divisors]
+        assert leading_term_ideal(rows) == leading_term_ideal(dicts)
+        assert rows.elements == dicts.elements
+
+
 class TestAgainstSympy:
     def test_random_ideals_match(self):
         sympy = pytest.importorskip("sympy")
@@ -372,14 +426,18 @@ class TestHilbertDriven:
         g = random_linear_change(3, rng, 5)
         gens = [apply_linear_change(f.convert(field), g) for f in jacobian_ideal(A)]
         hint = _hint([f.convert(field) for f in jacobian_ideal(A)], rng)
-        calls = []
-        original = groebner_module._reduce
+        # the moved generators are dense, so every reduction runs on rows
+        calls, dict_calls = [], []
+        original = groebner_module._Engine._reduce_row
+        monkeypatch.setattr(groebner_module._Engine, "_reduce_row",
+                            lambda *a: calls.append(1) or original(*a))
+        reduce = groebner_module._reduce
         monkeypatch.setattr(groebner_module, "_reduce",
-                            lambda *a, **k: calls.append(1) or original(*a, **k))
+                            lambda *a, **k: dict_calls.append(1) or reduce(*a, **k))
         plain = leading_term_ideal(buchberger(gens))
         unhinted, calls[:] = len(calls), []
         assert leading_term_ideal(buchberger(gens, hilbert=hint)) == plain
-        assert 0 < len(calls) < unhinted
+        assert 0 < len(calls) < unhinted and not dict_calls
 
     def test_inhomogeneous_input_ignores_the_hint(self):
         gens = polys(["x^2 - y", "x*y - 1"], 2)
@@ -464,18 +522,20 @@ class TestLazyResidues:
 
     def test_spair_terms_and_basis(self, monkeypatch):
         # S(x*y + 3*y^2, x^2 + 3*x*y + y^2) = 3*x*y^2 - 3*x*y^2 - y^3: the
-        # x*y^2 entry cancels
+        # x*y^2 entry cancels.  The generators fill their degree, so the
+        # S-polynomial is a row over x^2*y, x*y^2, y^3, from the lcm on
         outputs = []
-        spair = groebner_module._Engine._spair_terms
+        spair = groebner_module._Engine._spair_row
 
         def recorded(self, *a):
             out = spair(self, *a)
-            outputs.append(dict(out))      # the reduction consumes out
+            outputs.append(list(out))      # the reduction consumes out
             return out
-        monkeypatch.setattr(groebner_module._Engine, "_spair_terms", recorded)
+        monkeypatch.setattr(groebner_module._Engine, "_spair_row", recorded)
         G = buchberger([g.convert(GF(P)) for g in
                         polys(["x*y + 3*y^2", "x^2 + 3*x*y + y^2"], 2)])
-        assert outputs[0] == {_k(0, 3): P - 1}
-        for terms in outputs + [{lt: lc, **dict(tail)} for _, lt, lc, tail in G._divisors]:
-            assert all(0 < c < P for c in terms.values())
+        assert outputs[0] == [0, 0, P - 1]
+        assert all(0 <= c < P for row in outputs for c in row)
+        for _, lt, lc, tail in G._divisors:
+            assert all(0 < c < P for c in [lc, *dict(tail).values()])
         assert [str(g) for g in G.elements] == ["x*y + 3*y^2", "x^2 + 6*y^2", "y^3"]
