@@ -468,15 +468,15 @@ def _parse_coeff(text: str) -> Tuple[str, Tuple[int, int]]:
             primes = [int(p) for p in text[4:].split(",")]
         except ValueError:
             raise argparse.ArgumentTypeError(f"bad prime list in {text!r}")
-        if len(primes) == 1:
+        if len(primes) == 1 and primes[0] < 1 << 64:
             p2 = primes[0] + 2
             while not _is_prime(p2):
                 p2 += 1 if p2 % 2 == 0 else 2
             primes.append(p2)
         if len(primes) != 2 or primes[0] == primes[1] \
-                or not all(_is_prime(p) for p in primes):
+                or not all(p < 1 << 64 and _is_prime(p) for p in primes):
             raise argparse.ArgumentTypeError(
-                "expected mod:<p> or mod:<p>,<p2> with distinct primes")
+                "expected mod:<p> or mod:<p>,<p2> with distinct primes below 2^64")
         return "modular", (primes[0], primes[1])
     raise argparse.ArgumentTypeError(f"unknown coefficient mode {text!r}")
 

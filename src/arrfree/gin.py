@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
-from .groebner import _int_terms, buchberger, leading_term_ideal
+from .groebner import _int_terms, buchberger, hilbert_hint, leading_term_ideal
 from .monomial import MonomialIdeal, StronglyStableIdeal, is_strongly_stable
 from .polyring import (GF, QQ, LinearChange, Polynomial, apply_linear_change,
                        _is_prime)
@@ -58,8 +58,8 @@ class GinConfig:
             raise ValueError(f"unknown coefficient mode {self.mode!r}")
         if self.mode == "modular":
             p1, p2 = self.primes
-            if p1 == p2 or not (_is_prime(p1) and _is_prime(p2)):
-                raise ValueError("modular mode needs two distinct primes")
+            if p1 == p2 or not all(p < 1 << 64 and _is_prime(p) for p in self.primes):
+                raise ValueError("modular mode needs two distinct primes below 2^64")
 
     @property
     def coeff_mode(self) -> str:
@@ -192,8 +192,11 @@ def rgin(gens: Union[Sequence[Polynomial], int], cfg: GinConfig = GinConfig(),
     coefficient numerators; a caller that knows a cheaper route to the same
     ideal passes its own, and passes the number of variables l as ``gens``.
     The draws do not depend on the route.
-    All draws of one field share a Hilbert function, so ``buchberger`` skips
-    pairs in later draws by the leading terms of the first.
+    All draws share the Hilbert function of the ideal, so ``buchberger``
+    skips the pairs it proves to reduce to zero: in exact mode by the
+    ``hilbert_hint`` of the unmoved generators ``build(identity, QQ)``,
+    which every draw shares; over each prime, where that run costs as much
+    as a draw, by the leading terms of the prime's first draw.
     """
     if build is not None:
         l = gens
@@ -227,7 +230,10 @@ def rgin(gens: Union[Sequence[Polynomial], int], cfg: GinConfig = GinConfig(),
     draws = []                                # (tag, k, matrix, borel, ideal)
     made = {tag: 0 for tag, _ in fields}
     kept = {tag: [] for tag, _ in fields}     # indices into draws
-    hints = {}                                # tag -> first leading term ideal
+    hints = {}                                # tag -> Hilbert function hint
+    if cfg.mode == "exact":
+        hints["exact"] = hilbert_hint(build(LinearChange.identity(l), QQ),
+                                      (l, QQ), cfg.degree_cap)
     best = None
     while any(len(v) < cfg.trials for v in kept.values()):
         for tag, coeff_field in fields:

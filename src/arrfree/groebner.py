@@ -38,11 +38,13 @@ reduction; the tails are reduced once, against the final basis, when
 Buchberger's coprimality and chain criteria (Gebauer-Moeller installation)
 and selected by smallest lcm degree first.
 
-For homogeneous generators a caller may pass a monomial ideal with the same
-Hilbert function (Traverso, "Hilbert functions and the Buchberger
-algorithm", JSC 22, 1996).  Homogeneous pairs are reduced degree by degree,
-so once the leading terms found span as many degree-d monomials as that
-ideal does, every remaining degree-d pair reduces to zero and is dropped.
+For homogeneous generators a caller may pass the Hilbert function of their
+ideal (Traverso, "Hilbert functions and the Buchberger algorithm", JSC 22,
+1996): a monomial ideal that has it, or a ``hilbert_hint``, a run on other
+generators of such an ideal that goes only as far as the degrees asked.
+Homogeneous pairs are reduced degree by degree, so once the leading terms
+found span as many degree-d monomials as the hint does, every remaining
+degree-d pair reduces to zero and is dropped.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ from .polyring import Polynomial, PowerProduct
 
 __all__ = [
     "DegreeCapExceeded", "InternalConsistencyError", "GroebnerBasis",
-    "normal_form", "s_polynomial", "buchberger",
+    "normal_form", "s_polynomial", "buchberger", "hilbert_hint",
     "leading_term_ideal", "hilbert_function",
 ]
 
@@ -408,7 +410,7 @@ class _Staircase:
     def __init__(self, gens, nvars: int):
         self.nvars = nvars
         self.gens: dict = {}       # degree -> keys of generators not yet used
-        self.degree, self.monomials = -1, set()
+        self.degree, self.monomials, self.counts = -1, set(), {}
         self.steps = _variables(nvars)
         for k in gens:
             self.add(k)
@@ -421,19 +423,22 @@ class _Staircase:
             self.gens.setdefault(d, []).append(k)
 
     def count(self, d: int) -> int:
+        """The number of degree-d monomials; the counts of the degrees passed
+        are kept, so a lower d still reads right."""
         while self.degree < d:
+            self.counts[self.degree] = len(self.monomials)
             self.degree += 1
             self.monomials = {k + step for k in self.monomials
                               for step in self.steps}
             self.monomials.update(self.gens.pop(self.degree, ()))
-        return len(self.monomials)
+        return len(self.monomials) if d == self.degree else self.counts[d]
 
 
 class _Engine:
     """State of one Buchberger run over QQ (p is None) or GF(p)."""
 
     def __init__(self, p: Optional[int], degree_cap: Optional[int],
-                 hint: Optional[_Staircase], nvars: int, dense: bool):
+                 hint, nvars: int, dense: bool):
         self.p = p
         self.rows = {} if dense else None   # (lt of g, t) -> ``_row(g, t)``
         self.nvars = nvars
@@ -574,11 +579,14 @@ class _Engine:
         first), then ids."""
         return min(self.pairs.items(), key=lambda kv: (kv[1], kv[0]))
 
-    def run(self) -> None:
+    def run(self, upto: float = math.inf) -> None:
+        """Finish every pair whose lcm has degree at most ``upto``."""
         while self.pairs:
             (i, j), lcm = self.select_pair()
-            del self.pairs[(i, j)]
             d = _degree(lcm, self.nvars)
+            if d > upto:
+                return
+            del self.pairs[(i, j)]
             if d > self.top:
                 raise DegreeCapExceeded(f"S-pair lcm degree {d} > cap {self.top}")
             if self.hint is not None:   # homogeneous: pairs go degree by degree
@@ -594,19 +602,27 @@ class _Engine:
             if h:
                 self.add(h)
 
+    def count(self, d: int) -> int:
+        """The number of degree-d monomials in the leading term ideal, once
+        every pair of degree at most d is finished: as a ``hilbert`` hint,
+        read in any order of d."""
+        if d > self.found.degree:
+            self.run(d)
+        return self.found.count(d)
+
 
 def buchberger(gens: Sequence, degree_cap: Optional[int] = None,
-               hilbert: Optional[MonomialIdeal] = None,
-               ring: Optional[tuple] = None) -> GroebnerBasis:
+               hilbert=None, ring: Optional[tuple] = None) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal generated by ``gens``.
 
     ``gens`` are Polynomials or, with ``ring`` = (nvars, field), integer
     term dicts in the kernel's packed keys, read mod p over GF(p) and never
     changed.  Zero generators are discarded; an all-zero input yields the
     zero ideal, represented by an empty basis.  ``hilbert``, a monomial
-    ideal with the Hilbert function of that ideal, is used only when every
-    generator is homogeneous: it drops the pairs it proves to reduce to
-    zero, and a basis that outgrows it raises ``InternalConsistencyError``.
+    ideal or a ``hilbert_hint`` with the Hilbert function of that ideal, is
+    used only when every generator is homogeneous: it drops the pairs it
+    proves to reduce to zero, and a basis that outgrows it raises
+    ``InternalConsistencyError``.
     """
     gens = list(gens)
     if not gens:
@@ -618,29 +634,46 @@ def buchberger(gens: Sequence, degree_cap: Optional[int] = None,
         gens = [_int_terms(g)[0] for g in gens]
     else:
         nvars, field = ring
+    engine = _start(gens, nvars, field, degree_cap, hilbert)
+    if engine is None:
+        return GroebnerBasis([], nvars, field)
+    engine.run()
+    return GroebnerBasis(engine.divisors, nvars, field)
+
+
+def hilbert_hint(gens: Sequence[dict], ring: tuple,
+                 degree_cap: Optional[int] = None) -> Optional[_Engine]:
+    """A ``hilbert`` hint for ``buchberger``: a run on other generators, as
+    with ``ring``, of an ideal with the same Hilbert function, taken only as
+    far as the degrees asked; None when every generator is zero."""
+    return _start(gens, *ring, degree_cap, None)
+
+
+def _start(gens: Sequence[dict], nvars: int, field, degree_cap: Optional[int],
+           hilbert) -> Optional[_Engine]:
+    """An engine fed with the packed ``gens`` and with no pair finished yet;
+    None when every generator is zero."""
     nonzero = [g for g in (_residues(g, field.p) for g in gens) if g]
     if not nonzero:
-        return GroebnerBasis([], nvars, field)
+        return None
     if degree_cap is not None:
         top = max(_degree(max(g), nvars) for g in nonzero)
         if top > degree_cap:
             raise DegreeCapExceeded(f"generator degree {top} > cap {degree_cap}")
-
-    hint = None
     # keys order by degree first, so g is homogeneous when its least and
     # greatest keys share a degree
-    if hilbert is not None and all(
-            _degree(min(g), nvars) == _degree(max(g), nvars) for g in nonzero):
-        hint = _Staircase(map(_key, hilbert.generators), nvars)
-    engine = _Engine(field.p, degree_cap, hint, nvars, _dense(nonzero, nvars))
+    if not all(_degree(min(g), nvars) == _degree(max(g), nvars) for g in nonzero):
+        hilbert = None
+    elif isinstance(hilbert, MonomialIdeal):
+        hilbert = _Staircase(map(_key, hilbert.generators), nvars)
+    engine = _Engine(field.p, degree_cap, hilbert, nvars, _dense(nonzero, nvars))
     # feed generators smallest leading term first, reducing each against the
     # basis built so far
     for terms in sorted((_normalize(g, field.p) for g in nonzero), key=max):
         reduced = engine._nf(terms) if engine.active else terms
         if reduced:
             engine.add(reduced)
-    engine.run()
-    return GroebnerBasis(engine.divisors, nvars, field)
+    return engine
 
 
 def leading_term_ideal(G: GroebnerBasis) -> MonomialIdeal:

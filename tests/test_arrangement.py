@@ -15,9 +15,13 @@ from arrfree import (Arrangement, ArrangementError, ExponentVector, GinConfig,
 from arrfree import (GF, QQ, apply_linear_change, random_linear_change,
                      variables)
 from arrfree import arrangement as arrangement_module
+from arrfree import gin as gin_module
+from arrfree import groebner as groebner_module
 from arrfree.arrangement import _expand, sectional_bounds
 from arrfree.groebner import _poly
-from helpers import distinct_random_forms, poly, polys, random_linear_form
+from helpers import arrangement as bench_arrangement
+from helpers import (bench_workloads, distinct_random_forms, poly, polys,
+                     random_linear_form)
 
 CFG = GinConfig(seed=9)
 
@@ -154,6 +158,60 @@ def random_arrangement(l, rng):
     forms = distinct_random_forms(l, l + 1, rng)
     return Arrangement([forms[0].scale(32003), forms[1].scale(random_fraction(rng)),
                         *forms[2:]])
+
+
+class TestUnmovedHint:
+    """Every exact draw skips pairs by the Hilbert function of a truncated
+    run on the unmoved generators, and gives what it gives without it."""
+
+    @staticmethod
+    def both(A, cfg):
+        hinted = jacobian_rgin(A, cfg)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(gin_module, "hilbert_hint", lambda *a, **k: None)
+            plain = jacobian_rgin(A, cfg)
+        return hinted, plain
+
+    def assert_same(self, A, cfg):
+        hinted, plain = self.both(A, cfg)
+        assert hinted.generators == plain.generators
+        assert hinted.certificate == plain.certificate
+        assert hinted.certificate.discarded == plain.certificate.discarded
+
+    @pytest.mark.parametrize("l", range(2, 5))
+    def test_random_arrangements(self, l):
+        rng = random.Random(70 + l)
+        for seed in range(3):
+            forms = distinct_random_forms(l, rng.randint(l, l + 3), rng)
+            self.assert_same(Arrangement(forms), GinConfig(seed=seed))
+        self.assert_same(random_arrangement(l, rng), GinConfig(seed=l))
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_ziegler_pair(self, seed, monkeypatch):
+        workloads = bench_workloads(monkeypatch)
+        for rows in (workloads.ZIEGLER_1, workloads.ZIEGLER_2):
+            self.assert_same(bench_arrangement(rows), GinConfig(seed=seed))
+
+    def test_trials_reduce_almost_nothing_to_zero(self, monkeypatch):
+        # zero remainders of the dense rows inside the trials of one
+        # corpus_exact pass; the hint's own run is not a trial.  The hints
+        # are kept alive, so no later engine reuses the id of one.
+        hints, zeros = {}, []
+        hint = gin_module.hilbert_hint
+        monkeypatch.setattr(gin_module, "hilbert_hint", lambda *a, **k:
+                            hints.setdefault(id(h := hint(*a, **k)), h))
+        original = groebner_module._Engine._reduce_row
+
+        def counted(engine, *a):
+            out = original(engine, *a)
+            zeros.append(id(engine) not in hints and not out)
+            return out
+        monkeypatch.setattr(groebner_module._Engine, "_reduce_row", counted)
+        cases = bench_workloads(monkeypatch).corpus_exact(1, 0)
+        for case in cases:
+            jacobian_rgin(bench_arrangement(case.forms), GinConfig(seed=case.gin_seed))
+        assert len(cases) == 13 and len(hints) == 13
+        assert zeros and sum(zeros) <= 8   # 64 when every first draw runs unhinted
 
 
 PACKED_FIELDS = pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["QQ", "GF32003"])

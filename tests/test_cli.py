@@ -4,15 +4,17 @@ import io
 import json
 import signal
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
 
-from arrfree import GinConfig, analyze
+from arrfree import GF, GinConfig, analyze
 from arrfree.cli import (EXIT_COMPUTE, EXIT_OK, EXIT_PARSE, EXIT_USAGE,
                          ParseError, main, parse_expression, parse_input,
                          report_from_dict, report_to_dict,
                          render_sectional_matrix)
+from arrfree.polyring import _is_prime
 from helpers import polys
 
 FIVE_ARR = """\
@@ -52,19 +54,26 @@ def run_cli(*argv):
     return code, out.getvalue()
 
 
-def _guarded_cli(*argv):
-    """(exit code, seconds) of one CLI run, cut after 5 s by SIGALRM."""
+@contextmanager
+def _cut_after_5s(message):
+    """Raise TimeoutError(message) in the body once 5 s have passed."""
     def too_slow(signum, frame):   # fail instead of hanging the suite
-        raise TimeoutError("the input was not rejected before computing")
+        raise TimeoutError(message)
     previous = signal.signal(signal.SIGALRM, too_slow)
     signal.setitimer(signal.ITIMER_REAL, 5.0)
     try:
-        start = time.perf_counter()
-        code, _ = run_cli(*argv)
-        return code, time.perf_counter() - start
+        yield
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def _guarded_cli(*argv):
+    """(exit code, seconds) of one CLI run, cut after 5 s by SIGALRM."""
+    with _cut_after_5s("the input was not rejected before computing"):
+        start = time.perf_counter()
+        code, _ = run_cli(*argv)
+        return code, time.perf_counter() - start
 
 
 class TestExpressionParsing:
@@ -384,18 +393,11 @@ class TestExitCodes:
         assert doc.items[0].leading_coefficient() == 2 ** 500
 
     def test_library_parser_limits_powers_of_constants(self):
-        def too_slow(signum, frame):   # fail instead of hanging the suite
-            raise TimeoutError("the power was computed before any limit")
-        previous = signal.signal(signal.SIGALRM, too_slow)
-        signal.setitimer(signal.ITIMER_REAL, 5.0)
-        try:
+        with _cut_after_5s("the power was computed before any limit"):
             start = time.perf_counter()
             with pytest.raises(ParseError) as err:
                 parse_expression("3^200000000*x", ("x", "y", "z"))
             elapsed = time.perf_counter() - start
-        finally:
-            signal.setitimer(signal.ITIMER_REAL, 0)
-            signal.signal(signal.SIGALRM, previous)
         assert (err.value.line, err.value.col) == (1, 3)
         assert elapsed < 1.0
         # powers of sums stay allowed there, and so do small powers
@@ -418,6 +420,58 @@ class TestExitCodes:
         path = tmp_path / "five.arr"
         path.write_text(FIVE_ARR)
         assert run_cli("analyze", str(path))[0] == EXIT_COMPUTE
+
+
+class TestLargePrimes:
+    """Primality is a Miller-Rabin test, so a large prime is read at once."""
+
+    M61 = 2 ** 61 - 1
+
+    def test_agrees_with_trial_division(self):
+        sieve = [True] * 20000
+        sieve[0] = sieve[1] = False
+        for i in range(2, 142):
+            sieve[i * i::i] = [False] * len(sieve[i * i::i])
+        with _cut_after_5s("primality is too slow"):
+            assert [_is_prime(n) for n in range(20000)] == sieve
+            assert not any(_is_prime(n) for n in range(-5, 0))
+
+    def test_strong_pseudoprimes_rejected(self):
+        # 3215031751 passes Miller-Rabin to the bases 2, 3, 5 and 7, and
+        # 3057601 = 43 * 211 * 337 is a Carmichael number that a test taking
+        # a 1 reached by squaring for a pass would accept
+        path = INPUTS / "five_planes.arr"
+        with _cut_after_5s("primality is too slow"):
+            for n in (561, 3215031751, 3057601):
+                assert not _is_prime(n)
+                with pytest.raises(ValueError):
+                    GinConfig(mode="modular", primes=(n, 32003))
+                code, _ = run_cli("analyze", str(path), "--coeff", f"mod:{n}")
+                assert code == EXIT_USAGE
+
+    def test_mersenne_prime_accepted(self):
+        path = INPUTS / "five_planes.arr"
+        with _cut_after_5s("a 61-bit prime hangs"):
+            assert _is_prime(self.M61) and GF(self.M61).p == self.M61
+            GinConfig(mode="modular", primes=(self.M61, 32003))
+            exact = json.loads(run_cli("analyze", str(path), "--json")[1])
+            for coeff in (f"mod:{self.M61},32003", f"mod:{self.M61}"):
+                code, text = run_cli("analyze", str(path), "--json", "--coeff", coeff)
+                modular = json.loads(text)
+                assert code == EXIT_OK, coeff
+                assert (modular["free"], modular["rgin"]) == (exact["free"], exact["rgin"])
+            assert modular["provenance"]["coeff_mode"] == f"mod:{self.M61},{self.M61 + 16}"
+
+    def test_primes_from_2_to_the_64_rejected(self):
+        path = INPUTS / "five_planes.arr"
+        big = 2 ** 64 + 13          # the least prime above 2^64
+        with _cut_after_5s("primality is too slow"):
+            assert _is_prime(big)
+            with pytest.raises(ValueError, match="below 2\\^64"):
+                GinConfig(mode="modular", primes=(32003, big))
+            # the prime after 2^64 - 59, the greatest below 2^64, is too large
+            for coeff in (f"mod:{big}", f"mod:32003,{big}", f"mod:{2 ** 64 - 59}"):
+                assert run_cli("analyze", str(path), "--coeff", coeff)[0] == EXIT_USAGE
 
 
 class TestJsonRoundTrip:

@@ -10,10 +10,12 @@ from arrfree import (GenericityExhaustedError, GinConfig, LinearChange,
                      random_linear_change, regularity_stable, rgin)
 from arrfree import gin as gin_module
 from arrfree.groebner import _int_terms
+from arrfree.polyring import QQ
 from helpers import arrangement, bench_workloads, monomial_gens, poly, polys, \
     random_borel_ideal, random_polynomial
 
 CFG = GinConfig(seed=42)
+_IDENTITY = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
 def _packed(polys):
@@ -117,13 +119,14 @@ class TestGenericityFailure:
         seen = []
 
         def build(g, field):  # only draw 0 is generic; the rest keep gens
-            seen.append(tuple(tuple(r) for r in g.as_int_rows()))
-            return _moved(gens, g, field) if len(seen) == 1 else _packed(gens)
+            seen.append((tuple(tuple(r) for r in g.as_int_rows()), field))
+            return _moved(gens, g, field) if len(seen) == 2 else _packed(gens)
         with pytest.raises(GenericityExhaustedError) as err:
             rgin(3, GinConfig(seed=2, max_retries=2), build)
+        assert seen[0] == (_IDENTITY, QQ)   # the unmoved generators come first
         draws = err.value.draws
         assert [(d.field, d.index) for d in draws] == [("exact", k) for k in range(4)]
-        assert [d.matrix for d in draws] == seen
+        assert [(d.matrix, QQ) for d in draws] == seen[1:]
         assert [d.borel for d in draws] == [True, False, False, False]
         assert [d.kept for d in draws] == [True, False, False, False]
         assert len(err.value.observed) == 4
@@ -171,14 +174,16 @@ class TestRedraws:
         seen = []
 
         def build(g, field):
-            seen.append(tuple(tuple(r) for r in g.as_int_rows()))
-            if len(seen) == 1:
+            seen.append((tuple(tuple(r) for r in g.as_int_rows()), field))
+            if len(seen) == 2:
                 return _x5(field)
             return _moved(self.GENS, g, field)
         B = rgin(3, CFG, build)
+        assert seen[0] == (_IDENTITY, QQ)   # the unmoved generators come first
+        draws = [m for m, _ in seen[1:]]
         assert str(B) == self.GIN
-        assert B.certificate.matrices == tuple(seen[1:3])
-        assert B.certificate.discarded == (seen[0],)
+        assert B.certificate.matrices == tuple(draws[1:3])
+        assert B.certificate.discarded == (draws[0],)
 
     def test_larger_candidate_resets_kept_draws_in_both_fields(self):
         # calls 0-2 (mod p1 draws 0 and 1, mod p2 draw 0) are kept until
@@ -200,7 +205,7 @@ class TestRedraws:
         from arrfree import InternalConsistencyError
         calls = []
 
-        def build(g, field):  # the first draw computes <x^5>, not the ideal
+        def build(g, field):  # the unmoved build computes <x^5>, not the ideal
             calls.append(g)
             if len(calls) == 1:
                 return _packed([poly("x^5", 3).convert(field)])
@@ -209,16 +214,31 @@ class TestRedraws:
             rgin(3, CFG, build)
         assert len(calls) == 2
 
+    def test_later_modular_draws_with_another_hilbert_function_raise(self):
+        # each prime reads its Hilbert function off its first draw
+        from arrfree import InternalConsistencyError
+        calls = []
+
+        def build(g, field):  # the first draw computes <x^5>, not the ideal
+            calls.append(field)
+            if len(calls) == 1:
+                return _packed([poly("x^5", 3).convert(field)])
+            return _moved(self.GENS, g, field)
+        with pytest.raises(InternalConsistencyError, match="Hilbert function"):
+            rgin(3, GinConfig(seed=42, mode="modular"), build)
+        assert len(calls) == 2 and calls[1] == calls[0]
+
     def test_draws_keep_their_streams(self):
         # the k-th draw of a field reads stream (k // trials, k % trials)
         rows = []
 
         def build(g, field):
-            rows.append(g.as_int_rows())
-            return _x5(field) if len(rows) == 1 else \
+            rows.append((g.as_int_rows(), field))
+            return _x5(field) if len(rows) == 2 else \
                 _moved(self.GENS, g, field)
         rgin(3, CFG, build)
-        for k, got in enumerate(rows):
+        assert rows[0] == ([list(r) for r in _IDENTITY], QQ)
+        for k, (got, _) in enumerate(rows[1:]):
             rng = gin_module._trial_stream(CFG.seed, k // 2, k % 2, "exact")
             assert got == random_linear_change(3, rng, CFG.entry_bound).as_int_rows()
 

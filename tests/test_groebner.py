@@ -1,5 +1,6 @@
 """Buchberger, normal forms, leading term ideals and Hilbert functions."""
 
+import math
 import random
 
 import pytest
@@ -262,16 +263,16 @@ class TestLeadingTermIdeal:
 
 
 @st.composite
-def dense_forms(draw):
-    """l <= 4 variables and up to three forms of degree <= 4, each holding
-    at least half of the monomials of its degree."""
+def homogeneous_forms(draw, top=4, dense=True):
+    """l <= 4 variables and up to three nonzero forms of degree <= top; with
+    ``dense``, each holds at least half of the monomials of its degree."""
     l = draw(st.integers(1, 4))
     gens = []
     for _ in range(draw(st.integers(1, 3))):
-        monomials = list(degree_monomials(draw(st.integers(1, 4)), l))
+        monomials = list(degree_monomials(draw(st.integers(1, top)), l))
         coeffs = draw(st.lists(st.integers(-9, 9), min_size=len(monomials),
-                               max_size=len(monomials))
-                      .filter(lambda c: 2 * sum(map(bool, c)) >= len(c)))
+                               max_size=len(monomials)).filter(
+            lambda c: 2 * sum(map(bool, c)) >= len(c) if dense else any(c)))
         gens.append(Polynomial({PowerProduct(m): c for m, c in zip(monomials, coeffs)
                                 if c}, l))
     return l, gens
@@ -280,7 +281,7 @@ def dense_forms(draw):
 class TestDenseRows:
     @FIELDS
     @settings(max_examples=40, deadline=None)
-    @given(dense_forms())
+    @given(homogeneous_forms())
     def test_rows_and_dicts_agree(self, field, case):
         l, gens = case
         gens = [g.convert(field) for g in gens]
@@ -292,6 +293,30 @@ class TestDenseRows:
         assert [d[1] for d in rows._divisors] == [d[1] for d in dicts._divisors]
         assert leading_term_ideal(rows) == leading_term_ideal(dicts)
         assert rows.elements == dicts.elements
+
+
+class TestTruncatedRun:
+    @FIELDS
+    @settings(max_examples=60, deadline=None)
+    @given(homogeneous_forms(top=3, dense=False),
+           st.lists(st.integers(0, 10), min_size=1, max_size=12))
+    def test_counts_in_any_order(self, field, case, degrees):
+        # a hint runs only as far as the degree asked, yet a lower degree
+        # asked later still reads the full basis's count
+        l, gens = case
+        gens = [g.convert(field) for g in gens]
+        hint = groebner_module.hilbert_hint([_int_terms(g)[0] for g in gens], (l, field))
+        B = leading_term_ideal(buchberger(gens))
+        for d in degrees:
+            assert hint.count(d) == math.comb(d + l - 1, l - 1) - hilbert_function(B, d), d
+
+    def test_hint_runs_only_as_far_as_asked(self):
+        gens = polys(["x^2 - y*z", "x*y^2 - z^3", "y^4 - x*z^2"], 3)
+        hint = groebner_module.hilbert_hint([_int_terms(g)[0] for g in gens], (3, QQ))
+        hint.count(3)
+        assert hint.pairs and min(_degree(k, 3) for k in hint.pairs.values()) > 3
+        G = buchberger(gens, hilbert=hint)
+        assert G == buchberger(gens)
 
 
 class TestAgainstSympy:
