@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .gin import GinCertificate, GinConfig, rgin
+from .gin import GinCertificate, GinConfig, _product, rgin
 from .groebner import (_W, InternalConsistencyError, _poly, _residues,
                        _variables)
 from .monomial import (INFINITE, BettiTable, MonomialIdeal, SectionalMatrix,
@@ -166,22 +166,12 @@ class Arrangement:
 
 def _expand(rows: Sequence[Sequence[int]], field) -> List[dict]:
     """[Q, dQ/dx_1, ..., dQ/dx_l] over ``field`` for Q the product of the
-    integer rows, each row the coefficients of one linear form.  All are
-    term dicts in the Groebner kernel's packed keys (integers, residues mod
-    p): a product by x_j adds the key of x_j, and the exponent of x_j in a
-    term is read off its field."""
+    integer rows (``_product``), as term dicts in the Groebner kernel's
+    packed keys; the exponent of x_j in a term is read off its field."""
     p, l = field.p, len(rows[0])
-    xs = _variables(l)
-    Q = {0: 1}                              # key 0 is the monomial 1
-    for row in rows:
-        out: dict = {}
-        for x, a in zip(xs, row):
-            if a:
-                for k, c in Q.items():
-                    out[k + x] = out.get(k + x, 0) + a * c
-        Q = _residues(out, p)
+    Q = _product(rows, l, p)
     partials, low = [], (1 << _W) - 1
-    for j, x in enumerate(xs):            # -k >> W*j & low: the exponent of x
+    for j, x in enumerate(_variables(l)):  # -k >> W*j & low: exponent of x
         partials.append(_residues(
             {k - x: c * (-k >> _W * j & low) for k, c in Q.items()}, p))
     return [Q] + partials

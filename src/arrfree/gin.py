@@ -16,17 +16,19 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Optional, Sequence, Tuple, Union
 
-from .groebner import _int_terms, buchberger, hilbert_hint, leading_term_ideal
+from .groebner import (_int_terms, _power_product, _residues, _variables,
+                       buchberger, hilbert_hint, leading_term_ideal)
 from .monomial import MonomialIdeal, StronglyStableIdeal, is_strongly_stable
+# no trial calls apply_linear_change: it stays here for the bench to wrap
 from .polyring import (GF, QQ, LinearChange, Polynomial, apply_linear_change,
                        _is_prime)
 
 __all__ = [
     "GinConfig", "GinCertificate", "Draw", "GenericityExhaustedError",
     "StronglyStableIdeal", "is_strongly_stable",
-    "random_linear_change", "substituted", "rgin",
+    "random_linear_change", "rgin",
 ]
 
 
@@ -139,10 +141,20 @@ def _trial_stream(seed: int, attempt: int, trial: int, tag: str) -> random.Rando
     return random.Random(f"rgin:{seed}:{attempt}:{trial}:{tag}")
 
 
-def substituted(polys: Sequence[Polynomial], g: LinearChange,
-                coeff_field) -> List[Polynomial]:
-    """Each polynomial read over ``coeff_field``, with g substituted."""
-    return [apply_linear_change(f.convert(coeff_field), g) for f in polys]
+def _product(rows: Sequence[Sequence[int]], l: int, p: Optional[int]) -> dict:
+    """The product of the linear forms whose coefficients are the integer
+    rows, as a term dict in the Groebner kernel's packed keys (integers,
+    residues mod p): a product by x_j adds the key of x_j."""
+    xs = _variables(l)
+    Q = {0: 1}                              # key 0 is the monomial 1
+    for row in rows:
+        out: dict = {}
+        for x, a in zip(xs, row):
+            if a:
+                for k, c in Q.items():
+                    out[k + x] = out.get(k + x, 0) + a * c
+        Q = _residues(out, p)
+    return Q
 
 
 def _one_trial(build: Callable, l, rng, cfg: GinConfig, coeff_field,
@@ -187,11 +199,11 @@ def rgin(gens: Union[Sequence[Polynomial], int], cfg: GinConfig = GinConfig(),
 
     ``build(g, field)`` returns the generators of one trial as the
     kernel's packed term dicts (see ``buchberger``), which must generate the
-    ideal of ``gens`` after the change g, over ``field``.  The default
-    substitutes g into each generator, divided once by the gcd of its
-    coefficient numerators; a caller that knows a cheaper route to the same
-    ideal passes its own, and passes the number of variables l as ``gens``.
-    The draws do not depend on the route.
+    ideal of ``gens`` after the change g, over ``field``.  The default divides
+    each generator once by the gcd of its numerators and moves each term
+    c*x^a to c times the ``_product`` of a_j copies of row j of g; a caller
+    with a cheaper route to the same ideal passes its own, and passes the
+    number of variables l as ``gens``.  The draws do not depend on the route.
     All draws share the Hilbert function of the ideal, so ``buchberger``
     skips the pairs it proves to reduce to zero: in exact mode by the
     ``hilbert_hint`` of the unmoved generators ``build(identity, QQ)``,
@@ -218,8 +230,16 @@ def rgin(gens: Union[Sequence[Polynomial], int], cfg: GinConfig = GinConfig(),
             *(c.numerator for c in f.term_dict().values())))) for f in nonzero]
 
         def build(g, coeff_field):
-            return [_int_terms(f)[0]
-                    for f in substituted(primitive, g, coeff_field)]
+            rows, p, out = g.as_int_rows(), coeff_field.p, []
+            for f in primitive:       # c*x^a moves to c * prod_j (row j)^a_j
+                moved: dict = {}
+                for k, c in _int_terms(f.convert(coeff_field))[0].items():
+                    a = _power_product(k, l)
+                    for m, v in _product([r for r, e in zip(rows, a)
+                                          for _ in range(e)], l, p).items():
+                        moved[m] = moved.get(m, 0) + c * v
+                out.append(_residues(moved, p))
+            return out
 
     if cfg.mode == "exact":
         fields = [("exact", QQ)]

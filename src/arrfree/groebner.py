@@ -13,8 +13,8 @@ packed basis element keeps.  Every exponent must stay below 2^15, so a
 monomial of degree 2^15 or more raises ``DegreeCapExceeded`` on its way in,
 and so does an S-pair whose lcm reaches that degree; reduction never raises
 the degree.  ``_int_terms`` converts from ``PowerProduct`` on the way in and
-``_poly`` converts back on the way out; ``arrangement`` builds each rgin
-trial in these keys directly, so a trial never converts on the way in.
+``_poly`` converts back on the way out; ``gin`` builds every rgin trial in
+these keys directly, from products of moved linear forms.
 
 Both coefficient fields share one fraction-free reduction kernel on integer
 term dicts.  Over QQ divisors are kept primitive (content 1, positive leading

@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from arrfree import GF, GinConfig, analyze
+from arrfree import (GF, DegreeCapExceeded, GinConfig, Polynomial, PowerProduct,
+                     analyze, rgin)
 from arrfree.cli import (EXIT_COMPUTE, EXIT_OK, EXIT_PARSE, EXIT_USAGE,
                          ParseError, main, parse_expression, parse_input,
                          report_from_dict, report_to_dict,
@@ -420,6 +421,14 @@ class TestExitCodes:
         path = tmp_path / "five.arr"
         path.write_text(FIVE_ARR)
         assert run_cli("analyze", str(path))[0] == EXIT_COMPUTE
+
+    @pytest.mark.parametrize("mode", ["exact", "modular"])
+    def test_library_rgin_past_the_kernel_limit_raises_at_once(self, mode):
+        # x^(2^15) fits no kernel exponent field: no trial multiplies it out
+        big = Polynomial.monomial(PowerProduct((1 << 15, 0)), 2)
+        with _cut_after_5s("the generator was moved before any limit"):
+            with pytest.raises(DegreeCapExceeded, match="kernel limit"):
+                rgin([big], GinConfig(mode=mode))
 
 
 class TestLargePrimes:

@@ -1,15 +1,23 @@
 """Randomized generic initial ideals: goldens, certification, agreement."""
 
+import io
+import json
+import math
 import random
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from arrfree import (GenericityExhaustedError, GinConfig, LinearChange,
-                     MonomialIdeal, Polynomial, PowerProduct, buchberger,
-                     hilbert_function, leading_term_ideal,
-                     random_linear_change, regularity_stable, rgin)
+from arrfree import (GF, GenericityExhaustedError, GinConfig, LinearChange,
+                     MonomialIdeal, Polynomial, PowerProduct,
+                     apply_linear_change, buchberger, hilbert_function,
+                     leading_term_ideal, random_linear_change,
+                     regularity_stable, rgin)
 from arrfree import gin as gin_module
-from arrfree.groebner import _int_terms
+from arrfree.groebner import _int_terms, _normalize
 from arrfree.polyring import QQ
 from helpers import arrangement, bench_workloads, monomial_gens, poly, polys, \
     random_borel_ideal, random_polynomial
@@ -23,8 +31,13 @@ def _packed(polys):
     return [_int_terms(f)[0] for f in polys]
 
 
+def _substituted(gens, g, field):
+    # the reference route: each generator read over field, g substituted
+    return [apply_linear_change(f.convert(field), g) for f in gens]
+
+
 def _moved(gens, g, field):
-    return _packed(gin_module.substituted(gens, g, field))
+    return _packed(_substituted(gens, g, field))
 
 
 class TestRandomLinearChange:
@@ -328,8 +341,7 @@ class TestChainRule:
     def test_moved_product_and_substituted_partials_agree(self):
         # grad(Q o g) = g^T (grad Q o g) with g^T invertible, so the two
         # generator lists differ but span one ideal: one reduced basis
-        from arrfree import (GF, QQ, Arrangement, apply_linear_change,
-                             defining_polynomial, jacobian_ideal)
+        from arrfree import Arrangement, defining_polynomial, jacobian_ideal
         from helpers import distinct_random_forms
         rng = random.Random(31)
         A = Arrangement(distinct_random_forms(3, 6, rng))
@@ -339,9 +351,87 @@ class TestChainRule:
                 g = random_linear_change(3, rng, 10)
                 Qg = apply_linear_change(defining_polynomial(A).convert(field), g)
                 moved = [Qg.partial_derivative(i) for i in (1, 2, 3)]
-                substituted = gin_module.substituted(jacobian_ideal(A), g, field)
+                substituted = _substituted(jacobian_ideal(A), g, field)
                 assert moved != substituted
                 assert buchberger(moved) == buchberger(substituted)
+
+
+P = 32003
+STAIRCASE = Path(__file__).resolve().parents[1] / "inputs" / "staircase.ideal"
+
+
+@st.composite
+def _generators(draw):
+    """(l, gens): one to three generators of degree at most 4 in l <= 4
+    variables with fractional coefficients; a constant one may follow, and
+    the first may have every numerator divisible by P."""
+    l = draw(st.integers(1, 4))
+    monomial = st.lists(st.integers(0, l - 1), max_size=4).map(
+        lambda vs: PowerProduct([vs.count(j) for j in range(l)]))
+    coeff = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 9))
+    gens = [Polynomial(t, l) for t in draw(st.lists(
+        st.dictionaries(monomial, coeff, min_size=1, max_size=5),
+        min_size=1, max_size=3))]
+    if draw(st.booleans()):
+        gens.append(Polynomial.constant(draw(coeff), l))
+    if draw(st.booleans()):
+        gens[0] = gens[0].scale(P)
+    return l, gens
+
+
+class _Caught(Exception):
+    pass
+
+
+def _default_build(gens):
+    """rgin's own builder for gens, caught at its first draw."""
+    def catch(build, *args):
+        raise _Caught(build)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(gin_module, "_one_trial", catch)
+        with pytest.raises(_Caught) as caught:
+            rgin(gens, GinConfig(mode="modular"))
+    return caught.value.args[0]
+
+
+class TestDefaultBuild:
+    @pytest.mark.parametrize("field", [QQ, GF(P)], ids=["QQ", "GF32003"])
+    @settings(max_examples=40, deadline=None)
+    @given(_generators(), st.randoms(use_true_random=False))
+    def test_matches_substitution(self, field, case, rng):
+        # the moved products span what substitution gives, generator by
+        # generator, once each is divided by the gcd of its numerators
+        l, gens = case
+        if field.p is None:
+            g = random_linear_change(l, rng, 10)
+        else:
+            g = random_linear_change(l, rng, modulus=field.p)
+        primitive = [f.scale(Fraction(1, math.gcd(
+            *(c.numerator for c in f.term_dict().values())))) for f in gens]
+        expected = [_normalize(t, field.p) for t in _moved(primitive, g, field)]
+        got = [_normalize(t, field.p) for t in _default_build(gens)(g, field)]
+        assert got == expected and all(got)
+
+    def test_never_substitutes(self, monkeypatch):
+        from arrfree import polyring
+        from arrfree.cli import main
+
+        def forbidden(*args):
+            raise AssertionError("an rgin trial called apply_linear_change")
+        monkeypatch.setattr(polyring, "apply_linear_change", forbidden)
+        monkeypatch.setattr(gin_module, "apply_linear_change", forbidden)
+        divisible = polys(["32003*(x^2+y^2+z^2)", "x*y"], 3)
+        for mode in ("exact", "modular"):
+            B = rgin(TestRedraws.GENS, GinConfig(seed=42, mode=mode))
+            assert str(B) == TestRedraws.GIN
+            assert str(rgin(divisible, GinConfig(seed=1, mode=mode))) == \
+                "<x^2, x*y, y^3>"
+        out = io.StringIO()
+        assert main(["rgin", str(STAIRCASE), "--json"], out=out) == 0
+        assert json.loads(out.getvalue()) == {
+            "rgin": ["x^2", "x*y", "y^5"],
+            "provenance": {"seed": 1, "trials": 2, "coeff_mode": "exact",
+                           "matrices": [[[8, 7], [-5, 4]], [[5, -3], [-5, 0]]]}}
 
 
 class TestStructuralProperties:
