@@ -76,13 +76,16 @@ def _is_linear_form(f: Polynomial) -> bool:
     return (not f.is_zero and f.is_homogeneous() and f.total_degree() == 1)
 
 
-def _coefficient_vector(f: Polynomial) -> List[Fraction]:
-    out = [Fraction(0)] * f.nvars
+def _primitive_row(f: Polynomial) -> Tuple[Tuple[int, ...], Fraction]:
+    """(row, content) of a linear form f = content * (row . x), with row a
+    primitive integer vector and content a positive rational."""
+    vec = [Fraction(0)] * f.nvars
     for pp, c in f._terms.items():
-        for j, e in enumerate(pp):
-            if e:
-                out[j] = c
-    return out
+        vec[pp.index(1)] = c
+    den = math.lcm(*(c.denominator for c in vec))
+    ints = [c.numerator * (den // c.denominator) for c in vec]
+    content = math.gcd(*ints)
+    return tuple(v // content for v in ints), Fraction(content, den)
 
 
 def validate(forms: Sequence[Polynomial]) -> ValidationInfo:
@@ -102,24 +105,19 @@ def validate(forms: Sequence[Polynomial]) -> ValidationInfo:
         if not _is_linear_form(f):
             central = False
             problems.append(f"form #{idx + 1} ({f}) is not linear homogeneous")
-    distinct = True
+    distinct, essential = True, False
     if central:
-        normalized = []
-        for idx, f in enumerate(forms):
-            vec = _coefficient_vector(f)
-            first = next(c for c in vec if c != 0)
-            normalized.append(tuple(c / first for c in vec))
+        # two forms define one hyperplane iff their primitive rows agree up
+        # to sign
+        rows = [_primitive_row(f)[0] for f in forms]
         seen: dict = {}
-        for idx, key in enumerate(normalized):
-            if key in seen:
+        for idx, row in enumerate(rows):
+            sign = 1 if next(v for v in row if v) > 0 else -1
+            first = seen.setdefault(tuple(sign * v for v in row), idx)
+            if first != idx:
                 distinct = False
                 problems.append(
-                    f"forms #{seen[key] + 1} and #{idx + 1} define the same hyperplane")
-            else:
-                seen[key] = idx
-    essential = False
-    if central:
-        rows = [_coefficient_vector(f) for f in forms]
+                    f"forms #{first + 1} and #{idx + 1} define the same hyperplane")
         essential = len(row_reduce(rows)[1]) == l
     return ValidationInfo(central=central, distinct=distinct, essential=essential,
                           n=len(forms), l=l, problems=tuple(problems))
@@ -135,17 +133,10 @@ class Arrangement:
         if not info.central or not info.distinct:
             raise ArrangementError("; ".join(info.problems))
         self.forms = tuple(forms)
-        # each form is content * row, with row a primitive integer vector of
-        # the same signs; Q is the product of the rows times self.content
-        rows, self.content = [], Fraction(1)
-        for f in self.forms:
-            vec = _coefficient_vector(f)
-            den = math.lcm(*(c.denominator for c in vec))
-            ints = [c.numerator * (den // c.denominator) for c in vec]
-            content = math.gcd(*ints)
-            rows.append(tuple(v // content for v in ints))
-            self.content *= Fraction(content, den)
-        self.rows = tuple(rows)
+        # each form is content * row (``_primitive_row``); Q is the product
+        # of the rows times self.content
+        self.rows, contents = zip(*map(_primitive_row, self.forms))
+        self.content = math.prod(contents, start=Fraction(1))
         self.nvars = info.l
         self.essential = info.essential
         self.labels = tuple(labels) if labels is not None else None
@@ -303,18 +294,16 @@ def sectional_bounds(B: StronglyStableIdeal) -> Tuple[Optional[int], Optional[in
 
     d0 is the reduction number r_{l-2}(B), None when B is the unit ideal,
     l < 2 or the number is infinite; the regularity is None for the zero
-    ideal.  The default dmax, regularity + 2 and at least d0 + 2, is the
-    narrowest sectional matrix that both freeness tests can read.
+    ideal.  The default dmax, regularity + 2, is the narrowest sectional
+    matrix that both freeness tests can read: a finite d0 makes x_2^(d0+1)
+    a minimal generator, so d0 + 2 is at most regularity + 1.
     """
     reg = regularity_stable(B) if not B.is_zero else None
     d0 = None
     if not B.is_unit and B.nvars >= 2:
         r = reduction_number(B, B.nvars - 2)
         d0 = None if r is INFINITE else r
-    floor = (reg or 0) + 2
-    if d0 is not None:
-        floor = max(floor, d0 + 2)
-    return d0, reg, floor
+    return d0, reg, (reg or 0) + 2
 
 
 def analyze(A: Arrangement, cfg: GinConfig = GinConfig(),

@@ -12,15 +12,16 @@ Expressions use ``^`` for powers; ``*`` is optional between factors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from . import arrangement as arr
-from .arrangement import (Arrangement, ArrangementError, ExponentVector,
-                          FreenessReport, analyze, check_conjecture_Z,
-                          realizable_as_free, supersolvable_from_exponents)
+from .arrangement import (Arrangement, ExponentVector, FreenessReport,
+                          analyze, check_conjecture_Z, realizable_as_free,
+                          supersolvable_from_exponents)
 from .gin import GenericityExhaustedError, GinCertificate, GinConfig, rgin
 from .groebner import DegreeCapExceeded
 from .monomial import (MonomialIdeal, SectionalMatrix, StronglyStableIdeal,
@@ -634,6 +635,9 @@ def _cmd_conjecture(args, out) -> int:
     return EXIT_OK
 
 
+# One parser per process, however often main() runs in it: building one
+# takes longer than parsing and validating a small arrangement file.
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="arrfree",
                      description="Freeness of central hyperplane arrangements "
@@ -711,17 +715,11 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args, out)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (ArrangementError, arr.NotFreeRginError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
     except (GenericityExhaustedError, DegreeCapExceeded,
             arr.InternalConsistencyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
-    except ValueError as exc:
+    except ValueError as exc:     # ParseError, ArrangementError and the rest
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

@@ -1,20 +1,22 @@
 """Exact sparse multivariate polynomial arithmetic with the DegRevLex order.
 
-Variables are x_1 > x_2 > ... > x_l.  Coefficients are exact rationals by
-default; an optional prime-field mode is available for modular runs.  All
-values are immutable after construction and safe to share across workers.
+Variables are x_1 > x_2 > ... > x_l.  Coefficients lie in one ``Field``
+class: ``QQ`` (``p`` is None, Fractions in lowest terms) by default, or
+``GF(p)`` (ints in [0, p)) for modular runs.  Arithmetic on them is native
+Python, reduced mod p in prime-field mode.  All values are immutable after
+construction and safe to share across workers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from operator import add
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 __all__ = [
     "LESS", "EQUAL", "GREATER",
     "DimensionError", "PowerProduct", "cmp_degrevlex",
-    "Rationals", "PrimeField", "QQ", "GF",
+    "Field", "QQ", "GF",
     "Polynomial", "variables", "multiply", "partial_derivative",
     "LinearChange", "apply_linear_change", "row_reduce",
     "var_names", "format_power_product",
@@ -137,41 +139,6 @@ def cmp_degrevlex(a: PowerProduct, b: PowerProduct) -> int:
 # coefficient fields
 # ---------------------------------------------------------------------------
 
-class Rationals:
-    """Exact rational coefficients (arbitrary precision, lowest terms)."""
-
-    p = None
-    zero = Fraction(0)
-    one = Fraction(1)
-
-    def coerce(self, c) -> Fraction:
-        return Fraction(c)
-
-    def add(self, a, b):
-        return a + b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
-    def inv(self, a):
-        return Fraction(1) / a
-
-    def div(self, a, b):
-        return a / b
-
-    def __eq__(self, other):
-        return isinstance(other, Rationals)
-
-    def __hash__(self):
-        return hash("QQ")
-
-    def __repr__(self):
-        return "QQ"
-
-
 def _is_prime(n: int) -> bool:
     """Miller-Rabin over the prime bases 2..37, which no composite below
     3.18 * 10^23 passes (Sorenson and Webster, Math. Comp. 86, 2017)."""
@@ -192,54 +159,45 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-class PrimeField:
-    """Coefficients in GF(p), stored as ints in [0, p)."""
+class Field:
+    """QQ when ``p`` is None, else GF(p); see the module docstring."""
 
-    def __init__(self, p: int):
-        if not _is_prime(p):
+    def __init__(self, p: Optional[int] = None):
+        if p is not None and not _is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
-        self.zero = 0
-        self.one = 1 % p
+        self.zero = Fraction(0) if p is None else 0
+        self.one = Fraction(1) if p is None else 1
 
-    def coerce(self, c) -> int:
+    def coerce(self, c):
+        p = self.p
+        if p is None:
+            return Fraction(c)
         if isinstance(c, Fraction):
-            den = c.denominator % self.p
+            den = c.denominator % p
             if den == 0:
-                raise ZeroDivisionError(f"denominator of {c} vanishes mod {self.p}")
-            return c.numerator * pow(den, -1, self.p) % self.p
-        return int(c) % self.p
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
+                raise ZeroDivisionError(f"denominator of {c} vanishes mod {p}")
+            return c.numerator * pow(den, -1, p) % p
+        return int(c) % p
 
     def inv(self, a):
-        return pow(a, -1, self.p)
-
-    def div(self, a, b):
-        return a * pow(b, -1, self.p) % self.p
+        return Fraction(1) / a if self.p is None else pow(a, -1, self.p)
 
     def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
+        return isinstance(other, Field) and other.p == self.p
 
     def __hash__(self):
-        return hash(("GF", self.p))
+        return hash("QQ") if self.p is None else hash(("GF", self.p))
 
     def __repr__(self):
-        return f"GF({self.p})"
+        return "QQ" if self.p is None else f"GF({self.p})"
 
 
-QQ = Rationals()
+QQ = Field()
 
 
-def GF(p: int) -> PrimeField:
-    return PrimeField(p)
+def GF(p: int) -> Field:
+    return Field(p)
 
 
 # ---------------------------------------------------------------------------
@@ -342,30 +300,30 @@ class Polynomial:
         if self.field != other.field:
             raise ValueError(f"coefficient fields differ: {self.field} vs {other.field}")
 
+    def _reduced(self, out: dict) -> "Polynomial":
+        """A polynomial like self with the native coefficient sums ``out``,
+        read mod p in prime-field mode and with zero terms dropped."""
+        p = self.field.p
+        if p is not None:
+            out = {pp: v % p for pp, v in out.items()}
+        return Polynomial({pp: v for pp, v in out.items() if v},
+                          self.nvars, self.field, _trusted=True)
+
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._check_compatible(other)
-        field = self.field
         out = dict(self._terms)
         for pp, c in other._terms.items():
-            s = field.add(out.get(pp, field.zero), c)
-            if s == field.zero:
-                out.pop(pp, None)
-            else:
-                out[pp] = s
-        return Polynomial(out, self.nvars, field, _trusted=True)
+            out[pp] = out.get(pp, 0) + c
+        return self._reduced(out)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
 
     def __neg__(self) -> "Polynomial":
-        field = self.field
-        return Polynomial({pp: field.neg(c) for pp, c in self._terms.items()},
-                          self.nvars, field, _trusted=True)
+        return self._reduced({pp: -c for pp, c in self._terms.items()})
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check_compatible(other)
-        field = self.field
-        p = field.p
         out: dict = {}
         small, big = (self._terms, other._terms)
         if len(small) > len(big):
@@ -373,20 +331,12 @@ class Polynomial:
         for pa, ca in small.items():
             for pb, cb in big.items():
                 pp = pa * pb
-                v = out.get(pp, 0) + ca * cb
-                out[pp] = v
-        if p is not None:
-            out = {pp: v % p for pp, v in out.items()}
-        return Polynomial({pp: v for pp, v in out.items() if v},
-                          self.nvars, field, _trusted=True)
+                out[pp] = out.get(pp, 0) + ca * cb
+        return self._reduced(out)
 
     def scale(self, c) -> "Polynomial":
-        field = self.field
-        c = field.coerce(c)
-        if c == field.zero:
-            return Polynomial.zero(self.nvars, field)
-        return Polynomial({pp: field.mul(v, c) for pp, v in self._terms.items()},
-                          self.nvars, field, _trusted=True)
+        c = self.field.coerce(c)
+        return self._reduced({pp: v * c for pp, v in self._terms.items()})
 
     def __pow__(self, n: int) -> "Polynomial":
         if not isinstance(n, int) or n < 0:
@@ -414,19 +364,12 @@ class Polynomial:
         if not 1 <= i <= self.nvars:
             raise IndexError(f"variable index {i} out of range 1..{self.nvars}")
         j = i - 1
-        field = self.field
         out: dict = {}
         for pp, c in self._terms.items():
-            e = pp[j]
-            if e == 0:
-                continue
-            dropped = PowerProduct(tuple(v - 1 if k == j else v for k, v in enumerate(pp)))
-            v = field.add(out.get(dropped, field.zero), field.mul(c, field.coerce(e)))
-            if v == field.zero:
-                out.pop(dropped, None)
-            else:
-                out[dropped] = v
-        return Polynomial(out, self.nvars, field, _trusted=True)
+            if pp[j]:
+                dropped = PowerProduct(tuple(v - 1 if k == j else v for k, v in enumerate(pp)))
+                out[dropped] = c * pp[j]
+        return self._reduced(out)
 
     def convert(self, field) -> "Polynomial":
         """Reinterpret the coefficients in another field."""

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arrfree import (Arrangement, ArrangementError, ExponentVector, GinConfig,
                      NotFreeRginError, Polynomial, PowerProduct,
@@ -12,8 +14,8 @@ from arrfree import (Arrangement, ArrangementError, ExponentVector, GinConfig,
                      is_free_via_sectional, jacobian_ideal, jacobian_rgin,
                      realizable_as_free, rgin, rgin_from_exponents,
                      supersolvable_from_exponents, validate)
-from arrfree import (GF, QQ, apply_linear_change, random_linear_change,
-                     variables)
+from arrfree import (GF, QQ, apply_linear_change, borel_closure,
+                     random_linear_change, variables)
 from arrfree import arrangement as arrangement_module
 from arrfree import gin as gin_module
 from arrfree import groebner as groebner_module
@@ -45,6 +47,21 @@ class TestValidate:
         assert not info.distinct
         with pytest.raises(ArrangementError):
             arrangement(["x", "2x"], 2)
+
+    def test_repeated_up_to_rational_and_negative_multiples(self):
+        forms = polys(["2x - y", "z", "-2x + y", "z", "x + y"], 3)
+        forms[0] = forms[0].scale(Fraction(1, 2))           # x - y/2
+        forms[3] = forms[3].scale(Fraction(-3, 4))
+        info = validate(forms)
+        assert info.central and not info.distinct and info.essential
+        assert info.problems == ("forms #1 and #3 define the same hyperplane",
+                                 "forms #2 and #4 define the same hyperplane")
+
+    def test_primitive_rows_keep_signs(self):
+        A = Arrangement([poly("2x - 4y", 3).scale(Fraction(1, 3)),
+                         poly("-z", 3), poly("x", 3)])
+        assert A.rows == ((1, -2, 0), (0, 0, -1), (1, 0, 0))
+        assert A.content == Fraction(2, 3)
 
     def test_nonlinear_rejected(self):
         info = validate(polys(["x^2"], 2))
@@ -321,6 +338,23 @@ class TestFreenessGoldens:
             assert (d0, reg) == (rep.d0, rep.regularity)
             assert dmax == rep.sectional.dmax == max(reg, d0) + 2
         assert sectional_bounds(StronglyStableIdeal([], 3))[:2] == (None, None)
+
+    # x_2^(d0+1) is a minimal generator when d0 is finite, so d0 + 2 never
+    # exceeds regularity + 1 and the default dmax is regularity + 2 alone
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 5).flatmap(lambda l: st.tuples(st.just(l), st.lists(
+        st.lists(st.integers(0, 3), min_size=l, max_size=l), max_size=3))))
+    def test_default_dmax_is_regularity_plus_two(self, case):
+        l, seeds = case
+        B = StronglyStableIdeal.from_ideal(borel_closure(seeds, l))
+        d0, reg, dmax = sectional_bounds(B)
+        if B.is_zero:
+            assert (reg, dmax) == (None, 2)
+            return
+        assert dmax == reg + 2
+        if d0 is not None:
+            assert PowerProduct((0, d0 + 1) + (0,) * (l - 2)) in B.generators
+            assert d0 + 2 <= reg + 1
 
     def test_not_free_five_planes(self):
         A = arrangement(["x", "x+y-z", "x+z", "x+2z", "x+y+z"], 3)

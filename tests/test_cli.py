@@ -302,6 +302,66 @@ class TestCommands:
         code, text = run_cli("conjecture", str(failing))
         assert code == EXIT_OK and "fails" in text and "x*z" in text
 
+    def test_exponents_json(self, tmp_path):
+        flat = tmp_path / "flat.arr"         # three lines through one axis
+        flat.write_text("vars x y z\nhyperplane x\nhyperplane y\nhyperplane x+y\n")
+        for path, free, exps in ((INPUTS / "five_planes.arr", True, [1, 1, 3]),
+                                 (INPUTS / "five_planes_nonfree.arr", False, None),
+                                 (flat, True, None)):
+            code, text = run_cli("exponents", str(path), "--json", "--seed", "7")
+            assert code == EXIT_OK
+            assert json.loads(text) == {"free": free, "exponents": exps}
+        code, text = run_cli("exponents", str(flat), "--seed", "7")
+        assert text == "free but not essential: exponents not extracted\n"
+
+    def test_exponents_of_a_non_lex_ideal(self, capsys):
+        code, text = run_cli("exponents", str(INPUTS / "staircase.ideal"))
+        assert code == EXIT_PARSE and text == ""
+        assert capsys.readouterr().err == (
+            "error: generator counts increase between degrees 4 and 5\n")
+
+    def test_construct_json(self):
+        code, text = run_cli("construct", "--exponents", "1,1,2", "--json")
+        assert code == EXIT_OK
+        assert json.loads(text) == {"exponents": [1, 1, 2], "n": 4, "l": 3,
+                                    "forms": ["x", "x - y", "x - z", "x - 2*z"]}
+
+    def test_realize_json(self):
+        code, text = run_cli("realize", str(INPUTS / "realizable.ideal"),
+                             "--json", "--seed", "7")
+        assert code == EXIT_OK
+        assert json.loads(text) == {
+            "realizable": True, "reason": None, "exponents": [1, 2, 4],
+            "forms": ["x", "x - y", "x - 2*y", "x - z", "x - 2*z", "x - 3*z",
+                      "x - 4*z"],
+            "verified": True}
+        code, text = run_cli("realize", str(INPUTS / "not_realizable.ideal"),
+                             "--json")
+        assert code == EXIT_OK
+        assert json.loads(text) == {
+            "realizable": False, "reason": "no minimal generator of degree 4",
+            "exponents": None, "forms": None, "verified": False}
+
+    def test_conjecture_json(self, tmp_path):
+        failing = tmp_path / "f.ideal"
+        failing.write_text("vars x y z\ngen x^2\ngen x*y\ngen x*z\ngen y^3\n")
+        code, text = run_cli("conjecture", str(failing), "--json")
+        assert code == EXIT_OK
+        assert json.loads(text) == {"holds": False, "d0": 2,
+                                    "violations": ["x*z"], "vacuous": False}
+        code, text = run_cli("conjecture", str(INPUTS / "realizable.ideal"),
+                             "--json")
+        assert json.loads(text) == {"holds": True, "d0": 8, "violations": [],
+                                    "vacuous": True}
+
+    def test_single_hyperplane_is_trivially_free(self, tmp_path):
+        path = tmp_path / "one.arr"
+        path.write_text("vars x y z\nhyperplane x+y\n")
+        code, text = run_cli("analyze", str(path))
+        assert code == EXIT_OK
+        assert "verdict   : FREE (trivially: rgin is the whole ring)\n" in text
+        assert "rgin      : <1>\n" in text
+
 
 class TestExitCodes:
     def test_usage(self):
@@ -409,6 +469,13 @@ class TestExitCodes:
         path = tmp_path / "dup.arr"
         path.write_text("vars x y\nhyperplane x\nhyperplane 2x\n")
         assert run_cli("analyze", str(path))[0] == EXIT_PARSE
+
+    def test_any_value_error_is_input_error(self, tmp_path, capsys):
+        # NotStronglyStableError is a ValueError of no CLI-specific kind
+        path = tmp_path / "b.ideal"
+        path.write_text("vars x y\ngen x^2\ngen y^2\n")
+        assert run_cli("realize", str(path)) == (EXIT_PARSE, "")
+        assert capsys.readouterr().err == "error: <x^2, y^2> is not strongly stable\n"
 
     def test_compute_failure(self, tmp_path, monkeypatch):
         from arrfree.gin import GenericityExhaustedError

@@ -294,6 +294,15 @@ class TestDenseRows:
         assert leading_term_ideal(rows) == leading_term_ideal(dicts)
         assert rows.elements == dicts.elements
 
+    @FIELDS
+    def test_sparse_homogeneous_input_stays_on_dicts(self, field):
+        # a dense row of degree 2^15 - 1 has about 5 * 10^8 columns; these
+        # must stay on term dicts, where the degree limit raises at once
+        gens = [g.convert(field)
+                for g in polys([f"x^{TOP - 1}*y - z^{TOP}", "y*z"], 3)]
+        assert all(g.is_homogeneous() for g in gens)
+        assert not groebner_module._dense([_int_terms(g)[0] for g in gens], 3)
+
 
 class TestTruncatedRun:
     @FIELDS

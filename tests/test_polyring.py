@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from arrfree import (EQUAL, GF, GREATER, DimensionError, LinearChange,
                      Polynomial, PowerProduct, apply_linear_change,
                      cmp_degrevlex, variables)
-from arrfree.polyring import row_reduce
+from arrfree.polyring import QQ, Field, row_reduce
 from helpers import poly, random_linear_form, random_polynomial
 
 exponents3 = st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(0, 6))
@@ -126,6 +126,38 @@ class TestArithmetic:
         x, y = variables(2)
         assert (x + y) ** 3 == poly("x^3 + 3x^2*y + 3x*y^2 + y^3", 2)
         assert (x + y) ** 0 == Polynomial.constant(1, 2)
+
+
+class TestField:
+    def test_one_class_for_both_fields(self):
+        assert QQ == Field() and GF(7) == Field(7) and QQ != GF(7) != GF(11)
+        assert hash(GF(7)) == hash(Field(7))
+        assert (repr(QQ), repr(GF(7))) == ("QQ", "GF(7)")
+        assert (QQ.zero, QQ.one) == (0, 1) and type(QQ.one) is Fraction
+        assert type(GF(7).one) is int and GF(7).inv(3) == 5
+        assert QQ.inv(Fraction(-2, 3)) == Fraction(-3, 2)
+        with pytest.raises(ValueError, match="8 is not prime"):
+            GF(8)
+        assert GF(7).coerce(Fraction(1, 3)) == 5 and GF(7).coerce(-1) == 6
+        with pytest.raises(ZeroDivisionError, match="vanishes mod 7"):
+            GF(7).coerce(Fraction(1, 7))
+
+    @pytest.mark.parametrize("p", [3, 32003])
+    def test_native_arithmetic_mod_p_commutes_with_reduction(self, p):
+        # every operation over GF(p) equals the one over QQ read mod p, also
+        # where a sum, a product or a derivative's factor e vanishes mod p
+        F, rng = GF(p), random.Random(p)
+        for _ in range(40):
+            f, g = (random_polynomial(3, 4, 5, rng, bound=p + 2) for _ in range(2))
+            fp, gp = f.convert(F), g.convert(F)
+            c = rng.randint(-p, p)
+            assert (f + g).convert(F) == fp + gp
+            assert (f - g).convert(F) == fp - gp and (-f).convert(F) == -fp
+            assert (f * g).convert(F) == fp * gp
+            assert f.scale(c).convert(F) == fp.scale(c)
+            for i in (1, 2, 3):
+                assert f.partial_derivative(i).convert(F) == fp.partial_derivative(i)
+            assert all(0 < v < p for _, v in (fp * gp + fp.scale(c)).terms())
 
 
 class TestDerivatives:
