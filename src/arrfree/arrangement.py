@@ -90,6 +90,12 @@ def _primitive_row(f: Polynomial) -> Tuple[Tuple[int, ...], Fraction]:
 
 def validate(forms: Sequence[Polynomial]) -> ValidationInfo:
     """Check centrality, distinctness and essentiality of a list of forms."""
+    return _validated(forms)[0]
+
+
+def _validated(forms: Sequence[Polynomial]) -> tuple:
+    """``validate(forms)`` and, for central forms, the ``_primitive_row``
+    of each form that the check read, else ()."""
     forms = list(forms)
     if not forms:
         raise ArrangementError("an arrangement needs at least one hyperplane")
@@ -105,11 +111,12 @@ def validate(forms: Sequence[Polynomial]) -> ValidationInfo:
         if not _is_linear_form(f):
             central = False
             problems.append(f"form #{idx + 1} ({f}) is not linear homogeneous")
-    distinct, essential = True, False
+    distinct, essential, primitive = True, False, ()
     if central:
         # two forms define one hyperplane iff their primitive rows agree up
         # to sign
-        rows = [_primitive_row(f)[0] for f in forms]
+        primitive = [_primitive_row(f) for f in forms]
+        rows = [row for row, _ in primitive]
         seen: dict = {}
         for idx, row in enumerate(rows):
             sign = 1 if next(v for v in row if v) > 0 else -1
@@ -120,7 +127,7 @@ def validate(forms: Sequence[Polynomial]) -> ValidationInfo:
                     f"forms #{first + 1} and #{idx + 1} define the same hyperplane")
         essential = len(row_reduce(rows)[1]) == l
     return ValidationInfo(central=central, distinct=distinct, essential=essential,
-                          n=len(forms), l=l, problems=tuple(problems))
+                          n=len(forms), l=l, problems=tuple(problems)), primitive
 
 
 class Arrangement:
@@ -129,13 +136,13 @@ class Arrangement:
     __slots__ = ("forms", "rows", "content", "nvars", "labels", "essential")
 
     def __init__(self, forms: Sequence[Polynomial], labels: Optional[Sequence[str]] = None):
-        info = validate(forms)
+        info, primitive = _validated(forms)
         if not info.central or not info.distinct:
             raise ArrangementError("; ".join(info.problems))
         self.forms = tuple(forms)
         # each form is content * row (``_primitive_row``); Q is the product
         # of the rows times self.content
-        self.rows, contents = zip(*map(_primitive_row, self.forms))
+        self.rows, contents = zip(*primitive)
         self.content = math.prod(contents, start=Fraction(1))
         self.nvars = info.l
         self.essential = info.essential

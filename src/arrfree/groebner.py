@@ -130,21 +130,9 @@ def _max_fields(ra: int, rb: int, g: int) -> int:
     return ra & take_a | rb & ~take_a
 
 
-def _lcm(a: int, b: int, nvars: int) -> int:
-    """The key of lcm(a, b); no limit applies."""
-    r = _max_fields(_fields(a, nvars), _fields(b, nvars), _guards(nvars))
-    return (sum(_exponents(r, nvars)) << _W * nvars) - r
-
-
 def _divides(a: int, b: int, nvars: int) -> bool:
     g = _guards(nvars)
     return (_fields(b, nvars) | g) - _fields(a, nvars) & g == g
-
-
-def _coprime(a: int, b: int, nvars: int) -> bool:
-    """No variable divides both: the lcm is the product."""
-    ra, rb = _fields(a, nvars), _fields(b, nvars)
-    return _max_fields(ra, rb, _guards(nvars)) == ra + rb
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """Combinatorics of monomial ideals.
 
 Minimal generators, membership, sectional matrices, reduction numbers,
-regularity and graded Betti numbers of strongly stable ideals, and the
-two-variable lex-segment shape test.
+regularity and graded Betti numbers of strongly stable ideals, the
+two-variable lex-segment shape test, and Cohen-Macaulayness.  Every
+invariant but the sectional matrix is read off the minimal generators in
+closed form; the sectional matrix counts standard monomials.
 """
 
 from __future__ import annotations
@@ -459,20 +461,16 @@ def codimension(B: MonomialIdeal) -> int:
 
 
 def is_cohen_macaulay(B: MonomialIdeal) -> bool:
-    """Cohen-Macaulayness of S/B for strongly stable B via the sectional matrix.
+    """Cohen-Macaulayness of S/B for strongly stable B, read off the generators.
 
-    S/B is Cohen-Macaulay of codimension c iff the reduction number
-    r_(l-c) is finite and the triangle equality holds at (c+1, d) for every
-    d up to the regularity.
+    pd(S/B) is the largest index of the largest variable of a minimal
+    generator (Eliahou-Kervaire, J. Algebra 129, 1990), and S/B is
+    Cohen-Macaulay iff pd(S/B) = codim B (Auslander-Buchsbaum).  The paper's
+    sectional criterion (r_(l-c) finite and the triangle equality at (c+1, d)
+    for every d up to the regularity) gives the same verdict and is kept as
+    the test oracle.
     """
     B = _as_stable(B)
     if B.is_zero or B.is_unit:
         return True
-    c = codimension(B)
-    if c == B.nvars:
-        return True  # zero-dimensional quotients are Cohen-Macaulay
-    reg = regularity_stable(B)
-    if reduction_number(B, B.nvars - c) is INFINITE:
-        return False
-    M = sectional_matrix(B, max(reg, 1))
-    return all(triangle_equality(M, c + 1, d) for d in range(1, reg + 1))
+    return max(g.max_variable() for g in B.generators) == codimension(B)

@@ -63,6 +63,20 @@ class TestValidate:
         assert A.rows == ((1, -2, 0), (0, 0, -1), (1, 0, 0))
         assert A.content == Fraction(2, 3)
 
+    def test_each_hyperplane_read_once(self, monkeypatch):
+        forms = polys(["x", "y", "z", "x - y", "2x + 3y - z"], 3)
+        read = []
+
+        def counted(f):
+            read.append(f)
+            return primitive_row(f)
+
+        primitive_row = arrangement_module._primitive_row
+        monkeypatch.setattr(arrangement_module, "_primitive_row", counted)
+        A = Arrangement(forms)
+        assert read == forms
+        assert A.rows[4] == (2, 3, -1) and A.content == 1
+
     def test_nonlinear_rejected(self):
         info = validate(polys(["x^2"], 2))
         assert not info.central and "form #1" in info.problems[0]

@@ -15,8 +15,9 @@ from arrfree import (GF, QQ, Arrangement, DegreeCapExceeded, GinConfig,
                      s_polynomial)
 from arrfree import gin as gin_module
 from arrfree import groebner as groebner_module
-from arrfree.groebner import (_coprime, _degree, _divides, _int_terms, _key,
-                              _lcm, _pack, _power_product, _reduce)
+from arrfree.groebner import (_W, _degree, _divides, _exponents, _fields,
+                              _guards, _int_terms, _key, _max_fields, _pack,
+                              _power_product, _reduce)
 from arrfree.monomial import degree_monomials
 from helpers import (arrangement, bench_workloads, poly, polys,
                      random_exponent, random_polynomial)
@@ -29,6 +30,20 @@ exponent_triples = st.integers(1, 6).flatmap(lambda l: st.tuples(
         lambda t: tuple(PowerProduct(e) for e in t))
 
 TOP = (1 << 15) - 1         # the largest exponent a kernel field holds
+
+
+# References for the pair update, which works on exponent fields with
+# groebner._max_fields directly.
+def _lcm(a, b, nvars):
+    """The key of lcm(a, b); no limit applies."""
+    r = _max_fields(_fields(a, nvars), _fields(b, nvars), _guards(nvars))
+    return (sum(_exponents(r, nvars)) << _W * nvars) - r
+
+
+def _coprime(a, b, nvars):
+    """No variable divides both: the lcm is the product."""
+    ra, rb = _fields(a, nvars), _fields(b, nvars)
+    return _max_fields(ra, rb, _guards(nvars)) == ra + rb
 
 
 class TestSortKeys:

@@ -14,6 +14,7 @@ from arrfree import (INFINITE, MonomialIdeal, NotStronglyStableError,
                      is_cm_codim2_stable, is_cohen_macaulay,
                      is_strongly_stable, minimalize, reduction_number,
                      regularity_stable, sectional_matrix, triangle_equality)
+from arrfree import monomial as monomial_module
 from arrfree.cli import render_sectional_matrix
 from arrfree.monomial import count_standard_monomials, degree_monomials
 from helpers import random_borel_ideal
@@ -397,3 +398,63 @@ class TestCohenMacaulay:
         J2 = B([(2, 0, 0, 0), (1, 2, 0, 0), (1, 1, 1, 0), (0, 4, 0, 0)], 4)
         assert not is_cohen_macaulay(J2)
         assert is_cohen_macaulay(MonomialIdeal.zero(3))
+
+    def test_rejects_non_stable(self):
+        with pytest.raises(NotStronglyStableError):
+            is_cohen_macaulay(B([(0, 1, 0)], 3))
+
+
+def sectional_cm_oracle(I):
+    """The paper's criterion: S/B is Cohen-Macaulay of codimension c iff the
+    reduction number r_(l-c) is finite and the triangle equality holds at
+    (c+1, d) for every d up to the regularity."""
+    if I.is_zero or I.is_unit:
+        return True
+    c = codimension(I)
+    if c == I.nvars:
+        return True  # zero-dimensional quotients are Cohen-Macaulay
+    reg = regularity_stable(I)
+    if reduction_number(I, I.nvars - c) is INFINITE:
+        return False
+    M = sectional_matrix(I, max(reg, 1))
+    return all(triangle_equality(M, c + 1, d) for d in range(1, reg + 1))
+
+
+def _cm_cases():
+    """Random strongly stable ideals with l = 1..5, each l also with a pure
+    power of x_l (codim = l), and the zero and unit ideals."""
+    rng = random.Random(16)
+    cases = []
+    for l in range(1, 6):
+        cases += [MonomialIdeal.zero(l), MonomialIdeal.unit(l),
+                  borel_closure([PowerProduct([0] * (l - 1) + [2])], l)]
+        for _ in range(40):
+            cases.append(random_borel_ideal(l, 5, rng.randint(1, 3), rng))
+    return cases
+
+
+class TestCohenMacaulayClosedForm:
+    """pd(S/B) = codim B (Eliahou-Kervaire, Auslander-Buchsbaum) against the
+    paper's sectional criterion."""
+
+    def test_agrees_with_sectional_criterion(self):
+        verdicts = []
+        for I in _cm_cases():
+            assert is_cohen_macaulay(I) == sectional_cm_oracle(I), I
+            if not (I.is_zero or I.is_unit):
+                verdicts.append((is_cohen_macaulay(I), codimension(I) == I.nvars))
+        # both verdicts occur, and so do codim = l and codim < l
+        assert verdicts.count((True, False)) > 20
+        assert verdicts.count((False, False)) > 20
+        assert verdicts.count((True, True)) >= 5
+
+    def test_reads_no_sectional_matrix(self, monkeypatch):
+        cases = _cm_cases()
+        expected = [sectional_cm_oracle(I) for I in cases]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("is_cohen_macaulay built a sectional matrix")
+
+        monkeypatch.setattr(monomial_module, "sectional_matrix", forbidden)
+        monkeypatch.setattr(monomial_module, "count_standard_monomials", forbidden)
+        assert [is_cohen_macaulay(I) for I in cases] == expected
