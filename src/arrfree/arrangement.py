@@ -3,7 +3,9 @@
 Freeness is decided through the generic initial ideal of the Jacobian ideal:
 either by the shape of its minimal generators, or by three entries of the
 sectional matrix together with one partial row sum.  Both tests reduce to
-Cohen-Macaulayness of the Jacobian ring, so they must always agree.
+Cohen-Macaulayness of the Jacobian ring, so they must always agree.  Every
+FREE verdict is checked once more against the closed-form rgin of the
+exponents it reads (``rgin_from_exponents``).
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import List, Optional, Sequence, Tuple
 from .gin import GinCertificate, GinConfig, _product, rgin
 from .groebner import (_W, InternalConsistencyError, _poly, _residues,
                        _variables)
-from .monomial import (INFINITE, BettiTable, MonomialIdeal, SectionalMatrix,
+from .monomial import (INFINITE, BettiTable, SectionalMatrix,
                        StronglyStableIdeal, betti_eliahou_kervaire,
                        is_cm_codim2_stable, reduction_number,
                        regularity_stable, sectional_matrix)
@@ -247,36 +249,28 @@ class FreenessReport:
 
 
 def _free_by_generator_shape(B: StronglyStableIdeal, n: int) -> bool:
-    """Generator-shape freeness test for B = rgin of a Jacobian ideal."""
-    if B.is_unit:
-        return True
-    l = B.nvars
-    x1_power = PowerProduct(tuple(n - 1 if j == 0 else 0 for j in range(l)))
-    has_x1 = x1_power in B.generators
-    has_x2_power = l >= 2 and any(
-        g.degree() >= 1 and g.degree() == g[1] for g in B.generators)
-    no_higher = all(g.max_variable() <= 2 for g in B.generators)
-    return has_x1 and has_x2_power and no_higher
+    """Generator-shape freeness test for B = rgin of a Jacobian ideal: B is
+    the unit ideal or a two-variable lex segment on n generators."""
+    return B.is_unit or (s := is_cm_codim2_stable(B)) is not None and s.n == n
 
 
-def _assert_free_shape(B: StronglyStableIdeal, n: int) -> None:
-    """Consistency checks that hold whenever the shape test says free."""
-    if B.is_unit:
-        return
-    shape = is_cm_codim2_stable(B)
-    if shape is None or shape.n != n:
+def _free_exponents(B: StronglyStableIdeal, n: int,
+                    essential: bool) -> ExponentVector:
+    """The exponents e of a FREE verdict on a proper B, checked by one round
+    trip: B is ``rgin_from_exponents(e)`` padded with zeros to l variables,
+    sum(e) = n, and len(e) = l exactly when the arrangement is essential."""
+    try:
+        e = _read_exponents(B)
+        R = rgin_from_exponents(e)
+    except ValueError as exc:
+        raise InternalConsistencyError(f"free verdict but {exc}") from exc
+    pad = (0,) * (B.nvars - len(e))
+    if [g + pad for g in R.generators] != list(B.generators) \
+            or sum(e) != n or (len(e) == B.nvars) != essential:
         raise InternalConsistencyError(
-            f"free verdict but rgin lacks the expected {n}-generator shape: {B!r}")
-    lam = shape.lambdas
-    if any(b - a not in (1, 2) for a, b in zip(lam, lam[1:])):
-        raise InternalConsistencyError(
-            f"free verdict but lambda increments leave {{1,2}}: {lam}")
-    reg = regularity_stable(B)
-    degrees = {g.degree() for g in B.generators}
-    missing = [d for d in range(n - 1, reg + 1) if d not in degrees]
-    if missing:
-        raise InternalConsistencyError(
-            f"free verdict but generator degrees miss {missing}")
+            f"free verdict but {B!r} is not the rgin of exponents {tuple(e)} "
+            f"with n={n}, l={B.nvars}, essential={essential}")
+    return e
 
 
 def _free_by_sectional(B: StronglyStableIdeal, M: SectionalMatrix,
@@ -284,11 +278,10 @@ def _free_by_sectional(B: StronglyStableIdeal, M: SectionalMatrix,
     """Sectional-matrix freeness test (three entries plus one row sum)."""
     if M.is_zero:
         return True
-    l = B.nvars
-    if l < 3:
+    if B.nvars < 3:
         # every central arrangement in the plane (or the line) is free
         return True
-    if d0 is None or d0 is INFINITE:
+    if d0 is None:
         raise InternalConsistencyError(
             "the second-variable reduction number must be finite for a Jacobian ideal")
     flat = M.m(3, d0) == M.m(3, d0 + 1) == M.m(3, d0 + 2)
@@ -318,8 +311,11 @@ def analyze(A: Arrangement, cfg: GinConfig = GinConfig(),
     """Full freeness report for one arrangement.
 
     ``method`` selects which characterization decides the verdict; with
-    "both" the two are compared and must agree.  ``dmax`` widens the
-    sectional matrix beyond the default regularity + 2 bound.
+    "both" the two are compared and must agree.  Whatever the method, a
+    FREE verdict on a proper rgin is checked by one round trip through
+    ``rgin_from_exponents`` (``_free_exponents``), and an rgin that fails
+    it raises ``InternalConsistencyError``.  ``dmax`` widens the sectional
+    matrix beyond the default regularity + 2 bound.
     """
     if method not in ("rgin", "sectional", "both"):
         raise ValueError(f"unknown method {method!r}")
@@ -331,8 +327,6 @@ def analyze(A: Arrangement, cfg: GinConfig = GinConfig(),
     verdicts = {}
     if method in ("rgin", "both"):
         verdicts["rgin"] = _free_by_generator_shape(B, n)
-        if verdicts["rgin"]:
-            _assert_free_shape(B, n)
     if method in ("sectional", "both"):
         verdicts["sectional"] = _free_by_sectional(B, M, d0)
     if len(verdicts) == 2 and verdicts["rgin"] != verdicts["sectional"]:
@@ -345,17 +339,14 @@ def analyze(A: Arrangement, cfg: GinConfig = GinConfig(),
     if not B.is_zero and not B.is_unit:
         betti = betti_eliahou_kervaire(B)
     exponents = None
-    if free and A.essential:
-        if B.is_unit:
-            exponents = ExponentVector((1,) * l)
-        else:
-            exponents = exponents_from_rgin(B)
-            if sum(exponents) != n or len(exponents) != l or exponents[0] != 1:
-                raise InternalConsistencyError(
-                    f"exponents {exponents} inconsistent with n={n}, l={l}")
+    if free and B.is_unit:
+        exponents = ExponentVector((1,) * l)
+    elif free:
+        exponents = _free_exponents(B, n, A.essential)
     return FreenessReport(free=free, method=method, n=n, l=l,
                           essential=A.essential, rgin=B, sectional=M,
-                          d0=d0, regularity=reg, exponents=exponents,
+                          d0=d0, regularity=reg,
+                          exponents=exponents if A.essential else None,
                           betti=betti, provenance=B.certificate)
 
 
@@ -377,14 +368,26 @@ def exponents_from_rgin(B: StronglyStableIdeal) -> ExponentVector:
     """Recover the exponents of a free essential arrangement from its rgin.
 
     The multiplicity of the exponent value a is the drop of the generator
-    count between degrees a+n-2 and a+n-1; the remaining entries equal the
-    top value lambda_(n-1) - n + 2.
+    count between degrees a+n-2 and a+n-1 (``_read_exponents``); raises
+    ``NotFreeRginError`` unless B is a two-variable lex segment whose counts
+    never increase and give l exponents.
     """
+    e = _read_exponents(B)
+    if len(e) != B.nvars:
+        raise NotFreeRginError(
+            f"the counting procedure yields {len(e)} exponents, "
+            f"but the ambient dimension is {B.nvars}")
+    return e
+
+
+def _read_exponents(B: StronglyStableIdeal) -> ExponentVector:
+    """The exponent list read off the drops in the generator count of a
+    two-variable lex segment B on n generators, of any length.  The drops
+    telescope: there are beta0(n-1) exponents and they sum to n."""
     shape = is_cm_codim2_stable(B)
     if shape is None:
         raise NotFreeRginError(
             f"{B!r} is not a two-variable lex-segment ideal")
-    l = B.nvars
     n = shape.n
     beta0 = B.generator_degrees()
     e_top = shape.lambdas[-1] - n + 2
@@ -396,46 +399,25 @@ def exponents_from_rgin(B: StronglyStableIdeal) -> ExponentVector:
                 f"generator counts increase between degrees {alpha + n - 2} "
                 f"and {alpha + n - 1}")
         exps.extend([alpha] * c)
-    if len(exps) != l:
-        raise NotFreeRginError(
-            f"the counting procedure yields {len(exps)} exponents, "
-            f"but the ambient dimension is {l}")
-    result = ExponentVector(exps)
-    if sum(result) != n:
-        raise NotFreeRginError(
-            f"exponents {result} do not sum to the hyperplane count {n}")
-    return result
+    return ExponentVector(exps)
 
 
 def rgin_from_exponents(e) -> StronglyStableIdeal:
-    """The unique rgin of a free essential arrangement with exponents e."""
+    """The unique rgin of a free essential arrangement with exponents e.
+
+    Each exponent v gives one generator in each degree n-1, ..., n-2+v; the
+    i-th generator in degree order (from i = 0) is x1^(n-1-i) x2^(d_i-n+1+i).
+    """
     e = ExponentVector(e)
     if e[0] != 1:
         raise ValueError("the smallest exponent of an essential arrangement is 1")
-    l = len(e)
-    n = sum(e)
+    l, n = len(e), sum(e)
     if n == 1:
         return StronglyStableIdeal((PowerProduct.unit(l),), l)
-    degrees: List[int] = []
-    j = n - 1
-    while True:
-        count = sum(1 for v in e if v > j - n + 1)
-        if count == 0:
-            break
-        degrees.extend([j] * count)
-        j += 1
-    assert len(degrees) == n
-    gens = []
-    for i, d in enumerate(degrees):
-        lam = d - (n - 1 - i)
-        exps = [0] * l
-        exps[0] = n - 1 - i
-        if l >= 2:
-            exps[1] = lam
-        elif lam:
-            raise ValueError("one variable cannot carry these exponents")
-        gens.append(PowerProduct(exps))
-    return StronglyStableIdeal(gens, l)
+    degrees = sorted(n - 2 + a for v in e for a in range(1, v + 1))
+    return StronglyStableIdeal(
+        [PowerProduct((n - 1 - i, d - n + 1 + i) + (0,) * (l - 2))
+         for i, d in enumerate(degrees)], l)
 
 
 def supersolvable_from_exponents(e) -> Arrangement:
@@ -480,9 +462,11 @@ def realizable_as_free(B: StronglyStableIdeal, cfg: GinConfig = GinConfig(),
     """Decide whether B is the rgin of the Jacobian ideal of a free
     essential arrangement, and construct one if so.
 
-    The generator-count chain test and the equivalent lambda-count test are
-    both evaluated and must agree.  On success the witness arrangement is
-    checked end-to-end: its rgin must reproduce B exactly.
+    The test is the generator-count chain: l generators of the minimal
+    degree n - 1, fewer in degree n, and from there at least one in each
+    degree up to the top, never more than in the degree before.  On success
+    the witness arrangement is checked end-to-end: its rgin must reproduce
+    B exactly.
     """
     if B.is_unit or B.is_zero:
         return _no("the unit and zero ideals are not Jacobian rgins of "
@@ -517,19 +501,6 @@ def realizable_as_free(B: StronglyStableIdeal, cfg: GinConfig = GinConfig(),
                                      f"beta0({j + 1}) = {beta0.get(j + 1, 0)}")
                     break
 
-    # independent reading: counts of lambda_i = i + s must start at l - 1
-    # and never increase with s
-    lam = shape.lambdas
-    s_top = lam[-1] - n + 1
-    counts = [sum(1 for i, v in enumerate(lam, start=1) if v == i + s)
-              for s in range(0, s_top + 1)]
-    lambda_ok = (1 + counts[0] == l) and \
-        all(a >= b for a, b in zip(counts, counts[1:])) and \
-        sum(counts) == len(lam)
-    if lambda_ok != (chain_verdict is None):
-        raise InternalConsistencyError(
-            f"chain test ({chain_verdict is None}) and lambda-count test "
-            f"({lambda_ok}) disagree on {B!r}")
     if chain_verdict is not None:
         return _no(chain_verdict)
 
@@ -538,7 +509,7 @@ def realizable_as_free(B: StronglyStableIdeal, cfg: GinConfig = GinConfig(),
     verified = False
     if verify:
         B2 = jacobian_rgin(arrangement, cfg)
-        if MonomialIdeal(B2.generators, l) != MonomialIdeal(B.generators, l):
+        if B2 != B:
             raise InternalConsistencyError(
                 f"constructed arrangement has rgin {B2!r}, expected {B!r}")
         verified = True
@@ -566,11 +537,8 @@ class ConjectureReport:
 
 def check_conjecture_Z(B: StronglyStableIdeal) -> ConjectureReport:
     """Check the degree bound for third-variable generators of B."""
-    l = B.nvars
-    third = [g for g in B.generators if l >= 3 and g[2] > 0]
-    pure2 = [g.degree() for g in B.generators
-             if l >= 2 and g.degree() >= 1 and g.degree() == g[1]]
-    d0 = min(pure2) - 1 if pure2 else None
+    third = [g for g in B.generators if B.nvars >= 3 and g[2] > 0]
+    d0 = sectional_bounds(B)[0]
     if d0 is None:
         # Borel-fixedness makes third-variable generators force a pure power
         # of the second variable, so this branch is the vacuous one.

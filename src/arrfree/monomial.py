@@ -215,13 +215,14 @@ class StronglyStableIdeal(MonomialIdeal):
         return out
 
 
-def _as_stable(B: MonomialIdeal) -> MonomialIdeal:
+def _as_stable(B: MonomialIdeal) -> StronglyStableIdeal:
+    """B checked once: calls chained on the result skip the check."""
     if isinstance(B, StronglyStableIdeal):
         return B
     if not is_strongly_stable(B):
         raise NotStronglyStableError(
-            f"{B!r} is not strongly stable; pass raw=True for plain counting")
-    return B
+            f"{B!r} is not strongly stable; count_standard_monomials counts it")
+    return StronglyStableIdeal._checked(B)
 
 
 # ---------------------------------------------------------------------------
@@ -298,16 +299,14 @@ class SectionalMatrix:
         return f"SectionalMatrix(dmax={self.dmax}, rows={self.values})"
 
 
-def sectional_matrix(B: MonomialIdeal, dmax: Optional[int] = None, *,
-                     raw: bool = False) -> SectionalMatrix:
+def sectional_matrix(B: MonomialIdeal, dmax: Optional[int] = None) -> SectionalMatrix:
     """Sectional matrix of S/B for a strongly stable ideal B.
 
     Sectioning by generic linear forms agrees with sectioning by the smallest
-    variables only for Borel-fixed ideals, so non-Borel input is rejected
-    unless ``raw=True`` asks for the plain counts.
+    variables only for Borel-fixed ideals, so non-Borel input is rejected;
+    ``count_standard_monomials`` gives the plain counts.
     """
-    if not raw:
-        B = _as_stable(B)
+    B = _as_stable(B)
     if dmax is None:
         top = B.max_generator_degree()
         dmax = (top if top is not None else 0) + 2

@@ -19,11 +19,12 @@ from arrfree import (GF, QQ, apply_linear_change, borel_closure,
 from arrfree import arrangement as arrangement_module
 from arrfree import gin as gin_module
 from arrfree import groebner as groebner_module
-from arrfree.arrangement import _expand, sectional_bounds
+from arrfree.arrangement import (_expand, _free_by_generator_shape,
+                                  is_cm_codim2_stable, sectional_bounds)
 from arrfree.groebner import _poly
 from helpers import arrangement as bench_arrangement
 from helpers import (bench_workloads, distinct_random_forms, poly, polys,
-                     random_linear_form)
+                     random_borel_ideal, random_linear_form)
 
 CFG = GinConfig(seed=9)
 
@@ -419,6 +420,55 @@ class TestFreenessGoldens:
         assert rep.exponents is None
         with pytest.raises(NotFreeRginError):
             exponents_from_rgin(rep.rgin)
+        # in 4-space the rgin is that of the essentialization, exponents
+        # (1, 2), padded with zeros: the round trip of every method passes
+        A = arrangement(["x", "y", "x+y"], 4)
+        for method in ("both", "rgin", "sectional"):
+            rep = analyze(A, CFG, method=method)
+            assert rep.free and not rep.essential and rep.exponents is None
+            assert str(rep.rgin) == str(rgin_from_exponents((1, 2))) \
+                == "<x^2, x*y, y^3>"
+
+
+def three_probe_oracle(B, n):
+    """The paper's generator-shape test read literally: x1^(n-1) is a
+    minimal generator, so is a pure power of x2, and no minimal generator
+    involves x3 or a later variable."""
+    if B.is_unit:
+        return True
+    l = B.nvars
+    x1_power = PowerProduct(tuple(n - 1 if j == 0 else 0 for j in range(l)))
+    has_x1 = x1_power in B.generators
+    has_x2_power = l >= 2 and any(
+        g.degree() >= 1 and g.degree() == g[1] for g in B.generators)
+    no_higher = all(g.max_variable() <= 2 for g in B.generators)
+    return has_x1 and has_x2_power and no_higher
+
+
+class TestGeneratorShape:
+    def test_agrees_with_three_probe_oracle(self):
+        # on a strongly stable B the three probes say that B is the
+        # two-variable lex segment on n generators
+        rng = random.Random(17)
+        free = checks = 0
+        for _ in range(400):
+            l = rng.randint(1, 4)
+            B = StronglyStableIdeal.from_ideal(
+                random_borel_ideal(l, 6, rng.randint(1, 3), rng))
+            for n in range(1, 9):
+                verdict = _free_by_generator_shape(B, n)
+                assert verdict == three_probe_oracle(B, n), (B, n)
+                free += verdict
+                checks += 1
+        for e in all_exponent_vectors(7, 3):
+            R = rgin_from_exponents(e)
+            B = StronglyStableIdeal([g + (0,) for g in R.generators], len(e) + 1)
+            for n in (sum(e) - 1, sum(e), sum(e) + 1):
+                assert _free_by_generator_shape(B, n) == three_probe_oracle(B, n)
+                assert _free_by_generator_shape(B, n) == (n == sum(e))
+        unit = StronglyStableIdeal([(0, 0, 0)], 3)
+        assert _free_by_generator_shape(unit, 4) and three_probe_oracle(unit, 4)
+        assert free > 40 and checks - free > 1000
 
 
 class TestExponentConversions:
@@ -561,6 +611,44 @@ class TestRealizability:
         B = StronglyStableIdeal([(2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0)], 3)
         v = realizable_as_free(B)
         assert not v.realizable and "codimension 2" in v.reason
+
+
+def lambda_count_oracle(B):
+    """Realizability read off the lambdas of the lex segment: the counts of
+    lambda_i = i + s must start at l - 1 and never increase with s."""
+    shape = is_cm_codim2_stable(B)
+    if shape is None:
+        return False
+    lam, n = shape.lambdas, shape.n
+    counts = [sum(1 for i, v in enumerate(lam, start=1) if v == i + s)
+              for s in range(0, lam[-1] - n + 2)]
+    return (1 + counts[0] == B.nvars
+            and all(a >= b for a, b in zip(counts, counts[1:]))
+            and sum(counts) == len(lam))
+
+
+class TestRealizabilityOracle:
+    def test_chain_test_agrees_with_lambda_counts(self):
+        rng = random.Random(23)
+        verdicts = []
+        for _ in range(600):
+            l = rng.randint(2, 4)
+            lam = [rng.randint(1, 2)]
+            for _ in range(rng.randint(0, 6)):
+                lam.append(lam[-1] + rng.randint(1, 3))
+            n = len(lam) + 1
+            gens = [(n - 1,) + (0,) * (l - 1)]
+            gens += [(n - 1 - i, v) + (0,) * (l - 2)
+                     for i, v in enumerate(lam, start=1)]
+            B = StronglyStableIdeal(gens, l)
+            v = realizable_as_free(B, verify=False)
+            assert v.realizable == lambda_count_oracle(B), B
+            verdicts.append(v.realizable)
+        for e in all_exponent_vectors(7, 4):
+            B = rgin_from_exponents(e)
+            assert realizable_as_free(B, verify=False).realizable
+            assert lambda_count_oracle(B)
+        assert verdicts.count(True) > 30 and verdicts.count(False) > 300
 
 
 class TestConjectureHarness:

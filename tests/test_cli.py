@@ -489,6 +489,29 @@ class TestExitCodes:
         path.write_text(FIVE_ARR)
         assert run_cli("analyze", str(path))[0] == EXIT_COMPUTE
 
+    # rgins that no free arrangement of five planes in 3-space has: the lex
+    # segment of exponents (1, 4), padded to 3 variables, whose two
+    # exponents miss l = 3, and a lex segment whose generator counts
+    # increase from degree 5 to 6
+    @pytest.mark.parametrize("method", ["both", "rgin", "sectional"])
+    @pytest.mark.parametrize("rgin_name", ["two_exponents", "counts_increase"])
+    def test_inconsistent_rgin_is_compute_failure(self, monkeypatch, capsys,
+                                                  rgin_name, method):
+        from arrfree import StronglyStableIdeal, rgin_from_exponents
+        from arrfree import arrangement as arrangement_module
+
+        if rgin_name == "two_exponents":
+            gens = [g + (0,) for g in rgin_from_exponents((1, 4)).generators]
+        else:
+            gens = [(4, 0, 0), (3, 1, 0), (2, 4, 0), (1, 5, 0), (0, 6, 0)]
+        B = StronglyStableIdeal(gens, 3)
+        monkeypatch.setattr(arrangement_module, "jacobian_rgin",
+                            lambda A, cfg: B)
+        code, text = run_cli("analyze", str(INPUTS / "five_planes.arr"),
+                             "--method", method)
+        assert (code, text) == (EXIT_COMPUTE, "")
+        assert capsys.readouterr().err.startswith("error: free verdict but ")
+
     @pytest.mark.parametrize("mode", ["exact", "modular"])
     def test_library_rgin_past_the_kernel_limit_raises_at_once(self, mode):
         # x^(2^15) fits no kernel exponent field: no trial multiplies it out

@@ -190,8 +190,8 @@ class TestSectionalMatrix:
         I = B([(0, 1)], 2)
         with pytest.raises(NotStronglyStableError):
             sectional_matrix(I, 3)
-        raw = sectional_matrix(I, 3, raw=True)
-        assert raw.row(2) == (1, 1, 1, 1)
+        raw = tuple(count_standard_monomials(I, 2, d) for d in range(4))
+        assert raw == (1, 1, 1, 1)
 
     def test_triangle_inequality_everywhere(self):
         rng = random.Random(77)
@@ -402,6 +402,20 @@ class TestCohenMacaulay:
     def test_rejects_non_stable(self):
         with pytest.raises(NotStronglyStableError):
             is_cohen_macaulay(B([(0, 1, 0)], 3))
+
+    def test_checks_stability_once(self, monkeypatch):
+        calls = []
+
+        def counted(I):
+            calls.append(I)
+            return is_strongly_stable(I)
+
+        monkeypatch.setattr(monomial_module, "is_strongly_stable", counted)
+        J2 = B([(2, 0, 0, 0), (1, 2, 0, 0), (1, 1, 1, 0), (0, 4, 0, 0)], 4)
+        for I, cm in ((FIVE, True), (J2, False)):
+            calls.clear()
+            assert is_cohen_macaulay(I) is cm
+            assert len(calls) == 1
 
 
 def sectional_cm_oracle(I):
