@@ -18,10 +18,11 @@ from typing import List, Optional, Sequence, Tuple
 from .gin import GinCertificate, GinConfig, _product, rgin
 from .groebner import (_W, InternalConsistencyError, _poly, _residues,
                        _variables)
-from .monomial import (INFINITE, BettiTable, SectionalMatrix,
+from .monomial import (INFINITE, BettiTable, MonomialIdeal,
+                       NotStronglyStableError, SectionalMatrix,
                        StronglyStableIdeal, betti_eliahou_kervaire,
-                       is_cm_codim2_stable, reduction_number,
-                       regularity_stable, sectional_matrix)
+                       is_cm_codim2_stable, is_strongly_stable,
+                       reduction_number, regularity_stable, sectional_matrix)
 from .polyring import (QQ, DimensionError, Polynomial, PowerProduct,
                        row_reduce, variables)
 
@@ -407,6 +408,8 @@ def rgin_from_exponents(e) -> StronglyStableIdeal:
 
     Each exponent v gives one generator in each degree n-1, ..., n-2+v; the
     i-th generator in degree order (from i = 0) is x1^(n-1-i) x2^(d_i-n+1+i).
+    The powers of x1 fall and those of x2 rise with i, so the generators are
+    minimal as built; only strong stability is checked.
     """
     e = ExponentVector(e)
     if e[0] != 1:
@@ -415,9 +418,12 @@ def rgin_from_exponents(e) -> StronglyStableIdeal:
     if n == 1:
         return StronglyStableIdeal((PowerProduct.unit(l),), l)
     degrees = sorted(n - 2 + a for v in e for a in range(1, v + 1))
-    return StronglyStableIdeal(
+    B = MonomialIdeal._minimal(
         [PowerProduct((n - 1 - i, d - n + 1 + i) + (0,) * (l - 2))
          for i, d in enumerate(degrees)], l)
+    if not is_strongly_stable(B):
+        raise NotStronglyStableError(f"{B!r} is not strongly stable")
+    return StronglyStableIdeal._checked(B)
 
 
 def supersolvable_from_exponents(e) -> Arrangement:

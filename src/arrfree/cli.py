@@ -663,7 +663,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--method", choices=("rgin", "sectional", "both"),
                    default="both")
     p.add_argument("--dmax", type=_at_least(0), default=None,
-                   help="largest displayed degree of the sectional matrix")
+                   help="widen the sectional matrix to this degree; it never "
+                        "shows fewer than degrees 0 to regularity + 2, which "
+                        "the freeness tests read")
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("rgin", parents=[common],

@@ -141,12 +141,14 @@ def _trial_stream(seed: int, attempt: int, trial: int, tag: str) -> random.Rando
     return random.Random(f"rgin:{seed}:{attempt}:{trial}:{tag}")
 
 
-def _product(rows: Sequence[Sequence[int]], l: int, p: Optional[int]) -> dict:
-    """The product of the linear forms whose coefficients are the integer
-    rows, as a term dict in the Groebner kernel's packed keys (integers,
-    residues mod p): a product by x_j adds the key of x_j."""
+def _product(rows: Sequence[Sequence[int]], l: int, p: Optional[int],
+             Q: Optional[dict] = None) -> dict:
+    """The product of Q, by default 1, and the linear forms whose
+    coefficients are the integer rows, as a term dict in the Groebner
+    kernel's packed keys (integers, residues mod p): a product by x_j adds
+    the key of x_j."""
     xs = _variables(l)
-    Q = {0: 1}                              # key 0 is the monomial 1
+    Q = {0: 1} if Q is None else Q          # key 0 is the monomial 1
     for row in rows:
         out: dict = {}
         for x, a in zip(xs, row):
@@ -230,13 +232,25 @@ def rgin(gens: Union[Sequence[Polynomial], int], cfg: GinConfig = GinConfig(),
             *(c.numerator for c in f.term_dict().values())))) for f in nonzero]
 
         def build(g, coeff_field):
-            rows, p, out = g.as_int_rows(), coeff_field.p, []
+            rows, p, out, xs = g.as_int_rows(), coeff_field.p, [], _variables(l)
+            powers = {0: {0: 1}}      # key of x^a -> prod_j (row j)^a_j
+
+            def power(key):
+                """x^a moved as x^(a - e_j) moved times row j, for the last j
+                with a_j > 0: one product per power product and draw."""
+                chain, k = [], key
+                while k not in powers:
+                    j = max(j for j, e in enumerate(_power_product(k, l)) if e)
+                    chain.append((k, j))
+                    k -= xs[j]
+                for k, j in reversed(chain):
+                    powers[k] = _product([rows[j]], l, p, powers[k - xs[j]])
+                return powers[key]
+
             for f in primitive:       # c*x^a moves to c * prod_j (row j)^a_j
                 moved: dict = {}
                 for k, c in _int_terms(f.convert(coeff_field))[0].items():
-                    a = _power_product(k, l)
-                    for m, v in _product([r for r, e in zip(rows, a)
-                                          for _ in range(e)], l, p).items():
+                    for m, v in power(k).items():
                         moved[m] = moved.get(m, 0) + c * v
                 out.append(_residues(moved, p))
             return out

@@ -26,9 +26,12 @@ term is read mod p, or skipped as zero, only when it is popped or emitted.
 When every generator is homogeneous and holds at least half of the monomials
 of its degree, as after the random change of every rgin trial, Buchberger's
 algorithm reduces on dense rows instead (degree by degree, as in Faugere's
-F4, JPAA 139, 1999): a degree-d polynomial is a list over the degree-d keys
-in descending order, a step is one list comprehension, reduced mod p at
-once, and each multiple x^q * g is built as a row once per run.
+F4, JPAA 139, 1999): a degree-d polynomial is a row over the degree-d keys
+in descending order, each x^q * g built once per run.  Over QQ a row is a
+list, and a step one list comprehension.  Over GF(p) it is one int, column k
+in its k-th field of ``_width(p)`` bytes: a step is one multiply-add of a
+negated row, a field is read mod p only when it leads, and x^q * g is laid
+out from blocks of g, one per run of columns that differ in x_1 and x_2 only.
 
 Buchberger's algorithm only top-reduces each S-polynomial: it stops at the
 first leading term that no basis element divides.  The leading terms, all
@@ -50,6 +53,8 @@ degree-d pair reduces to zero and is dropped.
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress, count, islice
@@ -284,11 +289,25 @@ def _dense(gens: Sequence[dict], nvars: int) -> bool:
                and 2 * len(g) >= math.comb(d + nvars - 1, nvars - 1) for g in gens)
 
 
+def _width(p: int) -> int:
+    """Bytes per packed GF(p) column: a multiple of 8, 34 bits above p^2."""
+    return -(-(2 * p.bit_length() + 34) // 64) * 8
+
+
 @lru_cache(maxsize=64)
-def _columns(nvars: int, d: int) -> Tuple[list, dict]:
-    """The degree-d keys in descending order, and the column of each."""
+def _columns(nvars: int, d: int) -> Tuple[list, dict, list]:
+    """The degree-d keys in descending order, the column of each, and the
+    columns that start a run: the monomials without x_2 (``_Engine._blocks``)."""
     keys = sorted(map(_key, degree_monomials(d, nvars)), reverse=True)
-    return keys, {k: i for i, k in enumerate(keys)}
+    return keys, {k: i for i, k in enumerate(keys)}, [
+        i for i, k in enumerate(keys) if not _fields(k, nvars) >> _W & (1 << _W) - 1]
+
+
+def _to_bytes(vals: list, width: int) -> bytes:
+    """The non-negative ints vals as little-endian fields of ``width`` bytes."""
+    if width == 8 and sys.byteorder == "little":    # the order of ``array``
+        return array("Q", vals).tobytes()
+    return b"".join(v.to_bytes(width, "little") for v in vals)
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +447,9 @@ class _Engine:
     def __init__(self, p: Optional[int], degree_cap: Optional[int],
                  hint, nvars: int, dense: bool):
         self.p = p
-        self.rows = {} if dense else None   # (lt of g, t) -> ``_row(g, t)``
+        self.rows = {} if dense else None   # (lt of g, t[, negated]) -> row
+        self.width = _width(p) if dense and p else None   # bytes per column
+        self.blocks: dict = {}     # lt of g -> ``_blocks(g)``
         self.nvars = nvars
         self.degree_cap = degree_cap
         # S-pairs stop at the cap and below the field limit
@@ -447,7 +468,11 @@ class _Engine:
         """work top-reduced by the basis; tails wait for ``_interreduce``."""
         if self.rows is not None:
             cols = _columns(self.nvars, _degree(max(work), self.nvars))[0]
-            return self._reduce_row([work.get(k, 0) for k in cols], cols[0])
+            row = [work.get(k, 0) for k in cols]
+            if self.p:
+                return self._reduce_packed(
+                    int.from_bytes(_to_bytes(row, self.width), "little"), cols[0])
+            return self._reduce_row(row, cols[0])
         rem, _ = _reduce(work, self.divisors, self.p, self.nvars,
                          self.degree_cap, top=True)
         return _normalize(rem, self.p)
@@ -471,18 +496,16 @@ class _Engine:
         """The S-polynomial of i and j as a row from the column of lcm on."""
         gi, gj = self.packed[i], self.packed[j]
         ri, rj = self._row(gi, lcm), self._row(gj, lcm)
-        if self.p:              # monic divisors
-            return [(x - y) % self.p for x, y in zip(ri, rj)]
         g = math.gcd(gi[2], gj[2])
         a, b = gj[2] // g, gi[2] // g
         return [a * x - b * y for x, y in zip(ri, rj)]
 
     def _reduce_row(self, w: list, first: int) -> dict:
-        """The row w, whose entries are the coefficients of the monomials
-        from the key first down in its degree, top-reduced by the basis and
-        returned as a normalized term dict; w is consumed."""
-        p, n = self.p, self.nvars
-        cols, index = _columns(n, _degree(first, n))
+        """The row w over QQ, whose entries are the coefficients of the
+        monomials from the key first down in its degree, top-reduced by the
+        basis and returned as a normalized term dict; w is consumed."""
+        n = self.nvars
+        cols, index, _ = _columns(n, _degree(first, n))
         o = index[first]
         guards, mask = _guards(n), (1 << _W * n) - 1
         j, mult = 0, 1
@@ -497,11 +520,8 @@ class _Engine:
                     break
             else:
                 return _normalize({cols[o + k]: c for k, c in
-                                   enumerate(islice(w, j, None), j) if c}, p)
+                                   enumerate(islice(w, j, None), j) if c}, None)
             row, c = self._row(g, t), w[j]
-            if p:
-                w[j:] = [(x - c * y) % p for x, y in zip(islice(w, j, None), row)]
-                continue
             gcd = math.gcd(c, g[2])
             a, b = g[2] // gcd, c // gcd
             w[j:] = [a * x - b * y for x, y in zip(islice(w, j, None), row)]
@@ -511,6 +531,73 @@ class _Engine:
                 if gcd > 1:
                     w[j:] = [x // gcd for x in islice(w, j, None)]
                 mult = 1
+
+    # -- GF(p) rows packed into one int, ``width`` bytes per column --------
+
+    def _blocks(self, g: tuple) -> list:
+        """g as (key, positive, negated) bytes from its leading term on, one
+        block per run: a run stays contiguous, in order of the exponent of
+        x_2, in every degree, so the block put at the column of key + q is
+        that run of x^q * g.  A negated entry is p - c."""
+        blocks = self.blocks.get(g[1])
+        if blocks is None:
+            n, w, lt, terms = self.nvars, self.width, g[1], dict([g[1:3], *g[3]])
+            cols, index, starts = _columns(n, _degree(lt, n))
+            o = index[lt]
+            vals = [terms.get(k, 0) for k in islice(cols, o, None)]
+            pos, neg = _to_bytes(vals, w), _to_bytes([self.p - c for c in vals], w)
+            cuts = [o, *(a for a in starts if a > o), len(cols)]
+            blocks = self.blocks[lt] = [
+                (cols[a], pos[w * (a - o):w * (b - o)], neg[w * (a - o):w * (b - o)])
+                for a, b in zip(cuts, cuts[1:])]
+        return blocks
+
+    def _row_packed(self, g: tuple, t: int, negated: int = 1) -> int:
+        """x^q * g for the packed g with x^q * lt = t, as a packed row from
+        the column of t on; negated mod p when ``negated`` is 1."""
+        row = self.rows.get((g[1], t, negated))
+        if row is None:
+            index = _columns(self.nvars, _degree(t, self.nvars))[1]
+            q, o, w = t - g[1], index[t], self.width
+            buf = bytearray(w * (len(index) - o))
+            for block in self._blocks(g):
+                i, b = w * (index[block[0] + q] - o), block[1 + negated]
+                buf[i:i + len(b)] = b
+            row = self.rows[g[1], t, negated] = int.from_bytes(buf, "little")
+        return row
+
+    def _spair_packed(self, i: int, j: int, lcm: int) -> int:
+        """The S-polynomial of i and j as a packed row from the column of lcm
+        on; its leading field holds p."""
+        return self._row_packed(self.packed[i], lcm, 0) + self._row_packed(self.packed[j], lcm)
+
+    def _reduce_packed(self, w: int, first: int) -> dict:
+        """The packed row w, field i the coefficient of the i-th monomial from
+        the key first down in its degree, top-reduced by the monic basis into
+        a normalized term dict.  A field is read mod p only when it leads; till
+        then each step adds c < p times at most p to it, one step per column."""
+        n, p, s = self.nvars, self.p, self.width
+        cols, index, _ = _columns(n, _degree(first, n))
+        o, low = index[first], (1 << 8 * s) - 1
+        guards, mask = _guards(n), (1 << _W * n) - 1
+        while w:
+            c = (w & low) % p
+            if c:
+                t = cols[o]
+                rt = -t & mask | guards
+                for g in self.divisors:
+                    if (rt - g[0]) & guards == guards:     # _divides(lt, t)
+                        break
+                else:
+                    b, inv = w.to_bytes(s * (len(cols) - o), "little"), pow(c, -1, p)
+                    fields = array("Q", b) if s == 8 and sys.byteorder == "little" \
+                        else (int.from_bytes(b[i:i + s], "little") for i in range(0, len(b), s))
+                    return {k: v for k, f in zip(islice(cols, o, None), fields)
+                            if (v := f * inv % p)}
+                w += c * self._row_packed(g, t)     # the leading field becomes 0 mod p
+            w >>= 8 * s
+            o += 1
+        return {}
 
     def _spair_terms(self, i: int, j: int, lcm: int) -> dict:
         _, lt_i, lc_i, tail_i = self.packed[i]
@@ -585,8 +672,11 @@ class _Engine:
                         f"but the Hilbert function allows {target}")
                 if found == target:
                     continue
-            h = self._nf(self._spair_terms(i, j, lcm)) if self.rows is None \
-                else self._reduce_row(self._spair_row(i, j, lcm), lcm)
+            if self.rows is None:
+                h = self._nf(self._spair_terms(i, j, lcm))
+            else:
+                h = self._reduce_packed(self._spair_packed(i, j, lcm), lcm) if self.p \
+                    else self._reduce_row(self._spair_row(i, j, lcm), lcm)
             if h:
                 self.add(h)
 

@@ -491,6 +491,18 @@ class TestExponentConversions:
         assert str(rgin_from_exponents((1, 2, 4))) == \
             "<x^6, x^5*y, x^4*y^2, x^3*y^4, x^2*y^5, x*y^7, y^9>"
 
+    def test_rgin_from_exponents_matches_the_constructor(self):
+        # built without a minimalize pass, yet equal, in the same order, to
+        # what the constructor minimalizes and checks
+        vectors = [(1,)]
+        for e in vectors:
+            B = rgin_from_exponents(e)
+            assert type(B) is StronglyStableIdeal and B.certificate is None
+            assert B.generators == StronglyStableIdeal(B.generators, len(e)).generators
+            if len(e) < 4:
+                vectors += [e + (v,) for v in range(e[-1], 9 - sum(e))]
+        assert len(vectors) == 1 + 7 + 12 + 11
+
     def test_requires_leading_one(self):
         with pytest.raises(ValueError):
             rgin_from_exponents((2, 2))

@@ -244,6 +244,21 @@ class TestCommands:
         data = json.loads(text)
         assert len(data["sectional_matrix"][0]) == 11
 
+    def test_analyze_dmax_only_widens(self, tmp_path, capsys):
+        # five planes have regularity 6: analyze shows degrees 0..8 unless
+        # --dmax asks for more, while sm shows exactly 0..dmax
+        path = tmp_path / "five.arr"
+        path.write_text(FIVE_ARR)
+        widths = {}
+        for command, flag in [("analyze", ()), ("analyze", ("--dmax", "2")),
+                              ("analyze", ("--dmax", "12")), ("sm", ("--dmax", "2"))]:
+            code, text = run_cli(command, str(path), "--seed", "7", "--json", *flag)
+            assert code == EXIT_OK
+            widths[command, flag] = len(json.loads(text)["sectional_matrix"][0])
+        assert list(widths.values()) == [9, 9, 13, 3]
+        assert run_cli("analyze", "--help")[0] == EXIT_OK
+        assert "widen the sectional matrix" in " ".join(capsys.readouterr().out.split())
+
     def test_exponents_paths(self, tmp_path):
         arr_path = tmp_path / "five.arr"
         arr_path.write_text(FIVE_ARR)

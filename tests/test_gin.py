@@ -412,6 +412,19 @@ class TestDefaultBuild:
         got = [_normalize(t, field.p) for t in _default_build(gens)(g, field)]
         assert got == expected and all(got)
 
+    def test_moves_each_power_product_once(self, monkeypatch):
+        # x^3, x^2*y and x*y^2 + y^3 need x, x^2, x^3, x^2*y, x*y, x*y^2,
+        # y, y^2 and y^3 moved, each as one product by a row
+        calls = []
+        product = gin_module._product
+        monkeypatch.setattr(gin_module, "_product", lambda rows, *a:
+                            calls.append(len(rows)) or product(rows, *a))
+        build = _default_build(polys(["x^3", "x^2*y", "x*y^2 + y^3"], 2))
+        for field in (QQ, GF(P)):
+            calls.clear()
+            build(random_linear_change(2, random.Random(1), 10), field)
+            assert calls == [1] * 9
+
     def test_never_substitutes(self, monkeypatch):
         from arrfree import polyring
         from arrfree.cli import main

@@ -294,12 +294,16 @@ def homogeneous_forms(draw, top=4, dense=True):
 
 
 class TestDenseRows:
-    @FIELDS
+    @pytest.mark.parametrize("field", [QQ, GF(3), GF(32003), GF(2**61 - 1)],
+                             ids=["QQ", "GF3", "GF32003", "GF2^61-1"])
     @settings(max_examples=40, deadline=None)
     @given(homogeneous_forms())
     def test_rows_and_dicts_agree(self, field, case):
         l, gens = case
-        gens = [g.convert(field) for g in gens]
+        # a coefficient that p divides becomes 1, so the forms stay dense
+        gens = [Polynomial({m: c if field.p is None or c % field.p else 1
+                            for m, c in g.term_dict().items()}, l).convert(field)
+                for g in gens]
         assert groebner_module._dense([_int_terms(g)[0] for g in gens], l)
         rows = buchberger(gens)
         with pytest.MonkeyPatch.context() as m:
@@ -308,6 +312,26 @@ class TestDenseRows:
         assert [d[1] for d in rows._divisors] == [d[1] for d in dicts._divisors]
         assert leading_term_ideal(rows) == leading_term_ideal(dicts)
         assert rows.elements == dicts.elements
+
+    @pytest.mark.parametrize("p", [2**32 - 5, 2**61 - 1])
+    def test_fields_hold_the_most_steps(self, p):
+        # Each g_j = m_j + m_(j+1) + ... over the degree-16 monomials m_0 >
+        # m_1 > ... of three variables has a negated row of entries p - 1,
+        # and f is chosen so that every step of its reduction after the
+        # first takes c = p - 1: before column k leads it holds about
+        # (k - 1) * p^2, past 2 * bits(p) bits from k = 66 on (from k = 3
+        # for the 32-bit prime)
+        cols = groebner_module._columns(3, 16)[0]
+        gens = [{k: 1 for k in cols[j:]} for j in range(70)]
+        gens.append({k: (1 - i) % p for i, k in enumerate(cols)})
+        rows = groebner_module.hilbert_hint(gens, (3, GF(p)))
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(groebner_module, "_dense", lambda gens, nvars: False)
+            dicts = groebner_module.hilbert_hint(gens, (3, GF(p)))
+        # f's remainder leads at column 70, after 70 steps
+        assert rows.packed[70][1] == cols[70]
+        assert [(d[1], d[2], dict(d[3])) for d in rows.divisors] == \
+            [(d[1], d[2], dict(d[3])) for d in dicts.divisors]
 
     @FIELDS
     def test_sparse_homogeneous_input_stays_on_dicts(self, field):
@@ -475,10 +499,10 @@ class TestHilbertDriven:
         g = random_linear_change(3, rng, 5)
         gens = [apply_linear_change(f.convert(field), g) for f in jacobian_ideal(A)]
         hint = _hint([f.convert(field) for f in jacobian_ideal(A)], rng)
-        # the moved generators are dense, so every reduction runs on rows
+        # the moved generators are dense, so every reduction runs on packed rows
         calls, dict_calls = [], []
-        original = groebner_module._Engine._reduce_row
-        monkeypatch.setattr(groebner_module._Engine, "_reduce_row",
+        original = groebner_module._Engine._reduce_packed
+        monkeypatch.setattr(groebner_module._Engine, "_reduce_packed",
                             lambda *a: calls.append(1) or original(*a))
         reduce = groebner_module._reduce
         monkeypatch.setattr(groebner_module, "_reduce",
@@ -534,6 +558,13 @@ class TestHilbertDriven:
 P = 7
 
 
+def _unpacked(row, p, size):
+    """The fields of a packed GF(p) row of ``size`` columns, unreduced."""
+    bits = 8 * groebner_module._width(p)
+    assert row >> bits * size == 0
+    return [row >> bits * i & (1 << bits) - 1 for i in range(size)]
+
+
 def _k(*e):
     return _key(PowerProduct(e))
 
@@ -572,19 +603,22 @@ class TestLazyResidues:
     def test_spair_terms_and_basis(self, monkeypatch):
         # S(x*y + 3*y^2, x^2 + 3*x*y + y^2) = 3*x*y^2 - 3*x*y^2 - y^3: the
         # x*y^2 entry cancels.  The generators fill their degree, so the
-        # S-polynomial is a row over x^2*y, x*y^2, y^3, from the lcm on
+        # S-polynomial is a packed row over x^2*y, x*y^2, y^3, from the lcm
+        # on: x times the first plus y times the second negated mod p, each
+        # field below 2p and read mod p only when it leads
         outputs = []
-        spair = groebner_module._Engine._spair_row
+        spair = groebner_module._Engine._spair_packed
 
         def recorded(self, *a):
             out = spair(self, *a)
-            outputs.append(list(out))      # the reduction consumes out
+            outputs.append(_unpacked(out, P, 3))
             return out
-        monkeypatch.setattr(groebner_module._Engine, "_spair_row", recorded)
+        monkeypatch.setattr(groebner_module._Engine, "_spair_packed", recorded)
         G = buchberger([g.convert(GF(P)) for g in
                         polys(["x*y + 3*y^2", "x^2 + 3*x*y + y^2"], 2)])
-        assert outputs[0] == [0, 0, P - 1]
-        assert all(0 <= c < P for row in outputs for c in row)
+        assert outputs[0] == [P, P, P - 1]
+        assert [c % P for c in outputs[0]] == [0, 0, P - 1]
+        assert all(0 <= c < 2 * P for row in outputs for c in row)
         for _, lt, lc, tail in G._divisors:
             assert all(0 < c < P for c in [lc, *dict(tail).values()])
         assert [str(g) for g in G.elements] == ["x*y + 3*y^2", "x^2 + 6*y^2", "y^3"]
