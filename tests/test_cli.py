@@ -4,7 +4,7 @@ import io
 import json
 import signal
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, redirect_stderr
 from pathlib import Path
 
 import pytest
@@ -209,6 +209,20 @@ class TestCommands:
                              "--json", "--seed", "11")
         assert code == EXIT_OK
         assert text == (GOLDEN / f"analyze_{name}_seed11.json").read_text()
+
+    def test_golden_cli_replay(self, monkeypatch):
+        # every run of tests/golden/record_cli.py (analyze on each .arr file,
+        # exact and modular; rgin, exponents, realize, conjecture and sm on
+        # each .ideal file) gives the recorded exit code, stdout and stderr
+        monkeypatch.chdir(INPUTS.parent)
+        records = json.loads((GOLDEN / "cli_seed7.json").read_text())
+        assert len(records) == 23
+        for record in records:
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stderr(err):
+                code = main(record["argv"], out=out)
+            assert (code, out.getvalue(), err.getvalue()) == \
+                (record["exit"], record["stdout"], record["stderr"]), record["argv"]
 
     @pytest.mark.parametrize("p", [32003, 32009])
     def test_form_scaled_by_a_prime(self, tmp_path, p):
