@@ -1,11 +1,11 @@
 """Central hyperplane arrangements and their freeness.
 
-Freeness is decided through the generic initial ideal of the Jacobian ideal:
-either by the shape of its minimal generators, or by three entries of the
+Freeness is decided through the generic initial ideal of the Jacobian ideal,
+both by the shape of its minimal generators and by three entries of the
 sectional matrix together with one partial row sum.  Both tests reduce to
-Cohen-Macaulayness of the Jacobian ring, so they must always agree.  Every
-FREE verdict is checked once more against the closed-form rgin of the
-exponents it reads (``rgin_from_exponents``).
+Cohen-Macaulayness of the Jacobian ring, so ``analyze`` runs both and
+requires them to agree.  Every FREE verdict is checked once more against the
+closed-form rgin of the exponents it reads (``rgin_from_exponents``).
 """
 
 from __future__ import annotations
@@ -136,9 +136,9 @@ def _validated(forms: Sequence[Polynomial]) -> tuple:
 class Arrangement:
     """A central arrangement of pairwise distinct hyperplanes."""
 
-    __slots__ = ("forms", "rows", "content", "nvars", "labels", "essential")
+    __slots__ = ("forms", "rows", "content", "nvars", "essential")
 
-    def __init__(self, forms: Sequence[Polynomial], labels: Optional[Sequence[str]] = None):
+    def __init__(self, forms: Sequence[Polynomial]):
         info, primitive = _validated(forms)
         if not info.central or not info.distinct:
             raise ArrangementError("; ".join(info.problems))
@@ -149,9 +149,6 @@ class Arrangement:
         self.content = math.prod(contents, start=Fraction(1))
         self.nvars = info.l
         self.essential = info.essential
-        self.labels = tuple(labels) if labels is not None else None
-        if self.labels is not None and len(self.labels) != len(self.forms):
-            raise ArrangementError("one label per hyperplane required")
 
     @property
     def n(self) -> int:
@@ -311,12 +308,13 @@ def analyze(A: Arrangement, cfg: GinConfig = GinConfig(),
             method: str = "both", dmax: Optional[int] = None) -> FreenessReport:
     """Full freeness report for one arrangement.
 
-    ``method`` selects which characterization decides the verdict; with
-    "both" the two are compared and must agree.  Whatever the method, a
-    FREE verdict on a proper rgin is checked by one round trip through
-    ``rgin_from_exponents`` (``_free_exponents``), and an rgin that fails
-    it raises ``InternalConsistencyError``.  ``dmax`` widens the sectional
-    matrix beyond the default regularity + 2 bound.
+    Both characterizations, the generator shape and the sectional matrix,
+    decide every call, and a disagreement raises
+    ``InternalConsistencyError``; ``method`` only names the one the report
+    shows.  A FREE verdict on a proper rgin is checked once more by one
+    round trip through ``rgin_from_exponents`` (``_free_exponents``).
+    ``dmax`` widens the sectional matrix beyond the default regularity + 2
+    bound.
     """
     if method not in ("rgin", "sectional", "both"):
         raise ValueError(f"unknown method {method!r}")
@@ -324,17 +322,11 @@ def analyze(A: Arrangement, cfg: GinConfig = GinConfig(),
     B = jacobian_rgin(A, cfg)
     d0, reg, floor = sectional_bounds(B)
     M = sectional_matrix(B, floor if dmax is None else max(dmax, floor))
-
-    verdicts = {}
-    if method in ("rgin", "both"):
-        verdicts["rgin"] = _free_by_generator_shape(B, n)
-    if method in ("sectional", "both"):
-        verdicts["sectional"] = _free_by_sectional(B, M, d0)
-    if len(verdicts) == 2 and verdicts["rgin"] != verdicts["sectional"]:
+    free = _free_by_generator_shape(B, n)
+    if free != _free_by_sectional(B, M, d0):
         raise InternalConsistencyError(
-            f"freeness verdicts disagree: generator shape says "
-            f"{verdicts['rgin']}, sectional matrix says {verdicts['sectional']}")
-    free = next(iter(verdicts.values()))
+            f"freeness verdicts disagree: generator shape says {free}, "
+            f"sectional matrix says {not free}")
 
     betti = None
     if not B.is_zero and not B.is_unit:
@@ -352,12 +344,12 @@ def analyze(A: Arrangement, cfg: GinConfig = GinConfig(),
 
 
 def is_free_via_rgin(A: Arrangement, cfg: GinConfig = GinConfig()) -> FreenessReport:
-    """Freeness via the minimal generators of rgin of the Jacobian ideal."""
+    """``analyze`` reported as the generator-shape characterization."""
     return analyze(A, cfg, method="rgin")
 
 
 def is_free_via_sectional(A: Arrangement, cfg: GinConfig = GinConfig()) -> FreenessReport:
-    """Freeness via three sectional-matrix entries and one row sum."""
+    """``analyze`` reported as the sectional-matrix characterization."""
     return analyze(A, cfg, method="sectional")
 
 

@@ -661,7 +661,9 @@ def _build_parser() -> _Parser:
                        help="full freeness report for an arrangement file")
     p.add_argument("input")
     p.add_argument("--method", choices=("rgin", "sectional", "both"),
-                   default="both")
+                   default="both",
+                   help="the characterization the report names; both are "
+                        "computed and must agree whatever the method")
     p.add_argument("--dmax", type=_at_least(0), default=None,
                    help="widen the sectional matrix to this degree; it never "
                         "shows fewer than degrees 0 to regularity + 2, which "

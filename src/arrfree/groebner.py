@@ -135,11 +135,6 @@ def _max_fields(ra: int, rb: int, g: int) -> int:
     return ra & take_a | rb & ~take_a
 
 
-def _divides(a: int, b: int, nvars: int) -> bool:
-    g = _guards(nvars)
-    return (_fields(b, nvars) | g) - _fields(a, nvars) & g == g
-
-
 # ---------------------------------------------------------------------------
 # internal reduction kernel: integer terms, reduced mod p when p is set
 # ---------------------------------------------------------------------------
@@ -259,7 +254,7 @@ def _reduce(work: dict, divisors: Sequence[tuple], p: Optional[int],
                                     f"{_degree(t, nvars)} > cap {degree_cap}")
         rt = -t & mask | guards            # the fields of t, guard bits set
         for r, lt, lc, tail in divisors:
-            if (rt - r) & guards == guards:     # _divides(lt, t)
+            if (rt - r) & guards == guards:     # lt divides t
                 g = math.gcd(c, lc)
                 a = lc // g
                 if a != 1:
@@ -360,8 +355,6 @@ class GroebnerBasis:
 
     __slots__ = ("_divisors", "_elements", "nvars", "field")
 
-    order = "degrevlex"
-
     def __init__(self, divisors: list, nvars: int, field):
         self._divisors = divisors
         self._elements = None
@@ -385,9 +378,6 @@ class GroebnerBasis:
     @property
     def is_zero_ideal(self) -> bool:
         return not self._divisors
-
-    def reduce(self, f: Polynomial) -> Polynomial:
-        return normal_form(f, self.elements)
 
     def contains(self, f: Polynomial) -> bool:
         return normal_form(f, self.elements).is_zero
@@ -516,7 +506,7 @@ class _Engine:
             t = cols[o + j]
             rt = -t & mask | guards
             for g in self.divisors:
-                if (rt - g[0]) & guards == guards:     # _divides(lt, t)
+                if (rt - g[0]) & guards == guards:     # lt divides t
                     break
             else:
                 return _normalize({cols[o + k]: c for k, c in
@@ -586,7 +576,7 @@ class _Engine:
                 t = cols[o]
                 rt = -t & mask | guards
                 for g in self.divisors:
-                    if (rt - g[0]) & guards == guards:     # _divides(lt, t)
+                    if (rt - g[0]) & guards == guards:     # lt divides t
                         break
                 else:
                     b, inv = w.to_bytes(s * (len(cols) - o), "little"), pow(c, -1, p)

@@ -98,10 +98,6 @@ class MonomialIdeal:
     def is_unit(self) -> bool:
         return bool(self.generators) and self.generators[0].degree() == 0
 
-    @property
-    def is_proper(self) -> bool:
-        return not self.is_unit
-
     def contains(self, t: PowerProduct) -> bool:
         if len(t) != self.nvars:
             raise DimensionError(f"{t!r} has {len(t)} exponents, expected {self.nvars}")
@@ -408,55 +404,36 @@ class LexSegmentShape:
     n: int
     lambdas: tuple
 
-    def __bool__(self) -> bool:
-        return True
-
 
 def is_cm_codim2_stable(B: MonomialIdeal) -> Optional[LexSegmentShape]:
     """Lex-segment shape of a strongly stable ideal, or None.
 
-    A proper nonzero strongly stable ideal is Cohen-Macaulay of codimension 2
-    exactly when its generators involve only the first two variables, pure
-    powers of both occur, and there is exactly one generator for each x_1
-    power from n-1 down to 0.
+    A strongly stable ideal is Cohen-Macaulay of codimension 2 exactly when
+    it is proper, its generators involve only x_1 and x_2, and one of them is
+    a pure power of x_2.  Strong stability does the rest: the Borel move
+    x_1 * t / x_2 of each generator t forces the x_1-exponents, read in
+    order, to be 0, 1, ..., n-1 and the x_2-exponents to fall
+    (Eliahou-Kervaire, J. Algebra 129, 1990).
     """
     B = _as_stable(B)
-    if B.is_zero or B.is_unit:
+    if B.is_zero or B.is_unit or any(g.max_variable() > 2 for g in B.generators):
         return None
-    if any(g.max_variable() > 2 for g in B.generators):
-        return None
-    if B.nvars < 2:
-        return None
-    by_x1 = {}
-    for g in B.generators:
-        e1 = g[0]
-        e2 = g[1]
-        if e1 in by_x1:
-            return None
-        by_x1[e1] = e2
-    n = max(by_x1) + 1
-    if sorted(by_x1) != list(range(n)):
-        return None
-    if by_x1[n - 1] != 0:
-        return None
-    lambdas = tuple(by_x1[n - 1 - i] for i in range(1, n))
-    if any(a >= b for a, b in zip(lambdas, lambdas[1:])) or (lambdas and lambdas[0] < 1):
-        return None
-    return LexSegmentShape(n=n, lambdas=lambdas)
+    by_x1 = sorted(B.generators, key=lambda g: g[0])
+    if by_x1[0][0]:
+        return None   # no pure power of x_2
+    return LexSegmentShape(n=len(by_x1),
+                           lambdas=tuple(g[1] for g in by_x1[-2::-1]))
 
 
 def codimension(B: MonomialIdeal) -> int:
-    """Codimension of a strongly stable ideal: variables with pure powers."""
+    """Codimension of a strongly stable ideal: its pure-power generators.
+
+    Strong stability puts them on x_1, ..., x_c, one for each variable.
+    """
     B = _as_stable(B)
-    if B.is_zero:
-        return 0
     if B.is_unit:
         return B.nvars
-    codim = 0
-    for var in range(1, B.nvars + 1):
-        if any(g.degree() == g[var - 1] and g.degree() > 0 for g in B.generators):
-            codim = var
-    return codim
+    return sum(g.degree() == g[g.max_variable() - 1] for g in B.generators)
 
 
 def is_cohen_macaulay(B: MonomialIdeal) -> bool:

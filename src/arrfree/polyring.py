@@ -350,15 +350,6 @@ class Polynomial:
             n >>= 1
         return result
 
-    def monic(self) -> "Polynomial":
-        if self.is_zero:
-            raise ValueError("cannot normalize the zero polynomial")
-        lc = self.leading_coefficient()
-        if lc == self.field.one:
-            return self
-        inv = self.field.inv(lc)
-        return self.scale(inv)
-
     def partial_derivative(self, i: int) -> "Polynomial":
         """Formal derivative with respect to x_i (1-based index)."""
         if not 1 <= i <= self.nvars:

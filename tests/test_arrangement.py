@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arrfree import (Arrangement, ArrangementError, ExponentVector, GinConfig,
-                     NotFreeRginError, Polynomial, PowerProduct,
+                     InternalConsistencyError, NotFreeRginError, Polynomial, PowerProduct,
                      StronglyStableIdeal, analyze, check_conjecture_Z,
                      defining_polynomial, exponents_from_rgin, is_free_via_rgin,
                      is_free_via_sectional, jacobian_ideal, jacobian_rgin,
@@ -405,6 +405,20 @@ class TestFreenessGoldens:
         A = arrangement(["x", "y", "z", "x+y", "x-y"], 3)
         rep = analyze(A, CFG, method="both")
         assert rep.free and rep.method == "both"
+
+    # every method decides by both characterizations, so negating either
+    # one raises whichever method the report names
+    @pytest.mark.parametrize("method", ["both", "rgin", "sectional"])
+    @pytest.mark.parametrize("patched", ["_free_by_sectional",
+                                         "_free_by_generator_shape"])
+    def test_negated_verdict_raises(self, monkeypatch, patched, method):
+        test = getattr(arrangement_module, patched)
+        monkeypatch.setattr(arrangement_module, patched, lambda *a: not test(*a))
+        for texts in (["x", "y", "z", "x+y", "x-y"],
+                      ["x", "x+y-z", "x+z", "x+2z", "x+y+z"]):
+            with pytest.raises(InternalConsistencyError,
+                               match="freeness verdicts disagree"):
+                analyze(arrangement(texts, 3), CFG, method=method)
 
     def test_planar_arrangements_always_free(self):
         rng = random.Random(4)

@@ -541,6 +541,22 @@ class TestExitCodes:
         assert (code, text) == (EXIT_COMPUTE, "")
         assert capsys.readouterr().err.startswith("error: free verdict but ")
 
+    # the characterization that --method does not name still runs: negating
+    # it makes the two disagree
+    @pytest.mark.parametrize("patched, method", [
+        ("_free_by_sectional", "rgin"), ("_free_by_generator_shape", "sectional")])
+    def test_negated_verdict_is_compute_failure(self, monkeypatch, capsys,
+                                                patched, method):
+        from arrfree import arrangement as arrangement_module
+
+        test = getattr(arrangement_module, patched)
+        monkeypatch.setattr(arrangement_module, patched, lambda *a: not test(*a))
+        code, text = run_cli("analyze", str(INPUTS / "five_planes.arr"),
+                             "--method", method)
+        assert (code, text) == (EXIT_COMPUTE, "")
+        assert capsys.readouterr().err.startswith(
+            "error: freeness verdicts disagree")
+
     @pytest.mark.parametrize("mode", ["exact", "modular"])
     def test_library_rgin_past_the_kernel_limit_raises_at_once(self, mode):
         # x^(2^15) fits no kernel exponent field: no trial multiplies it out

@@ -15,7 +15,7 @@ from arrfree import (GF, QQ, Arrangement, DegreeCapExceeded, GinConfig,
                      s_polynomial)
 from arrfree import gin as gin_module
 from arrfree import groebner as groebner_module
-from arrfree.groebner import (_W, _degree, _divides, _exponents, _fields,
+from arrfree.groebner import (_W, _degree, _exponents, _fields,
                               _guards, _int_terms, _key, _max_fields, _pack,
                               _power_product, _reduce)
 from arrfree.monomial import degree_monomials
@@ -33,7 +33,8 @@ TOP = (1 << 15) - 1         # the largest exponent a kernel field holds
 
 
 # References for the pair update, which works on exponent fields with
-# groebner._max_fields directly.
+# groebner._max_fields directly, and for the reducers, which inline the
+# guard-bit test of _divides.
 def _lcm(a, b, nvars):
     """The key of lcm(a, b); no limit applies."""
     r = _max_fields(_fields(a, nvars), _fields(b, nvars), _guards(nvars))
@@ -44,6 +45,12 @@ def _coprime(a, b, nvars):
     """No variable divides both: the lcm is the product."""
     ra, rb = _fields(a, nvars), _fields(b, nvars)
     return _max_fields(ra, rb, _guards(nvars)) == ra + rb
+
+
+def _divides(a, b, nvars):
+    """The monomial of key a divides that of key b."""
+    g = _guards(nvars)
+    return (_fields(b, nvars) | g) - _fields(a, nvars) & g == g
 
 
 class TestSortKeys:

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arrfree import (INFINITE, MonomialIdeal, NotStronglyStableError,
+from arrfree import (INFINITE, LexSegmentShape, MonomialIdeal,
+                     NotStronglyStableError,
                      PowerProduct, StronglyStableIdeal, betti_eliahou_kervaire,
                      borel_closure, codimension, contains,
                      is_cm_codim2_stable, is_cohen_macaulay,
@@ -17,7 +18,7 @@ from arrfree import (INFINITE, MonomialIdeal, NotStronglyStableError,
 from arrfree import monomial as monomial_module
 from arrfree.cli import render_sectional_matrix
 from arrfree.monomial import count_standard_monomials, degree_monomials
-from helpers import random_borel_ideal
+from helpers import random_borel_ideal, random_exponent
 
 
 def B(gens, nvars):
@@ -375,7 +376,82 @@ class TestBetti:
             assert bt.beta(0, 4) == bt.beta0.get(4, 0)
 
 
+def lex_segment_oracle(I):
+    """The full shape check: generators in x_1, x_2 only, one for each x_1
+    power from n-1 down to 0, a pure power of x_1, and x_2-exponents rising
+    strictly from at least 1.  Strong stability implies all but the first
+    condition and a pure power of x_2."""
+    if I.is_zero or I.is_unit or I.nvars < 2:
+        return None
+    if any(g.max_variable() > 2 for g in I.generators):
+        return None
+    by_x1 = {}
+    for g in I.generators:
+        if g[0] in by_x1:
+            return None
+        by_x1[g[0]] = g[1]
+    n = max(by_x1) + 1
+    if sorted(by_x1) != list(range(n)) or by_x1[n - 1] != 0:
+        return None
+    lambdas = tuple(by_x1[n - 1 - i] for i in range(1, n))
+    if any(a >= b for a, b in zip(lambdas, lambdas[1:])) or (lambdas and lambdas[0] < 1):
+        return None
+    return LexSegmentShape(n=n, lambdas=lambdas)
+
+
+def codimension_oracle(I):
+    """The largest index of a variable with a pure-power generator."""
+    if I.is_unit:
+        return I.nvars
+    return max((var for var in range(1, I.nvars + 1)
+                if any(g.degree() == g[var - 1] > 0 for g in I.generators)),
+               default=0)
+
+
+def _shape_kind(I):
+    if I.is_zero or I.is_unit:
+        return "zero" if I.is_zero else "unit"
+    if any(g.max_variable() > 2 for g in I.generators):
+        return "past x_2"
+    if not any(g[0] == 0 for g in I.generators):
+        return "no power of x_2"
+    return "lex segment"
+
+
+def _shape_cases():
+    """Strongly stable ideals with l = 1..5: the zero and unit ideals, Borel
+    closures of random monomials, and for l >= 2 Borel closures of random
+    monomials in x_1, x_2, half of them with a pure power of x_2."""
+    rng = random.Random(19)
+    cases = []
+    for l in range(1, 6):
+        cases += [MonomialIdeal.zero(l), MonomialIdeal.unit(l)]
+        cases += [random_borel_ideal(l, 5, rng.randint(1, 3), rng) for _ in range(40)]
+        for _ in range(40 if l >= 2 else 0):
+            seeds = [random_exponent(rng.randint(1, 6), 2, rng)
+                     for _ in range(rng.randint(1, 3))]
+            if rng.random() < 0.5:
+                seeds.append((0, rng.randint(1, 8)))
+            cases.append(borel_closure(
+                [PowerProduct(tuple(t) + (0,) * (l - 2)) for t in seeds], l))
+    return cases
+
+
 class TestLexSegmentShape:
+    def test_agrees_with_full_check(self):
+        kinds = []
+        for I in _shape_cases():
+            assert is_cm_codim2_stable(I) == lex_segment_oracle(I), I
+            kinds.append(_shape_kind(I))
+        # one zero and one unit ideal for each l, and every other kind
+        assert all(kinds.count(kind) >= 5 for kind in (
+            "zero", "unit", "past x_2", "no power of x_2", "lex segment"))
+
+    def test_codimension_agrees_with_largest_index(self):
+        cases = _shape_cases()
+        assert all(codimension(I) == codimension_oracle(I) for I in cases)
+        assert {codimension(I) for I in cases} == set(range(6))
+
     def test_examples(self):
         shape = is_cm_codim2_stable(FIVE)
         assert shape and shape.n == 5 and shape.lambdas == (1, 2, 4, 6)
