@@ -18,7 +18,7 @@ from typing import List, Optional, Sequence, Tuple
 from .gin import GinCertificate, GinConfig, _product, rgin
 from .groebner import (_W, InternalConsistencyError, _poly, _residues,
                        _variables)
-from .monomial import (INFINITE, BettiTable, MonomialIdeal,
+from .monomial import (INFINITE, BettiTable, LexSegmentShape, MonomialIdeal,
                        NotStronglyStableError, SectionalMatrix,
                        StronglyStableIdeal, betti_eliahou_kervaire,
                        is_cm_codim2_stable, is_strongly_stable,
@@ -246,19 +246,22 @@ class FreenessReport:
         return self.rgin.is_unit
 
 
-def _free_by_generator_shape(B: StronglyStableIdeal, n: int) -> bool:
-    """Generator-shape freeness test for B = rgin of a Jacobian ideal: B is
-    the unit ideal or a two-variable lex segment on n generators."""
-    return B.is_unit or (s := is_cm_codim2_stable(B)) is not None and s.n == n
+def _free_by_generator_shape(B: StronglyStableIdeal, n: int,
+                             shape: Optional[LexSegmentShape]) -> bool:
+    """Generator-shape freeness test for B = rgin of a Jacobian ideal, whose
+    ``is_cm_codim2_stable`` shape is given: B is the unit ideal or a
+    two-variable lex segment on n generators."""
+    return B.is_unit or shape is not None and shape.n == n
 
 
-def _free_exponents(B: StronglyStableIdeal, n: int,
-                    essential: bool) -> ExponentVector:
-    """The exponents e of a FREE verdict on a proper B, checked by one round
-    trip: B is ``rgin_from_exponents(e)`` padded with zeros to l variables,
-    sum(e) = n, and len(e) = l exactly when the arrangement is essential."""
+def _free_exponents(B: StronglyStableIdeal, n: int, essential: bool,
+                    shape: Optional[LexSegmentShape]) -> ExponentVector:
+    """The exponents e of a FREE verdict on a proper B of the given shape,
+    checked by one round trip: B is ``rgin_from_exponents(e)`` padded with
+    zeros to l variables, sum(e) = n, and len(e) = l exactly when the
+    arrangement is essential."""
     try:
-        e = _read_exponents(B)
+        e = _read_exponents(B, shape)
         R = rgin_from_exponents(e)
     except ValueError as exc:
         raise InternalConsistencyError(f"free verdict but {exc}") from exc
@@ -322,7 +325,8 @@ def analyze(A: Arrangement, cfg: GinConfig = GinConfig(),
     B = jacobian_rgin(A, cfg)
     d0, reg, floor = sectional_bounds(B)
     M = sectional_matrix(B, floor if dmax is None else max(dmax, floor))
-    free = _free_by_generator_shape(B, n)
+    shape = is_cm_codim2_stable(B)
+    free = _free_by_generator_shape(B, n, shape)
     if free != _free_by_sectional(B, M, d0):
         raise InternalConsistencyError(
             f"freeness verdicts disagree: generator shape says {free}, "
@@ -335,7 +339,7 @@ def analyze(A: Arrangement, cfg: GinConfig = GinConfig(),
     if free and B.is_unit:
         exponents = ExponentVector((1,) * l)
     elif free:
-        exponents = _free_exponents(B, n, A.essential)
+        exponents = _free_exponents(B, n, A.essential, shape)
     return FreenessReport(free=free, method=method, n=n, l=l,
                           essential=A.essential, rgin=B, sectional=M,
                           d0=d0, regularity=reg,
@@ -365,7 +369,7 @@ def exponents_from_rgin(B: StronglyStableIdeal) -> ExponentVector:
     ``NotFreeRginError`` unless B is a two-variable lex segment whose counts
     never increase and give l exponents.
     """
-    e = _read_exponents(B)
+    e = _read_exponents(B, is_cm_codim2_stable(B))
     if len(e) != B.nvars:
         raise NotFreeRginError(
             f"the counting procedure yields {len(e)} exponents, "
@@ -373,11 +377,12 @@ def exponents_from_rgin(B: StronglyStableIdeal) -> ExponentVector:
     return e
 
 
-def _read_exponents(B: StronglyStableIdeal) -> ExponentVector:
+def _read_exponents(B: StronglyStableIdeal,
+                    shape: Optional[LexSegmentShape]) -> ExponentVector:
     """The exponent list read off the drops in the generator count of a
-    two-variable lex segment B on n generators, of any length.  The drops
-    telescope: there are beta0(n-1) exponents and they sum to n."""
-    shape = is_cm_codim2_stable(B)
+    two-variable lex segment B on n generators, of any length, given its
+    ``is_cm_codim2_stable`` shape.  The drops telescope: there are
+    beta0(n-1) exponents and they sum to n."""
     if shape is None:
         raise NotFreeRginError(
             f"{B!r} is not a two-variable lex-segment ideal")
@@ -502,7 +507,8 @@ def realizable_as_free(B: StronglyStableIdeal, cfg: GinConfig = GinConfig(),
     if chain_verdict is not None:
         return _no(chain_verdict)
 
-    exponents = exponents_from_rgin(B)
+    # the chain gives l generators in degree n - 1, so l exponents
+    exponents = _read_exponents(B, shape)
     arrangement = supersolvable_from_exponents(exponents)
     verified = False
     if verify:

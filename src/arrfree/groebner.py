@@ -30,8 +30,12 @@ F4, JPAA 139, 1999): a degree-d polynomial is a row over the degree-d keys
 in descending order, each x^q * g built once per run.  Over QQ a row is a
 list, and a step one list comprehension.  Over GF(p) it is one int, column k
 in its k-th field of ``_width(p)`` bytes: a step is one multiply-add of a
-negated row, a field is read mod p only when it leads, and x^q * g is laid
-out from blocks of g, one per run of columns that differ in x_1 and x_2 only.
+negated row, and a field is read mod p only when it leads.  A basis element
+stays packed: the remainder that finds it is read once into monic values,
+which give its blocks, one per run of columns that differ in x_1 and x_2
+only, and its tail, decoded by ``_tail`` only when the tails are reduced.
+x^q * g is laid out with one join per group of runs that share the
+exponents of x_4, ..., x_l, its runs q_1 + q_2 zero columns apart.
 
 Buchberger's algorithm only top-reduces each S-polynomial: it stops at the
 first leading term that no basis element divides.  The leading terms, all
@@ -55,9 +59,11 @@ from __future__ import annotations
 import math
 import sys
 from array import array
+from bisect import bisect
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress, count, islice
+from operator import itemgetter
 from typing import Optional, Sequence, Tuple
 
 from .monomial import MonomialIdeal, count_standard_monomials, degree_monomials
@@ -292,10 +298,12 @@ def _width(p: int) -> int:
 @lru_cache(maxsize=64)
 def _columns(nvars: int, d: int) -> Tuple[list, dict, list]:
     """The degree-d keys in descending order, the column of each, and the
-    columns that start a run: the monomials without x_2 (``_Engine._blocks``)."""
+    columns that start a run, the monomials without x_2, each with whether
+    it starts a group of runs, the monomials without x_2 and x_3."""
     keys = sorted(map(_key, degree_monomials(d, nvars)), reverse=True)
-    return keys, {k: i for i, k in enumerate(keys)}, [
-        i for i, k in enumerate(keys) if not _fields(k, nvars) >> _W & (1 << _W) - 1]
+    starts = [(i, not r >> _W) for i, k in enumerate(keys)
+              if not (r := _fields(k, nvars) >> _W & (1 << 2 * _W) - 1) & (1 << _W) - 1]
+    return keys, {k: i for i, k in enumerate(keys)}, starts
 
 
 def _to_bytes(vals: list, width: int) -> bytes:
@@ -303,6 +311,25 @@ def _to_bytes(vals: list, width: int) -> bytes:
     if width == 8 and sys.byteorder == "little":    # the order of ``array``
         return array("Q", vals).tobytes()
     return b"".join(v.to_bytes(width, "little") for v in vals)
+
+
+def _from_bytes(b: bytes, width: int):
+    """The fields of ``_to_bytes``: the ints in order, as an iterable."""
+    if width == 8 and sys.byteorder == "little":
+        return array("Q", b)
+    return (int.from_bytes(b[i:i + width], "little") for i in range(0, len(b), width))
+
+
+def _tail(d: tuple, nvars: int) -> list:
+    """The tail of a packed element as ``_pack`` lists it.  A dense GF(p)
+    element keeps there the bytes of its monic row from lt on instead, and
+    this decodes them."""
+    if type(d[3]) is not bytes:
+        return d[3]
+    cols, index, _ = _columns(nvars, _degree(d[1], nvars))
+    o = index[d[1]]
+    vals = _from_bytes(d[3], len(d[3]) // (len(cols) - o))
+    return [(k, c) for k, c in zip(islice(cols, o + 1, None), islice(vals, 1, None)) if c]
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +419,7 @@ class GroebnerBasis:
 
 def _interreduce(divisors: list, p: Optional[int], nvars: int) -> list:
     """Tail-reduce each packed divisor against the others."""
-    final = []
+    divisors, final = [(*d[:3], _tail(d, nvars)) for d in divisors], []
     for i, (_, lt, lc, tail) in enumerate(divisors):
         rem, _ = _reduce({lt: lc, **dict(tail)}, divisors[:i] + divisors[i + 1:],
                          p, nvars)
@@ -439,7 +466,7 @@ class _Engine:
         self.p = p
         self.rows = {} if dense else None   # (lt of g, t[, negated]) -> row
         self.width = _width(p) if dense and p else None   # bytes per column
-        self.blocks: dict = {}     # lt of g -> ``_blocks(g)``
+        self.blocks: dict = {}     # lt of g -> its run blocks (``_element``)
         self.nvars = nvars
         self.degree_cap = degree_cap
         # S-pairs stop at the cap and below the field limit
@@ -447,15 +474,16 @@ class _Engine:
         self.hint = hint           # the target Hilbert function, or None
         self.found = _Staircase((), nvars)   # the leading terms so far
         self.packed: dict = {}     # id -> _pack tuple, never mutated
-        self.active: list = []     # ids sorted by (lt, id)
+        self.active: list = []     # ids sorted by lt, no two equal
         self.divisors: list = []   # _pack tuples of the active ids, in order
         self.pairs: dict = {}      # (i, j) i<j -> key of the lcm
         self.next_id = 0
 
     # -- plumbing ----------------------------------------------------------
 
-    def _nf(self, work: dict) -> dict:
-        """work top-reduced by the basis; tails wait for ``_interreduce``."""
+    def _nf(self, work: dict) -> Optional[tuple]:
+        """work top-reduced by the basis into a packed element, None when it
+        reduces to zero; tails wait for ``_interreduce``."""
         if self.rows is not None:
             cols = _columns(self.nvars, _degree(max(work), self.nvars))[0]
             row = [work.get(k, 0) for k in cols]
@@ -465,7 +493,7 @@ class _Engine:
             return self._reduce_row(row, cols[0])
         rem, _ = _reduce(work, self.divisors, self.p, self.nvars,
                          self.degree_cap, top=True)
-        return _normalize(rem, self.p)
+        return _pack(_normalize(rem, self.p), self.nvars) if rem else None
 
     def _row(self, g: tuple, t: int) -> list:
         """x^q * g for the packed g with x^q * lt = t, as a row from the
@@ -490,10 +518,10 @@ class _Engine:
         a, b = gj[2] // g, gi[2] // g
         return [a * x - b * y for x, y in zip(ri, rj)]
 
-    def _reduce_row(self, w: list, first: int) -> dict:
+    def _reduce_row(self, w: list, first: int) -> Optional[tuple]:
         """The row w over QQ, whose entries are the coefficients of the
         monomials from the key first down in its degree, top-reduced by the
-        basis and returned as a normalized term dict; w is consumed."""
+        basis into a packed element, or None; w is consumed."""
         n = self.nvars
         cols, index, _ = _columns(n, _degree(first, n))
         o = index[first]
@@ -502,15 +530,15 @@ class _Engine:
         while True:
             j = next(compress(count(j), islice(w, j, None)), None)
             if j is None:
-                return {}
+                return None
             t = cols[o + j]
             rt = -t & mask | guards
             for g in self.divisors:
                 if (rt - g[0]) & guards == guards:     # lt divides t
                     break
             else:
-                return _normalize({cols[o + k]: c for k, c in
-                                   enumerate(islice(w, j, None), j) if c}, None)
+                return _pack(_normalize({cols[o + k]: c for k, c in enumerate(
+                    islice(w, j, None), j) if c}, None), n)
             row, c = self._row(g, t), w[j]
             gcd = math.gcd(c, g[2])
             a, b = g[2] // gcd, c // gcd
@@ -524,36 +552,44 @@ class _Engine:
 
     # -- GF(p) rows packed into one int, ``width`` bytes per column --------
 
-    def _blocks(self, g: tuple) -> list:
-        """g as (key, positive, negated) bytes from its leading term on, one
-        block per run: a run stays contiguous, in order of the exponent of
-        x_2, in every degree, so the block put at the column of key + q is
-        that run of x^q * g.  A negated entry is p - c."""
-        blocks = self.blocks.get(g[1])
-        if blocks is None:
-            n, w, lt, terms = self.nvars, self.width, g[1], dict([g[1:3], *g[3]])
-            cols, index, starts = _columns(n, _degree(lt, n))
-            o = index[lt]
-            vals = [terms.get(k, 0) for k in islice(cols, o, None)]
-            pos, neg = _to_bytes(vals, w), _to_bytes([self.p - c for c in vals], w)
-            cuts = [o, *(a for a in starts if a > o), len(cols)]
-            blocks = self.blocks[lt] = [
-                (cols[a], pos[w * (a - o):w * (b - o)], neg[w * (a - o):w * (b - o)])
-                for a, b in zip(cuts, cuts[1:])]
-        return blocks
+    def _element(self, b: bytes, c: int, cols: list, o: int, starts: list) -> tuple:
+        """The basis element of the packed row whose fields from column o on
+        have the bytes b, the leading one c mod p: monic, with the bytes of
+        its row for a tail (``_tail`` decodes them), and with its positive and
+        negated rows cut into runs, grouped, for ``_row_packed``.  A negated
+        entry is p - v."""
+        p, s, size = self.p, self.width, len(cols) - o
+        inv = pow(c, -1, p)
+        pos = _to_bytes([f * inv % p for f in _from_bytes(b, s)], s)
+        neg = (int.from_bytes(p.to_bytes(s, "little") * size, "little")
+               - int.from_bytes(pos, "little")).to_bytes(s * size, "little")
+        cuts = [(o, True), *(a for a in starts if a[0] > o), (len(cols), True)]
+        heads = [i for i, (_, group) in enumerate(cuts) if group]
+        self.blocks[cols[o]] = blocks = []      # per sign: (key, runs) per group
+        for row in pos, neg:
+            runs = [row[s * (a - o):s * (e - o)] for (a, _), (e, _) in zip(cuts, cuts[1:])]
+            blocks.append([(cols[cuts[i][0]], runs[i:j]) for i, j in zip(heads, heads[1:])])
+        return _fields(cols[o], self.nvars), cols[o], 1, pos
 
     def _row_packed(self, g: tuple, t: int, negated: int = 1) -> int:
         """x^q * g for the packed g with x^q * lt = t, as a packed row from
-        the column of t on; negated mod p when ``negated`` is 1."""
+        the column of t on; negated mod p when ``negated`` is 1.  A group of
+        runs keeps its order in every degree and its runs of x^q * g lie
+        q_1 + q_2 columns apart, so each group is one join, put in place by
+        the column of its first key times x^q."""
         row = self.rows.get((g[1], t, negated))
         if row is None:
             index = _columns(self.nvars, _degree(t, self.nvars))[1]
-            q, o, w = t - g[1], index[t], self.width
-            buf = bytearray(w * (len(index) - o))
-            for block in self._blocks(g):
-                i, b = w * (index[block[0] + q] - o), block[1 + negated]
-                buf[i:i + len(b)] = b
-            row = self.rows[g[1], t, negated] = int.from_bytes(buf, "little")
+            q, s = t - g[1], self.width
+            rq = _fields(q, self.nvars)
+            gap = bytes(s * ((rq & (1 << _W) - 1) + (rq >> _W & (1 << _W) - 1)))
+            pieces, end = [], s * index[t]
+            for key, runs in self.blocks[g[1]][negated]:
+                i = s * index[key + q]
+                block = gap.join(runs)
+                pieces += bytes(i - end), block
+                end = i + len(block)
+            row = self.rows[g[1], t, negated] = int.from_bytes(b"".join(pieces), "little")
         return row
 
     def _spair_packed(self, i: int, j: int, lcm: int) -> int:
@@ -561,13 +597,14 @@ class _Engine:
         on; its leading field holds p."""
         return self._row_packed(self.packed[i], lcm, 0) + self._row_packed(self.packed[j], lcm)
 
-    def _reduce_packed(self, w: int, first: int) -> dict:
+    def _reduce_packed(self, w: int, first: int) -> Optional[tuple]:
         """The packed row w, field i the coefficient of the i-th monomial from
         the key first down in its degree, top-reduced by the monic basis into
-        a normalized term dict.  A field is read mod p only when it leads; till
-        then each step adds c < p times at most p to it, one step per column."""
+        a new element (``_element``), or None.  A field is read mod p only
+        when it leads; till then each step adds c < p times at most p to it,
+        one step per column."""
         n, p, s = self.nvars, self.p, self.width
-        cols, index, _ = _columns(n, _degree(first, n))
+        cols, index, starts = _columns(n, _degree(first, n))
         o, low = index[first], (1 << 8 * s) - 1
         guards, mask = _guards(n), (1 << _W * n) - 1
         while w:
@@ -579,15 +616,12 @@ class _Engine:
                     if (rt - g[0]) & guards == guards:     # lt divides t
                         break
                 else:
-                    b, inv = w.to_bytes(s * (len(cols) - o), "little"), pow(c, -1, p)
-                    fields = array("Q", b) if s == 8 and sys.byteorder == "little" \
-                        else (int.from_bytes(b[i:i + s], "little") for i in range(0, len(b), s))
-                    return {k: v for k, f in zip(islice(cols, o, None), fields)
-                            if (v := f * inv % p)}
+                    return self._element(w.to_bytes(s * (len(cols) - o), "little"),
+                                         c, cols, o, starts)
                 w += c * self._row_packed(g, t)     # the leading field becomes 0 mod p
             w >>= 8 * s
             o += 1
-        return {}
+        return None
 
     def _spair_terms(self, i: int, j: int, lcm: int) -> dict:
         _, lt_i, lc_i, tail_i = self.packed[i]
@@ -601,25 +635,22 @@ class _Engine:
 
     # -- Gebauer-Moeller update, on the fields that ``_pack`` keeps ----------
 
-    def add(self, terms: dict) -> None:
+    def add(self, packed: tuple) -> None:
         h, n, G = self.next_id, self.nvars, _guards(self.nvars)
         self.next_id += 1
-        packed = self.packed[h] = _pack(terms, n)
+        self.packed[h] = packed
         rh, lt_h = packed[0], packed[1]
         self.found.add(lt_h)
 
-        # candidate pairs of h with the current basis, as (g, fields of the
-        # lcm), pruned by the chain criterion: drop a pair whose lcm is
-        # divisible by the lcm of a kept pair or of a pair still pending
-        pending = [(g, _max_fields(rh, self.packed[g][0], G)) for g in self.active]
-        kept: list = []
-        while pending:
-            g, r = pending.pop(0)
-            coprime = r == rh + self.packed[g][0]     # the lcm is the product
-            rG = r | G
-            if coprime or not any((rG - o) & G == G for _, o, _ in kept) \
-                    and not any((rG - o) & G == G for _, o in pending):
-                kept.append((g, r, coprime))
+        # the lcms of h with the current basis, in its order, pruned by the
+        # chain criterion: drop a candidate whose lcm is divisible by that of
+        # another candidate not dropped yet, unless its lcm is the product
+        lcms = [_max_fields(rh, d[0], G) for d in self.divisors]
+        alive = [True] * len(lcms)
+        for i, (r, d) in enumerate(zip(lcms, self.divisors)):
+            alive[i], rG = False, r | G
+            alive[i] = r == rh + d[0] or not any(
+                (rG - o) & G == G for o in compress(lcms, alive))
 
         # drop old pairs whose lcm is strictly covered by h
         for (i, j), lcm_ij in list(self.pairs.items()):
@@ -628,16 +659,23 @@ class _Engine:
                     and _max_fields(self.packed[i][0], rh, G) != r \
                     and _max_fields(rh, self.packed[j][0], G) != r:
                 del self.pairs[(i, j)]
-        for g, r, coprime in kept:
-            if not coprime:
-                self.pairs[(g, h)] = (sum(_exponents(r, n)) << _W * n) - r
+        # the key of the lcm is lt_h + lt_g - the key of the gcd, whose
+        # fields sum below 2^15: one product adds them into the top field
+        ones, low = G >> _W - 1, (1 << _W) - 1
+        for g, d, r in compress(zip(self.active, self.divisors, lcms), alive):
+            if c := rh + d[0] - r:     # the fields of the gcd; 0 when coprime
+                self.pairs[(g, h)] = lt_h + d[1] + c - (
+                    (c * ones >> _W * (n - 1) & low) << _W * n)
 
-        # retire basis elements whose leading term h covers
-        self.active = [g for g in self.active
-                       if ((self.packed[g][0] | G) - rh) & G != G]
-        self.active.append(h)
-        self.active.sort(key=lambda g: (self.packed[g][1], g))
-        self.divisors = [self.packed[g] for g in self.active]
+        # retire basis elements whose leading term h covers, and put h in
+        # place: no two active leading terms are equal
+        keep = [((d[0] | G) - rh) & G != G for d in self.divisors]
+        if not all(keep):
+            self.active = list(compress(self.active, keep))
+            self.divisors = list(compress(self.divisors, keep))
+        i = bisect(self.divisors, lt_h, key=itemgetter(1))
+        self.active.insert(i, h)
+        self.divisors.insert(i, packed)
 
     def select_pair(self):
         """Normal strategy: smallest lcm first (its key orders by degree
@@ -738,7 +776,7 @@ def _start(gens: Sequence[dict], nvars: int, field, degree_cap: Optional[int],
     # feed generators smallest leading term first, reducing each against the
     # basis built so far
     for terms in sorted((_normalize(g, field.p) for g in nonzero), key=max):
-        reduced = engine._nf(terms) if engine.active else terms
+        reduced = engine._nf(terms)
         if reduced:
             engine.add(reduced)
     return engine

@@ -1,7 +1,9 @@
 """Arrangements: validation, Jacobian ideals, freeness, exponents."""
 
+import io
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -470,18 +472,19 @@ class TestGeneratorShape:
             B = StronglyStableIdeal.from_ideal(
                 random_borel_ideal(l, 6, rng.randint(1, 3), rng))
             for n in range(1, 9):
-                verdict = _free_by_generator_shape(B, n)
+                verdict = _free_by_generator_shape(B, n, is_cm_codim2_stable(B))
                 assert verdict == three_probe_oracle(B, n), (B, n)
                 free += verdict
                 checks += 1
         for e in all_exponent_vectors(7, 3):
             R = rgin_from_exponents(e)
             B = StronglyStableIdeal([g + (0,) for g in R.generators], len(e) + 1)
+            shape = is_cm_codim2_stable(B)
             for n in (sum(e) - 1, sum(e), sum(e) + 1):
-                assert _free_by_generator_shape(B, n) == three_probe_oracle(B, n)
-                assert _free_by_generator_shape(B, n) == (n == sum(e))
+                assert _free_by_generator_shape(B, n, shape) == three_probe_oracle(B, n)
+                assert _free_by_generator_shape(B, n, shape) == (n == sum(e))
         unit = StronglyStableIdeal([(0, 0, 0)], 3)
-        assert _free_by_generator_shape(unit, 4) and three_probe_oracle(unit, 4)
+        assert _free_by_generator_shape(unit, 4, None) and three_probe_oracle(unit, 4)
         assert free > 40 and checks - free > 1000
 
 
@@ -637,6 +640,23 @@ class TestRealizability:
         B = StronglyStableIdeal([(2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0)], 3)
         v = realizable_as_free(B)
         assert not v.realizable and "codimension 2" in v.reason
+
+    @pytest.mark.parametrize("argv, shown", [
+        (["analyze", "inputs/five_planes.arr", "--seed", "7"], "verdict   : FREE\n"),
+        (["realize", "inputs/realizable.ideal", "--seed", "7"], "YES: exponents (1, 2, 4)")])
+    def test_shape_read_once(self, monkeypatch, argv, shown):
+        # a FREE analyze and a realize read the lex-segment shape of their
+        # ideal once and hand it to the exponent reader
+        from arrfree.cli import main
+        calls = []
+        shape = arrangement_module.is_cm_codim2_stable
+        monkeypatch.setattr(arrangement_module, "is_cm_codim2_stable",
+                            lambda B: calls.append(B) or shape(B))
+        monkeypatch.chdir(Path(__file__).resolve().parents[1])
+        out = io.StringIO()
+        assert main(argv, out=out) == 0
+        assert shown in out.getvalue()
+        assert len(calls) == 1
 
 
 def lambda_count_oracle(B):

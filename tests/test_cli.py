@@ -216,7 +216,7 @@ class TestCommands:
         # each .ideal file) gives the recorded exit code, stdout and stderr
         monkeypatch.chdir(INPUTS.parent)
         records = json.loads((GOLDEN / "cli_seed7.json").read_text())
-        assert len(records) == 23
+        assert len(records) == 25
         for record in records:
             out, err = io.StringIO(), io.StringIO()
             with redirect_stderr(err):

@@ -2,6 +2,7 @@
 
 import math
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -15,13 +16,15 @@ from arrfree import (GF, QQ, Arrangement, DegreeCapExceeded, GinConfig,
                      s_polynomial)
 from arrfree import gin as gin_module
 from arrfree import groebner as groebner_module
+from arrfree.cli import load_input
 from arrfree.groebner import (_W, _degree, _exponents, _fields,
                               _guards, _int_terms, _key, _max_fields, _pack,
-                              _power_product, _reduce)
+                              _power_product, _reduce, _tail)
 from arrfree.monomial import degree_monomials
 from helpers import (arrangement, bench_workloads, poly, polys,
                      random_exponent, random_polynomial)
 
+INPUTS = Path(__file__).resolve().parents[1] / "inputs"
 FIELDS = pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["QQ", "GF32003"])
 
 # three exponent vectors of one length l <= 6
@@ -337,7 +340,7 @@ class TestDenseRows:
             dicts = groebner_module.hilbert_hint(gens, (3, GF(p)))
         # f's remainder leads at column 70, after 70 steps
         assert rows.packed[70][1] == cols[70]
-        assert [(d[1], d[2], dict(d[3])) for d in rows.divisors] == \
+        assert [(d[1], d[2], dict(_tail(d, 3))) for d in rows.divisors] == \
             [(d[1], d[2], dict(d[3])) for d in dicts.divisors]
 
     @FIELDS
@@ -348,6 +351,57 @@ class TestDenseRows:
                 for g in polys([f"x^{TOP - 1}*y - z^{TOP}", "y*z"], 3)]
         assert all(g.is_homogeneous() for g in gens)
         assert not groebner_module._dense([_int_terms(g)[0] for g in gens], 3)
+
+
+def _dense_form(l, d, p, rng):
+    """A random degree-d form over GF(p) in l variables, in descending key
+    order, that holds at least half of the monomials of its degree."""
+    cols = groebner_module._columns(l, d)[0]
+    while True:
+        terms = {k: rng.randrange(1, p) for k in cols if rng.random() < 0.8}
+        if 2 * len(terms) >= len(cols):
+            return terms
+
+
+class TestPackedLayout:
+    """A dense GF(p) element is read into its run blocks once, and every
+    row x^q * g is laid out from them with one join per group of runs."""
+
+    @pytest.mark.parametrize("p", [32003, 2**61 - 1])
+    @pytest.mark.parametrize("l", [2, 3, 4, 5])
+    def test_rows_against_term_by_term(self, p, l):
+        rng = random.Random(l * 1000 + p % 97)
+        for _ in range(6):
+            d = rng.randint(1, 4 if l < 5 else 3)
+            engine = groebner_module._Engine(p, None, None, l, True)
+            # a first element, and the remainder of a second form by it
+            for terms in (_dense_form(l, d, p, rng), _dense_form(l, d, p, rng)):
+                reference = groebner_module._normalize(
+                    _reduce(dict(terms), [(*e[:3], _tail(e, l)) for e in engine.divisors],
+                            p, l, top=True)[0], p)
+                g = engine._nf(dict(terms))
+                if g is None:
+                    assert not reference
+                    continue
+                # the lazily decoded tail is _pack's tail of that remainder
+                packed = _pack(reference, l)
+                assert g[:3] == packed[:3]
+                assert _tail(g, l) == sorted(packed[3], reverse=True)
+                engine.add(g)
+            for g in engine.divisors:
+                full = {g[1]: 1, **dict(_tail(g, l))}
+                for _ in range(4):
+                    q = _key(random_exponent(rng.randint(0, 3), l, rng))
+                    t = g[1] + q
+                    cols, index, _ = groebner_module._columns(l, _degree(t, l))
+                    # x^q * g built term by term from its dict
+                    moved = {k + q: c for k, c in full.items()}
+                    for negated in (0, 1):
+                        size = len(cols) - index[t]
+                        row = _unpacked(engine._row_packed(g, t, negated), p, size)
+                        for k, f in zip(cols[index[t]:], row):
+                            c = moved.get(k, 0)
+                            assert f % p == (p - c if negated else c) % p and f <= p
 
 
 class TestTruncatedRun:
@@ -626,6 +680,89 @@ class TestLazyResidues:
         assert outputs[0] == [P, P, P - 1]
         assert [c % P for c in outputs[0]] == [0, 0, P - 1]
         assert all(0 <= c < 2 * P for row in outputs for c in row)
-        for _, lt, lc, tail in G._divisors:
-            assert all(0 < c < P for c in [lc, *dict(tail).values()])
+        for d in G._divisors:
+            assert all(0 < c < P for c in [d[2], *dict(_tail(d, 2)).values()])
         assert [str(g) for g in G.elements] == ["x*y + 3*y^2", "x^2 + 6*y^2", "y^3"]
+
+
+def _update_oracle(packed, active, pairs, h, nvars):
+    """The Gebauer-Moeller update as the engine once ran it, kept as a
+    reference: the chain test pops its candidates from the front of a list
+    and scans the kept and the pending ones with ``any``.  Returns the pairs
+    and the active ids after h joins the basis."""
+    G = _guards(nvars)
+    rh = packed[h][0]
+    pending = [(g, _max_fields(rh, packed[g][0], G)) for g in active]
+    kept = []
+    while pending:
+        g, r = pending.pop(0)
+        coprime = r == rh + packed[g][0]     # the lcm is the product
+        rG = r | G
+        if coprime or not any((rG - o) & G == G for _, o, _ in kept) \
+                and not any((rG - o) & G == G for _, o in pending):
+            kept.append((g, r, coprime))
+    pairs = dict(pairs)
+    for (i, j), lcm_ij in list(pairs.items()):
+        r = _fields(lcm_ij, nvars)
+        if ((r | G) - rh) & G == G \
+                and _max_fields(packed[i][0], rh, G) != r \
+                and _max_fields(rh, packed[j][0], G) != r:
+            del pairs[(i, j)]
+    for g, r, coprime in kept:
+        if not coprime:
+            pairs[(g, h)] = (sum(_exponents(r, nvars)) << _W * nvars) - r
+    active = [g for g in active if ((packed[g][0] | G) - rh) & G != G] + [h]
+    active.sort(key=lambda g: (packed[g][1], g))
+    return pairs, active
+
+
+class TestPairUpdate:
+    @pytest.mark.parametrize("l", [2, 3, 4, 5])
+    def test_against_the_pop_front_oracle(self, l):
+        # random leading terms, with repeats and multiples among them and
+        # some exponents past 2^10, added one by one: the new pairs the chain
+        # test keeps, the old pairs it drops and the ids it retires are the
+        # oracle's
+        rng = random.Random(50 + l)
+        kept = dropped = retired = 0
+        for _ in range(40):
+            engine = groebner_module._Engine(32003, None, None, l, False)
+            for h in range(rng.randint(2, 14)):
+                k = _key(PowerProduct([rng.randint(0, 4) if rng.random() < 0.9
+                                       else rng.randint(1000, 6000) for _ in range(l)]))
+                engine.packed[h] = (_fields(k, l), k, 1, [])
+                pairs, active = _update_oracle(engine.packed, engine.active,
+                                               engine.pairs, h, l)
+                old_pairs, old_active = dict(engine.pairs), list(engine.active)
+                del engine.packed[h]
+                engine.add((_fields(k, l), k, 1, []))
+                new = {ij: v for ij, v in engine.pairs.items() if ij[1] == h}
+                assert new == {ij: v for ij, v in pairs.items() if ij[1] == h}
+                assert old_pairs.keys() - engine.pairs.keys() == old_pairs.keys() - pairs.keys()
+                assert set(old_active) - set(engine.active) == set(old_active) - set(active)
+                assert engine.pairs == pairs and engine.active == active
+                assert engine.divisors == [engine.packed[g] for g in active]
+                kept += len(new)
+                dropped += len(old_pairs.keys() - pairs.keys())
+                retired += len(set(old_active) - set(active))
+        # every branch of the update is exercised
+        assert kept > 50 and dropped > 5 and retired > 5
+
+
+class TestPackedUntilRead:
+    def test_modular_rgin_decodes_no_tail(self):
+        # rgin reads leading terms only: over GF(p) each basis element stays
+        # packed from the reduction that finds it to every row that reuses
+        # it, and no tail is ever listed, neither from a term dict by _pack
+        # nor from the packed row by _tail
+        A = Arrangement(load_input(str(INPUTS / "ziegler_1.arr")).items)
+        cfg = GinConfig(seed=7, mode="modular")
+
+        def decoded(*args):
+            raise AssertionError("a tail was decoded")
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(groebner_module, "_pack", decoded)
+            m.setattr(groebner_module, "_tail", decoded, raising=False)
+            B = jacobian_rgin(A, cfg)
+        assert B == jacobian_rgin(A, cfg)
+        assert PowerProduct((6, 3, 7)) in B.generators
