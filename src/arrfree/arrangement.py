@@ -24,7 +24,7 @@ from .monomial import (INFINITE, BettiTable, LexSegmentShape, MonomialIdeal,
                        is_cm_codim2_stable, is_strongly_stable,
                        reduction_number, regularity_stable, sectional_matrix)
 from .polyring import (QQ, DimensionError, Polynomial, PowerProduct,
-                       row_reduce, variables)
+                       _bareiss, variables)
 
 __all__ = [
     "ArrangementError", "NotFreeRginError", "InternalConsistencyError",
@@ -128,7 +128,7 @@ def _validated(forms: Sequence[Polynomial]) -> tuple:
                 distinct = False
                 problems.append(
                     f"forms #{first + 1} and #{idx + 1} define the same hyperplane")
-        essential = len(row_reduce(rows)[1]) == l
+        essential = _bareiss(rows)[0] == l
     return ValidationInfo(central=central, distinct=distinct, essential=essential,
                           n=len(forms), l=l, problems=tuple(problems)), primitive
 

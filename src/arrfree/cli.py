@@ -22,17 +22,16 @@ from . import arrangement as arr
 from .arrangement import (Arrangement, ExponentVector, FreenessReport,
                           analyze, check_conjecture_Z, realizable_as_free,
                           supersolvable_from_exponents)
-from .gin import GenericityExhaustedError, GinCertificate, GinConfig, rgin
+from .gin import GenericityExhaustedError, GinConfig, rgin
 from .groebner import DegreeCapExceeded
 from .monomial import (MonomialIdeal, SectionalMatrix, StronglyStableIdeal,
-                       betti_eliahou_kervaire, sectional_matrix,
-                       triangle_equality)
+                       sectional_matrix, triangle_equality)
 from .polyring import (Polynomial, PowerProduct, format_power_product,
                        var_names, _is_prime)
 
 __all__ = [
     "ParseError", "InputDocument", "parse_input", "parse_expression",
-    "report_to_dict", "report_from_dict", "render_sectional_matrix",
+    "report_to_dict", "render_sectional_matrix",
     "main",
 ]
 
@@ -354,50 +353,6 @@ def report_to_dict(report: FreenessReport) -> dict:
         "betti": betti,
         "provenance": report.provenance.as_dict() if report.provenance else None,
     }
-
-
-def _parse_monomial(text: str, l: int) -> PowerProduct:
-    poly = parse_expression(text, var_names(l))
-    if len(poly) != 1 or poly.leading_coefficient() != 1:
-        raise ParseError(f"not a monomial: {text!r}")
-    return poly.leading_power_product()
-
-
-def report_from_dict(data: dict) -> FreenessReport:
-    """Rebuild a report from its JSON form.
-
-    The sectional matrix and Betti table are pure functions of the rgin, so
-    they are recomputed and checked against the serialized rows.
-    """
-    l = data["l"]
-    cert = None
-    if data.get("provenance"):
-        prov = data["provenance"]
-        cert = GinCertificate(
-            seed=prov["seed"], trials=prov["trials"],
-            coeff_mode=prov["coeff_mode"],
-            matrices=tuple(tuple(tuple(row) for row in m)
-                           for m in prov["matrices"]))
-    B = StronglyStableIdeal((_parse_monomial(s, l) for s in data["rgin"]), l,
-                            certificate=cert)
-    dmax = len(data["sectional_matrix"][0]) - 1
-    M = sectional_matrix(B, dmax)
-    if [list(row) for row in M.values] != data["sectional_matrix"]:
-        raise ParseError("sectional matrix does not match its rgin")
-    betti = None
-    if data.get("betti") is not None:
-        betti = betti_eliahou_kervaire(B)
-        if {str(k): v for k, v in betti.beta0.items()} != data["betti"]["b0"] or \
-                {str(k): v for k, v in betti.beta1.items()} != data["betti"]["b1"]:
-            raise ParseError("betti table does not match its rgin")
-    exponents = None
-    if data.get("exponents") is not None:
-        exponents = ExponentVector(data["exponents"])
-    return FreenessReport(
-        free=data["free"], method=data["method"], n=data["n"], l=l,
-        essential=data["essential"], rgin=B, sectional=M,
-        d0=data["d0"], regularity=data["regularity"],
-        exponents=exponents, betti=betti, provenance=cert)
 
 
 # ---------------------------------------------------------------------------

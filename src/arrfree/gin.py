@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Tuple, Union
 
-from .groebner import (_int_terms, _power_product, _residues, _variables,
-                       buchberger, hilbert_hint, leading_term_ideal)
+from .groebner import (_Staircase, _int_terms, _key, _power_product, _residues,
+                       _variables, buchberger, hilbert_hint, leading_term_ideal)
 from .monomial import MonomialIdeal, StronglyStableIdeal, is_strongly_stable
 # no trial calls apply_linear_change: it stays here for the bench to wrap
 from .polyring import (GF, QQ, LinearChange, Polynomial, apply_linear_change,
@@ -279,8 +279,10 @@ def rgin(gens: Union[Sequence[Polynomial], int], cfg: GinConfig = GinConfig(),
                 rng = _trial_stream(cfg.seed, k // cfg.trials, k % cfg.trials, tag)
                 ideal, rows = _one_trial(build, l, rng, cfg, coeff_field,
                                          hints.get(tag))
-                hints.setdefault(tag, ideal)
-                borel = is_strongly_stable(ideal)
+                if tag not in hints:     # later draws share the first's staircase
+                    hints[tag] = _Staircase(map(_key, ideal.generators), l)
+                # the candidate was checked when it became the candidate
+                borel = ideal == best or is_strongly_stable(ideal)
                 draws.append((tag, k, tuple(tuple(r) for r in rows), borel, ideal))
                 if borel and (best is None or _larger(ideal, best)):
                     best = ideal

@@ -642,16 +642,6 @@ class _Engine:
         rh, lt_h = packed[0], packed[1]
         self.found.add(lt_h)
 
-        # the lcms of h with the current basis, in its order, pruned by the
-        # chain criterion: drop a candidate whose lcm is divisible by that of
-        # another candidate not dropped yet, unless its lcm is the product
-        lcms = [_max_fields(rh, d[0], G) for d in self.divisors]
-        alive = [True] * len(lcms)
-        for i, (r, d) in enumerate(zip(lcms, self.divisors)):
-            alive[i], rG = False, r | G
-            alive[i] = r == rh + d[0] or not any(
-                (rG - o) & G == G for o in compress(lcms, alive))
-
         # drop old pairs whose lcm is strictly covered by h
         for (i, j), lcm_ij in list(self.pairs.items()):
             r = _fields(lcm_ij, n)
@@ -659,13 +649,31 @@ class _Engine:
                     and _max_fields(self.packed[i][0], rh, G) != r \
                     and _max_fields(rh, self.packed[j][0], G) != r:
                 del self.pairs[(i, j)]
-        # the key of the lcm is lt_h + lt_g - the key of the gcd, whose
-        # fields sum below 2^15: one product adds them into the top field
+        # the pairs of h with the current basis, pruned by the chain
+        # criterion: drop one whose lcm another's lcm divides, unless its lcm
+        # is the product.  The key of the lcm is lt_h + lt_g - the key of the
+        # gcd, whose fields sum below 2^15: one product adds them into the top
+        # field.  Taken in lcm key order, so by degree, a pair is kept when it
+        # is coprime or no kept lcm divides its own; of equal lcms the first
+        # taken is kept: the coprime pair if any, else the last in basis order.
         ones, low = G >> _W - 1, (1 << _W) - 1
-        for g, d, r in compress(zip(self.active, self.divisors, lcms), alive):
-            if c := rh + d[0] - r:     # the fields of the gcd; 0 when coprime
-                self.pairs[(g, h)] = lt_h + d[1] + c - (
-                    (c * ones >> _W * (n - 1) & low) << _W * n)
+        candidates = []
+        for i, (g, d) in enumerate(zip(self.active, self.divisors)):
+            r = _max_fields(rh, d[0], G)
+            c = rh + d[0] - r          # the fields of the gcd; 0 when coprime
+            key = lt_h + d[1] + c - ((c * ones >> _W * (n - 1) & low) << _W * n)
+            candidates.append((key, c != 0, -i, g, r))
+        candidates.sort()
+        kept = []                      # the fields of the lcms kept
+        for key, not_coprime, _, g, r in candidates:
+            rG = r | G
+            for o in kept if not_coprime else ():
+                if (rG - o) & G == G:
+                    break
+            else:
+                kept.append(r)
+                if not_coprime:
+                    self.pairs[(g, h)] = key
 
         # retire basis elements whose leading term h covers, and put h in
         # place: no two active leading terms are equal
@@ -725,10 +733,10 @@ def buchberger(gens: Sequence, degree_cap: Optional[int] = None,
     term dicts in the kernel's packed keys, read mod p over GF(p) and never
     changed.  Zero generators are discarded; an all-zero input yields the
     zero ideal, represented by an empty basis.  ``hilbert``, a monomial
-    ideal or a ``hilbert_hint`` with the Hilbert function of that ideal, is
-    used only when every generator is homogeneous: it drops the pairs it
-    proves to reduce to zero, and a basis that outgrows it raises
-    ``InternalConsistencyError``.
+    ideal, its ``_Staircase`` or a ``hilbert_hint`` with the Hilbert function
+    of that ideal, is used only when every generator is homogeneous: it
+    drops the pairs it proves to reduce to zero, and a basis that outgrows
+    it raises ``InternalConsistencyError``.
     """
     gens = list(gens)
     if not gens:

@@ -165,8 +165,27 @@ def is_strongly_stable(B: MonomialIdeal) -> bool:
     That is enough: for t = g * u with g a minimal generator, an adjacent
     move on t moves either g or u, so B is closed under adjacent moves on
     all its monomials, and every move x_i * t / x_j is a chain of them.
+
+    Monomials are packed into ints, one field per variable, each wide enough
+    for the largest exponent plus one and a spare top bit G: a divides b when
+    ((b | G) - a) & G == G, as in ``groebner``.  A move keeps the degree, so
+    it lies in B when it is a generator or a lower-degree generator divides it.
     """
-    return all(B.contains(m) for g in B.generators for m in borel_moves(g))
+    gens = B.generators
+    w = (max(map(max, gens), default=0) + 1).bit_length() + 1
+    G = sum(1 << w * j + w - 1 for j in range(B.nvars))
+    packed = [sum(e << w * j for j, e in enumerate(g)) for g in gens]
+    members, below, degree = set(packed), [], 0
+    for i, (g, t) in enumerate(zip(gens, packed)):
+        if g.degree() > degree:
+            below, degree = packed[:i], g.degree()
+        for j in range(1, len(g)):
+            if g[j]:
+                m = t - ((1 << w) - 1 << w * (j - 1))    # x_(j-1) * g / x_j
+                if m not in members and not any(
+                        ((m | G) - a) & G == G for a in below):
+                    return False
+    return True
 
 
 def borel_closure(gens: Iterable[PowerProduct], nvars: int) -> MonomialIdeal:

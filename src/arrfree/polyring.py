@@ -9,16 +9,17 @@ construction and safe to share across workers.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from operator import add
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, Tuple, Union
 
 __all__ = [
     "LESS", "EQUAL", "GREATER",
     "DimensionError", "PowerProduct", "cmp_degrevlex",
     "Field", "QQ", "GF",
     "Polynomial", "variables", "multiply", "partial_derivative",
-    "LinearChange", "apply_linear_change", "row_reduce",
+    "LinearChange", "apply_linear_change",
     "var_names", "format_power_product",
 ]
 
@@ -426,37 +427,29 @@ def partial_derivative(f: Polynomial, i: int) -> Polynomial:
 # invertible linear changes of coordinates
 # ---------------------------------------------------------------------------
 
-def row_reduce(rows: Sequence[Sequence[CoeffLike]]) -> tuple:
-    """Gauss-Jordan elimination over QQ: (reduced rows, pivot columns, det).
-
-    The reduced row echelon form has a leading 1 in each pivot row and zero
-    rows last.  ``det`` is the determinant of the leading square block (the
-    first len(rows) columns), 0 when that block is singular.
-    """
-    m = [[Fraction(c) for c in row] for row in rows]
-    pivots: list = []
-    det = Fraction(1)
+def _bareiss(rows: Sequence[Sequence[int]]) -> Tuple[int, int]:
+    """(rank, det) of an integer matrix by fraction-free elimination
+    (Bareiss, Math. Comp. 22, 1968): each entry stays a minor of the input,
+    so every division by the previous pivot is exact.  ``det`` is the
+    determinant of the leading square block (the first len(rows) columns),
+    0 when that block is singular."""
+    m = [list(row) for row in rows]
+    rank, sign, prev, last = 0, 1, 1, -1
     for col in range(len(m[0]) if m else 0):
-        top = len(pivots)
-        pivot = next((r for r in range(top, len(m)) if m[r][col]), None)
+        pivot = next((r for r in range(rank, len(m)) if m[r][col]), None)
         if pivot is None:
             continue
-        if pivot != top:
-            m[top], m[pivot] = m[pivot], m[top]
-            det = -det
-        lead = m[top][col]
-        det *= lead
-        m[top] = [v / lead for v in m[top]]
-        for r in range(len(m)):
-            if r != top and m[r][col]:
-                factor = m[r][col]
-                m[r] = [v - factor * w for v, w in zip(m[r], m[top])]
-        pivots.append(col)
-        if len(pivots) == len(m):
+        if pivot != rank:
+            m[rank], m[pivot] = m[pivot], m[rank]
+            sign = -sign
+        top, lead = m[rank], m[rank][col]
+        for r in range(rank + 1, len(m)):
+            c = m[r][col]
+            m[r] = [(lead * x - c * y) // prev for x, y in zip(m[r], top)]
+        prev, rank, last = lead, rank + 1, col
+        if rank == len(m):
             break
-    if pivots != list(range(len(m))):
-        det = Fraction(0)
-    return m, pivots, det
+    return rank, sign * prev if rank == len(m) and last == rank - 1 else 0
 
 
 class LinearChange:
@@ -472,12 +465,15 @@ class LinearChange:
         n = len(rows)
         if n == 0 or any(len(r) != n for r in rows):
             raise ValueError("matrix must be square and non-empty")
-        det = row_reduce(rows)[2]
+        # each row scaled to integers by the lcm of its denominators
+        scales = [math.lcm(*(c.denominator for c in row)) for row in rows]
+        det = _bareiss([[c.numerator * (s // c.denominator) for c in row]
+                        for row, s in zip(rows, scales)])[1]
         if det == 0:
             raise ValueError("singular matrix rejected")
         self.matrix = rows
         self.nvars = n
-        self.det = det
+        self.det = Fraction(det, math.prod(scales))
 
     @classmethod
     def identity(cls, nvars: int) -> "LinearChange":

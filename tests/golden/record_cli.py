@@ -6,7 +6,8 @@ Run from the repository root, and only when an output is meant to change:
     PYTHONPATH=src python tests/golden/record_cli.py
 
 Each run is ``cli.main`` in-process at seed 7: ``analyze --json`` on every
-``inputs/*.arr`` file, exact and with ``--coeff mod:32003,32009``, and
+``inputs/*.arr`` file, exact, with ``--coeff mod:32003,32009`` and with
+``--coeff mod:2305843009213693951``, and
 ``rgin``, ``exponents``, ``realize``, ``conjecture`` and ``sm`` with
 ``--json`` on every ``inputs/*.ideal`` file.  Input paths are relative to
 the repository root, which is where the replay runs them.
@@ -26,7 +27,7 @@ GOLDEN = Path(__file__).resolve().parent / "cli_seed7.json"
 
 def runs():
     for path in sorted((ROOT / "inputs").glob("*.arr")):
-        for coeff in ("exact", "mod:32003,32009"):
+        for coeff in ("exact", "mod:32003,32009", "mod:2305843009213693951"):
             yield ["analyze", f"inputs/{path.name}", "--json", "--seed", "7",
                    "--coeff", coeff]
     for path in sorted((ROOT / "inputs").glob("*.ideal")):

@@ -2,10 +2,13 @@
 
 import importlib.util
 import sys
+from fractions import Fraction
 from pathlib import Path
 
-from arrfree import Arrangement, Polynomial, PowerProduct, borel_closure
-from arrfree.cli import parse_expression
+from arrfree import (Arrangement, ExponentVector, FreenessReport, GinCertificate,
+                     Polynomial, PowerProduct, StronglyStableIdeal,
+                     betti_eliahou_kervaire, borel_closure, sectional_matrix)
+from arrfree.cli import ParseError, parse_expression
 from arrfree.polyring import var_names
 
 
@@ -92,3 +95,81 @@ def arrangement(rows):
     names = var_names(len(rows[0]))
     return Arrangement([parse_expression(
         "+".join(f"({c})*{v}" for c, v in zip(row, names)), names) for row in rows])
+
+
+def row_reduce(rows):
+    """Gauss-Jordan elimination over QQ: (reduced rows, pivot columns, det).
+
+    The reduced row echelon form has a leading 1 in each pivot row and zero
+    rows last.  ``det`` is the determinant of the leading square block (the
+    first len(rows) columns), 0 when that block is singular.  The oracle of
+    ``polyring._bareiss``.
+    """
+    m = [[Fraction(c) for c in row] for row in rows]
+    pivots: list = []
+    det = Fraction(1)
+    for col in range(len(m[0]) if m else 0):
+        top = len(pivots)
+        pivot = next((r for r in range(top, len(m)) if m[r][col]), None)
+        if pivot is None:
+            continue
+        if pivot != top:
+            m[top], m[pivot] = m[pivot], m[top]
+            det = -det
+        lead = m[top][col]
+        det *= lead
+        m[top] = [v / lead for v in m[top]]
+        for r in range(len(m)):
+            if r != top and m[r][col]:
+                factor = m[r][col]
+                m[r] = [v - factor * w for v, w in zip(m[r], m[top])]
+        pivots.append(col)
+        if len(pivots) == len(m):
+            break
+    if pivots != list(range(len(m))):
+        det = Fraction(0)
+    return m, pivots, det
+
+
+def _parse_monomial(text, l):
+    poly = parse_expression(text, var_names(l))
+    if len(poly) != 1 or poly.leading_coefficient() != 1:
+        raise ParseError(f"not a monomial: {text!r}")
+    return poly.leading_power_product()
+
+
+def report_from_dict(data):
+    """Rebuild a report from its JSON form.
+
+    The sectional matrix and Betti table are pure functions of the rgin, so
+    they are recomputed and checked against the serialized rows.
+    """
+    l = data["l"]
+    cert = None
+    if data.get("provenance"):
+        prov = data["provenance"]
+        cert = GinCertificate(
+            seed=prov["seed"], trials=prov["trials"],
+            coeff_mode=prov["coeff_mode"],
+            matrices=tuple(tuple(tuple(row) for row in m)
+                           for m in prov["matrices"]))
+    B = StronglyStableIdeal((_parse_monomial(s, l) for s in data["rgin"]), l,
+                            certificate=cert)
+    dmax = len(data["sectional_matrix"][0]) - 1
+    M = sectional_matrix(B, dmax)
+    if [list(row) for row in M.values] != data["sectional_matrix"]:
+        raise ParseError("sectional matrix does not match its rgin")
+    betti = None
+    if data.get("betti") is not None:
+        betti = betti_eliahou_kervaire(B)
+        if {str(k): v for k, v in betti.beta0.items()} != data["betti"]["b0"] or \
+                {str(k): v for k, v in betti.beta1.items()} != data["betti"]["b1"]:
+            raise ParseError("betti table does not match its rgin")
+    exponents = None
+    if data.get("exponents") is not None:
+        exponents = ExponentVector(data["exponents"])
+    return FreenessReport(
+        free=data["free"], method=data["method"], n=data["n"], l=l,
+        essential=data["essential"], rgin=B, sectional=M,
+        d0=data["d0"], regularity=data["regularity"],
+        exponents=exponents, betti=betti, provenance=cert)

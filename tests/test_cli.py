@@ -13,10 +13,9 @@ from arrfree import (GF, DegreeCapExceeded, GinConfig, Polynomial, PowerProduct,
                      analyze, rgin)
 from arrfree.cli import (EXIT_COMPUTE, EXIT_OK, EXIT_PARSE, EXIT_USAGE,
                          ParseError, main, parse_expression, parse_input,
-                         report_from_dict, report_to_dict,
-                         render_sectional_matrix)
+                         report_to_dict, render_sectional_matrix)
 from arrfree.polyring import _is_prime
-from helpers import polys
+from helpers import polys, report_from_dict
 
 FIVE_ARR = """\
 # five planes through the origin
@@ -216,7 +215,7 @@ class TestCommands:
         # each .ideal file) gives the recorded exit code, stdout and stderr
         monkeypatch.chdir(INPUTS.parent)
         records = json.loads((GOLDEN / "cli_seed7.json").read_text())
-        assert len(records) == 25
+        assert len(records) == 30
         for record in records:
             out, err = io.StringIO(), io.StringIO()
             with redirect_stderr(err):

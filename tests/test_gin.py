@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arrfree import (GF, GenericityExhaustedError, GinConfig, LinearChange,
+from arrfree import (GF, Arrangement, GenericityExhaustedError, GinConfig, LinearChange,
                      MonomialIdeal, Polynomial, PowerProduct,
                      apply_linear_change, buchberger, hilbert_function,
                      leading_term_ideal, random_linear_change,
@@ -23,6 +23,7 @@ from helpers import arrangement, bench_workloads, monomial_gens, poly, polys, \
     random_borel_ideal, random_polynomial
 
 CFG = GinConfig(seed=42)
+INPUTS = Path(__file__).resolve().parents[1] / "inputs"
 _IDENTITY = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
@@ -337,6 +338,64 @@ class TestResultIsCheckedOnce:
         assert str(B) == TestRedraws.GIN
 
 
+def _ziegler_modular():
+    from arrfree import jacobian_rgin
+    from arrfree.cli import load_input
+    A = Arrangement(load_input(str(INPUTS / "ziegler_1.arr")).items)
+    return jacobian_rgin(A, GinConfig(seed=29, mode="modular"))
+
+
+def _reset_modular():
+    seen = []
+
+    def build(g, field):               # three smaller draws, then the gin
+        seen.append(g)
+        return _x5(field) if len(seen) <= 3 else _moved(TestRedraws.GENS, g, field)
+    return rgin(3, GinConfig(seed=42, mode="modular"), build)
+
+
+_REDRAWN = polys(["x^4 - y^2*z^2", "x*y^2 - y*z^2 - z^3"], 3)
+
+
+class TestWrappedNames:
+    """bench/spans.py and CI's "Trial counts" and "Genericity draws" steps
+    wrap gin.buchberger, gin.random_linear_change and gin.is_strongly_stable:
+    one Buchberger run and one coordinate change per draw, and a Borel check
+    on every draw that differs from the best candidate of that moment."""
+
+    @pytest.mark.parametrize("run", [
+        lambda: rgin(_REDRAWN, GinConfig(seed=2, entry_bound=1)),
+        lambda: rgin(_REDRAWN, GinConfig(seed=10, mode="modular", primes=(7, 11))),
+        _ziegler_modular, _reset_modular],
+        ids=["exact", "modular", "modular-ziegler", "modular-reset"])
+    def test_calls_per_draw(self, monkeypatch, run):
+        calls = {"buchberger": 0, "random_linear_change": 0}
+        for name in calls:
+            def counted(*args, _name=name, _call=getattr(gin_module, name), **kw):
+                calls[_name] += 1
+                return _call(*args, **kw)
+            monkeypatch.setattr(gin_module, name, counted)
+        ideals, checked = [], []
+        lti, check = gin_module.leading_term_ideal, gin_module.is_strongly_stable
+        monkeypatch.setattr(gin_module, "leading_term_ideal",
+                            lambda G: ideals.append(lti(G)) or ideals[-1])
+        monkeypatch.setattr(gin_module, "is_strongly_stable",
+                            lambda B: checked.append((B, check(B))) or checked[-1][1])
+        B = run()
+        draws = len(B.certificate.matrices) + len(B.certificate.discarded)
+        assert calls == {"buchberger": draws, "random_linear_change": draws}
+        assert len(ideals) == draws
+        # replay the best candidate: the checked draws are those that differ
+        verdicts, best, expected = iter(v for _, v in checked), None, []
+        for ideal in ideals:
+            if ideal != best:
+                expected.append(ideal)
+                if next(verdicts) and (best is None or gin_module._larger(ideal, best)):
+                    best = ideal
+        assert [I for I, _ in checked] == expected and best == B
+        assert len(checked) < draws
+
+
 class TestChainRule:
     def test_moved_product_and_substituted_partials_agree(self):
         # grad(Q o g) = g^T (grad Q o g) with g^T invertible, so the two
@@ -357,7 +416,7 @@ class TestChainRule:
 
 
 P = 32003
-STAIRCASE = Path(__file__).resolve().parents[1] / "inputs" / "staircase.ideal"
+STAIRCASE = INPUTS / "staircase.ideal"
 
 
 @st.composite

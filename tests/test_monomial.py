@@ -5,7 +5,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from arrfree import (INFINITE, LexSegmentShape, MonomialIdeal,
@@ -64,6 +64,12 @@ small_ideals = st.integers(1, 6).flatmap(lambda l: st.lists(
         lambda vs: PowerProduct([vs.count(k) for k in range(l)])),
     min_size=1, max_size=4).map(lambda gens: MonomialIdeal(gens, l)))
 
+# the same shape with exponents past 2^16 mixed in, and the zero ideal
+wide_ideals = st.integers(1, 4).flatmap(lambda l: st.lists(
+    st.lists(st.sampled_from([0, 1, 2, 3, 2**16 - 1, 2**16, 2**20 + 1]),
+             min_size=l, max_size=l).map(PowerProduct),
+    max_size=4).map(lambda gens: MonomialIdeal(gens, l)))
+
 
 class TestMinimalizeContains:
     def test_examples(self):
@@ -113,6 +119,23 @@ class TestBorel:
         for _ in range(25):
             I = random_borel_ideal(rng.randint(2, 4), 5, rng.randint(1, 3), rng)
             assert is_strongly_stable(I)
+
+    @settings(deadline=None)
+    @given(wide_ideals, st.sampled_from([2**16 - 1, 2**16, 2**20 + 1]))
+    @example(MonomialIdeal.zero(1), 2**16)
+    @example(MonomialIdeal.unit(1), 2**16)
+    @example(MonomialIdeal([(2**16 - 1,)], 1), 1)
+    @example(MonomialIdeal.unit(4), 2**16 - 1)
+    @example(MonomialIdeal.zero(4), 2**16 - 1)
+    def test_wide_exponents_agree_with_all_pairs(self, I, N):
+        # the packed check widens its fields to the largest exponent; x_1^N * I
+        # is strongly stable exactly when I is, and its moves into x_1 cross
+        # 2^16 when N = 2^16 - 1
+        assert is_strongly_stable(I) == _stable_all_pairs(I)
+        shifted = MonomialIdeal([PowerProduct((g[0] + N,) + g[1:])
+                                 for g in I.generators], I.nvars)
+        assert is_strongly_stable(shifted) == _stable_all_pairs(shifted) \
+            == _stable_all_pairs(I)
 
     def test_certified_constructor_rejects(self):
         # the public constructor still checks; only gin.rgin skips the check

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from arrfree import (EQUAL, GF, GREATER, DimensionError, LinearChange,
                      Polynomial, PowerProduct, apply_linear_change,
                      cmp_degrevlex, variables)
-from arrfree.polyring import QQ, Field, row_reduce
-from helpers import poly, random_linear_form, random_polynomial
+from arrfree.polyring import QQ, Field, _bareiss
+from helpers import poly, random_linear_form, random_polynomial, row_reduce
 
 exponents3 = st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(0, 6))
 
@@ -217,6 +217,22 @@ class TestLinearChange:
         assert row_reduce([[0, 1], [1, 0]])[2] == -1
         assert row_reduce([["1/2", 1, 7], [0, 3, 5]])[1:] == ([0, 1], Fraction(3, 2))
 
+    def test_rational_determinant_against_row_reduce(self):
+        # each row is scaled by the lcm of its denominators before the
+        # integer elimination, and the product of the scales divided out
+        rng = random.Random(17)
+        for n in range(1, 5):
+            for _ in range(25):
+                bound = rng.choice([2, 9, 1 << 61])
+                rows = [[Fraction(rng.randint(-bound, bound), rng.randint(1, 6))
+                         for _ in range(n)] for _ in range(n)]
+                det = row_reduce(rows)[2]
+                if det == 0:
+                    with pytest.raises(ValueError):
+                        LinearChange(rows)
+                else:
+                    assert LinearChange(rows).det == det
+
     def test_degree_preserved_and_homomorphism(self):
         rng = random.Random(99)
         g = LinearChange([[1, 2, 0], [0, 1, 5], [3, 0, 1]])
@@ -233,3 +249,53 @@ class TestLinearChange:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
             apply_linear_change(poly("x", 2), LinearChange.identity(3))
+
+
+class TestBareiss:
+    """The fraction-free elimination behind ``LinearChange.det`` and the
+    essentiality check, against Gauss-Jordan over QQ (``row_reduce``)."""
+
+    @staticmethod
+    def _check(rows):
+        _, pivots, det = row_reduce(rows)
+        assert _bareiss(rows) == (len(pivots), det)
+
+    def test_examples(self):
+        assert _bareiss([[0, 2, 4], [1, 1, 1], [1, 3, 5]]) == (2, 0)
+        assert _bareiss([[0, 1], [1, 0]]) == (2, -1)
+        assert _bareiss([[2, 1, 0], [1, 1, 3], [0, -1, 1]]) == (3, 7)
+        assert _bareiss([[0, 0], [0, 0]]) == (0, 0)
+        assert _bareiss([[1, 2, 3]]) == (1, 1)         # leading block [1]
+        assert _bareiss([[0, 2, 3]]) == (1, 0)         # leading block [0]
+        assert _bareiss([]) == (0, 1)
+        for rows in ([], [[0, 0], [0, 0]], [[1, 2, 3]], [[0, 2, 3]]):
+            self._check(rows)
+
+    @pytest.mark.parametrize("bound", [1, 9, (1 << 61) - 1])
+    def test_random_against_row_reduce(self, bound):
+        # square and n x l shapes with small entries are often singular;
+        # zero rows, repeated rows and 61-bit entries are mixed in
+        rng = random.Random(bound)
+        for _ in range(150):
+            n, l = rng.randint(1, 5), rng.randint(1, 5)
+            if rng.random() < 0.4:
+                l = n
+            rows = [[rng.randint(-bound, bound) for _ in range(l)] for _ in range(n)]
+            if rng.random() < 0.2:
+                rows[rng.randrange(n)] = [0] * l
+            if n > 1 and rng.random() < 0.2:
+                rows[rng.randrange(n)] = list(rows[0])
+            self._check(rows)
+
+    def test_rank_of_rank_deficient_products(self):
+        # rows in the span of r < min(n, l) random rows: rank r exactly
+        rng = random.Random(4)
+        for _ in range(40):
+            n, l = rng.randint(2, 6), rng.randint(2, 6)
+            r = rng.randint(1, min(n, l) - 1)
+            basis = [[rng.randint(-(1 << 61), 1 << 61) for _ in range(l)] for _ in range(r)]
+            rows = [[sum(c * b[k] for c, b in zip(coeffs, basis)) for k in range(l)]
+                    for coeffs in ([rng.randint(-5, 5) for _ in range(r)] for _ in range(n))]
+            self._check(rows)
+            assert _bareiss(rows)[0] <= r
+
