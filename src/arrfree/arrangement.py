@@ -213,8 +213,8 @@ def jacobian_rgin(A: Arrangement, cfg: GinConfig = GinConfig()) -> StronglyStabl
     primitive row moved by a matrix invertible mod p never vanishes mod p,
     so modular answers do not depend on how the forms are scaled.
     """
-    def build(g, coeff_field):
-        cols = list(zip(*g.as_int_rows()))
+    def build(rows, coeff_field):
+        cols = list(zip(*rows))
         moved = [[sum(a * b for a, b in zip(row, col)) for col in cols]
                  for row in A.rows]
         return _expand(moved, coeff_field)[1:]

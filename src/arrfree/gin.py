@@ -15,15 +15,14 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, Optional, Sequence, Tuple, Union
 
 from .groebner import (_Staircase, _int_terms, _key, _power_product, _residues,
                        _variables, buchberger, hilbert_hint, leading_term_ideal)
 from .monomial import MonomialIdeal, StronglyStableIdeal, is_strongly_stable
 # no trial calls apply_linear_change: it stays here for the bench to wrap
-from .polyring import (GF, QQ, LinearChange, Polynomial, apply_linear_change,
-                       _is_prime)
+from .polyring import (GF, QQ, Polynomial, _bareiss, _is_prime,
+                       apply_linear_change)
 
 __all__ = [
     "GinConfig", "GinCertificate", "Draw", "GenericityExhaustedError",
@@ -77,7 +76,7 @@ class GinCertificate:
     seed: int
     trials: int
     coeff_mode: str
-    matrices: tuple   # one l x l integer matrix per kept draw, field by field
+    matrices: tuple   # the integer rows of each kept draw, field by field
     # the other draws, in the order they were made; not part of the JSON
     discarded: tuple = field(default=(), compare=False)
 
@@ -113,12 +112,12 @@ class GenericityExhaustedError(RuntimeError):
 
 
 def random_linear_change(l: int, rng: random.Random, bound: Optional[int] = None,
-                         modulus: Optional[int] = None) -> LinearChange:
-    """Random invertible l x l integer matrix.
+                         modulus: Optional[int] = None) -> Tuple[Tuple[int, ...], ...]:
+    """Random invertible l x l integer matrix, as a tuple of l row tuples.
 
     Give exactly one of ``bound`` (entries in [-bound, bound]) and
-    ``modulus`` p (entries uniform in [0, p), invertible mod p).  Singular
-    draws are resampled.
+    ``modulus`` p (entries uniform in [0, p), invertible mod p).  Draws
+    that ``_bareiss`` finds singular, or singular mod p, are resampled.
     """
     if (bound is None) == (modulus is None):
         raise ValueError("give exactly one of bound and modulus")
@@ -126,13 +125,10 @@ def random_linear_change(l: int, rng: random.Random, bound: Optional[int] = None
     if l < 1 or hi < 1:
         raise ValueError("need l >= 1, bound >= 1 and modulus >= 2")
     while True:
-        rows = [[rng.randint(lo, hi) for _ in range(l)] for _ in range(l)]
-        try:
-            g = LinearChange(rows)
-        except ValueError:
-            continue
-        if modulus is None or g.det.numerator % modulus:
-            return g
+        rows = tuple(tuple(rng.randint(lo, hi) for _ in range(l)) for _ in range(l))
+        det = _bareiss(rows)[1]
+        if det and (modulus is None or det % modulus):
+            return rows
 
 
 def _trial_stream(seed: int, attempt: int, trial: int, tag: str) -> random.Random:
@@ -160,14 +156,14 @@ def _product(rows: Sequence[Sequence[int]], l: int, p: Optional[int],
 
 
 def _one_trial(build: Callable, l, rng, cfg: GinConfig, coeff_field,
-               hint: Optional[MonomialIdeal]) -> Tuple[MonomialIdeal, list]:
+               hint: Optional[MonomialIdeal]) -> Tuple[MonomialIdeal, tuple]:
     if coeff_field.p is None:
-        g = random_linear_change(l, rng, cfg.entry_bound)
+        rows = random_linear_change(l, rng, cfg.entry_bound)
     else:
-        g = random_linear_change(l, rng, modulus=coeff_field.p)
-    gb = buchberger(build(g, coeff_field), degree_cap=cfg.degree_cap,
+        rows = random_linear_change(l, rng, modulus=coeff_field.p)
+    gb = buchberger(build(rows, coeff_field), degree_cap=cfg.degree_cap,
                     hilbert=hint, ring=(l, coeff_field))
-    return leading_term_ideal(gb), g.as_int_rows()
+    return leading_term_ideal(gb), rows
 
 
 def _larger(a: MonomialIdeal, b: MonomialIdeal) -> bool:
@@ -199,13 +195,15 @@ def rgin(gens: Union[Sequence[Polynomial], int], cfg: GinConfig = GinConfig(),
     ``GenericityExhaustedError``.  The k-th draw of a field uses the same
     random stream whatever happened to the draws before it.
 
-    ``build(g, field)`` returns the generators of one trial as the
+    ``build(rows, field)`` returns the generators of one trial as the
     kernel's packed term dicts (see ``buchberger``), which must generate the
-    ideal of ``gens`` after the change g, over ``field``.  The default divides
-    each generator once by the gcd of its numerators and moves each term
-    c*x^a to c times the ``_product`` of a_j copies of row j of g; a caller
-    with a cheaper route to the same ideal passes its own, and passes the
-    number of variables l as ``gens``.  The draws do not depend on the route.
+    ideal of ``gens`` after the change by the integer ``rows`` drawn by
+    ``random_linear_change``, over ``field``.  The default reads each
+    generator once as primitive integer terms (``_int_terms`` over their
+    gcd), so none vanishes mod p, and moves each term c*x^a, read mod p, to
+    c times the ``_product`` of a_j copies of row j; a caller with a cheaper
+    route to the same ideal passes its own, and passes the number of
+    variables l as ``gens``.  The draws do not depend on the route.
     All draws share the Hilbert function of the ideal, so ``buchberger``
     skips the pairs it proves to reduce to zero: in exact mode by the
     ``hilbert_hint`` of the unmoved generators ``build(identity, QQ)``,
@@ -226,13 +224,16 @@ def rgin(gens: Union[Sequence[Polynomial], int], cfg: GinConfig = GinConfig(),
         nonzero = [g for g in gens if not g.is_zero]
         if not nonzero:
             return StronglyStableIdeal((), l)
-        # dividing out the numerators' gcd keeps the ideal but stops a prime
-        # that divides every coefficient from killing the generator mod p
-        primitive = [f.scale(Fraction(1, math.gcd(
-            *(c.numerator for c in f.term_dict().values())))) for f in nonzero]
+        # primitive integer terms keep the ideal, and no prime divides all
+        # of them, so no generator vanishes mod p
+        primitive = []
+        for f in nonzero:
+            terms = _int_terms(f)[0]
+            content = math.gcd(*terms.values())
+            primitive.append({k: c // content for k, c in terms.items()})
 
-        def build(g, coeff_field):
-            rows, p, out, xs = g.as_int_rows(), coeff_field.p, [], _variables(l)
+        def build(rows, coeff_field):
+            p, out, xs = coeff_field.p, [], _variables(l)
             powers = {0: {0: 1}}      # key of x^a -> prod_j (row j)^a_j
 
             def power(key):
@@ -249,7 +250,7 @@ def rgin(gens: Union[Sequence[Polynomial], int], cfg: GinConfig = GinConfig(),
 
             for f in primitive:       # c*x^a moves to c * prod_j (row j)^a_j
                 moved: dict = {}
-                for k, c in _int_terms(f.convert(coeff_field))[0].items():
+                for k, c in _residues(f, p).items():
                     for m, v in power(k).items():
                         moved[m] = moved.get(m, 0) + c * v
                 out.append(_residues(moved, p))
@@ -266,8 +267,8 @@ def rgin(gens: Union[Sequence[Polynomial], int], cfg: GinConfig = GinConfig(),
     kept = {tag: [] for tag, _ in fields}     # indices into draws
     hints = {}                                # tag -> Hilbert function hint
     if cfg.mode == "exact":
-        hints["exact"] = hilbert_hint(build(LinearChange.identity(l), QQ),
-                                      (l, QQ), cfg.degree_cap)
+        identity = tuple(tuple(int(i == j) for j in range(l)) for i in range(l))
+        hints["exact"] = hilbert_hint(build(identity, QQ), (l, QQ), cfg.degree_cap)
     best = None
     while any(len(v) < cfg.trials for v in kept.values()):
         for tag, coeff_field in fields:
@@ -283,7 +284,7 @@ def rgin(gens: Union[Sequence[Polynomial], int], cfg: GinConfig = GinConfig(),
                     hints[tag] = _Staircase(map(_key, ideal.generators), l)
                 # the candidate was checked when it became the candidate
                 borel = ideal == best or is_strongly_stable(ideal)
-                draws.append((tag, k, tuple(tuple(r) for r in rows), borel, ideal))
+                draws.append((tag, k, rows, borel, ideal))
                 if borel and (best is None or _larger(ideal, best)):
                     best = ideal
                     for v in kept.values():

@@ -488,15 +488,6 @@ class LinearChange:
     def __repr__(self):
         return f"LinearChange({[[str(c) for c in row] for row in self.matrix]})"
 
-    def as_int_rows(self) -> list:
-        """Matrix rows as plain ints (requires integral entries)."""
-        out = []
-        for row in self.matrix:
-            if any(c.denominator != 1 for c in row):
-                raise ValueError("matrix has non-integer entries")
-            out.append([int(c) for c in row])
-        return out
-
 
 def apply_linear_change(f: Polynomial, g: LinearChange) -> Polynomial:
     """Compose f with the linear map g (substitute each variable)."""

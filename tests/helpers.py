@@ -6,7 +6,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from arrfree import (Arrangement, ExponentVector, FreenessReport, GinCertificate,
-                     Polynomial, PowerProduct, StronglyStableIdeal,
+                     LinearChange, Polynomial, PowerProduct, StronglyStableIdeal,
                      betti_eliahou_kervaire, borel_closure, sectional_matrix)
 from arrfree.cli import ParseError, parse_expression
 from arrfree.polyring import var_names
@@ -129,6 +129,23 @@ def row_reduce(rows):
     if pivots != list(range(len(m))):
         det = Fraction(0)
     return m, pivots, det
+
+
+def linear_change_oracle(l, rng, bound=None, modulus=None):
+    """The rows of a random invertible l x l matrix, drawn as
+    ``gin.random_linear_change`` draws them but checked by ``LinearChange``:
+    a draw it rejects as singular is redrawn, and mod p the numerator of
+    its exact determinant must not vanish.  The oracle of that draw loop.
+    """
+    lo, hi = (-bound, bound) if modulus is None else (0, modulus - 1)
+    while True:
+        rows = [[rng.randint(lo, hi) for _ in range(l)] for _ in range(l)]
+        try:
+            g = LinearChange(rows)
+        except ValueError:
+            continue
+        if modulus is None or g.det.numerator % modulus:
+            return tuple(tuple(row) for row in rows)
 
 
 def _parse_monomial(text, l):

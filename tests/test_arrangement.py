@@ -16,7 +16,7 @@ from arrfree import (Arrangement, ArrangementError, ExponentVector, GinConfig,
                      is_free_via_sectional, jacobian_ideal, jacobian_rgin,
                      realizable_as_free, rgin, rgin_from_exponents,
                      supersolvable_from_exponents, validate)
-from arrfree import (GF, QQ, apply_linear_change, borel_closure,
+from arrfree import (GF, QQ, LinearChange, apply_linear_change, borel_closure,
                      random_linear_change, variables)
 from arrfree import arrangement as arrangement_module
 from arrfree import gin as gin_module
@@ -271,7 +271,8 @@ class TestPackedTrials:
             trial = builds.pop()(g, field)
             # the reference: the primitive product, moved, then differentiated
             Qg = apply_linear_change(
-                defining_polynomial(A).scale(1 / A.content).convert(field), g)
+                defining_polynomial(A).scale(1 / A.content).convert(field),
+                LinearChange(g))
             assert [_poly(t, 1, l, field) for t in trial] == \
                 [Qg.partial_derivative(i) for i in range(1, l + 1)]
             residues = range(1, field.p) if field.p else None

@@ -20,7 +20,7 @@ from arrfree import gin as gin_module
 from arrfree.groebner import _int_terms, _normalize
 from arrfree.polyring import QQ
 from helpers import arrangement, bench_workloads, monomial_gens, poly, polys, \
-    random_borel_ideal, random_polynomial
+    linear_change_oracle, random_borel_ideal, random_polynomial, row_reduce
 
 CFG = GinConfig(seed=42)
 INPUTS = Path(__file__).resolve().parents[1] / "inputs"
@@ -32,8 +32,9 @@ def _packed(polys):
     return [_int_terms(f)[0] for f in polys]
 
 
-def _substituted(gens, g, field):
-    # the reference route: each generator read over field, g substituted
+def _substituted(gens, rows, field):
+    # the reference route: each generator read over field, the rows substituted
+    g = LinearChange(rows)
     return [apply_linear_change(f.convert(field), g) for f in gens]
 
 
@@ -41,10 +42,18 @@ def _moved(gens, g, field):
     return _packed(_substituted(gens, g, field))
 
 
+class _CountedRandom(random.Random):
+    calls = 0
+
+    def randint(self, a, b):
+        self.calls += 1
+        return super().randint(a, b)
+
+
 class TestRandomLinearChange:
     def test_one_variable(self):
         g = random_linear_change(1, random.Random(3), 4)
-        assert g.matrix[0][0] != 0
+        assert len(g) == 1 and g[0][0] != 0
 
     def test_deterministic(self):
         a = random_linear_change(3, random.Random(9), 10)
@@ -60,12 +69,28 @@ class TestRandomLinearChange:
         rng = random.Random(11)
         for _ in range(50):
             g = random_linear_change(2, rng, modulus=3)
-            assert all(0 <= int(c) < 3 for row in g.matrix for c in row)
-            assert g.det.numerator % 3
+            assert all(0 <= c < 3 for row in g for c in row)
+            assert row_reduce(g)[2] % 3
         with pytest.raises(ValueError):
             random_linear_change(2, rng, 10, modulus=3)
         with pytest.raises(ValueError):
             random_linear_change(2, rng)
+
+    @pytest.mark.parametrize("l", range(1, 6))
+    def test_same_stream_as_the_oracle(self, l):
+        # the same rows and the same generator state after each draw
+        redrawn = {}
+        for bound, modulus in [(1, None), (10, None), (None, 2), (None, 3),
+                               (None, 32003), (None, 2 ** 61 - 1)]:
+            for stream in range(200):
+                a, b = _CountedRandom(stream), random.Random(stream)
+                rows = random_linear_change(l, a, bound, modulus)
+                assert rows == linear_change_oracle(l, b, bound, modulus)
+                assert a.getstate() == b.getstate()
+                redrawn[bound, modulus] = redrawn.get((bound, modulus), 0) + \
+                    (a.calls > l * l)
+        # bound 1 and moduli 2 and 3 make singular draws common
+        assert all(redrawn[r] for r in [(1, None), (None, 2), (None, 3)])
 
 
 class TestGoldens:
@@ -121,7 +146,7 @@ class TestCertification:
 class TestGenericityFailure:
     def test_identity_matrices_exhaust(self, monkeypatch):
         def rigged(l, rng, bound):
-            return LinearChange.identity(l)
+            return tuple(tuple(int(i == j) for j in range(l)) for i in range(l))
         monkeypatch.setattr(gin_module, "random_linear_change", rigged)
         gens = polys(["z^5", "x*y*z^3"], 3)  # its own leading terms are not Borel
         with pytest.raises(GenericityExhaustedError) as err:
@@ -133,7 +158,7 @@ class TestGenericityFailure:
         seen = []
 
         def build(g, field):  # only draw 0 is generic; the rest keep gens
-            seen.append((tuple(tuple(r) for r in g.as_int_rows()), field))
+            seen.append((g, field))
             return _moved(gens, g, field) if len(seen) == 2 else _packed(gens)
         with pytest.raises(GenericityExhaustedError) as err:
             rgin(3, GinConfig(seed=2, max_retries=2), build)
@@ -188,7 +213,7 @@ class TestRedraws:
         seen = []
 
         def build(g, field):
-            seen.append((tuple(tuple(r) for r in g.as_int_rows()), field))
+            seen.append((g, field))
             if len(seen) == 2:
                 return _x5(field)
             return _moved(self.GENS, g, field)
@@ -205,7 +230,7 @@ class TestRedraws:
         seen = []
 
         def build(g, field):
-            seen.append(tuple(tuple(r) for r in g.as_int_rows()))
+            seen.append(g)
             if len(seen) <= 3:
                 return _x5(field)
             return _moved(self.GENS, g, field)
@@ -247,14 +272,14 @@ class TestRedraws:
         rows = []
 
         def build(g, field):
-            rows.append((g.as_int_rows(), field))
+            rows.append((g, field))
             return _x5(field) if len(rows) == 2 else \
                 _moved(self.GENS, g, field)
         rgin(3, CFG, build)
-        assert rows[0] == ([list(r) for r in _IDENTITY], QQ)
+        assert rows[0] == (_IDENTITY, QQ)
         for k, (got, _) in enumerate(rows[1:]):
             rng = gin_module._trial_stream(CFG.seed, k // 2, k % 2, "exact")
-            assert got == random_linear_change(3, rng, CFG.entry_bound).as_int_rows()
+            assert got == random_linear_change(3, rng, CFG.entry_bound)
 
     def test_modular_entries_lie_in_the_field(self):
         B = rgin(self.GENS, GinConfig(seed=5, mode="modular"))
@@ -305,9 +330,19 @@ class TestModularMode:
         assert len(modular.certificate.matrices) == 4  # 2 trials x 2 primes
 
     def test_bad_denominator(self):
+        # x^2/7 is read as the primitive integer term x^2, which 7 keeps
         f = poly("x^2", 2).scale("1/7")
-        with pytest.raises(ZeroDivisionError):
-            rgin([f], GinConfig(seed=1, mode="modular", primes=(7, 11)))
+        modular = rgin([f], GinConfig(seed=1, mode="modular", primes=(7, 11)))
+        assert str(modular) == str(rgin([f], GinConfig(seed=1))) == "<x^2>"
+
+    @pytest.mark.parametrize("seed", range(1, 6))
+    def test_denominators_that_p_divides(self, seed):
+        # x/3 + y is read as the integer terms x + 3*y: mod 3 nothing is
+        # divided by 3, and the generator keeps its term x
+        gens = [poly("x", 3).scale("1/3") + poly("y", 3), poly("z^2 + x*y", 3)]
+        modular = rgin(gens, GinConfig(seed=seed, mode="modular", primes=(3, 5)))
+        exact = rgin(gens, GinConfig(seed=seed))
+        assert str(modular) == str(exact) == "<x, y^2>"
 
     def test_generator_that_p_divides(self):
         # every coefficient of the first generator vanishes mod 32003
@@ -408,7 +443,8 @@ class TestChainRule:
             for _ in range(3):
                 # entries in [-10, 10] keep |det| below 32003: g stays invertible
                 g = random_linear_change(3, rng, 10)
-                Qg = apply_linear_change(defining_polynomial(A).convert(field), g)
+                Qg = apply_linear_change(defining_polynomial(A).convert(field),
+                                         LinearChange(g))
                 moved = [Qg.partial_derivative(i) for i in (1, 2, 3)]
                 substituted = _substituted(jacobian_ideal(A), g, field)
                 assert moved != substituted
@@ -504,6 +540,36 @@ class TestDefaultBuild:
             "rgin": ["x^2", "x*y", "y^5"],
             "provenance": {"seed": 1, "trials": 2, "coeff_mode": "exact",
                            "matrices": [[[8, 7], [-5, 4]], [[5, -3], [-5, 0]]]}}
+
+
+class TestOneRepresentation:
+    """A draw is its integer rows from ``random_linear_change`` to the
+    certificate, and a generator is read once as integer terms: no draw
+    builds a ``LinearChange`` or a ``Fraction``, or converts a polynomial."""
+
+    @pytest.mark.parametrize("mode", ["exact", "modular"])
+    def test_no_second_representation(self, monkeypatch, mode):
+        from arrfree import jacobian_rgin, polyring
+        from arrfree.cli import load_input
+        cfg = GinConfig(seed=7, mode=mode)
+        A = Arrangement(load_input(str(INPUTS / "ziegler_1.arr")).items)
+        staircase = load_input(str(STAIRCASE)).items
+        runs = [lambda: jacobian_rgin(A, cfg), lambda: rgin(TestRedraws.GENS, cfg),
+                lambda: rgin(staircase, cfg)]
+        expected = [run() for run in runs]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a draw built a second representation")
+        monkeypatch.setattr(polyring.LinearChange, "__init__", forbidden)
+        monkeypatch.setattr(polyring.Polynomial, "convert", forbidden)
+        made = []
+        new = Fraction.__new__
+        monkeypatch.setattr(Fraction, "__new__", lambda cls, *args, **kwargs:
+                            made.append(args) or new(cls, *args, **kwargs))
+        for run, B in zip(runs, expected):
+            got = run()
+            assert got == B and got.certificate == B.certificate
+        assert made == []
 
 
 class TestStructuralProperties:

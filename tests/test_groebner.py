@@ -533,7 +533,7 @@ def _random_form(nvars, deg, terms, rng):
 def _hint(gens, rng):
     """The leading term ideal of gens after a random change of coordinates:
     another ideal with the Hilbert function of gens."""
-    g = random_linear_change(gens[0].nvars, rng, 5)
+    g = LinearChange(random_linear_change(gens[0].nvars, rng, 5))
     return leading_term_ideal(buchberger([apply_linear_change(f, g) for f in gens]))
 
 
@@ -557,7 +557,7 @@ class TestHilbertDriven:
                          for r in rows])
         rng = random.Random(43)
         field = GF(32003)
-        g = random_linear_change(3, rng, 5)
+        g = LinearChange(random_linear_change(3, rng, 5))
         gens = [apply_linear_change(f.convert(field), g) for f in jacobian_ideal(A)]
         hint = _hint([f.convert(field) for f in jacobian_ideal(A)], rng)
         # the moved generators are dense, so every reduction runs on packed rows
