@@ -367,8 +367,11 @@ def exponents_from_rgin(B: StronglyStableIdeal) -> ExponentVector:
     The multiplicity of the exponent value a is the drop of the generator
     count between degrees a+n-2 and a+n-1 (``_read_exponents``); raises
     ``NotFreeRginError`` unless B is a two-variable lex segment whose counts
-    never increase and give l exponents.
+    never increase and give l exponents.  The one-variable unit ideal is the
+    rgin of the single hyperplane x, with exponents (1,).
     """
+    if B.is_unit and B.nvars == 1:
+        return ExponentVector((1,))
     e = _read_exponents(B, is_cm_codim2_stable(B))
     if len(e) != B.nvars:
         raise NotFreeRginError(
@@ -471,9 +474,11 @@ def realizable_as_free(B: StronglyStableIdeal, cfg: GinConfig = GinConfig(),
     the witness arrangement is checked end-to-end: its rgin must reproduce
     B exactly.
     """
-    if B.is_unit or B.is_zero:
+    if B.is_zero or B.is_unit and B.nvars > 1:
         return _no("the unit and zero ideals are not Jacobian rgins of "
                    "essential free arrangements")
+    if B.is_unit:               # the single hyperplane x: J(A) = <1>
+        return _realized(ExponentVector((1,)), B, cfg, verify)
     l = B.nvars
     shape = is_cm_codim2_stable(B)
     if shape is None:
@@ -483,41 +488,32 @@ def realizable_as_free(B: StronglyStableIdeal, cfg: GinConfig = GinConfig(),
     beta0 = B.generator_degrees()
     d_min = n - 1
     d_max = shape.lambdas[-1]
-
-    chain_verdict: Optional[str] = None
     if beta0.get(d_min, 0) != l:
-        chain_verdict = (f"beta0 at the minimal degree {d_min} is "
-                         f"{beta0.get(d_min, 0)}, expected l = {l}")
-    else:
-        for j in range(d_min + 1, d_max):
-            if beta0.get(j, 0) == 0:
-                chain_verdict = f"no minimal generator of degree {j}"
-                break
-        if chain_verdict is None and d_max > d_min \
-                and beta0.get(d_min + 1, 0) >= beta0[d_min]:
-            chain_verdict = (f"beta0({d_min}) = {beta0[d_min]} does not drop: "
-                             f"beta0({d_min + 1}) = {beta0.get(d_min + 1, 0)}")
-        if chain_verdict is None:
-            for j in range(d_min + 1, d_max):
-                if beta0.get(j, 0) < beta0.get(j + 1, 0):
-                    chain_verdict = (f"beta0({j}) = {beta0.get(j, 0)} < "
-                                     f"beta0({j + 1}) = {beta0.get(j + 1, 0)}")
-                    break
-
-    if chain_verdict is not None:
-        return _no(chain_verdict)
-
+        return _no(f"beta0 at the minimal degree {d_min} is "
+                   f"{beta0.get(d_min, 0)}, expected l = {l}")
+    for j in range(d_min + 1, d_max):
+        if beta0.get(j, 0) == 0:
+            return _no(f"no minimal generator of degree {j}")
+    if d_max > d_min and beta0.get(d_min + 1, 0) >= beta0[d_min]:
+        return _no(f"beta0({d_min}) = {beta0[d_min]} does not drop: "
+                   f"beta0({d_min + 1}) = {beta0.get(d_min + 1, 0)}")
+    for j in range(d_min + 1, d_max):
+        if beta0.get(j, 0) < beta0.get(j + 1, 0):
+            return _no(f"beta0({j}) = {beta0.get(j, 0)} < "
+                       f"beta0({j + 1}) = {beta0.get(j + 1, 0)}")
     # the chain gives l generators in degree n - 1, so l exponents
-    exponents = _read_exponents(B, shape)
+    return _realized(_read_exponents(B, shape), B, cfg, verify)
+
+
+def _realized(exponents: ExponentVector, B: StronglyStableIdeal, cfg: GinConfig,
+              verify: bool) -> RealizabilityVerdict:
+    """The staircase arrangement with these exponents as the witness for B;
+    with ``verify`` its rgin must reproduce B exactly."""
     arrangement = supersolvable_from_exponents(exponents)
-    verified = False
-    if verify:
-        B2 = jacobian_rgin(arrangement, cfg)
-        if B2 != B:
-            raise InternalConsistencyError(
-                f"constructed arrangement has rgin {B2!r}, expected {B!r}")
-        verified = True
-    return RealizabilityVerdict(True, None, exponents, arrangement, verified)
+    if verify and (B2 := jacobian_rgin(arrangement, cfg)) != B:
+        raise InternalConsistencyError(
+            f"constructed arrangement has rgin {B2!r}, expected {B!r}")
+    return RealizabilityVerdict(True, None, exponents, arrangement, verify)
 
 
 # ---------------------------------------------------------------------------
@@ -530,7 +526,8 @@ class ConjectureReport:
 
     The predicate: every minimal generator involving the third variable has
     degree at least d0 + 1, where d0 + 1 is the least pure power of the
-    second variable.  This is an experiment harness, never a freeness gate.
+    second variable; without such a power (d0 is None) every one violates
+    it.  This is an experiment harness, never a freeness gate.
     """
 
     holds: bool
@@ -543,11 +540,7 @@ def check_conjecture_Z(B: StronglyStableIdeal) -> ConjectureReport:
     """Check the degree bound for third-variable generators of B."""
     third = [g for g in B.generators if B.nvars >= 3 and g[2] > 0]
     d0 = sectional_bounds(B)[0]
-    if d0 is None:
-        # Borel-fixedness makes third-variable generators force a pure power
-        # of the second variable, so this branch is the vacuous one.
-        return ConjectureReport(holds=not third, d0=None,
-                                violations=tuple(third), vacuous=True)
-    violations = tuple(g for g in third if g.degree() < d0 + 1)
+    # with no pure power of the second variable no degree meets the bound
+    violations = tuple(g for g in third if d0 is None or g.degree() < d0 + 1)
     return ConjectureReport(holds=not violations, d0=d0,
                             violations=violations, vacuous=not third)

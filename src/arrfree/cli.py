@@ -584,9 +584,11 @@ def _cmd_conjecture(args, out) -> int:
         status = "holds" if result.holds else "fails"
         extra = " (vacuously)" if result.vacuous and result.holds else ""
         print(f"conjecture {status}{extra}; d0 = {result.d0}", file=out)
+        bound = (f" < {result.d0 + 1}" if result.d0 is not None
+                 else f"; no pure power of {var_names(B.nvars)[1]}")
         for g in result.violations:
             print(f"violating generator: {format_power_product(g)} "
-                  f"(degree {g.degree()} < {result.d0 + 1})", file=out)
+                  f"(degree {g.degree()}{bound})", file=out)
     return EXIT_OK
 
 

@@ -12,13 +12,12 @@ is flagged as modular.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Tuple, Union
 
-from .groebner import (_Staircase, _int_terms, _key, _power_product, _residues,
-                       _variables, buchberger, hilbert_hint, leading_term_ideal)
+from .groebner import (_Staircase, _int_terms, _key, _normalize, _power_product,
+                       _residues, _variables, buchberger, hilbert_hint, leading_term_ideal)
 from .monomial import MonomialIdeal, StronglyStableIdeal, is_strongly_stable
 # no trial calls apply_linear_change: it stays here for the bench to wrap
 from .polyring import (GF, QQ, Polynomial, _bareiss, _is_prime,
@@ -199,11 +198,11 @@ def rgin(gens: Union[Sequence[Polynomial], int], cfg: GinConfig = GinConfig(),
     kernel's packed term dicts (see ``buchberger``), which must generate the
     ideal of ``gens`` after the change by the integer ``rows`` drawn by
     ``random_linear_change``, over ``field``.  The default reads each
-    generator once as primitive integer terms (``_int_terms`` over their
-    gcd), so none vanishes mod p, and moves each term c*x^a, read mod p, to
-    c times the ``_product`` of a_j copies of row j; a caller with a cheaper
-    route to the same ideal passes its own, and passes the number of
-    variables l as ``gens``.  The draws do not depend on the route.
+    generator once as primitive integer terms (``_normalize`` of
+    ``_int_terms``), so none vanishes mod p, and moves each term c*x^a, read
+    mod p, to c times the ``_product`` of a_j copies of row j; a caller with
+    a cheaper route to the same ideal passes its own, and passes the number
+    of variables l as ``gens``.  The draws do not depend on the route.
     All draws share the Hilbert function of the ideal, so ``buchberger``
     skips the pairs it proves to reduce to zero: in exact mode by the
     ``hilbert_hint`` of the unmoved generators ``build(identity, QQ)``,
@@ -226,11 +225,7 @@ def rgin(gens: Union[Sequence[Polynomial], int], cfg: GinConfig = GinConfig(),
             return StronglyStableIdeal((), l)
         # primitive integer terms keep the ideal, and no prime divides all
         # of them, so no generator vanishes mod p
-        primitive = []
-        for f in nonzero:
-            terms = _int_terms(f)[0]
-            content = math.gcd(*terms.values())
-            primitive.append({k: c // content for k, c in terms.items()})
+        primitive = [_normalize(_int_terms(f)[0], None) for f in nonzero]
 
         def build(rows, coeff_field):
             p, out, xs = coeff_field.p, [], _variables(l)

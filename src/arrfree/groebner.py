@@ -153,9 +153,7 @@ def _int_terms(f: Polynomial) -> Tuple[dict, int]:
     """
     if f.field.p is not None:
         return {_key(pp): c for pp, c in f._terms.items()}, 1
-    denom_lcm = 1
-    for c in f._terms.values():
-        denom_lcm = denom_lcm * c.denominator // math.gcd(denom_lcm, c.denominator)
+    denom_lcm = math.lcm(*(c.denominator for c in f._terms.values()))
     return {_key(pp): c.numerator * (denom_lcm // c.denominator)
             for pp, c in f._terms.items()}, denom_lcm
 
@@ -177,16 +175,8 @@ def _normalize(terms: dict, p: Optional[int]) -> dict:
     if p is not None:
         inv = pow(terms[lead], -1, p)
         return terms if inv == 1 else {k: c * inv % p for k, c in terms.items()}
-    content = 0
-    for v in terms.values():
-        content = math.gcd(content, v)
-        if content == 1:
-            break
-    if terms[lead] < 0:
-        content = -content
-    if content != 1:
-        terms = {k: v // content for k, v in terms.items()}
-    return terms
+    content = math.gcd(*terms.values()) * (-1 if terms[lead] < 0 else 1)
+    return terms if content == 1 else {k: v // content for k, v in terms.items()}
 
 
 def _pack(terms: dict, nvars: int) -> tuple:
@@ -194,26 +184,6 @@ def _pack(terms: dict, nvars: int) -> tuple:
     lead = max(terms)
     return (_fields(lead, nvars), lead, terms[lead],
             [(k, c) for k, c in terms.items() if k != lead])
-
-
-def _shrink(work: dict, rem: dict, mult: int) -> int:
-    """Remove the common integer content of work, rem and the multiplier."""
-    g = mult
-    for v in work.values():
-        g = math.gcd(g, v)
-        if g == 1:
-            return mult
-    for v in rem.values():
-        g = math.gcd(g, v)
-        if g == 1:
-            return mult
-    if g > 1:
-        for k in work:
-            work[k] //= g
-        for k in rem:
-            rem[k] //= g
-        mult //= g
-    return mult
 
 
 def _residues(terms: dict, p: Optional[int]) -> dict:
@@ -233,8 +203,7 @@ def _subtract(work: dict, tail: list, q: int, b: int) -> None:
 
 
 def _reduce(work: dict, divisors: Sequence[tuple], p: Optional[int],
-            nvars: int, degree_cap: Optional[int] = None,
-            top: bool = False) -> Tuple[dict, int]:
+            nvars: int, top: bool = False) -> Tuple[dict, int]:
     """Fraction-free reduction of an integer term dict, consumed in place.
 
     ``divisors`` holds ``_pack`` tuples with lc > 0 and tail the
@@ -243,7 +212,8 @@ def _reduce(work: dict, divisors: Sequence[tuple], p: Optional[int],
     term is read mod p when it is popped and skipped when it is zero.
     Returns (remainder, mult) with remainder = mult * NF(original work); with
     ``top`` it stops at the first leading term that no divisor reduces and
-    returns that term with the rest of the work unreduced.
+    returns that term with the rest of the work unreduced.  No term popped
+    is of higher degree than the work (DegRevLex is degree-compatible).
     """
     mult = 1
     rem: dict = {}
@@ -255,9 +225,6 @@ def _reduce(work: dict, divisors: Sequence[tuple], p: Optional[int],
             c %= p
         if not c:
             continue
-        if degree_cap is not None and _degree(t, nvars) > degree_cap:
-            raise DegreeCapExceeded(f"reduction reached degree "
-                                    f"{_degree(t, nvars)} > cap {degree_cap}")
         rt = -t & mask | guards            # the fields of t, guard bits set
         for r, lt, lc, tail in divisors:
             if (rt - r) & guards == guards:     # lt divides t
@@ -270,10 +237,16 @@ def _reduce(work: dict, divisors: Sequence[tuple], p: Optional[int],
                     for k in rem:
                         rem[k] *= a
                 _subtract(work, tail, t - lt, c // g)
-                # rescan only when the multiplier grew: after the other
-                # steps the rescan almost never finds a common factor
+                # drop the common content only when the multiplier grew:
+                # after the other steps there is almost never any
                 if a != 1 and mult.bit_length() > 512:
-                    mult = _shrink(work, rem, mult)
+                    g = math.gcd(mult, *work.values(), *rem.values())
+                    if g > 1:
+                        for k in work:
+                            work[k] //= g
+                        for k in rem:
+                            rem[k] //= g
+                        mult //= g
                 break
         else:
             rem[t] = c
@@ -343,16 +316,19 @@ def normal_form(f: Polynomial, G: Sequence[Polynomial],
     No term of the result is divisible by any leading term of G, and the
     difference f - result lies in the ideal generated by G.  Reduction always
     uses the first divisor in list order, so the result is deterministic.
+    Reduction never raises the degree, so ``degree_cap`` bounds f alone.
     """
     divisors = [g for g in G if not g.is_zero]
     for g in divisors:
         f._check_compatible(g)
     if f.is_zero or not divisors:
         return f
+    if degree_cap is not None and (d := f.total_degree()) > degree_cap:
+        raise DegreeCapExceeded(f"reduction reached degree {d} > cap {degree_cap}")
     p = f.field.p
     work, m0 = _int_terms(f)
     packed = [_pack(_normalize(_int_terms(g)[0], p), f.nvars) for g in divisors]
-    rem, mult = _reduce(work, packed, p, f.nvars, degree_cap)
+    rem, mult = _reduce(work, packed, p, f.nvars)
     return _poly(rem, m0 * mult, f.nvars, f.field)
 
 
@@ -464,20 +440,18 @@ class _Engine:
     def __init__(self, p: Optional[int], degree_cap: Optional[int],
                  hint, nvars: int, dense: bool):
         self.p = p
-        self.rows = {} if dense else None   # (lt of g, t[, negated]) -> row
+        self.rows = {} if dense else None   # (lt of g, t) -> row
         self.width = _width(p) if dense and p else None   # bytes per column
-        self.blocks: dict = {}     # lt of g -> its run blocks (``_element``)
+        self.blocks: dict = {}     # lt of g -> (key, runs) per group (``_element``)
         self.nvars = nvars
-        self.degree_cap = degree_cap
         # S-pairs stop at the cap and below the field limit
         self.top = _LIMIT - 1 if degree_cap is None else min(degree_cap, _LIMIT - 1)
         self.hint = hint           # the target Hilbert function, or None
         self.found = _Staircase((), nvars)   # the leading terms so far
-        self.packed: dict = {}     # id -> _pack tuple, never mutated
+        self.packed: list = []     # _pack tuples, never mutated; an id is a position
         self.active: list = []     # ids sorted by lt, no two equal
         self.divisors: list = []   # _pack tuples of the active ids, in order
         self.pairs: dict = {}      # (i, j) i<j -> key of the lcm
-        self.next_id = 0
 
     # -- plumbing ----------------------------------------------------------
 
@@ -491,8 +465,7 @@ class _Engine:
                 return self._reduce_packed(
                     int.from_bytes(_to_bytes(row, self.width), "little"), cols[0])
             return self._reduce_row(row, cols[0])
-        rem, _ = _reduce(work, self.divisors, self.p, self.nvars,
-                         self.degree_cap, top=True)
+        rem, _ = _reduce(work, self.divisors, self.p, self.nvars, top=True)
         return _pack(_normalize(rem, self.p), self.nvars) if rem else None
 
     def _row(self, g: tuple, t: int) -> list:
@@ -555,9 +528,9 @@ class _Engine:
     def _element(self, b: bytes, c: int, cols: list, o: int, starts: list) -> tuple:
         """The basis element of the packed row whose fields from column o on
         have the bytes b, the leading one c mod p: monic, with the bytes of
-        its row for a tail (``_tail`` decodes them), and with its positive and
-        negated rows cut into runs, grouped, for ``_row_packed``.  A negated
-        entry is p - v."""
+        its row for a tail (``_tail`` decodes them), and with its negated row
+        cut into runs, grouped, for ``_row_packed``.  A negated entry is
+        p - v, so it lies in [1, p]."""
         p, s, size = self.p, self.width, len(cols) - o
         inv = pow(c, -1, p)
         pos = _to_bytes([f * inv % p for f in _from_bytes(b, s)], s)
@@ -565,44 +538,45 @@ class _Engine:
                - int.from_bytes(pos, "little")).to_bytes(s * size, "little")
         cuts = [(o, True), *(a for a in starts if a[0] > o), (len(cols), True)]
         heads = [i for i, (_, group) in enumerate(cuts) if group]
-        self.blocks[cols[o]] = blocks = []      # per sign: (key, runs) per group
-        for row in pos, neg:
-            runs = [row[s * (a - o):s * (e - o)] for (a, _), (e, _) in zip(cuts, cuts[1:])]
-            blocks.append([(cols[cuts[i][0]], runs[i:j]) for i, j in zip(heads, heads[1:])])
+        runs = [neg[s * (a - o):s * (e - o)] for (a, _), (e, _) in zip(cuts, cuts[1:])]
+        self.blocks[cols[o]] = [(cols[cuts[i][0]], runs[i:j]) for i, j in zip(heads, heads[1:])]
         return _fields(cols[o], self.nvars), cols[o], 1, pos
 
-    def _row_packed(self, g: tuple, t: int, negated: int = 1) -> int:
-        """x^q * g for the packed g with x^q * lt = t, as a packed row from
-        the column of t on; negated mod p when ``negated`` is 1.  A group of
-        runs keeps its order in every degree and its runs of x^q * g lie
-        q_1 + q_2 columns apart, so each group is one join, put in place by
-        the column of its first key times x^q."""
-        row = self.rows.get((g[1], t, negated))
+    def _row_packed(self, g: tuple, t: int) -> int:
+        """-x^q * g for the packed g with x^q * lt = t, as a packed row from
+        the column of t on, each field in [0, p].  A group of runs keeps its
+        order in every degree and its runs of x^q * g lie q_1 + q_2 columns
+        apart, so each group is one join, put in place by the column of its
+        first key times x^q."""
+        row = self.rows.get((g[1], t))
         if row is None:
             index = _columns(self.nvars, _degree(t, self.nvars))[1]
             q, s = t - g[1], self.width
             rq = _fields(q, self.nvars)
             gap = bytes(s * ((rq & (1 << _W) - 1) + (rq >> _W & (1 << _W) - 1)))
             pieces, end = [], s * index[t]
-            for key, runs in self.blocks[g[1]][negated]:
+            for key, runs in self.blocks[g[1]]:
                 i = s * index[key + q]
                 block = gap.join(runs)
                 pieces += bytes(i - end), block
                 end = i + len(block)
-            row = self.rows[g[1], t, negated] = int.from_bytes(b"".join(pieces), "little")
+            row = self.rows[g[1], t] = int.from_bytes(b"".join(pieces), "little")
         return row
 
     def _spair_packed(self, i: int, j: int, lcm: int) -> int:
         """The S-polynomial of i and j as a packed row from the column of lcm
-        on; its leading field holds p."""
-        return self._row_packed(self.packed[i], lcm, 0) + self._row_packed(self.packed[j], lcm)
+        on: (p - 1) * (p - v) = v mod p, so it is (p - 1) times the negated
+        row of i plus that of j.  Each field is at most p^2, and the leading
+        one is p * (p - 1)."""
+        return ((self.p - 1) * self._row_packed(self.packed[i], lcm)
+                + self._row_packed(self.packed[j], lcm))
 
     def _reduce_packed(self, w: int, first: int) -> Optional[tuple]:
         """The packed row w, field i the coefficient of the i-th monomial from
         the key first down in its degree, top-reduced by the monic basis into
         a new element (``_element``), or None.  A field is read mod p only
         when it leads; till then each step adds c < p times at most p to it,
-        one step per column."""
+        one step per column, after a start of at most p^2 (``_width``)."""
         n, p, s = self.nvars, self.p, self.width
         cols, index, starts = _columns(n, _degree(first, n))
         o, low = index[first], (1 << 8 * s) - 1
@@ -636,9 +610,8 @@ class _Engine:
     # -- Gebauer-Moeller update, on the fields that ``_pack`` keeps ----------
 
     def add(self, packed: tuple) -> None:
-        h, n, G = self.next_id, self.nvars, _guards(self.nvars)
-        self.next_id += 1
-        self.packed[h] = packed
+        h, n, G = len(self.packed), self.nvars, _guards(self.nvars)
+        self.packed.append(packed)
         rh, lt_h = packed[0], packed[1]
         self.found.add(lt_h)
 

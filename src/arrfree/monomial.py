@@ -321,6 +321,8 @@ def sectional_matrix(B: MonomialIdeal, dmax: Optional[int] = None) -> SectionalM
     variables only for Borel-fixed ideals, so non-Borel input is rejected;
     ``count_standard_monomials`` gives the plain counts.
     """
+    if dmax is not None and dmax < 0:
+        raise ValueError(f"dmax must be non-negative, got {dmax}")
     B = _as_stable(B)
     if dmax is None:
         top = B.max_generator_degree()

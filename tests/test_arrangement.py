@@ -532,7 +532,7 @@ class TestExponentConversions:
             ExponentVector((2, 1))
 
     def test_roundtrip_all_small(self):
-        for e in all_exponent_vectors(8, 4):
+        for e in [ExponentVector((1,)), *all_exponent_vectors(8, 4)]:
             B = rgin_from_exponents(e)
             assert exponents_from_rgin(B) == e
 
@@ -637,6 +637,21 @@ class TestRealizability:
         assert v.realizable and v.exponents == (1, 2, 4) and v.verified
         assert [str(f) for f in v.arrangement.forms][0] == "x"
 
+    def test_one_variable_unit_ideal(self):
+        # the single hyperplane x has Jacobian ideal <1>; in more variables
+        # the unit ideal, and the zero ideal in any, are no such rgin
+        v = realizable_as_free(rgin_from_exponents((1,)))
+        assert v.realizable and v.exponents == (1,) and v.verified
+        assert [str(f) for f in v.arrangement.forms] == ["x"]
+        for B in (StronglyStableIdeal([(0, 0)], 2), StronglyStableIdeal([], 1),
+                  StronglyStableIdeal([], 2)):
+            v = realizable_as_free(B)
+            assert not v.realizable and v.reason == (
+                "the unit and zero ideals are not Jacobian rgins of "
+                "essential free arrangements")
+        with pytest.raises(NotFreeRginError):
+            exponents_from_rgin(StronglyStableIdeal([(0, 0)], 2))
+
     def test_not_lex_segment(self):
         B = StronglyStableIdeal([(2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0)], 3)
         v = realizable_as_free(B)
@@ -715,6 +730,14 @@ class TestConjectureHarness:
         B = StronglyStableIdeal([(2, 0, 0), (1, 1, 0), (0, 3, 0)], 3)
         result = check_conjecture_Z(B)
         assert result.holds and result.vacuous
+
+    def test_no_pure_power_of_the_second_variable(self):
+        # no degree meets an infinite d0: every third-variable generator
+        # violates, and the check is not vacuous
+        B = StronglyStableIdeal([(2, 0, 0), (1, 1, 0), (1, 0, 1)], 3)
+        result = check_conjecture_Z(B)
+        assert not result.holds and result.d0 is None and not result.vacuous
+        assert result.violations == (PowerProduct((1, 0, 1)),)
 
 
 class TestVerdictAgreement:

@@ -330,6 +330,35 @@ class TestCommands:
         code, text = run_cli("conjecture", str(failing))
         assert code == EXIT_OK and "fails" in text and "x*z" in text
 
+    def test_conjecture_without_a_pure_power_of_y(self, tmp_path):
+        # strong stability moves only toward x, so <x^2, x*y, x*z> has no
+        # pure power of y: d0 is infinite and every z-generator violates
+        path = tmp_path / "n.ideal"
+        path.write_text("vars x y z\ngen x^2\ngen x*y\ngen x*z\n")
+        code, text = run_cli("conjecture", str(path))
+        assert code == EXIT_OK
+        assert text == ("conjecture fails; d0 = None\n"
+                        "violating generator: x*z (degree 2; no pure power of y)\n")
+        code, text = run_cli("conjecture", str(path), "--json")
+        assert code == EXIT_OK
+        assert json.loads(text) == {"holds": False, "d0": None,
+                                    "violations": ["x*z"], "vacuous": False}
+
+    def test_one_variable_unit_ideal(self, tmp_path):
+        # the rgin of the single hyperplane x, as construct prints it
+        path = tmp_path / "unit.ideal"
+        path.write_text("vars x\ngen 1\n")
+        assert run_cli("exponents", str(path)) == (EXIT_OK, "exponents: (1,)\n")
+        assert run_cli("construct", "--exponents", "1") == (
+            EXIT_OK, "vars x\nhyperplane x\n")
+        assert run_cli("realize", str(path), "--seed", "7") == (
+            EXIT_OK, "YES: exponents (1,) (rgin verified)\nhyperplane x\n")
+        code, text = run_cli("realize", str(path), "--json")
+        assert code == EXIT_OK
+        assert json.loads(text) == {"realizable": True, "reason": None,
+                                    "exponents": [1], "forms": ["x"],
+                                    "verified": True}
+
     def test_exponents_json(self, tmp_path):
         flat = tmp_path / "flat.arr"         # three lines through one axis
         flat.write_text("vars x y z\nhyperplane x\nhyperplane y\nhyperplane x+y\n")

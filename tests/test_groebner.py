@@ -364,8 +364,9 @@ def _dense_form(l, d, p, rng):
 
 
 class TestPackedLayout:
-    """A dense GF(p) element is read into its run blocks once, and every
-    row x^q * g is laid out from them with one join per group of runs."""
+    """A dense GF(p) element is read into the run blocks of its negated row
+    once, and every row -x^q * g is laid out from them with one join per
+    group of runs."""
 
     @pytest.mark.parametrize("p", [32003, 2**61 - 1])
     @pytest.mark.parametrize("l", [2, 3, 4, 5])
@@ -396,12 +397,14 @@ class TestPackedLayout:
                     cols, index, _ = groebner_module._columns(l, _degree(t, l))
                     # x^q * g built term by term from its dict
                     moved = {k + q: c for k, c in full.items()}
-                    for negated in (0, 1):
-                        size = len(cols) - index[t]
-                        row = _unpacked(engine._row_packed(g, t, negated), p, size)
-                        for k, f in zip(cols[index[t]:], row):
-                            c = moved.get(k, 0)
-                            assert f % p == (p - c if negated else c) % p and f <= p
+                    size = len(cols) - index[t]
+                    row = _unpacked(engine._row_packed(g, t), p, size)
+                    for k, f in zip(cols[index[t]:], row):
+                        # the negated row, and p - 1 times it the positive
+                        # one, which the S-pair takes
+                        c = moved.get(k, 0)
+                        assert f % p == -c % p and f <= p
+                        assert (p - 1) * f % p == c
 
 
 class TestTruncatedRun:
@@ -652,21 +655,13 @@ class TestLazyResidues:
         assert rem == {_k(0, 2): 1, _k(0, 0): 4} and mult == 1
         assert max(rem) == _k(0, 2)
 
-    @pytest.mark.parametrize("m", [1, 2])
-    def test_zero_entry_above_the_cap(self, m):
-        # the zero entry at x^3 is skipped before the cap is checked
-        work = {_k(3, 0): m * P, _k(1, 1): 2 * P + 3}
-        assert _reduce(dict(work), [], P, 2, degree_cap=2) == ({_k(1, 1): 3}, 1)
-        work[_k(3, 0)] += 1
-        with pytest.raises(DegreeCapExceeded, match="reduction reached degree 3"):
-            _reduce(work, [], P, 2, degree_cap=2)
-
     def test_spair_terms_and_basis(self, monkeypatch):
         # S(x*y + 3*y^2, x^2 + 3*x*y + y^2) = 3*x*y^2 - 3*x*y^2 - y^3: the
         # x*y^2 entry cancels.  The generators fill their degree, so the
         # S-polynomial is a packed row over x^2*y, x*y^2, y^3, from the lcm
-        # on: x times the first plus y times the second negated mod p, each
-        # field below 2p and read mod p only when it leads
+        # on: p - 1 times x times the first negated plus y times the second
+        # negated, each field at most p^2, the leading one 0 mod p, and each
+        # read mod p only when it leads
         outputs = []
         spair = groebner_module._Engine._spair_packed
 
@@ -677,12 +672,68 @@ class TestLazyResidues:
         monkeypatch.setattr(groebner_module._Engine, "_spair_packed", recorded)
         G = buchberger([g.convert(GF(P)) for g in
                         polys(["x*y + 3*y^2", "x^2 + 3*x*y + y^2"], 2)])
-        assert outputs[0] == [P, P, P - 1]
+        assert outputs[0] == [P * (P - 1), P * (P - 3), P - 1]
         assert [c % P for c in outputs[0]] == [0, 0, P - 1]
-        assert all(0 <= c < 2 * P for row in outputs for c in row)
+        assert all(0 <= c <= P * P for row in outputs for c in row)
+        assert all(row[0] % P == 0 for row in outputs)
         for d in G._divisors:
             assert all(0 < c < P for c in [d[2], *dict(_tail(d, 2)).values()])
         assert [str(g) for g in G.elements] == ["x*y + 3*y^2", "x^2 + 6*y^2", "y^3"]
+
+
+class TestReductionKeepsDegree:
+    """DegRevLex orders by degree first, so no term that ``_reduce`` pops has
+    a higher degree than the work it was given: a degree cap needs checking
+    only on what goes in."""
+
+    @FIELDS
+    @settings(max_examples=40, deadline=None)
+    @given(l=st.integers(2, 4), homogeneous=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_no_popped_term_above_the_input(self, field, l, homogeneous, seed):
+        rng = random.Random(seed)
+
+        def draw():
+            while True:
+                f = (_random_form(l, rng.randint(1, 3), rng.randint(1, 5), rng)
+                     if homogeneous else random_polynomial(l, 3, rng.randint(1, 5), rng))
+                if not f.is_zero:
+                    return f.convert(field)
+        gens = [draw() for _ in range(rng.randint(1, 3))]
+        # every key _reduce can pop is in its work at the start or written
+        # there by _subtract
+        tops, calls = [], []
+        reduce, subtract = groebner_module._reduce, groebner_module._subtract
+
+        def reduced(work, *rest, **kw):
+            tops.append(max((_degree(k, l) for k in work), default=-1))
+            try:
+                return reduce(work, *rest, **kw)
+            finally:
+                tops.pop()
+
+        def subtracted(work, tail, q, b):
+            if tops:
+                calls.append(max((_degree(k + q, l) for k, _ in tail), default=-1))
+                assert calls[-1] <= tops[-1]
+            subtract(work, tail, q, b)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(groebner_module, "_reduce", reduced)
+            mp.setattr(groebner_module, "_subtract", subtracted)
+            G = buchberger(gens).elements
+            # in the ideal, so its leading term reduces at least once
+            f = gens[0] * poly("x", l).convert(field) + draw()
+            nf = normal_form(f, G)
+            normal_form(gens[0] * poly("y", l).convert(field), gens)
+        assert calls
+        # the public cap: checked once, against the degree of f
+        for cap in range(f.total_degree() + 2):
+            if cap < f.total_degree():
+                with pytest.raises(DegreeCapExceeded, match=f"reduction reached "
+                                   f"degree {f.total_degree()} > cap {cap}"):
+                    normal_form(f, G, degree_cap=cap)
+            else:
+                assert normal_form(f, G, degree_cap=cap) == nf
 
 
 def _update_oracle(packed, active, pairs, h, nvars):
@@ -730,11 +781,11 @@ class TestPairUpdate:
             for h in range(rng.randint(2, 14)):
                 k = _key(PowerProduct([rng.randint(0, 4) if rng.random() < 0.9
                                        else rng.randint(1000, 6000) for _ in range(l)]))
-                engine.packed[h] = (_fields(k, l), k, 1, [])
+                engine.packed.append((_fields(k, l), k, 1, []))
                 pairs, active = _update_oracle(engine.packed, engine.active,
                                                engine.pairs, h, l)
                 old_pairs, old_active = dict(engine.pairs), list(engine.active)
-                del engine.packed[h]
+                engine.packed.pop()
                 engine.add((_fields(k, l), k, 1, []))
                 new = {ij: v for ij, v in engine.pairs.items() if ij[1] == h}
                 assert new == {ij: v for ij, v in pairs.items() if ij[1] == h}

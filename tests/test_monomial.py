@@ -210,6 +210,11 @@ class TestSectionalMatrix:
         M = sectional_matrix(MonomialIdeal.unit(3), 4)
         assert M.is_zero
 
+    def test_rejects_negative_dmax(self):
+        with pytest.raises(ValueError, match="dmax must be non-negative"):
+            sectional_matrix(FIVE, -1)
+        assert sectional_matrix(FIVE, 0).row(3) == (1,)
+
     def test_refuses_non_borel(self):
         I = B([(0, 1)], 2)
         with pytest.raises(NotStronglyStableError):
