@@ -3,17 +3,14 @@ and sectional matrices of the Jacobian ideal, with converters between
 exponents, Betti tables, lex-segment ideals and explicit free arrangements.
 """
 
-from .polyring import (LESS, EQUAL, GREATER, QQ, GF, DimensionError,
-                       LinearChange, Polynomial, PowerProduct,
-                       apply_linear_change, cmp_degrevlex, multiply,
-                       partial_derivative, variables)
+from .polyring import (QQ, GF, DimensionError, LinearChange, Polynomial,
+                       PowerProduct, apply_linear_change, variables)
 from .monomial import (INFINITE, BettiTable, LexSegmentShape, MonomialIdeal,
                        NotStronglyStableError, SectionalMatrix,
                        StronglyStableIdeal, betti_eliahou_kervaire,
-                       borel_closure, codimension, contains, is_cm_codim2_stable,
-                       is_cohen_macaulay, is_strongly_stable, minimalize,
-                       reduction_number, regularity_stable, sectional_matrix,
-                       triangle_equality)
+                       borel_closure, codimension, is_cm_codim2_stable,
+                       is_cohen_macaulay, is_strongly_stable, reduction_number,
+                       regularity_stable, sectional_matrix, triangle_equality)
 from .groebner import (DegreeCapExceeded, GroebnerBasis, buchberger,
                        hilbert_function, leading_term_ideal, normal_form,
                        s_polynomial)

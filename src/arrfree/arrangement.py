@@ -229,7 +229,6 @@ def jacobian_rgin(A: Arrangement, cfg: GinConfig = GinConfig()) -> StronglyStabl
 @dataclass(frozen=True)
 class FreenessReport:
     free: bool
-    method: str
     n: int
     l: int
     essential: bool
@@ -308,19 +307,16 @@ def sectional_bounds(B: StronglyStableIdeal) -> Tuple[Optional[int], Optional[in
 
 
 def analyze(A: Arrangement, cfg: GinConfig = GinConfig(),
-            method: str = "both", dmax: Optional[int] = None) -> FreenessReport:
+            dmax: Optional[int] = None) -> FreenessReport:
     """Full freeness report for one arrangement.
 
     Both characterizations, the generator shape and the sectional matrix,
     decide every call, and a disagreement raises
-    ``InternalConsistencyError``; ``method`` only names the one the report
-    shows.  A FREE verdict on a proper rgin is checked once more by one
-    round trip through ``rgin_from_exponents`` (``_free_exponents``).
-    ``dmax`` widens the sectional matrix beyond the default regularity + 2
-    bound.
+    ``InternalConsistencyError``.  A FREE verdict on a proper rgin is
+    checked once more by one round trip through ``rgin_from_exponents``
+    (``_free_exponents``).  ``dmax`` widens the sectional matrix beyond the
+    default regularity + 2 bound.
     """
-    if method not in ("rgin", "sectional", "both"):
-        raise ValueError(f"unknown method {method!r}")
     n, l = A.n, A.l
     B = jacobian_rgin(A, cfg)
     d0, reg, floor = sectional_bounds(B)
@@ -340,7 +336,7 @@ def analyze(A: Arrangement, cfg: GinConfig = GinConfig(),
         exponents = ExponentVector((1,) * l)
     elif free:
         exponents = _free_exponents(B, n, A.essential, shape)
-    return FreenessReport(free=free, method=method, n=n, l=l,
+    return FreenessReport(free=free, n=n, l=l,
                           essential=A.essential, rgin=B, sectional=M,
                           d0=d0, regularity=reg,
                           exponents=exponents if A.essential else None,
@@ -348,13 +344,15 @@ def analyze(A: Arrangement, cfg: GinConfig = GinConfig(),
 
 
 def is_free_via_rgin(A: Arrangement, cfg: GinConfig = GinConfig()) -> FreenessReport:
-    """``analyze`` reported as the generator-shape characterization."""
-    return analyze(A, cfg, method="rgin")
+    """``analyze(A, cfg)``: the generator shape and the sectional matrix
+    both decide, and must agree."""
+    return analyze(A, cfg)
 
 
 def is_free_via_sectional(A: Arrangement, cfg: GinConfig = GinConfig()) -> FreenessReport:
-    """``analyze`` reported as the sectional-matrix characterization."""
-    return analyze(A, cfg, method="sectional")
+    """``analyze(A, cfg)``: the sectional matrix and the generator shape
+    both decide, and must agree."""
+    return analyze(A, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -454,9 +452,6 @@ class RealizabilityVerdict:
     exponents: Optional[ExponentVector]
     arrangement: Optional[Arrangement]
     verified: bool
-
-    def __bool__(self):
-        return self.realizable
 
 
 def _no(reason: str) -> RealizabilityVerdict:

@@ -51,11 +51,13 @@ MAX_COEFF_BITS = 1024
 
 
 class ParseError(ValueError):
-    """Input rejected, with a line/column anchor."""
+    """Input rejected, with a line/column anchor; line 0 is the whole file,
+    and its message names the file alone."""
 
     def __init__(self, message: str, source: str = "<input>",
                  line: int = 0, col: int = 0):
-        super().__init__(f"{source}:{line}:{col}: {message}")
+        where = f"{source}:{line}:{col}" if line else source
+        super().__init__(f"{where}: {message}")
         self.source = source
         self.line = line
         self.col = col
@@ -341,7 +343,7 @@ def report_to_dict(report: FreenessReport) -> dict:
                  "b1": {str(k): v for k, v in report.betti.beta1.items()}}
     return {
         "free": report.free,
-        "method": report.method,
+        "method": "both",
         "n": report.n,
         "l": report.l,
         "essential": report.essential,
@@ -384,7 +386,7 @@ def _print_report(report: FreenessReport, out) -> None:
     if report.trivially_free:
         verdict += " (trivially: rgin is the whole ring)"
     print(f"verdict   : {verdict}", file=out)
-    print(f"method    : {report.method}", file=out)
+    print("method    : both", file=out)
     print(f"n, l      : {report.n}, {report.l}", file=out)
     print(f"essential : {report.essential}", file=out)
     print(f"rgin      : <{', '.join(_ideal_strings(report.rgin))}>", file=out)
@@ -464,8 +466,7 @@ def _exponent_list(text: str) -> ExponentVector:
 def _cmd_analyze(args, out) -> int:
     doc = load_input(args.input)
     A = doc.as_arrangement()
-    report = analyze(A, _config_from_args(args), method=args.method,
-                     dmax=args.dmax)
+    report = analyze(A, _config_from_args(args), dmax=args.dmax)
     if args.json:
         print(json.dumps(report_to_dict(report), indent=2), file=out)
     else:
@@ -513,8 +514,7 @@ def _cmd_sm(args, out) -> int:
 def _cmd_exponents(args, out) -> int:
     doc = load_input(args.input)
     if doc.kind == "arrangement":
-        report = analyze(doc.as_arrangement(), _config_from_args(args),
-                         method="rgin")
+        report = analyze(doc.as_arrangement(), _config_from_args(args))
         free, exps = report.free, report.exponents
     else:
         B = StronglyStableIdeal.from_ideal(doc.as_monomial_ideal())
@@ -534,9 +534,6 @@ def _cmd_exponents(args, out) -> int:
 
 def _cmd_construct(args, out) -> int:
     exps = args.exponents
-    if args.dim is not None and args.dim != len(exps):
-        raise ParseError(f"--dim {args.dim} does not match "
-                         f"{len(exps)} exponents")
     A = supersolvable_from_exponents(exps)
     if args.json:
         print(json.dumps({"exponents": list(exps), "n": A.n, "l": A.l,
@@ -617,10 +614,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("analyze", parents=[common],
                        help="full freeness report for an arrangement file")
     p.add_argument("input")
-    p.add_argument("--method", choices=("rgin", "sectional", "both"),
-                   default="both",
-                   help="the characterization the report names; both are "
-                        "computed and must agree whatever the method")
     p.add_argument("--dmax", type=_at_least(0), default=None,
                    help="widen the sectional matrix to this degree; it never "
                         "shows fewer than degrees 0 to regularity + 2, which "
@@ -649,7 +642,6 @@ def _build_parser() -> _Parser:
                        help="free arrangement with prescribed exponents")
     p.add_argument("--exponents", required=True, type=_exponent_list,
                    help="comma separated, e.g. 1,2,4")
-    p.add_argument("--dim", type=int, default=None)
     p.set_defaults(func=_cmd_construct)
 
     p = sub.add_parser("realize", parents=[common],

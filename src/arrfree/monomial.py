@@ -17,7 +17,7 @@ from .polyring import DimensionError, PowerProduct, format_power_product
 
 __all__ = [
     "INFINITE", "MonomialIdeal", "StronglyStableIdeal", "NotStronglyStableError",
-    "minimalize", "contains", "is_strongly_stable", "borel_moves", "borel_closure",
+    "is_strongly_stable", "borel_moves", "borel_closure",
     "SectionalMatrix", "sectional_matrix", "triangle_equality",
     "reduction_number", "regularity_stable",
     "BettiTable", "betti_eliahou_kervaire",
@@ -98,13 +98,11 @@ class MonomialIdeal:
     def is_unit(self) -> bool:
         return bool(self.generators) and self.generators[0].degree() == 0
 
-    def contains(self, t: PowerProduct) -> bool:
+    def __contains__(self, t: PowerProduct) -> bool:
+        """Monomial membership: some minimal generator divides t."""
         if len(t) != self.nvars:
             raise DimensionError(f"{t!r} has {len(t)} exponents, expected {self.nvars}")
         return any(g.divides(t) for g in self.generators)
-
-    def __contains__(self, t: PowerProduct) -> bool:
-        return self.contains(t)
 
     def generator_degrees(self) -> dict:
         """Map degree -> number of minimal generators of that degree."""
@@ -128,16 +126,6 @@ class MonomialIdeal:
 
     def __repr__(self) -> str:
         return f"<{', '.join(format_power_product(g) for g in self.generators) or '0'}>"
-
-
-def minimalize(gens: Iterable[PowerProduct], nvars: int) -> MonomialIdeal:
-    """Drop every generator divisible by another one."""
-    return MonomialIdeal(gens, nvars)
-
-
-def contains(B: MonomialIdeal, t: PowerProduct) -> bool:
-    """Monomial membership: some minimal generator divides t."""
-    return B.contains(t)
 
 
 # ---------------------------------------------------------------------------

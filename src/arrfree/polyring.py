@@ -15,15 +15,12 @@ from operator import add
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Tuple, Union
 
 __all__ = [
-    "LESS", "EQUAL", "GREATER",
-    "DimensionError", "PowerProduct", "cmp_degrevlex",
+    "DimensionError", "PowerProduct",
     "Field", "QQ", "GF",
-    "Polynomial", "variables", "multiply", "partial_derivative",
+    "Polynomial", "variables",
     "LinearChange", "apply_linear_change",
     "var_names", "format_power_product",
 ]
-
-LESS, EQUAL, GREATER = -1, 0, 1
 
 
 class DimensionError(ValueError):
@@ -99,41 +96,36 @@ class PowerProduct(tuple):
                 return j + 1
         return 0
 
-    # DegRevLex ordering.  Reversed iteration finds the last differing
-    # exponent; the side where it is smaller wins.
+    # DegRevLex ordering, as -1, 0 or 1.  Reversed iteration finds the last
+    # differing exponent; the side where it is smaller wins.
     def _cmp(self, other: "PowerProduct") -> int:
         if len(self) != len(other):
             raise DimensionError("power products of different lengths")
         sd, od = sum(self), sum(other)
         if sd != od:
-            return LESS if sd < od else GREATER
+            return -1 if sd < od else 1
         for a, b in zip(reversed(self), reversed(other)):
             if a != b:
-                return GREATER if a < b else LESS
-        return EQUAL
+                return 1 if a < b else -1
+        return 0
 
     def __lt__(self, other):
-        return self._cmp(other) == LESS
+        return self._cmp(other) < 0
 
     def __le__(self, other):
-        return self._cmp(other) != GREATER
+        return self._cmp(other) <= 0
 
     def __gt__(self, other):
-        return self._cmp(other) == GREATER
+        return self._cmp(other) > 0
 
     def __ge__(self, other):
-        return self._cmp(other) != LESS
+        return self._cmp(other) >= 0
 
     def __repr__(self) -> str:
         return f"PowerProduct({tuple(self)})"
 
     def __str__(self) -> str:
         return format_power_product(self)
-
-
-def cmp_degrevlex(a: PowerProduct, b: PowerProduct) -> int:
-    """Three-way DegRevLex comparison: LESS, EQUAL or GREATER."""
-    return PowerProduct._cmp(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -413,16 +405,6 @@ def variables(nvars: int, field=QQ) -> list:
     return [Polynomial.variable(i, nvars, field) for i in range(1, nvars + 1)]
 
 
-def multiply(f: Polynomial, g: Polynomial) -> Polynomial:
-    """Exact product of two polynomials."""
-    return f * g
-
-
-def partial_derivative(f: Polynomial, i: int) -> Polynomial:
-    """Formal partial derivative of f with respect to x_i (1-based)."""
-    return f.partial_derivative(i)
-
-
 # ---------------------------------------------------------------------------
 # invertible linear changes of coordinates
 # ---------------------------------------------------------------------------
@@ -533,11 +515,9 @@ def var_names(nvars: int) -> list:
     return [f"x{i}" for i in range(1, nvars + 1)]
 
 
-def format_power_product(pp: PowerProduct, names: Sequence[str] = None) -> str:
-    if names is None:
-        names = var_names(len(pp))
+def format_power_product(pp: PowerProduct) -> str:
     parts = []
-    for name, e in zip(names, pp):
+    for name, e in zip(var_names(len(pp)), pp):
         if e == 1:
             parts.append(name)
         elif e > 1:

@@ -186,7 +186,7 @@ def report_from_dict(data):
     if data.get("exponents") is not None:
         exponents = ExponentVector(data["exponents"])
     return FreenessReport(
-        free=data["free"], method=data["method"], n=data["n"], l=l,
+        free=data["free"], n=data["n"], l=l,
         essential=data["essential"], rgin=B, sectional=M,
         d0=data["d0"], regularity=data["regularity"],
         exponents=exponents, betti=betti, provenance=cert)

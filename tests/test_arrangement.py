@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arrfree import (Arrangement, ArrangementError, ExponentVector, GinConfig,
+from arrfree import (Arrangement, ArrangementError, DimensionError,
+                     ExponentVector, GinConfig,
                      InternalConsistencyError, NotFreeRginError, Polynomial, PowerProduct,
                      StronglyStableIdeal, analyze, check_conjecture_Z,
                      defining_polynomial, exponents_from_rgin, is_free_via_rgin,
@@ -23,6 +24,7 @@ from arrfree import gin as gin_module
 from arrfree import groebner as groebner_module
 from arrfree.arrangement import (_expand, _free_by_generator_shape,
                                   is_cm_codim2_stable, sectional_bounds)
+from arrfree.cli import report_to_dict
 from arrfree.groebner import _poly
 from helpers import arrangement as bench_arrangement
 from helpers import (bench_workloads, distinct_random_forms, poly, polys,
@@ -79,6 +81,14 @@ class TestValidate:
         A = Arrangement(forms)
         assert read == forms
         assert A.rows[4] == (2, 3, -1) and A.content == 1
+
+    def test_rejects_empty_mixed_and_modular_forms(self):
+        with pytest.raises(ArrangementError, match="at least one hyperplane"):
+            Arrangement([])
+        with pytest.raises(DimensionError, match="form #2 lives in 2 variables"):
+            validate(polys(["x"], 3) + polys(["y"], 2))
+        with pytest.raises(ArrangementError, match="rational coefficients"):
+            Arrangement([Polynomial.variable(1, 2, GF(7))])
 
     def test_nonlinear_rejected(self):
         info = validate(polys(["x^2"], 2))
@@ -383,7 +393,7 @@ class TestFreenessGoldens:
 
     def test_trivially_free(self):
         A = Arrangement([Polynomial.variable(1, 1)])
-        rep = analyze(A, CFG, method="both")
+        rep = analyze(A, CFG)
         assert rep.free and rep.trivially_free
         assert rep.exponents == (1,)
         assert rep.sectional.is_zero  # the zero-matrix branch of both tests
@@ -406,28 +416,31 @@ class TestFreenessGoldens:
 
     def test_methods_agree_in_one_run(self):
         A = arrangement(["x", "y", "z", "x+y", "x-y"], 3)
-        rep = analyze(A, CFG, method="both")
-        assert rep.free and rep.method == "both"
+        rep = analyze(A, CFG)
+        assert rep.free and report_to_dict(rep)["method"] == "both"
+        assert is_free_via_rgin(A, CFG) == rep == is_free_via_sectional(A, CFG)
 
-    # every method decides by both characterizations, so negating either
-    # one raises whichever method the report names
-    @pytest.mark.parametrize("method", ["both", "rgin", "sectional"])
+    # analyze and the two entry points named after one characterization
+    # each decide by both, so negating either one raises from all three
+    @pytest.mark.parametrize("entry", [analyze, is_free_via_rgin,
+                                       is_free_via_sectional],
+                             ids=["both", "rgin", "sectional"])
     @pytest.mark.parametrize("patched", ["_free_by_sectional",
                                          "_free_by_generator_shape"])
-    def test_negated_verdict_raises(self, monkeypatch, patched, method):
+    def test_negated_verdict_raises(self, monkeypatch, patched, entry):
         test = getattr(arrangement_module, patched)
         monkeypatch.setattr(arrangement_module, patched, lambda *a: not test(*a))
         for texts in (["x", "y", "z", "x+y", "x-y"],
                       ["x", "x+y-z", "x+z", "x+2z", "x+y+z"]):
             with pytest.raises(InternalConsistencyError,
                                match="freeness verdicts disagree"):
-                analyze(arrangement(texts, 3), CFG, method=method)
+                entry(arrangement(texts, 3), CFG)
 
     def test_planar_arrangements_always_free(self):
         rng = random.Random(4)
         for _ in range(5):
             forms = distinct_random_forms(2, rng.randint(2, 6), rng)
-            rep = analyze(Arrangement(forms), GinConfig(seed=31), method="both")
+            rep = analyze(Arrangement(forms), GinConfig(seed=31))
             assert rep.free
 
     def test_non_essential_freeness_no_exponents(self):
@@ -438,13 +451,12 @@ class TestFreenessGoldens:
         with pytest.raises(NotFreeRginError):
             exponents_from_rgin(rep.rgin)
         # in 4-space the rgin is that of the essentialization, exponents
-        # (1, 2), padded with zeros: the round trip of every method passes
+        # (1, 2), padded with zeros: its round trip passes
         A = arrangement(["x", "y", "x+y"], 4)
-        for method in ("both", "rgin", "sectional"):
-            rep = analyze(A, CFG, method=method)
-            assert rep.free and not rep.essential and rep.exponents is None
-            assert str(rep.rgin) == str(rgin_from_exponents((1, 2))) \
-                == "<x^2, x*y, y^3>"
+        rep = analyze(A, CFG)
+        assert rep.free and not rep.essential and rep.exponents is None
+        assert str(rep.rgin) == str(rgin_from_exponents((1, 2))) \
+            == "<x^2, x*y, y^3>"
 
 
 def three_probe_oracle(B, n):
@@ -526,6 +538,8 @@ class TestExponentConversions:
             rgin_from_exponents((2, 2))
 
     def test_exponent_vector_validation(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            ExponentVector(())
         with pytest.raises(ValueError):
             ExponentVector((1, 0))
         with pytest.raises(ValueError):

@@ -283,7 +283,7 @@ class TestCommands:
         assert code == EXIT_OK and "(1, 1, 2)" in text
 
     def test_construct_golden(self):
-        code, text = run_cli("construct", "--exponents", "1,2,4", "--dim", "3")
+        code, text = run_cli("construct", "--exponents", "1,2,4")
         assert code == EXIT_OK
         lines = text.strip().splitlines()
         assert lines[0] == "vars x y z"
@@ -299,8 +299,10 @@ class TestCommands:
         assert A.n == 4 and A.essential
 
     def test_construct_dim_mismatch(self):
-        code, _ = run_cli("construct", "--exponents", "1,2", "--dim", "3")
-        assert code == EXIT_PARSE
+        # the length of --exponents is the dimension; there is no --dim
+        for dim in ("3", "2"):
+            code, _ = run_cli("construct", "--exponents", "1,2", "--dim", dim)
+            assert code == EXIT_USAGE
 
     def test_realize_yes(self, tmp_path):
         path = tmp_path / "b.ideal"
@@ -425,6 +427,10 @@ class TestExitCodes:
         assert run_cli("analyze")[0] == EXIT_USAGE
         assert run_cli("unknown-command")[0] == EXIT_USAGE
         assert run_cli("construct", "--exponents", "2,1")[0] == EXIT_USAGE
+        # both characterizations decide every analyze, so none is chosen
+        for method in ("rgin", "sectional", "both"):
+            assert run_cli("analyze", str(INPUTS / "five_planes.arr"),
+                           "--method", method)[0] == EXIT_USAGE
 
     def test_bad_coeff_flag_is_usage(self, tmp_path):
         path = tmp_path / "five.arr"
@@ -433,6 +439,8 @@ class TestExitCodes:
         assert run_cli("analyze", str(path), "--coeff", "mod:4")[0] == EXIT_USAGE
         assert run_cli("analyze", str(path),
                        "--coeff", "mod:7,7")[0] == EXIT_USAGE
+        assert run_cli("analyze", str(path),
+                       "--coeff", "mod:abc")[0] == EXIT_USAGE
 
     @pytest.mark.parametrize("argv", [
         ("analyze", "--trials", "1"),
@@ -453,12 +461,15 @@ class TestExitCodes:
         assert code == EXIT_OK
         assert json.loads(text)["sectional_matrix"] == [[1], [1]]
 
-    def test_parse_error(self, tmp_path):
+    def test_parse_error(self, tmp_path, capsys):
         path = tmp_path / "bad.arr"
         path.write_text("vars x y\nhyperplane x^2\n")
         assert run_cli("analyze", str(path))[0] == EXIT_PARSE
         missing = tmp_path / "missing.arr"
-        assert run_cli("analyze", str(missing))[0] == EXIT_PARSE
+        capsys.readouterr()
+        assert run_cli("analyze", str(missing)) == (EXIT_PARSE, "")
+        assert capsys.readouterr().err.startswith(
+            f"error: {missing}: cannot read input: ")
 
     @pytest.mark.parametrize("keyword", ["hyperplane", "gen"])
     def test_power_of_sum_rejected_before_expansion(self, tmp_path, keyword):
@@ -550,10 +561,9 @@ class TestExitCodes:
     # segment of exponents (1, 4), padded to 3 variables, whose two
     # exponents miss l = 3, and a lex segment whose generator counts
     # increase from degree 5 to 6
-    @pytest.mark.parametrize("method", ["both", "rgin", "sectional"])
     @pytest.mark.parametrize("rgin_name", ["two_exponents", "counts_increase"])
     def test_inconsistent_rgin_is_compute_failure(self, monkeypatch, capsys,
-                                                  rgin_name, method):
+                                                  rgin_name):
         from arrfree import StronglyStableIdeal, rgin_from_exponents
         from arrfree import arrangement as arrangement_module
 
@@ -564,23 +574,21 @@ class TestExitCodes:
         B = StronglyStableIdeal(gens, 3)
         monkeypatch.setattr(arrangement_module, "jacobian_rgin",
                             lambda A, cfg: B)
-        code, text = run_cli("analyze", str(INPUTS / "five_planes.arr"),
-                             "--method", method)
+        code, text = run_cli("analyze", str(INPUTS / "five_planes.arr"))
         assert (code, text) == (EXIT_COMPUTE, "")
         assert capsys.readouterr().err.startswith("error: free verdict but ")
 
-    # the characterization that --method does not name still runs: negating
-    # it makes the two disagree
-    @pytest.mark.parametrize("patched, method", [
-        ("_free_by_sectional", "rgin"), ("_free_by_generator_shape", "sectional")])
+    # both characterizations run on every analyze: negating either one
+    # makes the two disagree
+    @pytest.mark.parametrize("patched", ["_free_by_sectional",
+                                         "_free_by_generator_shape"])
     def test_negated_verdict_is_compute_failure(self, monkeypatch, capsys,
-                                                patched, method):
+                                                patched):
         from arrfree import arrangement as arrangement_module
 
         test = getattr(arrangement_module, patched)
         monkeypatch.setattr(arrangement_module, patched, lambda *a: not test(*a))
-        code, text = run_cli("analyze", str(INPUTS / "five_planes.arr"),
-                             "--method", method)
+        code, text = run_cli("analyze", str(INPUTS / "five_planes.arr"))
         assert (code, text) == (EXIT_COMPUTE, "")
         assert capsys.readouterr().err.startswith(
             "error: freeness verdicts disagree")
@@ -592,6 +600,48 @@ class TestExitCodes:
         with _cut_after_5s("the generator was moved before any limit"):
             with pytest.raises(DegreeCapExceeded, match="kernel limit"):
                 rgin([big], GinConfig(mode=mode))
+
+
+class TestErrorLocations:
+    """Each input error through ``main`` exits 2 with ``file:line:col``, or
+    with the file alone when the fault is in no one line."""
+
+    @pytest.mark.parametrize("text, where, message", [
+        ("vars x y\nhyperplane x $ y\n", "2:14", "unexpected character '$'"),
+        ("vars x y\nhyperplane x^y\n", "2:14",
+         "exponent must be a non-negative integer"),
+        ("vars x y\nhyperplane (x + y\n", "2:17", "missing closing parenthesis"),
+        ("vars x y\nhyperplane x + * y\n", "2:16", "unexpected '*'"),
+        ("vars x y\nhyperplane\n", "2:11", "empty expression"),
+        ("vars x y\nvars x y\nhyperplane x\n", "2:1", "duplicate vars line"),
+        ("vars\nhyperplane x\n", "1:1", "vars line declares no variables"),
+        ("vars x 1y\nhyperplane x\n", "1:1", "bad variable name '1y'"),
+        ("vars x y\nplane x\n", "2:1", "unknown directive 'plane'"),
+    ], ids=["character", "exponent", "parenthesis", "token", "empty",
+            "duplicate-vars", "empty-vars", "variable-name", "directive"])
+    def test_line_errors(self, tmp_path, capsys, text, where, message):
+        path = tmp_path / "bad.arr"
+        path.write_text(text)
+        assert run_cli("analyze", str(path)) == (EXIT_PARSE, "")
+        assert capsys.readouterr().err == f"error: {path}:{where}: {message}\n"
+
+    @pytest.mark.parametrize("command, text, message", [
+        ("analyze", "# vars x y\n", "missing vars line"),
+        ("analyze", "vars x y  # and nothing else\n", "no hyperplane or gen lines"),
+        ("analyze", "vars x y\ngen x^2\n",
+         "expected an arrangement file (hyperplane lines)"),
+        ("realize", "vars x y\nhyperplane x\n", "expected an ideal file (gen lines)"),
+    ], ids=["missing-vars", "no-items", "not-an-arrangement", "not-an-ideal"])
+    def test_whole_file_errors(self, tmp_path, capsys, command, text, message):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        assert run_cli(command, str(path)) == (EXIT_PARSE, "")
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+        if command == "analyze":
+            with pytest.raises(ParseError) as err:
+                parse_input(text, "f.txt").as_arrangement()
+            assert (err.value.line, err.value.col) == (0, 0)
+            assert str(err.value) == f"f.txt: {message}"
 
 
 class TestLargePrimes:

@@ -55,6 +55,10 @@ class TestRandomLinearChange:
         g = random_linear_change(1, random.Random(3), 4)
         assert len(g) == 1 and g[0][0] != 0
 
+    def test_no_variables_rejected(self):
+        with pytest.raises(ValueError, match="need l >= 1"):
+            random_linear_change(0, random.Random(3), 1)
+
     def test_deterministic(self):
         a = random_linear_change(3, random.Random(9), 10)
         b = random_linear_change(3, random.Random(9), 10)
@@ -141,6 +145,18 @@ class TestCertification:
             GinConfig(mode="modular", primes=(32003, 32003))
         with pytest.raises(ValueError):
             GinConfig(mode="modular", primes=(32004, 7))
+        with pytest.raises(ValueError, match="entry bound"):
+            GinConfig(entry_bound=0)
+        with pytest.raises(ValueError, match="max_retries"):
+            GinConfig(max_retries=0)
+        with pytest.raises(ValueError, match="unknown coefficient mode"):
+            GinConfig(mode="x")
+
+    def test_rejects_empty_and_modular_input(self):
+        with pytest.raises(ValueError, match="at least one generator"):
+            rgin([], CFG)
+        with pytest.raises(ValueError, match="over the rationals"):
+            rgin([Polynomial.variable(1, 2, GF(7))], CFG)
 
 
 class TestGenericityFailure:

@@ -8,12 +8,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from arrfree import (INFINITE, LexSegmentShape, MonomialIdeal,
+from arrfree import (INFINITE, DimensionError, LexSegmentShape, MonomialIdeal,
                      NotStronglyStableError,
                      PowerProduct, StronglyStableIdeal, betti_eliahou_kervaire,
-                     borel_closure, codimension, contains,
+                     borel_closure, codimension,
                      is_cm_codim2_stable, is_cohen_macaulay,
-                     is_strongly_stable, minimalize, reduction_number,
+                     is_strongly_stable, reduction_number,
                      regularity_stable, sectional_matrix, triangle_equality)
 from arrfree import monomial as monomial_module
 from arrfree.cli import render_sectional_matrix
@@ -45,7 +45,7 @@ def _all_moves(t):
 
 
 def _stable_all_pairs(I):
-    return all(I.contains(m) for g in I.generators for m in _all_moves(g))
+    return all(m in I for g in I.generators for m in _all_moves(g))
 
 
 def _closure_all_pairs(gens, nvars):
@@ -75,9 +75,9 @@ class TestMinimalizeContains:
     def test_examples(self):
         assert B([(2,), (3,)], 1).generators == (PowerProduct((2,)),)
         already = B([(2, 0), (0, 3)], 2)
-        assert minimalize(already.generators, 2) == already
-        mixed = minimalize([PowerProduct(g) for g in
-                            [(1, 1), (2, 1), (0, 3), (1, 3)]], 2)
+        assert MonomialIdeal(already.generators, 2) == already
+        mixed = MonomialIdeal([PowerProduct(g) for g in
+                               [(1, 1), (2, 1), (0, 3), (1, 3)]], 2)
         assert mixed == B([(1, 1), (0, 3)], 2)
 
     def test_generator_order(self):
@@ -93,9 +93,11 @@ class TestMinimalizeContains:
 
     def test_membership(self):
         I = B([(2, 0)], 2)
-        assert contains(I, PowerProduct((3, 1)))
-        assert not contains(I, PowerProduct((1, 5)))
-        assert not contains(MonomialIdeal.zero(2), PowerProduct((0, 0)))
+        assert PowerProduct((3, 1)) in I
+        assert PowerProduct((1, 5)) not in I
+        assert PowerProduct((0, 0)) not in MonomialIdeal.zero(2)
+        with pytest.raises(DimensionError):
+            PowerProduct((3, 1, 0)) in I
 
     def test_unit_and_zero(self):
         assert MonomialIdeal.unit(2).is_unit
@@ -209,6 +211,15 @@ class TestSectionalMatrix:
     def test_whole_ring_is_zero(self):
         M = sectional_matrix(MonomialIdeal.unit(3), 4)
         assert M.is_zero
+
+    @pytest.mark.parametrize("entry", [(0, 0), (4, 0), (1, -1), (1, 3)])
+    def test_entry_out_of_range(self, entry):
+        M = sectional_matrix(FIVE, 2)
+        with pytest.raises(IndexError, match="out of range"):
+            M.m(*entry)
+        if entry[0] in (0, 4):
+            with pytest.raises(IndexError, match="row index"):
+                M.row(entry[0])
 
     def test_rejects_negative_dmax(self):
         with pytest.raises(ValueError, match="dmax must be non-negative"):
@@ -381,6 +392,10 @@ class TestBetti:
         bt = betti_eliahou_kervaire(B([(3, 0, 0), (2, 1, 0), (1, 2, 0), (0, 4, 0)], 3))
         assert bt.beta0 == {3: 3, 4: 1}
         assert bt.beta1 == {4: 2, 5: 1}
+
+    def test_unit_ideal_rejected(self):
+        with pytest.raises(ValueError, match="unit ideal"):
+            betti_eliahou_kervaire(MonomialIdeal.unit(3))
 
     def test_koszul_pair(self):
         bt = betti_eliahou_kervaire(B([(1, 0), (0, 1)], 2))

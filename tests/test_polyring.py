@@ -1,5 +1,6 @@
 """Ring arithmetic, the term order, and linear changes of coordinates."""
 
+import operator
 import random
 from fractions import Fraction
 
@@ -7,9 +8,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from arrfree import (EQUAL, GF, GREATER, DimensionError, LinearChange,
-                     Polynomial, PowerProduct, apply_linear_change,
-                     cmp_degrevlex, variables)
+from arrfree import (GF, DimensionError, LinearChange, Polynomial,
+                     PowerProduct, apply_linear_change, variables)
 from arrfree.polyring import QQ, Field, _bareiss
 from helpers import poly, random_linear_form, random_polynomial, row_reduce
 
@@ -18,23 +18,31 @@ exponents3 = st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(0, 6))
 
 class TestDegRevLex:
     def test_contract_examples(self):
-        assert cmp_degrevlex(PowerProduct((2, 0, 0)), PowerProduct((1, 1, 0))) == GREATER
-        assert cmp_degrevlex(PowerProduct((1, 2, 3)), PowerProduct((1, 2, 3))) == EQUAL
+        assert PowerProduct((2, 0, 0)) > PowerProduct((1, 1, 0))
+        assert PowerProduct((1, 1, 0)) < PowerProduct((2, 0, 0))
+        a = PowerProduct((1, 2, 3))
+        assert a == PowerProduct((1, 2, 3)) and a <= a and a >= a
+        assert not (a < a or a > a)
         # difference (-1, 2, -1): last nonzero entry negative
-        assert cmp_degrevlex(PowerProduct((0, 2, 0)), PowerProduct((1, 0, 1))) == GREATER
+        assert PowerProduct((0, 2, 0)) > PowerProduct((1, 0, 1))
 
     def test_degree_dominates(self):
-        assert cmp_degrevlex(PowerProduct((0, 0, 3)), PowerProduct((2, 0, 0))) == GREATER
+        assert PowerProduct((0, 0, 3)) > PowerProduct((2, 0, 0))
 
     def test_length_mismatch(self):
-        with pytest.raises(DimensionError):
-            cmp_degrevlex(PowerProduct((1, 0)), PowerProduct((1, 0, 0)))
+        a, b = PowerProduct((1, 0)), PowerProduct((1, 0, 0))
+        for compare in (operator.lt, operator.le, operator.gt, operator.ge):
+            with pytest.raises(DimensionError):
+                compare(a, b)
 
     @given(exponents3, exponents3)
     def test_antisymmetry(self, a, b):
         pa, pb = PowerProduct(a), PowerProduct(b)
-        assert cmp_degrevlex(pa, pb) == -cmp_degrevlex(pb, pa)
-        assert (cmp_degrevlex(pa, pb) == EQUAL) == (a == b)
+        assert (pa < pb) == (pb > pa) and (pa <= pb) == (pb >= pa)
+        # exactly one of <, == and > holds
+        assert (pa < pb) + (pa == pb) + (pa > pb) == 1
+        assert (pa == pb) == (a == b)
+        assert (pa <= pb) == (pa < pb or pa == pb)
 
     @given(exponents3, exponents3, exponents3)
     def test_transitivity(self, a, b, c):
@@ -67,6 +75,11 @@ class TestDegRevLex:
             pa * PowerProduct(a + (0,))
         with pytest.raises(DimensionError):
             pa.lcm(PowerProduct(a + (0,)))
+
+    @pytest.mark.parametrize("op", ["divides", "lcm", "__truediv__"])
+    def test_operand_length_mismatch(self, op):
+        with pytest.raises(DimensionError, match="different lengths"):
+            getattr(PowerProduct((1, 0, 0)), op)(PowerProduct((1, 0)))
 
     def test_power_product_division(self):
         t = PowerProduct((2, 1, 0))
