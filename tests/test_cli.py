@@ -560,11 +560,17 @@ class TestExitCodes:
     # rgins that no free arrangement of five planes in 3-space has: the lex
     # segment of exponents (1, 4), padded to 3 variables, whose two
     # exponents miss l = 3, and a lex segment whose generator counts
-    # increase from degree 5 to 6
+    # increase from degree 5 to 6.  The CLI exit code is checked together
+    # with the library entry point named by ``entry``: analyze, which the
+    # CLI calls, and the two is_free_via_* wrappers around it
+    @pytest.mark.parametrize("entry", ["analyze", "is_free_via_rgin",
+                                       "is_free_via_sectional"],
+                             ids=["both", "rgin", "sectional"])
     @pytest.mark.parametrize("rgin_name", ["two_exponents", "counts_increase"])
     def test_inconsistent_rgin_is_compute_failure(self, monkeypatch, capsys,
-                                                  rgin_name):
-        from arrfree import StronglyStableIdeal, rgin_from_exponents
+                                                  rgin_name, entry):
+        from arrfree import (InternalConsistencyError, StronglyStableIdeal,
+                             rgin_from_exponents)
         from arrfree import arrangement as arrangement_module
 
         if rgin_name == "two_exponents":
@@ -574,9 +580,13 @@ class TestExitCodes:
         B = StronglyStableIdeal(gens, 3)
         monkeypatch.setattr(arrangement_module, "jacobian_rgin",
                             lambda A, cfg: B)
-        code, text = run_cli("analyze", str(INPUTS / "five_planes.arr"))
+        path = INPUTS / "five_planes.arr"
+        code, text = run_cli("analyze", str(path))
         assert (code, text) == (EXIT_COMPUTE, "")
         assert capsys.readouterr().err.startswith("error: free verdict but ")
+        A = parse_input(path.read_text()).as_arrangement()
+        with pytest.raises(InternalConsistencyError, match="^free verdict but "):
+            getattr(arrangement_module, entry)(A)
 
     # both characterizations run on every analyze: negating either one
     # makes the two disagree
