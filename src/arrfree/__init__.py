@@ -12,18 +12,16 @@ from .monomial import (INFINITE, BettiTable, LexSegmentShape, MonomialIdeal,
                        is_cohen_macaulay, is_strongly_stable, reduction_number,
                        regularity_stable, sectional_matrix, triangle_equality)
 from .groebner import (DegreeCapExceeded, GroebnerBasis, buchberger,
-                       hilbert_function, leading_term_ideal, normal_form,
-                       s_polynomial)
+                       hilbert_function, leading_term_ideal, normal_form)
 from .gin import (GenericityExhaustedError, GinCertificate, GinConfig,
                   random_linear_change, rgin)
 from .arrangement import (Arrangement, ArrangementError, ConjectureReport,
                           ExponentVector, FreenessReport,
                           InternalConsistencyError, NotFreeRginError,
-                          RealizabilityVerdict, ValidationInfo, analyze,
-                          check_conjecture_Z, defining_polynomial,
+                          RealizabilityVerdict, analyze, check_conjecture_Z,
                           exponents_from_rgin, is_free_via_rgin,
                           is_free_via_sectional, jacobian_ideal,
                           jacobian_rgin, realizable_as_free, rgin_from_exponents,
-                          supersolvable_from_exponents, validate)
+                          supersolvable_from_exponents)
 
 __version__ = "0.1.0"

@@ -28,9 +28,8 @@ from .polyring import (QQ, DimensionError, Polynomial, PowerProduct,
 
 __all__ = [
     "ArrangementError", "NotFreeRginError", "InternalConsistencyError",
-    "ValidationInfo", "Arrangement", "ExponentVector", "FreenessReport",
-    "RealizabilityVerdict", "ConjectureReport",
-    "validate", "defining_polynomial", "jacobian_ideal", "jacobian_rgin",
+    "Arrangement", "ExponentVector", "FreenessReport",
+    "RealizabilityVerdict", "ConjectureReport", "jacobian_ideal", "jacobian_rgin",
     "sectional_bounds", "analyze", "is_free_via_rgin", "is_free_via_sectional",
     "exponents_from_rgin", "rgin_from_exponents",
     "supersolvable_from_exponents", "realizable_as_free", "check_conjecture_Z",
@@ -65,16 +64,6 @@ class ExponentVector(tuple):
 # validation and basic data
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ValidationInfo:
-    central: bool
-    distinct: bool
-    essential: bool
-    n: int
-    l: int
-    problems: Tuple[str, ...] = ()
-
-
 def _is_linear_form(f: Polynomial) -> bool:
     return (not f.is_zero and f.is_homogeneous() and f.total_degree() == 1)
 
@@ -91,64 +80,50 @@ def _primitive_row(f: Polynomial) -> Tuple[Tuple[int, ...], Fraction]:
     return tuple(v // content for v in ints), Fraction(content, den)
 
 
-def validate(forms: Sequence[Polynomial]) -> ValidationInfo:
-    """Check centrality, distinctness and essentiality of a list of forms."""
-    return _validated(forms)[0]
-
-
-def _validated(forms: Sequence[Polynomial]) -> tuple:
-    """``validate(forms)`` and, for central forms, the ``_primitive_row``
-    of each form that the check read, else ()."""
-    forms = list(forms)
-    if not forms:
-        raise ArrangementError("an arrangement needs at least one hyperplane")
-    l = forms[0].nvars
-    problems = []
-    central = True
-    for idx, f in enumerate(forms):
-        if f.nvars != l:
-            raise DimensionError(f"form #{idx + 1} lives in {f.nvars} variables, "
-                                 f"expected {l}")
-        if f.field != QQ:
-            raise ArrangementError(f"form #{idx + 1} must have rational coefficients")
-        if not _is_linear_form(f):
-            central = False
-            problems.append(f"form #{idx + 1} ({f}) is not linear homogeneous")
-    distinct, essential, primitive = True, False, ()
-    if central:
-        # two forms define one hyperplane iff their primitive rows agree up
-        # to sign
-        primitive = [_primitive_row(f) for f in forms]
-        rows = [row for row, _ in primitive]
-        seen: dict = {}
-        for idx, row in enumerate(rows):
-            sign = 1 if next(v for v in row if v) > 0 else -1
-            first = seen.setdefault(tuple(sign * v for v in row), idx)
-            if first != idx:
-                distinct = False
-                problems.append(
-                    f"forms #{first + 1} and #{idx + 1} define the same hyperplane")
-        essential = _bareiss(rows)[0] == l
-    return ValidationInfo(central=central, distinct=distinct, essential=essential,
-                          n=len(forms), l=l, problems=tuple(problems)), primitive
-
-
 class Arrangement:
-    """A central arrangement of pairwise distinct hyperplanes."""
+    """A central arrangement of pairwise distinct hyperplanes.
+
+    The forms must be nonzero linear forms over QQ in one number of
+    variables; a form that is not linear homogeneous, or two forms that
+    define one hyperplane, raise ``ArrangementError`` naming each problem.
+    """
 
     __slots__ = ("forms", "rows", "content", "nvars", "essential")
 
     def __init__(self, forms: Sequence[Polynomial]):
-        info, primitive = _validated(forms)
-        if not info.central or not info.distinct:
-            raise ArrangementError("; ".join(info.problems))
-        self.forms = tuple(forms)
-        # each form is content * row (``_primitive_row``); Q is the product
-        # of the rows times self.content
+        forms = tuple(forms)
+        if not forms:
+            raise ArrangementError("an arrangement needs at least one hyperplane")
+        l = forms[0].nvars
+        problems = []
+        for idx, f in enumerate(forms, start=1):
+            if f.nvars != l:
+                raise DimensionError(f"form #{idx} lives in {f.nvars} variables, "
+                                     f"expected {l}")
+            if f.field != QQ:
+                raise ArrangementError(f"form #{idx} must have rational coefficients")
+            if not _is_linear_form(f):
+                problems.append(f"form #{idx} ({f}) is not linear homogeneous")
+        if problems:
+            raise ArrangementError("; ".join(problems))
+        # each form is content * row (``_primitive_row``), and two forms
+        # define one hyperplane iff their rows agree up to sign
+        primitive = [_primitive_row(f) for f in forms]
+        seen: dict = {}
+        for idx, (row, _) in enumerate(primitive):
+            sign = 1 if next(v for v in row if v) > 0 else -1
+            first = seen.setdefault(tuple(sign * v for v in row), idx)
+            if first != idx:
+                problems.append(
+                    f"forms #{first + 1} and #{idx + 1} define the same hyperplane")
+        if problems:
+            raise ArrangementError("; ".join(problems))
+        self.forms = forms
+        # Q is the product of the rows times self.content
         self.rows, contents = zip(*primitive)
         self.content = math.prod(contents, start=Fraction(1))
-        self.nvars = info.l
-        self.essential = info.essential
+        self.nvars = l
+        self.essential = _bareiss(self.rows)[0] == l
 
     @property
     def n(self) -> int:
@@ -173,11 +148,6 @@ def _expand(rows: Sequence[Sequence[int]], field) -> List[dict]:
         partials.append(_residues(
             {k - x: c * (-k >> _W * j & low) for k, c in Q.items()}, p))
     return [Q] + partials
-
-
-def defining_polynomial(A: Arrangement) -> Polynomial:
-    """Product of the defining linear forms; homogeneous of degree n."""
-    return _poly(_expand(A.rows, QQ)[0], 1, A.nvars, QQ).scale(A.content)
 
 
 def jacobian_ideal(A: Arrangement) -> List[Polynomial]:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -26,7 +27,7 @@ from .gin import GenericityExhaustedError, GinConfig, rgin
 from .groebner import DegreeCapExceeded
 from .monomial import (MonomialIdeal, SectionalMatrix, StronglyStableIdeal,
                        sectional_matrix, triangle_equality)
-from .polyring import (Polynomial, PowerProduct, format_power_product,
+from .polyring import (Polynomial, format_power_product,
                        var_names, _is_prime)
 
 __all__ = [
@@ -39,6 +40,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_PARSE = 2
 EXIT_COMPUTE = 3
+EXIT_PIPE = 141          # 128 + SIGPIPE, as a shell reports a tool it killed
 
 # Input limits.  The Groebner work grows steeply with the number of
 # hyperplanes and the generator degree, so a larger input is rejected
@@ -140,12 +142,7 @@ class _ExprParser:
         return poly
 
     def _expr(self) -> Polynomial:
-        sign = 1
-        tok = self._peek()
-        if tok and tok[0] in "+-":
-            self.pos += 1
-            sign = -1 if tok[0] == "-" else 1
-        poly = self._term().scale(sign)
+        poly = self._term()
         while True:
             tok = self._peek()
             if tok is None or tok[0] not in "+-":
@@ -173,6 +170,10 @@ class _ExprParser:
         return poly
 
     def _factor(self) -> Polynomial:
+        negate = False
+        while (tok := self._peek()) and tok[0] in "+-":   # -y^2 is -(y^2)
+            self.pos += 1
+            negate ^= tok[0] == "-"
         base = self._atom()
         tok = self._peek()
         if tok and tok[0] == "^":
@@ -189,8 +190,8 @@ class _ExprParser:
                     self._error(f"a power of {c} has more than "
                                 f"{MAX_COEFF_BITS} bits")
             self.pos += 1
-            return base ** etok[1]
-        return base
+            base = base ** etok[1]
+        return -base if negate else base
 
     def _atom(self) -> Polynomial:
         tok = self._peek()
@@ -677,5 +678,19 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
         return EXIT_PARSE
 
 
+def console() -> int:
+    """The ``arrfree`` command: ``main`` on the process's streams.  A reader
+    that closes standard output early, as ``arrfree ... | head -1`` does,
+    ends the run with ``EXIT_PIPE`` and no traceback."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
+    return code
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(console())

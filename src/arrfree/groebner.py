@@ -71,7 +71,7 @@ from .polyring import Polynomial, PowerProduct
 
 __all__ = [
     "DegreeCapExceeded", "InternalConsistencyError", "GroebnerBasis",
-    "normal_form", "s_polynomial", "buchberger", "hilbert_hint",
+    "normal_form", "buchberger", "hilbert_hint",
     "leading_term_ideal", "hilbert_function",
 ]
 
@@ -332,21 +332,6 @@ def normal_form(f: Polynomial, G: Sequence[Polynomial],
     return _poly(rem, m0 * mult, f.nvars, f.field)
 
 
-def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
-    """The S-polynomial of two nonzero polynomials."""
-    f._check_compatible(g)
-    if f.is_zero or g.is_zero:
-        raise ValueError("S-polynomial of the zero polynomial is undefined")
-    lt_f, lt_g = f.leading_power_product(), g.leading_power_product()
-    lcm = lt_f.lcm(lt_g)
-    field = f.field
-    mf = Polynomial.monomial(lcm / lt_f, f.nvars, field,
-                             field.inv(f.leading_coefficient()))
-    mg = Polynomial.monomial(lcm / lt_g, g.nvars, field,
-                             field.inv(g.leading_coefficient()))
-    return mf * f - mg * g
-
-
 class GroebnerBasis:
     """Reduced Groebner basis under DegRevLex: monic, interreduced, sorted.
 
@@ -377,13 +362,6 @@ class GroebnerBasis:
 
     def __len__(self):
         return len(self.elements)
-
-    @property
-    def is_zero_ideal(self) -> bool:
-        return not self._divisors
-
-    def contains(self, f: Polynomial) -> bool:
-        return normal_form(f, self.elements).is_zero
 
     def __eq__(self, other):
         return (isinstance(other, GroebnerBasis) and self.nvars == other.nvars

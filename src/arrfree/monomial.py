@@ -9,7 +9,6 @@ closed form; the sectional matrix counts standard monomials.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -81,14 +80,6 @@ class MonomialIdeal:
         out = cls.__new__(cls)
         out.generators, out.nvars = _canonical_order(gens), nvars
         return out
-
-    @classmethod
-    def zero(cls, nvars: int) -> "MonomialIdeal":
-        return cls((), nvars)
-
-    @classmethod
-    def unit(cls, nvars: int) -> "MonomialIdeal":
-        return cls((PowerProduct.unit(nvars),), nvars)
 
     @property
     def is_zero(self) -> bool:
@@ -370,11 +361,6 @@ class BettiTable:
     beta0: dict
     beta1: dict
     m_table: dict
-
-    def beta(self, i: int, j: int) -> int:
-        """General entry beta_{i,j} via the biggest-variable counts."""
-        return sum(math.comb(k - 1, i) * m
-                   for (k, deg), m in self.m_table.items() if deg == j - i)
 
 
 def betti_eliahou_kervaire(B: MonomialIdeal) -> BettiTable:

@@ -56,38 +56,20 @@ class PowerProduct(tuple):
             raise IndexError(f"variable index {i} out of range 1..{nvars}")
         return cls(tuple(1 if j == i - 1 else 0 for j in range(nvars)))
 
-    @property
-    def nvars(self) -> int:
-        return len(self)
-
     def degree(self) -> int:
         return sum(self)
 
-    # Sums and maxima of valid exponents are valid, so products and lcms
-    # skip the validation in __new__.
+    # Sums of valid exponents are valid, so products skip the validation
+    # in __new__.
     def __mul__(self, other: "PowerProduct") -> "PowerProduct":
         if len(self) != len(other):
             raise DimensionError("power products of different lengths")
         return tuple.__new__(PowerProduct, map(add, self, other))
 
-    def __truediv__(self, other: "PowerProduct") -> "PowerProduct":
-        """Exact division; raises if ``other`` does not divide ``self``."""
-        if len(self) != len(other):
-            raise DimensionError("power products of different lengths")
-        diff = tuple(a - b for a, b in zip(self, other))
-        if any(d < 0 for d in diff):
-            raise ValueError(f"{other} does not divide {self}")
-        return PowerProduct(diff)
-
     def divides(self, other: "PowerProduct") -> bool:
         if len(self) != len(other):
             raise DimensionError("power products of different lengths")
         return all(a <= b for a, b in zip(self, other))
-
-    def lcm(self, other: "PowerProduct") -> "PowerProduct":
-        if len(self) != len(other):
-            raise DimensionError("power products of different lengths")
-        return tuple.__new__(PowerProduct, map(max, self, other))
 
     def max_variable(self) -> int:
         """1-based index of the biggest variable dividing this monomial; 0 for 1."""
@@ -172,9 +154,6 @@ class Field:
                 raise ZeroDivisionError(f"denominator of {c} vanishes mod {p}")
             return c.numerator * pow(den, -1, p) % p
         return int(c) % p
-
-    def inv(self, a):
-        return Fraction(1) / a if self.p is None else pow(a, -1, self.p)
 
     def __eq__(self, other):
         return isinstance(other, Field) and other.p == self.p
@@ -277,9 +256,6 @@ class Polynomial:
         for pp in sorted(self._terms, reverse=True):
             yield pp, self._terms[pp]
 
-    def term_dict(self) -> dict:
-        return dict(self._terms)
-
     def is_homogeneous(self) -> bool:
         degs = {pp.degree() for pp in self._terms}
         return len(degs) <= 1
@@ -342,25 +318,6 @@ class Polynomial:
             base = base * base if n > 1 else base
             n >>= 1
         return result
-
-    def partial_derivative(self, i: int) -> "Polynomial":
-        """Formal derivative with respect to x_i (1-based index)."""
-        if not 1 <= i <= self.nvars:
-            raise IndexError(f"variable index {i} out of range 1..{self.nvars}")
-        j = i - 1
-        out: dict = {}
-        for pp, c in self._terms.items():
-            if pp[j]:
-                dropped = PowerProduct(tuple(v - 1 if k == j else v for k, v in enumerate(pp)))
-                out[dropped] = c * pp[j]
-        return self._reduced(out)
-
-    def convert(self, field) -> "Polynomial":
-        """Reinterpret the coefficients in another field."""
-        if field == self.field:
-            return self
-        return Polynomial({pp: field.coerce(c) for pp, c in self._terms.items()},
-                          self.nvars, field)
 
     # -- equality / display --------------------------------------------------
 

@@ -21,6 +21,38 @@ def polys(texts, nvars):
     return [poly(t, nvars) for t in texts]
 
 
+def convert(f, field):
+    """f with its coefficients read in another field."""
+    return Polynomial(dict(f.terms()), f.nvars, field)
+
+
+def derivative(f, i):
+    """The formal derivative df/dx_i (1-based index), term by term."""
+    j = i - 1
+    return Polynomial({PowerProduct(e - (k == j) for k, e in enumerate(pp)): c * pp[j]
+                       for pp, c in f.terms() if pp[j]}, f.nvars, f.field)
+
+
+def s_polynomial(f, g):
+    """The S-polynomial of two nonzero polynomials over one field."""
+    lt_f, lt_g = f.leading_power_product(), g.leading_power_product()
+    lcm = PowerProduct(map(max, lt_f, lt_g))
+
+    def part(h, lt):
+        quotient = PowerProduct(a - b for a, b in zip(lcm, lt))
+        return Polynomial.monomial(quotient, h.nvars, h.field,
+                                   1 / Fraction(h.leading_coefficient())) * h
+    return part(f, lt_f) - part(g, lt_g)
+
+
+def defining_polynomial(A):
+    """The product of the forms of an arrangement."""
+    Q = Polynomial.constant(1, A.nvars)
+    for f in A.forms:
+        Q = Q * f
+    return Q
+
+
 def random_exponent(total, nvars, rng):
     exps = [0] * nvars
     for _ in range(total):

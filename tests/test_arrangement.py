@@ -13,10 +13,10 @@ from arrfree import (Arrangement, ArrangementError, DimensionError,
                      ExponentVector, GinConfig,
                      InternalConsistencyError, NotFreeRginError, Polynomial, PowerProduct,
                      StronglyStableIdeal, analyze, check_conjecture_Z,
-                     defining_polynomial, exponents_from_rgin, is_free_via_rgin,
+                     exponents_from_rgin, is_free_via_rgin,
                      is_free_via_sectional, jacobian_ideal, jacobian_rgin,
                      realizable_as_free, rgin, rgin_from_exponents,
-                     supersolvable_from_exponents, validate)
+                     supersolvable_from_exponents)
 from arrfree import (GF, QQ, LinearChange, apply_linear_change, borel_closure,
                      random_linear_change, variables)
 from arrfree import arrangement as arrangement_module
@@ -27,8 +27,9 @@ from arrfree.arrangement import (_expand, _free_by_generator_shape,
 from arrfree.cli import report_to_dict
 from arrfree.groebner import _poly
 from helpers import arrangement as bench_arrangement
-from helpers import (bench_workloads, distinct_random_forms, poly, polys,
-                     random_borel_ideal, random_linear_form)
+from helpers import (bench_workloads, convert, defining_polynomial, derivative,
+                     distinct_random_forms, poly, polys, random_borel_ideal,
+                     random_linear_form)
 
 CFG = GinConfig(seed=9)
 
@@ -39,28 +40,25 @@ def arrangement(texts, nvars):
 
 class TestValidate:
     def test_essential_frame(self):
-        info = validate(polys(["x", "y", "z", "x-y"], 3))
-        assert info.central and info.distinct and info.essential
-        assert info.n == 4 and info.l == 3
+        A = arrangement(["x", "y", "z", "x-y"], 3)
+        assert A.essential and (A.n, A.l) == (4, 3)
 
     def test_non_essential(self):
-        info = validate(polys(["x", "x-y"], 3))
-        assert info.central and not info.essential
+        assert not arrangement(["x", "x-y"], 3).essential
 
     def test_repeated_hyperplane(self):
-        info = validate(polys(["x", "2x"], 2))
-        assert not info.distinct
-        with pytest.raises(ArrangementError):
+        with pytest.raises(ArrangementError,
+                           match="^forms #1 and #2 define the same hyperplane$"):
             arrangement(["x", "2x"], 2)
 
     def test_repeated_up_to_rational_and_negative_multiples(self):
         forms = polys(["2x - y", "z", "-2x + y", "z", "x + y"], 3)
         forms[0] = forms[0].scale(Fraction(1, 2))           # x - y/2
         forms[3] = forms[3].scale(Fraction(-3, 4))
-        info = validate(forms)
-        assert info.central and not info.distinct and info.essential
-        assert info.problems == ("forms #1 and #3 define the same hyperplane",
-                                 "forms #2 and #4 define the same hyperplane")
+        with pytest.raises(ArrangementError) as err:
+            Arrangement(forms)
+        assert str(err.value) == ("forms #1 and #3 define the same hyperplane; "
+                                  "forms #2 and #4 define the same hyperplane")
 
     def test_primitive_rows_keep_signs(self):
         A = Arrangement([poly("2x - 4y", 3).scale(Fraction(1, 3)),
@@ -86,34 +84,41 @@ class TestValidate:
         with pytest.raises(ArrangementError, match="at least one hyperplane"):
             Arrangement([])
         with pytest.raises(DimensionError, match="form #2 lives in 2 variables"):
-            validate(polys(["x"], 3) + polys(["y"], 2))
+            Arrangement(polys(["x"], 3) + polys(["y"], 2))
         with pytest.raises(ArrangementError, match="rational coefficients"):
             Arrangement([Polynomial.variable(1, 2, GF(7))])
 
     def test_nonlinear_rejected(self):
-        info = validate(polys(["x^2"], 2))
-        assert not info.central and "form #1" in info.problems[0]
-        with pytest.raises(ArrangementError):
+        with pytest.raises(ArrangementError, match=r"^form #1 \(x\^2\) is not linear"):
             arrangement(["x^2"], 2)
-        with pytest.raises(ArrangementError):
-            arrangement(["x + 1"], 2)
+        # every form that is not linear is named, and no duplicate is sought
+        with pytest.raises(ArrangementError, match=r"^form #2 \(x \+ 1\) is not "
+                           r"linear homogeneous; form #3 \(x \+ 1\) is not"):
+            arrangement(["x", "x + 1", "x + 1"], 2)
+
+
+def expanded_product(A):
+    """Q = the product of the forms, as ``_expand`` builds it from the
+    primitive rows, times the content."""
+    return _poly(_expand(A.rows, QQ)[0], 1, A.nvars, QQ).scale(A.content)
 
 
 class TestDefiningPolynomial:
     def test_product(self):
         A = arrangement(["x", "y", "z", "x+y", "x-y"], 3)
-        assert defining_polynomial(A) == poly("x^3*y*z - x*y^3*z", 3)
+        assert expanded_product(A) == poly("x^3*y*z - x*y^3*z", 3)
 
     def test_single(self):
         A = Arrangement([Polynomial.variable(1, 1)])
-        assert defining_polynomial(A) == Polynomial.variable(1, 1)
+        assert expanded_product(A) == Polynomial.variable(1, 1)
 
     def test_degree_is_count(self):
         rng = random.Random(12)
         for _ in range(10):
             forms = distinct_random_forms(3, rng.randint(1, 5), rng)
-            A = Arrangement(forms)
-            assert defining_polynomial(A).total_degree() == A.n
+            A = Arrangement([f.scale(random_fraction(rng)) for f in forms])
+            Q = expanded_product(A)
+            assert Q == defining_polynomial(A) and Q.total_degree() == A.n
 
 
 class TestJacobianIdeal:
@@ -135,8 +140,10 @@ def perturbed_staircase():
     rng = random.Random(4)
     while True:
         forms = list(base.forms[:-1]) + [random_linear_form(3, rng, bound=7)]
-        if validate(forms).distinct:
+        try:
             return Arrangement(forms)
+        except ArrangementError:         # two forms define one hyperplane
+            continue
 
 
 class TestTrialRoutes:
@@ -281,10 +288,10 @@ class TestPackedTrials:
             trial = builds.pop()(g, field)
             # the reference: the primitive product, moved, then differentiated
             Qg = apply_linear_change(
-                defining_polynomial(A).scale(1 / A.content).convert(field),
+                convert(defining_polynomial(A).scale(1 / A.content), field),
                 LinearChange(g))
             assert [_poly(t, 1, l, field) for t in trial] == \
-                [Qg.partial_derivative(i) for i in range(1, l + 1)]
+                [derivative(Qg, i) for i in range(1, l + 1)]
             residues = range(1, field.p) if field.p else None
             for t in trial:
                 assert all(c and (residues is None or c in residues) for c in t.values())
@@ -346,7 +353,7 @@ class TestAgainstSympy:
                              for f in distinct_random_forms(l, n, rng)])
             Q = sympy.prod(sympy.expand(to_sympy(f).as_expr()) for f in A.forms)
             Q = sympy.Poly(sympy.expand(Q), *xs)
-            assert to_sympy(defining_polynomial(A)) == Q
+            assert to_sympy(expanded_product(A)) == Q
             assert [to_sympy(dQ) for dQ in jacobian_ideal(A)] == [Q.diff(x) for x in xs]
 
 

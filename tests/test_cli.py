@@ -11,7 +11,7 @@ import pytest
 
 from arrfree import (GF, DegreeCapExceeded, GinConfig, Polynomial, PowerProduct,
                      analyze, rgin)
-from arrfree.cli import (EXIT_COMPUTE, EXIT_OK, EXIT_PARSE, EXIT_USAGE,
+from arrfree.cli import (EXIT_COMPUTE, EXIT_OK, EXIT_PARSE, EXIT_PIPE, EXIT_USAGE,
                          ParseError, main, parse_expression, parse_input,
                          report_to_dict, render_sectional_matrix)
 from arrfree.polyring import _is_prime
@@ -83,6 +83,11 @@ class TestExpressionParsing:
         assert str(parse_expression("x+2z", names)) == "x + 2*z"
         assert str(parse_expression("2 x y", names)) == "2*x*y"
         assert str(parse_expression("-x^2 + (x+y)^2", names)) == "2*x*y + y^2"
+        # a sign may start any factor, and binds looser than ^
+        for text, grouped in [("x + -4*y", "x + (-4)*y"), ("x*-y", "x*(-y)"),
+                              ("x - -y", "x - (-y)"), ("x*-y^2", "x*(-(y^2))")]:
+            assert parse_expression(text, names) == parse_expression(grouped, names)
+        assert parse_expression("x*-y^2", names) != parse_expression("x*(-y)^2", names)
 
     def test_multicharacter_names(self):
         names = ("x1", "x2")
@@ -187,6 +192,26 @@ class TestCommands:
         _, first = run_cli("analyze", str(path), "--seed", "11", "--json")
         _, second = run_cli("analyze", str(path), "--seed", "11", "--json")
         assert first == second
+
+    def test_signed_factor(self, tmp_path):
+        runs = []
+        for form in ("x - 4*y", "x + -4*y"):
+            path = tmp_path / "signed.arr"
+            path.write_text(FIVE_ARR.replace("hyperplane x-y", f"hyperplane {form}"))
+            runs.append(run_cli("rgin", str(path), "--seed", "7", "--json"))
+        assert runs[0] == runs[1] and runs[0][0] == EXIT_OK
+
+    def test_closed_pipe_exits_quietly(self):
+        import subprocess
+        import sys
+        # the output outgrows the pipe, so the run is still writing when the
+        # reader goes away after one line
+        cmd = [sys.executable, "-m", "arrfree.cli", "construct", "--exponents", "1,6000"]
+        with subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as run:
+            assert run.stdout.readline() == b"vars x y\n"
+            run.stdout.close()
+            err = run.stderr.read()
+            assert (run.wait(timeout=60), err) == (EXIT_PIPE, b"")
 
     def test_seed_determinism_across_processes(self, tmp_path):
         import subprocess
@@ -620,6 +645,8 @@ class TestErrorLocations:
         ("vars x y\nhyperplane x $ y\n", "2:14", "unexpected character '$'"),
         ("vars x y\nhyperplane x^y\n", "2:14",
          "exponent must be a non-negative integer"),
+        ("vars x y\nhyperplane x^-1\n", "2:14",
+         "exponent must be a non-negative integer"),
         ("vars x y\nhyperplane (x + y\n", "2:17", "missing closing parenthesis"),
         ("vars x y\nhyperplane x + * y\n", "2:16", "unexpected '*'"),
         ("vars x y\nhyperplane\n", "2:11", "empty expression"),
@@ -627,7 +654,7 @@ class TestErrorLocations:
         ("vars\nhyperplane x\n", "1:1", "vars line declares no variables"),
         ("vars x 1y\nhyperplane x\n", "1:1", "bad variable name '1y'"),
         ("vars x y\nplane x\n", "2:1", "unknown directive 'plane'"),
-    ], ids=["character", "exponent", "parenthesis", "token", "empty",
+    ], ids=["character", "exponent", "negative-exponent", "parenthesis", "token", "empty",
             "duplicate-vars", "empty-vars", "variable-name", "directive"])
     def test_line_errors(self, tmp_path, capsys, text, where, message):
         path = tmp_path / "bad.arr"

@@ -19,7 +19,7 @@ from arrfree import (GF, Arrangement, GenericityExhaustedError, GinConfig, Linea
 from arrfree import gin as gin_module
 from arrfree.groebner import _int_terms, _normalize
 from arrfree.polyring import QQ
-from helpers import arrangement, bench_workloads, monomial_gens, poly, polys, \
+from helpers import arrangement, bench_workloads, convert, monomial_gens, poly, polys, \
     linear_change_oracle, random_borel_ideal, random_polynomial, row_reduce
 
 CFG = GinConfig(seed=42)
@@ -35,7 +35,7 @@ def _packed(polys):
 def _substituted(gens, rows, field):
     # the reference route: each generator read over field, the rows substituted
     g = LinearChange(rows)
-    return [apply_linear_change(f.convert(field), g) for f in gens]
+    return [apply_linear_change(convert(f, field), g) for f in gens]
 
 
 def _moved(gens, g, field):
@@ -192,7 +192,7 @@ class TestGenericityFailure:
         gens = polys(["z^5", "x*y*z^3"], 3)
         with pytest.raises(GenericityExhaustedError) as err:
             rgin(3, GinConfig(seed=1, max_retries=1, mode="modular"),
-                 lambda g, field: _packed(f.convert(field) for f in gens))
+                 lambda g, field: _packed(convert(f, field) for f in gens))
         assert len(err.value.draws) == 2  # the first prime's budget
         assert "uniform mod p" in str(err.value)
         assert "entry bound" not in str(err.value)
@@ -201,7 +201,7 @@ class TestGenericityFailure:
 def _x5(field):
     # strongly stable, smaller than the gin <x^5, x^4*y, x^3*y^3> and with
     # its Hilbert function, as every draw of one field must be
-    return _packed(f.convert(field)
+    return _packed(convert(f, field)
                    for f in polys(["x^5", "x^4*y", "x^4*z^2", "x^3*y^4"], 3))
 
 
@@ -263,7 +263,7 @@ class TestRedraws:
         def build(g, field):  # the unmoved build computes <x^5>, not the ideal
             calls.append(g)
             if len(calls) == 1:
-                return _packed([poly("x^5", 3).convert(field)])
+                return _packed([convert(poly("x^5", 3), field)])
             return _moved(self.GENS, g, field)
         with pytest.raises(InternalConsistencyError, match="Hilbert function"):
             rgin(3, CFG, build)
@@ -277,7 +277,7 @@ class TestRedraws:
         def build(g, field):  # the first draw computes <x^5>, not the ideal
             calls.append(field)
             if len(calls) == 1:
-                return _packed([poly("x^5", 3).convert(field)])
+                return _packed([convert(poly("x^5", 3), field)])
             return _moved(self.GENS, g, field)
         with pytest.raises(InternalConsistencyError, match="Hilbert function"):
             rgin(3, GinConfig(seed=42, mode="modular"), build)
@@ -451,17 +451,17 @@ class TestChainRule:
     def test_moved_product_and_substituted_partials_agree(self):
         # grad(Q o g) = g^T (grad Q o g) with g^T invertible, so the two
         # generator lists differ but span one ideal: one reduced basis
-        from arrfree import Arrangement, defining_polynomial, jacobian_ideal
-        from helpers import distinct_random_forms
+        from arrfree import Arrangement, jacobian_ideal
+        from helpers import defining_polynomial, derivative, distinct_random_forms
         rng = random.Random(31)
         A = Arrangement(distinct_random_forms(3, 6, rng))
         for field in (QQ, GF(32003)):
             for _ in range(3):
                 # entries in [-10, 10] keep |det| below 32003: g stays invertible
                 g = random_linear_change(3, rng, 10)
-                Qg = apply_linear_change(defining_polynomial(A).convert(field),
+                Qg = apply_linear_change(convert(defining_polynomial(A), field),
                                          LinearChange(g))
-                moved = [Qg.partial_derivative(i) for i in (1, 2, 3)]
+                moved = [derivative(Qg, i) for i in (1, 2, 3)]
                 substituted = _substituted(jacobian_ideal(A), g, field)
                 assert moved != substituted
                 assert buchberger(moved) == buchberger(substituted)
@@ -518,7 +518,7 @@ class TestDefaultBuild:
         else:
             g = random_linear_change(l, rng, modulus=field.p)
         primitive = [f.scale(Fraction(1, math.gcd(
-            *(c.numerator for c in f.term_dict().values())))) for f in gens]
+            *(c.numerator for _, c in f.terms())))) for f in gens]
         expected = [_normalize(t, field.p) for t in _moved(primitive, g, field)]
         got = [_normalize(t, field.p) for t in _default_build(gens)(g, field)]
         assert got == expected and all(got)
@@ -561,7 +561,7 @@ class TestDefaultBuild:
 class TestOneRepresentation:
     """A draw is its integer rows from ``random_linear_change`` to the
     certificate, and a generator is read once as integer terms: no draw
-    builds a ``LinearChange`` or a ``Fraction``, or converts a polynomial."""
+    builds a ``LinearChange`` or a ``Fraction``."""
 
     @pytest.mark.parametrize("mode", ["exact", "modular"])
     def test_no_second_representation(self, monkeypatch, mode):
@@ -577,7 +577,6 @@ class TestOneRepresentation:
         def forbidden(*args, **kwargs):
             raise AssertionError("a draw built a second representation")
         monkeypatch.setattr(polyring.LinearChange, "__init__", forbidden)
-        monkeypatch.setattr(polyring.Polynomial, "convert", forbidden)
         made = []
         new = Fraction.__new__
         monkeypatch.setattr(Fraction, "__new__", lambda cls, *args, **kwargs:

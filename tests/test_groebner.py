@@ -12,8 +12,7 @@ from arrfree import (GF, QQ, Arrangement, DegreeCapExceeded, GinConfig,
                      LinearChange, MonomialIdeal, Polynomial, PowerProduct,
                      apply_linear_change, buchberger,
                      hilbert_function, jacobian_ideal, jacobian_rgin,
-                     leading_term_ideal, normal_form, random_linear_change,
-                     s_polynomial)
+                     leading_term_ideal, normal_form, random_linear_change)
 from arrfree import gin as gin_module
 from arrfree import groebner as groebner_module
 from arrfree.cli import load_input
@@ -21,8 +20,8 @@ from arrfree.groebner import (_W, _degree, _exponents, _fields,
                               _guards, _int_terms, _key, _max_fields, _pack,
                               _power_product, _reduce, _tail)
 from arrfree.monomial import degree_monomials
-from helpers import (arrangement, bench_workloads, poly, polys,
-                     random_exponent, random_polynomial)
+from helpers import (arrangement, bench_workloads, convert, poly, polys,
+                     random_exponent, random_polynomial, s_polynomial)
 
 INPUTS = Path(__file__).resolve().parents[1] / "inputs"
 FIELDS = pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["QQ", "GF32003"])
@@ -72,9 +71,9 @@ class TestSortKeys:
         ka, kb, kc = _key(a), _key(b), _key(c)
         ab = ka + kb
         assert ab == _key(a * b)
-        assert ab - ka == _key((a * b) / a)
+        assert ab - ka == kb
         assert _degree(ab, l) == (a * b).degree()
-        assert _lcm(ka, kb, l) == _key(a.lcm(b))
+        assert _lcm(ka, kb, l) == _key(PowerProduct(map(max, a, b)))
         assert _divides(ka, kb, l) == a.divides(b)
         assert _divides(ka, ab, l) and _divides(kc, _key(a * c), l)
         assert _coprime(ka, kb, l) == all(x == 0 or y == 0 for x, y in zip(a, b))
@@ -101,8 +100,9 @@ class TestSortKeys:
                 assert not _divides(_key(top), _key(x), l)
                 assert _coprime(_key(top), _key(x), l) == (i != j)
                 # an lcm may pass the limit; its key stays exact
-                assert _power_product(_lcm(_key(top), _key(x), l), l) == top.lcm(x)
-                assert _degree(_lcm(_key(top), _key(x), l), l) == top.lcm(x).degree()
+                lcm = PowerProduct(map(max, top, x))
+                assert _power_product(_lcm(_key(top), _key(x), l), l) == lcm
+                assert _degree(_lcm(_key(top), _key(x), l), l) == lcm.degree()
 
     def test_degree_limit_raises_at_once(self):
         big = Polynomial.monomial(PowerProduct((TOP + 1, 0, 0)), 3)
@@ -142,12 +142,12 @@ class TestNormalForm:
     @FIELDS
     def test_exact_difference_in_ideal(self, field):
         rng = random.Random(17)
-        G = [g.convert(field) for g in polys(["x^2 - y", "x*y - 1"], 2)]
+        G = [convert(g, field) for g in polys(["x^2 - y", "x*y - 1"], 2)]
         gb = buchberger(G)
         lts = [g.leading_power_product() for g in G]
         nonzero = 0
         for _ in range(20):
-            f = random_polynomial(2, 4, 4, rng).convert(field)
+            f = convert(random_polynomial(2, 4, 4, rng), field)
             r = normal_form(f, G)
             assert normal_form(f - r, gb.elements).is_zero
             assert not any(lt.divides(pp) for pp, _ in r.terms() for lt in lts)
@@ -216,24 +216,24 @@ class TestBuchberger:
         gens = polys(["x^3 - 2x*y", "x^2*y - 2y^2 + x"], 2)
         gb = buchberger(gens)
         for g in gens:
-            assert gb.contains(g)
+            assert normal_form(g, gb.elements).is_zero
 
     def test_membership_iff_zero_normal_form(self):
         rng = random.Random(26)
         gens = polys(["x^2 - y*z", "y^2 - x*z"], 3)
         gb = buchberger(gens)
         one = poly("1", 3)
-        assert not gb.contains(one)  # proper ideal
+        assert not normal_form(one, gb.elements).is_zero  # proper ideal
         for _ in range(15):
             combo = Polynomial.zero(3)
             for g in gens:
                 combo = combo + random_polynomial(3, 2, 3, rng) * g
-            assert gb.contains(combo)
-            assert not gb.contains(combo + one)
+            assert normal_form(combo, gb.elements).is_zero
+            assert not normal_form(combo + one, gb.elements).is_zero
 
     def test_zero_ideal(self):
         gb = buchberger([Polynomial.zero(2), Polynomial.zero(2)])
-        assert gb.is_zero_ideal
+        assert len(gb) == 0
         assert leading_term_ideal(gb).is_zero
         assert normal_form(poly("x", 2), gb.elements) == poly("x", 2)
 
@@ -244,7 +244,7 @@ class TestBuchberger:
 
     @FIELDS
     def test_degree_cap(self, field):
-        gens = [g.convert(field) for g in
+        gens = [convert(g, field) for g in
                 polys(["x^2 - y*z", "x*y^2 - z^3", "y^4 - x*z^2"], 3)]
         with pytest.raises(DegreeCapExceeded, match="generator"):
             buchberger(gens, degree_cap=3)
@@ -262,7 +262,7 @@ class TestBuchberger:
             buchberger([])
 
     def test_prime_field_mode(self):
-        gb = buchberger([g.convert(GF(7)) for g in
+        gb = buchberger([convert(g, GF(7)) for g in
                          polys(["x^2 + 3y^2", "x*y - 2"], 2)])
         for g in gb.elements:
             assert g.leading_coefficient() == 1
@@ -312,8 +312,7 @@ class TestDenseRows:
         l, gens = case
         # a coefficient that p divides becomes 1, so the forms stay dense
         gens = [Polynomial({m: c if field.p is None or c % field.p else 1
-                            for m, c in g.term_dict().items()}, l).convert(field)
-                for g in gens]
+                            for m, c in g.terms()}, l, field) for g in gens]
         assert groebner_module._dense([_int_terms(g)[0] for g in gens], l)
         rows = buchberger(gens)
         with pytest.MonkeyPatch.context() as m:
@@ -347,7 +346,7 @@ class TestDenseRows:
     def test_sparse_homogeneous_input_stays_on_dicts(self, field):
         # a dense row of degree 2^15 - 1 has about 5 * 10^8 columns; these
         # must stay on term dicts, where the degree limit raises at once
-        gens = [g.convert(field)
+        gens = [convert(g, field)
                 for g in polys([f"x^{TOP - 1}*y - z^{TOP}", "y*z"], 3)]
         assert all(g.is_homogeneous() for g in gens)
         assert not groebner_module._dense([_int_terms(g)[0] for g in gens], 3)
@@ -416,7 +415,7 @@ class TestTruncatedRun:
         # a hint runs only as far as the degree asked, yet a lower degree
         # asked later still reads the full basis's count
         l, gens = case
-        gens = [g.convert(field) for g in gens]
+        gens = [convert(g, field) for g in gens]
         hint = groebner_module.hilbert_hint([_int_terms(g)[0] for g in gens], (l, field))
         B = leading_term_ideal(buchberger(gens))
         for d in degrees:
@@ -473,7 +472,7 @@ class TestAgainstSympy:
         xs = sympy.symbols(f"s0:{nvars}")
         rng = random.Random(31 + nvars)
         for k in range(8):   # homogeneous ideals, then inhomogeneous ones
-            gens = [g.convert(field) for g in (
+            gens = [convert(g, field) for g in (
                 _random_form(nvars, rng.randint(2, 3), rng.randint(2, 4), rng)
                 if k < 4 else random_polynomial(nvars, 3, 3, rng)
                 for _ in range(3)) if not g.is_zero]
@@ -499,7 +498,7 @@ class TestAgainstSympy:
 
 class TestHilbert:
     def test_examples(self):
-        assert hilbert_function(MonomialIdeal.zero(3), 5) == 21
+        assert hilbert_function(MonomialIdeal((), 3), 5) == 21
         five = MonomialIdeal([PowerProduct(e) for e in
                               [(4, 0, 0), (3, 1, 0), (2, 2, 0), (1, 4, 0), (0, 6, 0)]], 3)
         assert hilbert_function(five, 5) == 13
@@ -546,8 +545,8 @@ class TestHilbertDriven:
         rng = random.Random(41)
         for _ in range(12):
             nv = rng.randint(2, 4)
-            gens = [_random_form(nv, rng.randint(1, 4), rng.randint(1, 4), rng).convert(field)
-                    for _ in range(rng.randint(2, 3))]
+            gens = [convert(_random_form(nv, rng.randint(1, 4), rng.randint(1, 4), rng),
+                            field) for _ in range(rng.randint(2, 3))]
             hinted = buchberger(gens, hilbert=_hint(gens, rng))
             assert hinted == buchberger(gens)
             assert leading_term_ideal(hinted) == leading_term_ideal(buchberger(gens))
@@ -561,8 +560,8 @@ class TestHilbertDriven:
         rng = random.Random(43)
         field = GF(32003)
         g = LinearChange(random_linear_change(3, rng, 5))
-        gens = [apply_linear_change(f.convert(field), g) for f in jacobian_ideal(A)]
-        hint = _hint([f.convert(field) for f in jacobian_ideal(A)], rng)
+        gens = [apply_linear_change(convert(f, field), g) for f in jacobian_ideal(A)]
+        hint = _hint([convert(f, field) for f in jacobian_ideal(A)], rng)
         # the moved generators are dense, so every reduction runs on packed rows
         calls, dict_calls = [], []
         original = groebner_module._Engine._reduce_packed
@@ -590,7 +589,7 @@ class TestHilbertDriven:
 
     def test_leading_terms_before_and_after_the_elements(self, monkeypatch):
         for field in (QQ, GF(32003)):
-            gens = [g.convert(field) for g in
+            gens = [convert(g, field) for g in
                     polys(["x^2 - y*z", "x*y^2 - z^3", "y^4 - x*z^2"], 3)]
             calls, full = [], []
             original = groebner_module._interreduce
@@ -670,7 +669,7 @@ class TestLazyResidues:
             outputs.append(_unpacked(out, P, 3))
             return out
         monkeypatch.setattr(groebner_module._Engine, "_spair_packed", recorded)
-        G = buchberger([g.convert(GF(P)) for g in
+        G = buchberger([convert(g, GF(P)) for g in
                         polys(["x*y + 3*y^2", "x^2 + 3*x*y + y^2"], 2)])
         assert outputs[0] == [P * (P - 1), P * (P - 3), P - 1]
         assert [c % P for c in outputs[0]] == [0, 0, P - 1]
@@ -698,7 +697,7 @@ class TestReductionKeepsDegree:
                 f = (_random_form(l, rng.randint(1, 3), rng.randint(1, 5), rng)
                      if homogeneous else random_polynomial(l, 3, rng.randint(1, 5), rng))
                 if not f.is_zero:
-                    return f.convert(field)
+                    return convert(f, field)
         gens = [draw() for _ in range(rng.randint(1, 3))]
         # every key _reduce can pop is in its work at the start or written
         # there by _subtract
@@ -722,9 +721,9 @@ class TestReductionKeepsDegree:
             mp.setattr(groebner_module, "_subtract", subtracted)
             G = buchberger(gens).elements
             # in the ideal, so its leading term reduces at least once
-            f = gens[0] * poly("x", l).convert(field) + draw()
+            f = gens[0] * convert(poly("x", l), field) + draw()
             nf = normal_form(f, G)
-            normal_form(gens[0] * poly("y", l).convert(field), gens)
+            normal_form(gens[0] * convert(poly("y", l), field), gens)
         assert calls
         # the public cap: checked once, against the degree of f
         for cap in range(f.total_degree() + 2):

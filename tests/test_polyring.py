@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from arrfree import (GF, DimensionError, LinearChange, Polynomial,
                      PowerProduct, apply_linear_change, variables)
 from arrfree.polyring import QQ, Field, _bareiss
-from helpers import poly, random_linear_form, random_polynomial, row_reduce
+from helpers import (convert, derivative, poly, random_linear_form,
+                     random_polynomial, row_reduce)
 
 exponents3 = st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(0, 6))
 
@@ -64,28 +65,41 @@ class TestDegRevLex:
 
     @given(st.integers(1, 5).flatmap(
         lambda l: st.tuples(*[st.tuples(*[st.integers(0, 6)] * l)] * 2)))
-    def test_unvalidated_products_and_lcms(self, ab):
+    def test_unvalidated_products(self, ab):
         a, b = ab
         pa, pb = PowerProduct(a), PowerProduct(b)
-        product, lcm = pa * pb, pa.lcm(pb)
-        assert type(product) is PowerProduct and type(lcm) is PowerProduct
+        product = pa * pb
+        assert type(product) is PowerProduct
         assert product == PowerProduct(tuple(x + y for x, y in zip(a, b)))
-        assert lcm == PowerProduct(tuple(max(x, y) for x, y in zip(a, b)))
         with pytest.raises(DimensionError):
             pa * PowerProduct(a + (0,))
-        with pytest.raises(DimensionError):
-            pa.lcm(PowerProduct(a + (0,)))
 
-    @pytest.mark.parametrize("op", ["divides", "lcm", "__truediv__"])
+    @pytest.mark.parametrize("op", ["divides", "__mul__", "__lt__"])
     def test_operand_length_mismatch(self, op):
         with pytest.raises(DimensionError, match="different lengths"):
             getattr(PowerProduct((1, 0, 0)), op)(PowerProduct((1, 0)))
 
-    def test_power_product_division(self):
-        t = PowerProduct((2, 1, 0))
-        assert t / PowerProduct((1, 1, 0)) == PowerProduct((1, 0, 0))
-        with pytest.raises(ValueError):
-            t / PowerProduct((0, 0, 1))
+
+class TestInputChecks:
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda: PowerProduct.variable(0, 3), IndexError,
+         "variable index 0 out of range 1..3"),
+        (lambda: PowerProduct.variable(4, 3), IndexError,
+         "variable index 4 out of range 1..3"),
+        (lambda: Polynomial({(1, 0): 1}, 3), DimensionError,
+         "x has 2 exponents, expected 3"),
+        (lambda: Polynomial.zero(2).leading_power_product(), ValueError,
+         "the zero polynomial has no leading term"),
+        (lambda: variables(2)[0] ** -1, ValueError,
+         "exponent must be a non-negative integer"),
+        (lambda: LinearChange([[1, 2]]), ValueError,
+         "matrix must be square and non-empty"),
+    ], ids=["variable-0", "variable-4", "term-length", "zero-leading-term",
+            "negative-power", "non-square-change"])
+    def test_rejected(self, call, error, message):
+        with pytest.raises(error) as err:
+            call()
+        assert str(err.value) == message
 
 
 class TestArithmetic:
@@ -147,8 +161,7 @@ class TestField:
         assert hash(GF(7)) == hash(Field(7))
         assert (repr(QQ), repr(GF(7))) == ("QQ", "GF(7)")
         assert (QQ.zero, QQ.one) == (0, 1) and type(QQ.one) is Fraction
-        assert type(GF(7).one) is int and GF(7).inv(3) == 5
-        assert QQ.inv(Fraction(-2, 3)) == Fraction(-3, 2)
+        assert type(GF(7).one) is int
         with pytest.raises(ValueError, match="8 is not prime"):
             GF(8)
         assert GF(7).coerce(Fraction(1, 3)) == 5 and GF(7).coerce(-1) == 6
@@ -162,24 +175,25 @@ class TestField:
         F, rng = GF(p), random.Random(p)
         for _ in range(40):
             f, g = (random_polynomial(3, 4, 5, rng, bound=p + 2) for _ in range(2))
-            fp, gp = f.convert(F), g.convert(F)
+            fp, gp = convert(f, F), convert(g, F)
             c = rng.randint(-p, p)
-            assert (f + g).convert(F) == fp + gp
-            assert (f - g).convert(F) == fp - gp and (-f).convert(F) == -fp
-            assert (f * g).convert(F) == fp * gp
-            assert f.scale(c).convert(F) == fp.scale(c)
+            assert convert(f + g, F) == fp + gp
+            assert convert(f - g, F) == fp - gp and convert(-f, F) == -fp
+            assert convert(f * g, F) == fp * gp
+            assert convert(f.scale(c), F) == fp.scale(c)
             for i in (1, 2, 3):
-                assert f.partial_derivative(i).convert(F) == fp.partial_derivative(i)
+                assert convert(derivative(f, i), F) == derivative(fp, i)
             assert all(0 < v < p for _, v in (fp * gp + fp.scale(c)).terms())
 
 
 class TestDerivatives:
+    """The term-by-term derivative of tests/helpers.py, the oracle of the
+    kernel's partials."""
+
     def test_examples(self):
         f = poly("x^3*y*z - x*y^3*z", 3)
-        assert f.partial_derivative(1) == poly("3x^2*y*z - y^3*z", 3)
-        assert poly("x^2", 3).partial_derivative(3).is_zero
-        with pytest.raises(IndexError):
-            f.partial_derivative(4)
+        assert derivative(f, 1) == poly("3x^2*y*z - y^3*z", 3)
+        assert derivative(poly("x^2", 3), 3).is_zero
 
     def test_euler_identity_on_products_of_forms(self):
         rng = random.Random(55)
@@ -193,7 +207,7 @@ class TestDerivatives:
                 continue
             euler = Polynomial.zero(3)
             for i, xi in enumerate(xs, start=1):
-                euler = euler + xi * q.partial_derivative(i)
+                euler = euler + xi * derivative(q, i)
             assert euler == q.scale(n)
 
 
