@@ -3,7 +3,7 @@ and sectional matrices of the Jacobian ideal, with converters between
 exponents, Betti tables, lex-segment ideals and explicit free arrangements.
 """
 
-from .polyring import (QQ, GF, DimensionError, LinearChange, Polynomial,
+from .polyring import (DimensionError, LinearChange, Polynomial,
                        PowerProduct, apply_linear_change, variables)
 from .monomial import (INFINITE, BettiTable, LexSegmentShape, MonomialIdeal,
                        NotStronglyStableError, SectionalMatrix,

@@ -23,8 +23,8 @@ from .monomial import (INFINITE, BettiTable, LexSegmentShape, MonomialIdeal,
                        StronglyStableIdeal, betti_eliahou_kervaire,
                        is_cm_codim2_stable, is_strongly_stable,
                        reduction_number, regularity_stable, sectional_matrix)
-from .polyring import (QQ, DimensionError, Polynomial, PowerProduct,
-                       _bareiss, variables)
+from .polyring import (DimensionError, Polynomial, PowerProduct, _bareiss,
+                       variables)
 
 __all__ = [
     "ArrangementError", "NotFreeRginError", "InternalConsistencyError",
@@ -83,9 +83,9 @@ def _primitive_row(f: Polynomial) -> Tuple[Tuple[int, ...], Fraction]:
 class Arrangement:
     """A central arrangement of pairwise distinct hyperplanes.
 
-    The forms must be nonzero linear forms over QQ in one number of
-    variables; a form that is not linear homogeneous, or two forms that
-    define one hyperplane, raise ``ArrangementError`` naming each problem.
+    The forms must be nonzero linear forms in one number of variables; a
+    form that is not linear homogeneous, or two forms that define one
+    hyperplane, raise ``ArrangementError`` naming each problem.
     """
 
     __slots__ = ("forms", "rows", "content", "nvars", "essential")
@@ -100,8 +100,6 @@ class Arrangement:
             if f.nvars != l:
                 raise DimensionError(f"form #{idx} lives in {f.nvars} variables, "
                                      f"expected {l}")
-            if f.field != QQ:
-                raise ArrangementError(f"form #{idx} must have rational coefficients")
             if not _is_linear_form(f):
                 problems.append(f"form #{idx} ({f}) is not linear homogeneous")
         if problems:
@@ -137,11 +135,12 @@ class Arrangement:
         return f"Arrangement([{', '.join(str(f) for f in self.forms)}])"
 
 
-def _expand(rows: Sequence[Sequence[int]], field) -> List[dict]:
-    """[Q, dQ/dx_1, ..., dQ/dx_l] over ``field`` for Q the product of the
-    integer rows (``_product``), as term dicts in the Groebner kernel's
-    packed keys; the exponent of x_j in a term is read off its field."""
-    p, l = field.p, len(rows[0])
+def _expand(rows: Sequence[Sequence[int]], p: Optional[int]) -> List[dict]:
+    """[Q, dQ/dx_1, ..., dQ/dx_l] for Q the product of the integer rows
+    (``_product``), as term dicts in the Groebner kernel's packed keys, over
+    QQ when p is None and else read mod the prime p; the exponent of x_j in
+    a term is read off its field."""
+    l = len(rows[0])
     Q = _product(rows, l, p)
     partials, low = [], (1 << _W) - 1
     for j, x in enumerate(_variables(l)):  # -k >> W*j & low: exponent of x
@@ -158,10 +157,10 @@ def jacobian_ideal(A: Arrangement) -> List[Polynomial]:
     the generator list.  ``analyze`` does not build this list: its rgin
     trials move the forms instead (see ``jacobian_rgin``).
     """
-    Q, *partials = [_poly(t, 1, A.nvars, QQ).scale(A.content)
-                    for t in _expand(A.rows, QQ)]
-    euler = Polynomial.zero(A.nvars, QQ)
-    xs = variables(A.nvars, QQ)
+    Q, *partials = [_poly(t, 1, A.nvars).scale(A.content)
+                    for t in _expand(A.rows, None)]
+    euler = Polynomial.zero(A.nvars)
+    xs = variables(A.nvars)
     for xi, dQ in zip(xs, partials):
         euler = euler + xi * dQ
     if euler != Q.scale(A.n):
@@ -175,19 +174,19 @@ def jacobian_rgin(A: Arrangement, cfg: GinConfig = GinConfig()) -> StronglyStabl
     In exact mode this is ``rgin(jacobian_ideal(A), cfg)``, with the same
     draws; in modular mode it is that too whenever p divides the content of
     no form.  By the chain rule grad(Q o g) = g^T (grad Q o g), and g^T is
-    invertible, so J(Q o g) = J(Q) o g.  Each trial therefore moves the n
-    primitive integer rows of the forms by g, multiplies them and
-    differentiates the product in the Groebner kernel's packed keys,
+    invertible, so J(Q o g) = J(Q) o g.  Each trial, ``build(rows, p)`` of
+    ``rgin``, therefore moves the n primitive integer rows of the forms by
+    g, multiplies them and differentiates the product with ``_expand``,
     instead of substituting g into the l dense partials of degree n - 1;
     J(A) itself is never built.  Scaling a form changes no ideal, and a
     primitive row moved by a matrix invertible mod p never vanishes mod p,
     so modular answers do not depend on how the forms are scaled.
     """
-    def build(rows, coeff_field):
+    def build(rows, p):
         cols = list(zip(*rows))
         moved = [[sum(a * b for a, b in zip(row, col)) for col in cols]
                  for row in A.rows]
-        return _expand(moved, coeff_field)[1:]
+        return _expand(moved, p)[1:]
 
     return rgin(A.nvars, cfg, build)
 
@@ -403,7 +402,7 @@ def supersolvable_from_exponents(e) -> Arrangement:
     if e[0] != 1:
         raise ValueError("the construction needs leading exponent 1")
     l = len(e)
-    xs = variables(l, QQ)
+    xs = variables(l)
     forms = [xs[0]]
     for k in range(2, l + 1):
         for a in range(1, e[k - 1] + 1):

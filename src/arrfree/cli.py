@@ -50,6 +50,8 @@ MAX_GEN_DEGREE = 100
 # A number literal, and a power of a coefficient in any expression, may not
 # exceed this many bits: 3^200000000 is rejected before it is computed.
 MAX_COEFF_BITS = 1024
+# Parentheses may nest this deep: the parser recurses once per level.
+MAX_NESTING = 100
 
 
 class ParseError(ValueError):
@@ -121,6 +123,7 @@ class _ExprParser:
                  sum_powers: bool):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0                         # open parentheses
         self.nvars = nvars
         self.source = source
         self.line = line
@@ -205,12 +208,16 @@ class _ExprParser:
             self.pos += 1
             return Polynomial.variable(value + 1, self.nvars)
         if kind == "(":
+            if self.depth == MAX_NESTING:
+                self._error(f"parentheses nested more than {MAX_NESTING} deep")
             self.pos += 1
+            self.depth += 1
             inner = self._expr()
             closing = self._peek()
             if closing is None or closing[0] != ")":
                 self._error("missing closing parenthesis")
             self.pos += 1
+            self.depth -= 1
             return inner
         self._error(f"unexpected {kind!r}")
 

@@ -20,8 +20,7 @@ from .groebner import (_Staircase, _int_terms, _key, _normalize, _power_product,
                        _residues, _variables, buchberger, hilbert_hint, leading_term_ideal)
 from .monomial import MonomialIdeal, StronglyStableIdeal, is_strongly_stable
 # no trial calls apply_linear_change: it stays here for the bench to wrap
-from .polyring import (GF, QQ, Polynomial, _bareiss, _is_prime,
-                       apply_linear_change)
+from .polyring import Polynomial, _bareiss, _is_prime, apply_linear_change
 
 __all__ = [
     "GinConfig", "GinCertificate", "Draw", "GenericityExhaustedError",
@@ -154,14 +153,12 @@ def _product(rows: Sequence[Sequence[int]], l: int, p: Optional[int],
     return Q
 
 
-def _one_trial(build: Callable, l, rng, cfg: GinConfig, coeff_field,
+def _one_trial(build: Callable, l, rng, cfg: GinConfig, p: Optional[int],
                hint: Optional[MonomialIdeal]) -> Tuple[MonomialIdeal, tuple]:
-    if coeff_field.p is None:
-        rows = random_linear_change(l, rng, cfg.entry_bound)
-    else:
-        rows = random_linear_change(l, rng, modulus=coeff_field.p)
-    gb = buchberger(build(rows, coeff_field), degree_cap=cfg.degree_cap,
-                    hilbert=hint, ring=(l, coeff_field))
+    rows = (random_linear_change(l, rng, cfg.entry_bound) if p is None
+            else random_linear_change(l, rng, modulus=p))
+    gb = buchberger(build(rows, p), degree_cap=cfg.degree_cap,
+                    hilbert=hint, ring=(l, p))
     return leading_term_ideal(gb), rows
 
 
@@ -194,20 +191,21 @@ def rgin(gens: Union[Sequence[Polynomial], int], cfg: GinConfig = GinConfig(),
     ``GenericityExhaustedError``.  The k-th draw of a field uses the same
     random stream whatever happened to the draws before it.
 
-    ``build(rows, field)`` returns the generators of one trial as the
-    kernel's packed term dicts (see ``buchberger``), which must generate the
-    ideal of ``gens`` after the change by the integer ``rows`` drawn by
-    ``random_linear_change``, over ``field``.  The default reads each
-    generator once as primitive integer terms (``_normalize`` of
-    ``_int_terms``), so none vanishes mod p, and moves each term c*x^a, read
-    mod p, to c times the ``_product`` of a_j copies of row j; a caller with
-    a cheaper route to the same ideal passes its own, and passes the number
-    of variables l as ``gens``.  The draws do not depend on the route.
-    All draws share the Hilbert function of the ideal, so ``buchberger``
-    skips the pairs it proves to reduce to zero: in exact mode by the
-    ``hilbert_hint`` of the unmoved generators ``build(identity, QQ)``,
-    which every draw shares; over each prime, where that run costs as much
-    as a draw, by the leading terms of the prime's first draw.
+    ``build(rows, p)`` returns the generators of one trial as the kernel's
+    packed term dicts (see ``buchberger``), which must generate the ideal of
+    ``gens`` after the change by the integer ``rows`` drawn by
+    ``random_linear_change``, over QQ when p is None, else mod the prime p.
+    The default reads each generator once as primitive integer terms
+    (``_normalize`` of ``_int_terms``), so none vanishes mod p, and moves
+    each term c*x^a, read mod p, to c times the ``_product`` of a_j copies
+    of row j; a caller with a cheaper route to the same ideal passes its
+    own, and passes the number of variables l as ``gens``.  The draws do not
+    depend on the route.  All draws share the Hilbert function of the ideal,
+    so ``buchberger`` skips the pairs it proves to reduce to zero: in exact
+    mode by the ``hilbert_hint`` of the unmoved generators
+    ``build(identity, None)``, which every draw shares; over each prime,
+    where that run costs as much as a draw, by the leading terms of the
+    prime's first draw.
     """
     if build is not None:
         l = gens
@@ -218,8 +216,6 @@ def rgin(gens: Union[Sequence[Polynomial], int], cfg: GinConfig = GinConfig(),
         l = gens[0].nvars
         for g in gens[1:]:
             gens[0]._check_compatible(g)
-        if gens[0].field != QQ:
-            raise ValueError("rgin input must be given over the rationals")
         nonzero = [g for g in gens if not g.is_zero]
         if not nonzero:
             return StronglyStableIdeal((), l)
@@ -227,8 +223,8 @@ def rgin(gens: Union[Sequence[Polynomial], int], cfg: GinConfig = GinConfig(),
         # of them, so no generator vanishes mod p
         primitive = [_normalize(_int_terms(f)[0], None) for f in nonzero]
 
-        def build(rows, coeff_field):
-            p, out, xs = coeff_field.p, [], _variables(l)
+        def build(rows, p):
+            out, xs = [], _variables(l)
             powers = {0: {0: 1}}      # key of x^a -> prod_j (row j)^a_j
 
             def power(key):
@@ -251,10 +247,8 @@ def rgin(gens: Union[Sequence[Polynomial], int], cfg: GinConfig = GinConfig(),
                 out.append(_residues(moved, p))
             return out
 
-    if cfg.mode == "exact":
-        fields = [("exact", QQ)]
-    else:
-        fields = [(f"mod{p}", GF(p)) for p in cfg.primes]
+    fields = ([("exact", None)] if cfg.mode == "exact"
+              else [(f"mod{p}", p) for p in cfg.primes])
 
     budget = cfg.max_retries * cfg.trials
     draws = []                                # (tag, k, matrix, borel, ideal)
@@ -263,18 +257,17 @@ def rgin(gens: Union[Sequence[Polynomial], int], cfg: GinConfig = GinConfig(),
     hints = {}                                # tag -> Hilbert function hint
     if cfg.mode == "exact":
         identity = tuple(tuple(int(i == j) for j in range(l)) for i in range(l))
-        hints["exact"] = hilbert_hint(build(identity, QQ), (l, QQ), cfg.degree_cap)
+        hints["exact"] = hilbert_hint(build(identity, None), (l, None), cfg.degree_cap)
     best = None
     while any(len(v) < cfg.trials for v in kept.values()):
-        for tag, coeff_field in fields:
+        for tag, p in fields:
             while len(kept[tag]) < cfg.trials:
                 k = made[tag]
                 if k == budget:
                     raise _exhausted(cfg, tag, draws, kept)
                 made[tag] += 1
                 rng = _trial_stream(cfg.seed, k // cfg.trials, k % cfg.trials, tag)
-                ideal, rows = _one_trial(build, l, rng, cfg, coeff_field,
-                                         hints.get(tag))
+                ideal, rows = _one_trial(build, l, rng, cfg, p, hints.get(tag))
                 if tag not in hints:     # later draws share the first's staircase
                     hints[tag] = _Staircase(map(_key, ideal.generators), l)
                 # the candidate was checked when it became the candidate

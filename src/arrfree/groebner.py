@@ -16,11 +16,12 @@ the degree.  ``_int_terms`` converts from ``PowerProduct`` on the way in and
 ``_poly`` converts back on the way out; ``gin`` builds every rgin trial in
 these keys directly, from products of moved linear forms.
 
-Both coefficient fields share one fraction-free reduction kernel on integer
-term dicts.  Over QQ divisors are kept primitive (content 1, positive leading
-coefficient) and the working polynomial is rescaled instead of introducing
-fractions, with the accumulated multiplier divided out at the end.  Over
-GF(p) divisors are monic, so no rescaling ever happens.  Residues are
+QQ and GF(p), whose prime p the kernel takes as an int (None for QQ), share
+one fraction-free reduction kernel on integer term dicts.  Over QQ divisors
+are kept primitive (content 1, positive leading coefficient) and the working
+polynomial is rescaled instead of introducing fractions, with the
+accumulated multiplier divided out at the end.  Over GF(p) divisors are
+monic, so no rescaling ever happens.  Residues are
 lazy: a subtraction neither drops a zero nor, over GF(p), reduces mod p; a
 term is read mod p, or skipped as zero, only when it is popped or emitted.
 When every generator is homogeneous and holds at least half of the monomials
@@ -146,25 +147,17 @@ def _max_fields(ra: int, rb: int, g: int) -> int:
 # ---------------------------------------------------------------------------
 
 def _int_terms(f: Polynomial) -> Tuple[dict, int]:
-    """Integer terms of f, keyed by sort key, and m with terms = m * f.
-
-    Over QQ the coefficients are scaled to integers; mod p they are the
-    residues already stored, with m = 1.
-    """
-    if f.field.p is not None:
-        return {_key(pp): c for pp, c in f._terms.items()}, 1
+    """Integer terms of f, keyed by sort key, and m with terms = m * f: the
+    coefficients scaled to integers by the lcm of their denominators."""
     denom_lcm = math.lcm(*(c.denominator for c in f._terms.values()))
     return {_key(pp): c.numerator * (denom_lcm // c.denominator)
             for pp, c in f._terms.items()}, denom_lcm
 
 
-def _poly(terms: dict, denom: int, nvars: int, field) -> Polynomial:
-    """The polynomial terms / denom; mod p the terms are residues, denom 1."""
-    if field.p is None:
-        out = {_power_product(k, nvars): Fraction(v, denom) for k, v in terms.items()}
-    else:
-        out = {_power_product(k, nvars): v for k, v in terms.items()}
-    return Polynomial(out, nvars, field, _trusted=True)
+def _poly(terms: dict, denom: int, nvars: int) -> Polynomial:
+    """The polynomial terms / denom."""
+    return Polynomial({_power_product(k, nvars): Fraction(v, denom)
+                       for k, v in terms.items()}, nvars, _trusted=True)
 
 
 def _normalize(terms: dict, p: Optional[int]) -> dict:
@@ -325,11 +318,10 @@ def normal_form(f: Polynomial, G: Sequence[Polynomial],
         return f
     if degree_cap is not None and (d := f.total_degree()) > degree_cap:
         raise DegreeCapExceeded(f"reduction reached degree {d} > cap {degree_cap}")
-    p = f.field.p
     work, m0 = _int_terms(f)
-    packed = [_pack(_normalize(_int_terms(g)[0], p), f.nvars) for g in divisors]
-    rem, mult = _reduce(work, packed, p, f.nvars)
-    return _poly(rem, m0 * mult, f.nvars, f.field)
+    packed = [_pack(_normalize(_int_terms(g)[0], None), f.nvars) for g in divisors]
+    rem, mult = _reduce(work, packed, None, f.nvars)
+    return _poly(rem, m0 * mult, f.nvars)
 
 
 class GroebnerBasis:
@@ -338,23 +330,24 @@ class GroebnerBasis:
     It holds the kernel's packed elements, top-reduced only: their leading
     terms generate the leading term ideal minimally and in order, but their
     tails are reduced, and the elements converted, only when ``elements`` is
-    first read.
+    first read.  ``p`` is the prime of a basis over GF(p), None over QQ; a
+    modular element holds the least non-negative residues.
     """
 
-    __slots__ = ("_divisors", "_elements", "nvars", "field")
+    __slots__ = ("_divisors", "_elements", "nvars", "p")
 
-    def __init__(self, divisors: list, nvars: int, field):
+    def __init__(self, divisors: list, nvars: int, p: Optional[int]):
         self._divisors = divisors
         self._elements = None
         self.nvars = nvars
-        self.field = field
+        self.p = p
 
     @property
     def elements(self) -> tuple:
         if self._elements is None:
             self._elements = tuple(
-                _poly(terms, terms[max(terms)], self.nvars, self.field)
-                for terms in _interreduce(self._divisors, self.field.p, self.nvars))
+                _poly(terms, terms[max(terms)], self.nvars)
+                for terms in _interreduce(self._divisors, self.p, self.nvars))
         return self._elements
 
     def __iter__(self):
@@ -365,7 +358,7 @@ class GroebnerBasis:
 
     def __eq__(self, other):
         return (isinstance(other, GroebnerBasis) and self.nvars == other.nvars
-                and self.field == other.field and self.elements == other.elements)
+                and self.p == other.p and self.elements == other.elements)
 
     def __repr__(self):
         return f"GroebnerBasis([{', '.join(str(g) for g in self.elements)}])"
@@ -680,45 +673,46 @@ def buchberger(gens: Sequence, degree_cap: Optional[int] = None,
                hilbert=None, ring: Optional[tuple] = None) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal generated by ``gens``.
 
-    ``gens`` are Polynomials or, with ``ring`` = (nvars, field), integer
-    term dicts in the kernel's packed keys, read mod p over GF(p) and never
-    changed.  Zero generators are discarded; an all-zero input yields the
-    zero ideal, represented by an empty basis.  ``hilbert``, a monomial
-    ideal, its ``_Staircase`` or a ``hilbert_hint`` with the Hilbert function
-    of that ideal, is used only when every generator is homogeneous: it
-    drops the pairs it proves to reduce to zero, and a basis that outgrows
-    it raises ``InternalConsistencyError``.
+    ``gens`` are Polynomials or, with ``ring`` = (nvars, p), integer term
+    dicts in the kernel's packed keys, never changed: over QQ when p is None,
+    else read mod the prime p.  Zero generators are discarded; an all-zero
+    input yields the zero ideal, represented by an empty basis.  ``hilbert``,
+    a monomial ideal, its ``_Staircase`` or a ``hilbert_hint`` with the
+    Hilbert function of that ideal, is used only when every generator is
+    homogeneous: it drops the pairs it proves to reduce to zero, and a basis
+    that outgrows it raises ``InternalConsistencyError``.
     """
     gens = list(gens)
     if not gens:
         raise ValueError("buchberger requires at least one generator")
     if ring is None:
-        nvars, field = gens[0].nvars, gens[0].field
+        nvars, p = gens[0].nvars, None
         for g in gens[1:]:
             gens[0]._check_compatible(g)
         gens = [_int_terms(g)[0] for g in gens]
     else:
-        nvars, field = ring
-    engine = _start(gens, nvars, field, degree_cap, hilbert)
+        nvars, p = ring
+    engine = _start(gens, nvars, p, degree_cap, hilbert)
     if engine is None:
-        return GroebnerBasis([], nvars, field)
+        return GroebnerBasis([], nvars, p)
     engine.run()
-    return GroebnerBasis(engine.divisors, nvars, field)
+    return GroebnerBasis(engine.divisors, nvars, p)
 
 
 def hilbert_hint(gens: Sequence[dict], ring: tuple,
                  degree_cap: Optional[int] = None) -> Optional[_Engine]:
     """A ``hilbert`` hint for ``buchberger``: a run on other generators, as
-    with ``ring``, of an ideal with the same Hilbert function, taken only as
-    far as the degrees asked; None when every generator is zero."""
+    with ``ring`` = (nvars, p), of an ideal with the same Hilbert function,
+    taken only as far as the degrees asked; None when every generator is
+    zero."""
     return _start(gens, *ring, degree_cap, None)
 
 
-def _start(gens: Sequence[dict], nvars: int, field, degree_cap: Optional[int],
-           hilbert) -> Optional[_Engine]:
+def _start(gens: Sequence[dict], nvars: int, p: Optional[int],
+           degree_cap: Optional[int], hilbert) -> Optional[_Engine]:
     """An engine fed with the packed ``gens`` and with no pair finished yet;
     None when every generator is zero."""
-    nonzero = [g for g in (_residues(g, field.p) for g in gens) if g]
+    nonzero = [g for g in (_residues(g, p) for g in gens) if g]
     if not nonzero:
         return None
     if degree_cap is not None:
@@ -731,10 +725,10 @@ def _start(gens: Sequence[dict], nvars: int, field, degree_cap: Optional[int],
         hilbert = None
     elif isinstance(hilbert, MonomialIdeal):
         hilbert = _Staircase(map(_key, hilbert.generators), nvars)
-    engine = _Engine(field.p, degree_cap, hilbert, nvars, _dense(nonzero, nvars))
+    engine = _Engine(p, degree_cap, hilbert, nvars, _dense(nonzero, nvars))
     # feed generators smallest leading term first, reducing each against the
     # basis built so far
-    for terms in sorted((_normalize(g, field.p) for g in nonzero), key=max):
+    for terms in sorted((_normalize(g, p) for g in nonzero), key=max):
         reduced = engine._nf(terms)
         if reduced:
             engine.add(reduced)

@@ -1,10 +1,9 @@
 """Exact sparse multivariate polynomial arithmetic with the DegRevLex order.
 
-Variables are x_1 > x_2 > ... > x_l.  Coefficients lie in one ``Field``
-class: ``QQ`` (``p`` is None, Fractions in lowest terms) by default, or
-``GF(p)`` (ints in [0, p)) for modular runs.  Arithmetic on them is native
-Python, reduced mod p in prime-field mode.  All values are immutable after
-construction and safe to share across workers.
+Variables are x_1 > x_2 > ... > x_l.  Coefficients are ``Fraction``s in
+lowest terms: the prime fields of modular mode live only inside the Groebner
+kernel, on integer term dicts.  All values are immutable after construction
+and safe to share across workers.
 """
 
 from __future__ import annotations
@@ -12,11 +11,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from operator import add
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Tuple, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Tuple, Union
 
 __all__ = [
     "DimensionError", "PowerProduct",
-    "Field", "QQ", "GF",
     "Polynomial", "variables",
     "LinearChange", "apply_linear_change",
     "var_names", "format_power_product",
@@ -111,7 +109,7 @@ class PowerProduct(tuple):
 
 
 # ---------------------------------------------------------------------------
-# coefficient fields
+# primes for modular mode
 # ---------------------------------------------------------------------------
 
 def _is_prime(n: int) -> bool:
@@ -134,44 +132,6 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-class Field:
-    """QQ when ``p`` is None, else GF(p); see the module docstring."""
-
-    def __init__(self, p: Optional[int] = None):
-        if p is not None and not _is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        self.p = p
-        self.zero = Fraction(0) if p is None else 0
-        self.one = Fraction(1) if p is None else 1
-
-    def coerce(self, c):
-        p = self.p
-        if p is None:
-            return Fraction(c)
-        if isinstance(c, Fraction):
-            den = c.denominator % p
-            if den == 0:
-                raise ZeroDivisionError(f"denominator of {c} vanishes mod {p}")
-            return c.numerator * pow(den, -1, p) % p
-        return int(c) % p
-
-    def __eq__(self, other):
-        return isinstance(other, Field) and other.p == self.p
-
-    def __hash__(self):
-        return hash("QQ") if self.p is None else hash(("GF", self.p))
-
-    def __repr__(self):
-        return "QQ" if self.p is None else f"GF({self.p})"
-
-
-QQ = Field()
-
-
-def GF(p: int) -> Field:
-    return Field(p)
-
-
 # ---------------------------------------------------------------------------
 # polynomials
 # ---------------------------------------------------------------------------
@@ -180,14 +140,13 @@ CoeffLike = Union[int, Fraction]
 
 
 class Polynomial:
-    """Immutable sparse polynomial: a map from power products to coefficients."""
+    """Immutable sparse polynomial: a map from power products to Fractions."""
 
-    __slots__ = ("nvars", "field", "_terms", "_lead")
+    __slots__ = ("nvars", "_terms", "_lead")
 
-    def __init__(self, terms: Mapping[PowerProduct, CoeffLike], nvars: int,
-                 field=QQ, _trusted: bool = False):
+    def __init__(self, terms: Mapping[PowerProduct, CoeffLike], nvars: int, *,
+                 _trusted: bool = False):
         self.nvars = nvars
-        self.field = field
         if _trusted:
             clean = dict(terms)
         else:
@@ -196,9 +155,9 @@ class Polynomial:
                 if not isinstance(pp, PowerProduct):
                     pp = PowerProduct(pp)
                 if len(pp) != nvars:
-                    raise DimensionError(f"{pp} has {len(pp)} exponents, expected {nvars}")
-                c = field.coerce(c)
-                if c != field.zero:
+                    raise DimensionError(f"{pp!r} has {len(pp)} exponents, expected {nvars}")
+                c = Fraction(c)
+                if c:
                     clean[pp] = c
         self._terms = clean
         self._lead = max(clean) if clean else None
@@ -206,21 +165,21 @@ class Polynomial:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, nvars: int, field=QQ) -> "Polynomial":
-        return cls({}, nvars, field, _trusted=True)
+    def zero(cls, nvars: int) -> "Polynomial":
+        return cls({}, nvars, _trusted=True)
 
     @classmethod
-    def constant(cls, c, nvars: int, field=QQ) -> "Polynomial":
-        return cls({PowerProduct.unit(nvars): c}, nvars, field)
+    def constant(cls, c, nvars: int) -> "Polynomial":
+        return cls({PowerProduct.unit(nvars): c}, nvars)
 
     @classmethod
-    def variable(cls, i: int, nvars: int, field=QQ) -> "Polynomial":
+    def variable(cls, i: int, nvars: int) -> "Polynomial":
         """The polynomial x_i (1-based index)."""
-        return cls({PowerProduct.variable(i, nvars): 1}, nvars, field)
+        return cls({PowerProduct.variable(i, nvars): 1}, nvars)
 
     @classmethod
-    def monomial(cls, pp: PowerProduct, nvars: int, field=QQ, coeff=1) -> "Polynomial":
-        return cls({pp: coeff}, nvars, field)
+    def monomial(cls, pp: PowerProduct, nvars: int, coeff=1) -> "Polynomial":
+        return cls({pp: coeff}, nvars)
 
     # -- inspection --------------------------------------------------------
 
@@ -249,7 +208,7 @@ class Polynomial:
         return max(pp.degree() for pp in self._terms)
 
     def coefficient(self, pp: PowerProduct):
-        return self._terms.get(pp, self.field.zero)
+        return self._terms.get(pp, Fraction(0))
 
     def terms(self) -> Iterator[tuple]:
         """Terms in descending DegRevLex order."""
@@ -266,17 +225,11 @@ class Polynomial:
         if self.nvars != other.nvars:
             raise DimensionError(
                 f"polynomials in {self.nvars} and {other.nvars} variables")
-        if self.field != other.field:
-            raise ValueError(f"coefficient fields differ: {self.field} vs {other.field}")
 
     def _reduced(self, out: dict) -> "Polynomial":
-        """A polynomial like self with the native coefficient sums ``out``,
-        read mod p in prime-field mode and with zero terms dropped."""
-        p = self.field.p
-        if p is not None:
-            out = {pp: v % p for pp, v in out.items()}
+        """A polynomial like self with the coefficient sums ``out``."""
         return Polynomial({pp: v for pp, v in out.items() if v},
-                          self.nvars, self.field, _trusted=True)
+                          self.nvars, _trusted=True)
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._check_compatible(other)
@@ -304,13 +257,13 @@ class Polynomial:
         return self._reduced(out)
 
     def scale(self, c) -> "Polynomial":
-        c = self.field.coerce(c)
+        c = Fraction(c)
         return self._reduced({pp: v * c for pp, v in self._terms.items()})
 
     def __pow__(self, n: int) -> "Polynomial":
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a non-negative integer")
-        result = Polynomial.constant(1, self.nvars, self.field)
+        result = Polynomial.constant(1, self.nvars)
         base = self
         while n:
             if n & 1:
@@ -323,10 +276,10 @@ class Polynomial:
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Polynomial) and self.nvars == other.nvars
-                and self.field == other.field and self._terms == other._terms)
+                and self._terms == other._terms)
 
     def __hash__(self) -> int:
-        return hash((self.nvars, self.field, frozenset(self._terms.items())))
+        return hash((self.nvars, frozenset(self._terms.items())))
 
     def __repr__(self) -> str:
         return f"Polynomial({self})"
@@ -337,13 +290,8 @@ class Polynomial:
         parts = []
         for pp, c in self.terms():
             mono = format_power_product(pp)
-            if self.field.p is not None:
-                csym = str(c)
-                negative = False
-            else:
-                negative = c < 0
-                c = abs(c)
-                csym = str(c)
+            negative = c < 0
+            csym = str(abs(c))
             if mono == "1":
                 body = csym
             elif csym == "1":
@@ -357,9 +305,9 @@ class Polynomial:
         return "".join(parts)
 
 
-def variables(nvars: int, field=QQ) -> list:
+def variables(nvars: int) -> list:
     """The list [x_1, ..., x_l] as polynomials."""
-    return [Polynomial.variable(i, nvars, field) for i in range(1, nvars + 1)]
+    return [Polynomial.variable(i, nvars) for i in range(1, nvars + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +382,6 @@ def apply_linear_change(f: Polynomial, g: LinearChange) -> Polynomial:
         raise DimensionError(f"polynomial in {f.nvars} variables, change in {g.nvars}")
     if f.is_zero:
         return f
-    field = f.field
     n = f.nvars
     images = []
     for j in range(n):
@@ -442,18 +389,18 @@ def apply_linear_change(f: Polynomial, g: LinearChange) -> Polynomial:
         for k, c in enumerate(g.matrix[j]):
             if c:
                 row[PowerProduct.variable(k + 1, n)] = c
-        images.append(Polynomial(row, n, field))
+        images.append(Polynomial(row, n))
     # Cache powers of each image so dense inputs reuse work.
-    pows: list = [[Polynomial.constant(1, n, field), images[j]] for j in range(n)]
+    pows: list = [[Polynomial.constant(1, n), images[j]] for j in range(n)]
 
     def power(j: int, e: int) -> Polynomial:
         while len(pows[j]) <= e:
             pows[j].append(pows[j][-1] * images[j])
         return pows[j][e]
 
-    total = Polynomial.zero(n, field)
+    total = Polynomial.zero(n)
     for pp, c in f._terms.items():
-        part = Polynomial.constant(c, n, field)
+        part = Polynomial.constant(c, n)
         for j, e in enumerate(pp):
             if e:
                 part = part * power(j, e)

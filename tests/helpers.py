@@ -7,8 +7,11 @@ from pathlib import Path
 
 from arrfree import (Arrangement, ExponentVector, FreenessReport, GinCertificate,
                      LinearChange, Polynomial, PowerProduct, StronglyStableIdeal,
-                     betti_eliahou_kervaire, borel_closure, sectional_matrix)
+                     betti_eliahou_kervaire, borel_closure, buchberger,
+                     normal_form, sectional_matrix)
+from arrfree import groebner as groebner_module
 from arrfree.cli import ParseError, parse_expression
+from arrfree.groebner import _int_terms, _normalize, _pack, _poly, _residues
 from arrfree.polyring import var_names
 
 
@@ -21,27 +24,47 @@ def polys(texts, nvars):
     return [poly(t, nvars) for t in texts]
 
 
-def convert(f, field):
-    """f with its coefficients read in another field."""
-    return Polynomial(dict(f.terms()), f.nvars, field)
+def residues(f, p=None):
+    """The kernel's input for f: its integer terms m * f in packed keys (m
+    the lcm of its denominators), read mod p when p is set."""
+    return _residues(_int_terms(f)[0], p)
+
+
+def groebner(gens, p=None, **kwargs):
+    """``buchberger`` of the polynomials gens, over GF(p) when p is set:
+    the kernel reads their integer terms mod p."""
+    return buchberger([residues(g) for g in gens], ring=(gens[0].nvars, p), **kwargs)
+
+
+def reduce_mod(f, G, p=None):
+    """``normal_form(f, G)``, over GF(p) when p is set: the kernel's
+    reduction by the monic divisors mod p, as a polynomial whose
+    coefficients are residues in [1, p)."""
+    if p is None:
+        return normal_form(f, G)
+    divisors = [_pack(_normalize(residues(g, p), p), f.nvars) for g in G if g]
+    # through the module, so that a test's patch of _reduce sees the call
+    rem, _ = groebner_module._reduce(residues(f, p), divisors, p, f.nvars)
+    m = _int_terms(f)[1]          # the remainder is that of m * f
+    return _poly({k: v * pow(m, -1, p) % p for k, v in rem.items()}, 1, f.nvars)
 
 
 def derivative(f, i):
     """The formal derivative df/dx_i (1-based index), term by term."""
     j = i - 1
     return Polynomial({PowerProduct(e - (k == j) for k, e in enumerate(pp)): c * pp[j]
-                       for pp, c in f.terms() if pp[j]}, f.nvars, f.field)
+                       for pp, c in f.terms() if pp[j]}, f.nvars)
 
 
 def s_polynomial(f, g):
-    """The S-polynomial of two nonzero polynomials over one field."""
+    """The S-polynomial of two nonzero polynomials."""
     lt_f, lt_g = f.leading_power_product(), g.leading_power_product()
     lcm = PowerProduct(map(max, lt_f, lt_g))
 
     def part(h, lt):
         quotient = PowerProduct(a - b for a, b in zip(lcm, lt))
-        return Polynomial.monomial(quotient, h.nvars, h.field,
-                                   1 / Fraction(h.leading_coefficient())) * h
+        return Polynomial.monomial(quotient, h.nvars,
+                                   coeff=1 / h.leading_coefficient()) * h
     return part(f, lt_f) - part(g, lt_g)
 
 

@@ -9,11 +9,11 @@ from pathlib import Path
 
 import pytest
 
-from arrfree import (GF, DegreeCapExceeded, GinConfig, Polynomial, PowerProduct,
+from arrfree import (DegreeCapExceeded, GinConfig, Polynomial, PowerProduct,
                      analyze, rgin)
 from arrfree.cli import (EXIT_COMPUTE, EXIT_OK, EXIT_PARSE, EXIT_PIPE, EXIT_USAGE,
-                         ParseError, main, parse_expression, parse_input,
-                         report_to_dict, render_sectional_matrix)
+                         MAX_NESTING, ParseError, main, parse_expression,
+                         parse_input, report_to_dict, render_sectional_matrix)
 from arrfree.polyring import _is_prime
 from helpers import polys, report_from_dict
 
@@ -654,13 +654,30 @@ class TestErrorLocations:
         ("vars\nhyperplane x\n", "1:1", "vars line declares no variables"),
         ("vars x 1y\nhyperplane x\n", "1:1", "bad variable name '1y'"),
         ("vars x y\nplane x\n", "2:1", "unknown directive 'plane'"),
+        # the column of the first "(" past the limit, before any recursion
+        (f"vars x y\nhyperplane {'(' * 400}x{')' * 400}\nhyperplane y\n", "2:112",
+         "parentheses nested more than 100 deep"),
+        (f"vars x y\nhyperplane {'(' * 101}x{')' * 101}\nhyperplane y\n", "2:112",
+         "parentheses nested more than 100 deep"),
     ], ids=["character", "exponent", "negative-exponent", "parenthesis", "token", "empty",
-            "duplicate-vars", "empty-vars", "variable-name", "directive"])
+            "duplicate-vars", "empty-vars", "variable-name", "directive",
+            "nesting-400", "nesting-101"])
     def test_line_errors(self, tmp_path, capsys, text, where, message):
         path = tmp_path / "bad.arr"
         path.write_text(text)
         assert run_cli("analyze", str(path)) == (EXIT_PARSE, "")
         assert capsys.readouterr().err == f"error: {path}:{where}: {message}\n"
+
+    def test_nesting_limit_parses(self, tmp_path):
+        assert MAX_NESTING == 100
+        nested = "(" * MAX_NESTING + "x" + ")" * MAX_NESTING
+        assert parse_expression(nested, ["x", "y"]) == parse_expression("x", ["x", "y"])
+        outputs = []
+        for form in (nested, "x"):
+            path = tmp_path / "nested.arr"
+            path.write_text(f"vars x y\nhyperplane {form}\nhyperplane y\n")
+            outputs.append(run_cli("analyze", str(path), "--json", "--seed", "7"))
+        assert outputs[0] == outputs[1] and outputs[0][0] == EXIT_OK
 
     @pytest.mark.parametrize("command, text, message", [
         ("analyze", "# vars x y\n", "missing vars line"),
@@ -711,7 +728,7 @@ class TestLargePrimes:
     def test_mersenne_prime_accepted(self):
         path = INPUTS / "five_planes.arr"
         with _cut_after_5s("a 61-bit prime hangs"):
-            assert _is_prime(self.M61) and GF(self.M61).p == self.M61
+            assert _is_prime(self.M61)
             GinConfig(mode="modular", primes=(self.M61, 32003))
             exact = json.loads(run_cli("analyze", str(path), "--json")[1])
             for coeff in (f"mod:{self.M61},32003", f"mod:{self.M61}"):

@@ -11,35 +11,35 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arrfree import (GF, Arrangement, GenericityExhaustedError, GinConfig, LinearChange,
+from arrfree import (Arrangement, GenericityExhaustedError, GinConfig, LinearChange,
                      MonomialIdeal, Polynomial, PowerProduct,
                      apply_linear_change, buchberger, hilbert_function,
                      leading_term_ideal, random_linear_change,
                      regularity_stable, rgin)
 from arrfree import gin as gin_module
-from arrfree.groebner import _int_terms, _normalize
-from arrfree.polyring import QQ
-from helpers import arrangement, bench_workloads, convert, monomial_gens, poly, polys, \
-    linear_change_oracle, random_borel_ideal, random_polynomial, row_reduce
+from arrfree.groebner import _normalize
+from helpers import arrangement, bench_workloads, groebner, monomial_gens, poly, polys, \
+    linear_change_oracle, random_borel_ideal, random_polynomial, residues, row_reduce
 
 CFG = GinConfig(seed=42)
 INPUTS = Path(__file__).resolve().parents[1] / "inputs"
 _IDENTITY = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
-def _packed(polys):
+def _packed(polys, p=None):
     # a trial's generators in the kernel's packed keys, as build returns them
-    return [_int_terms(f)[0] for f in polys]
+    return [residues(f, p) for f in polys]
 
 
-def _substituted(gens, rows, field):
-    # the reference route: each generator read over field, the rows substituted
+def _substituted(gens, rows):
+    # the reference route: the rows substituted into each generator
     g = LinearChange(rows)
-    return [apply_linear_change(convert(f, field), g) for f in gens]
+    return [apply_linear_change(f, g) for f in gens]
 
 
-def _moved(gens, g, field):
-    return _packed(_substituted(gens, g, field))
+def _moved(gens, g, p):
+    # substitution over QQ, read mod p term by term when p is set
+    return _packed(_substituted(gens, g), p)
 
 
 class _CountedRandom(random.Random):
@@ -155,8 +155,6 @@ class TestCertification:
     def test_rejects_empty_and_modular_input(self):
         with pytest.raises(ValueError, match="at least one generator"):
             rgin([], CFG)
-        with pytest.raises(ValueError, match="over the rationals"):
-            rgin([Polynomial.variable(1, 2, GF(7))], CFG)
 
 
 class TestGenericityFailure:
@@ -173,15 +171,15 @@ class TestGenericityFailure:
         gens = polys(["z^5", "x*y*z^3"], 3)
         seen = []
 
-        def build(g, field):  # only draw 0 is generic; the rest keep gens
-            seen.append((g, field))
-            return _moved(gens, g, field) if len(seen) == 2 else _packed(gens)
+        def build(g, p):  # only draw 0 is generic; the rest keep gens
+            seen.append((g, p))
+            return _moved(gens, g, p) if len(seen) == 2 else _packed(gens)
         with pytest.raises(GenericityExhaustedError) as err:
             rgin(3, GinConfig(seed=2, max_retries=2), build)
-        assert seen[0] == (_IDENTITY, QQ)   # the unmoved generators come first
+        assert seen[0] == (_IDENTITY, None)   # the unmoved generators come first
         draws = err.value.draws
         assert [(d.field, d.index) for d in draws] == [("exact", k) for k in range(4)]
-        assert [(d.matrix, QQ) for d in draws] == seen[1:]
+        assert [(d.matrix, None) for d in draws] == seen[1:]
         assert [d.borel for d in draws] == [True, False, False, False]
         assert [d.kept for d in draws] == [True, False, False, False]
         assert len(err.value.observed) == 4
@@ -192,17 +190,16 @@ class TestGenericityFailure:
         gens = polys(["z^5", "x*y*z^3"], 3)
         with pytest.raises(GenericityExhaustedError) as err:
             rgin(3, GinConfig(seed=1, max_retries=1, mode="modular"),
-                 lambda g, field: _packed(convert(f, field) for f in gens))
+                 lambda g, p: _packed(gens, p))
         assert len(err.value.draws) == 2  # the first prime's budget
         assert "uniform mod p" in str(err.value)
         assert "entry bound" not in str(err.value)
 
 
-def _x5(field):
+def _x5(p):
     # strongly stable, smaller than the gin <x^5, x^4*y, x^3*y^3> and with
     # its Hilbert function, as every draw of one field must be
-    return _packed(convert(f, field)
-                   for f in polys(["x^5", "x^4*y", "x^4*z^2", "x^3*y^4"], 3))
+    return _packed(polys(["x^5", "x^4*y", "x^4*z^2", "x^3*y^4"], 3), p)
 
 
 class TestRedraws:
@@ -228,13 +225,13 @@ class TestRedraws:
     def test_smaller_borel_draw_is_discarded(self):
         seen = []
 
-        def build(g, field):
-            seen.append((g, field))
+        def build(g, p):
+            seen.append((g, p))
             if len(seen) == 2:
-                return _x5(field)
-            return _moved(self.GENS, g, field)
+                return _x5(p)
+            return _moved(self.GENS, g, p)
         B = rgin(3, CFG, build)
-        assert seen[0] == (_IDENTITY, QQ)   # the unmoved generators come first
+        assert seen[0] == (_IDENTITY, None)   # the unmoved generators come first
         draws = [m for m, _ in seen[1:]]
         assert str(B) == self.GIN
         assert B.certificate.matrices == tuple(draws[1:3])
@@ -245,11 +242,11 @@ class TestRedraws:
         # call 3 (mod p2 draw 1) brings the larger gin
         seen = []
 
-        def build(g, field):
+        def build(g, p):
             seen.append(g)
             if len(seen) <= 3:
-                return _x5(field)
-            return _moved(self.GENS, g, field)
+                return _x5(p)
+            return _moved(self.GENS, g, p)
         B = rgin(3, GinConfig(seed=42, mode="modular"), build)
         assert str(B) == self.GIN
         assert len(seen) == 7
@@ -260,11 +257,11 @@ class TestRedraws:
         from arrfree import InternalConsistencyError
         calls = []
 
-        def build(g, field):  # the unmoved build computes <x^5>, not the ideal
+        def build(g, p):  # the unmoved build computes <x^5>, not the ideal
             calls.append(g)
             if len(calls) == 1:
-                return _packed([convert(poly("x^5", 3), field)])
-            return _moved(self.GENS, g, field)
+                return _packed([poly("x^5", 3)], p)
+            return _moved(self.GENS, g, p)
         with pytest.raises(InternalConsistencyError, match="Hilbert function"):
             rgin(3, CFG, build)
         assert len(calls) == 2
@@ -274,11 +271,11 @@ class TestRedraws:
         from arrfree import InternalConsistencyError
         calls = []
 
-        def build(g, field):  # the first draw computes <x^5>, not the ideal
-            calls.append(field)
+        def build(g, p):  # the first draw computes <x^5>, not the ideal
+            calls.append(p)
             if len(calls) == 1:
-                return _packed([convert(poly("x^5", 3), field)])
-            return _moved(self.GENS, g, field)
+                return _packed([poly("x^5", 3)], p)
+            return _moved(self.GENS, g, p)
         with pytest.raises(InternalConsistencyError, match="Hilbert function"):
             rgin(3, GinConfig(seed=42, mode="modular"), build)
         assert len(calls) == 2 and calls[1] == calls[0]
@@ -287,12 +284,11 @@ class TestRedraws:
         # the k-th draw of a field reads stream (k // trials, k % trials)
         rows = []
 
-        def build(g, field):
-            rows.append((g, field))
-            return _x5(field) if len(rows) == 2 else \
-                _moved(self.GENS, g, field)
+        def build(g, p):
+            rows.append((g, p))
+            return _x5(p) if len(rows) == 2 else _moved(self.GENS, g, p)
         rgin(3, CFG, build)
-        assert rows[0] == (_IDENTITY, QQ)
+        assert rows[0] == (_IDENTITY, None)
         for k, (got, _) in enumerate(rows[1:]):
             rng = gin_module._trial_stream(CFG.seed, k // 2, k % 2, "exact")
             assert got == random_linear_change(3, rng, CFG.entry_bound)
@@ -399,9 +395,9 @@ def _ziegler_modular():
 def _reset_modular():
     seen = []
 
-    def build(g, field):               # three smaller draws, then the gin
+    def build(g, p):                   # three smaller draws, then the gin
         seen.append(g)
-        return _x5(field) if len(seen) <= 3 else _moved(TestRedraws.GENS, g, field)
+        return _x5(p) if len(seen) <= 3 else _moved(TestRedraws.GENS, g, p)
     return rgin(3, GinConfig(seed=42, mode="modular"), build)
 
 
@@ -455,16 +451,15 @@ class TestChainRule:
         from helpers import defining_polynomial, derivative, distinct_random_forms
         rng = random.Random(31)
         A = Arrangement(distinct_random_forms(3, 6, rng))
-        for field in (QQ, GF(32003)):
+        for p in (None, 32003):
             for _ in range(3):
                 # entries in [-10, 10] keep |det| below 32003: g stays invertible
                 g = random_linear_change(3, rng, 10)
-                Qg = apply_linear_change(convert(defining_polynomial(A), field),
-                                         LinearChange(g))
+                Qg = apply_linear_change(defining_polynomial(A), LinearChange(g))
                 moved = [derivative(Qg, i) for i in (1, 2, 3)]
-                substituted = _substituted(jacobian_ideal(A), g, field)
+                substituted = _substituted(jacobian_ideal(A), g)
                 assert moved != substituted
-                assert buchberger(moved) == buchberger(substituted)
+                assert groebner(moved, p) == groebner(substituted, p)
 
 
 P = 32003
@@ -506,21 +501,22 @@ def _default_build(gens):
 
 
 class TestDefaultBuild:
-    @pytest.mark.parametrize("field", [QQ, GF(P)], ids=["QQ", "GF32003"])
+    @pytest.mark.parametrize("p", [None, P], ids=["QQ", "GF32003"])
     @settings(max_examples=40, deadline=None)
     @given(_generators(), st.randoms(use_true_random=False))
-    def test_matches_substitution(self, field, case, rng):
+    def test_matches_substitution(self, p, case, rng):
         # the moved products span what substitution gives, generator by
-        # generator, once each is divided by the gcd of its numerators
+        # generator, once each is divided by the gcd of its numerators; mod
+        # p, rational substitution read term by term is the oracle
         l, gens = case
-        if field.p is None:
+        if p is None:
             g = random_linear_change(l, rng, 10)
         else:
-            g = random_linear_change(l, rng, modulus=field.p)
+            g = random_linear_change(l, rng, modulus=p)
         primitive = [f.scale(Fraction(1, math.gcd(
             *(c.numerator for _, c in f.terms())))) for f in gens]
-        expected = [_normalize(t, field.p) for t in _moved(primitive, g, field)]
-        got = [_normalize(t, field.p) for t in _default_build(gens)(g, field)]
+        expected = [_normalize(t, p) for t in _moved(primitive, g, p)]
+        got = [_normalize(t, p) for t in _default_build(gens)(g, p)]
         assert got == expected and all(got)
 
     def test_moves_each_power_product_once(self, monkeypatch):
@@ -531,9 +527,9 @@ class TestDefaultBuild:
         monkeypatch.setattr(gin_module, "_product", lambda rows, *a:
                             calls.append(len(rows)) or product(rows, *a))
         build = _default_build(polys(["x^3", "x^2*y", "x*y^2 + y^3"], 2))
-        for field in (QQ, GF(P)):
+        for p in (None, P):
             calls.clear()
-            build(random_linear_change(2, random.Random(1), 10), field)
+            build(random_linear_change(2, random.Random(1), 10), p)
             assert calls == [1] * 9
 
     def test_never_substitutes(self, monkeypatch):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arrfree import (GF, QQ, Arrangement, DegreeCapExceeded, GinConfig,
+from arrfree import (Arrangement, DegreeCapExceeded, GinConfig,
                      LinearChange, MonomialIdeal, Polynomial, PowerProduct,
                      apply_linear_change, buchberger,
                      hilbert_function, jacobian_ideal, jacobian_rgin,
@@ -17,14 +17,16 @@ from arrfree import gin as gin_module
 from arrfree import groebner as groebner_module
 from arrfree.cli import load_input
 from arrfree.groebner import (_W, _degree, _exponents, _fields,
-                              _guards, _int_terms, _key, _max_fields, _pack,
+                              _guards, _key, _max_fields, _pack,
                               _power_product, _reduce, _tail)
 from arrfree.monomial import degree_monomials
-from helpers import (arrangement, bench_workloads, convert, poly, polys,
-                     random_exponent, random_polynomial, s_polynomial)
+from helpers import (arrangement, bench_workloads, groebner, poly, polys,
+                     random_exponent, random_polynomial, reduce_mod, residues,
+                     s_polynomial)
 
 INPUTS = Path(__file__).resolve().parents[1] / "inputs"
-FIELDS = pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["QQ", "GF32003"])
+# the prime of the kernel's coefficient field, None for QQ
+FIELDS = pytest.mark.parametrize("p", [None, 32003], ids=["QQ", "GF32003"])
 
 # three exponent vectors of one length l <= 6
 exponent_triples = st.integers(1, 6).flatmap(lambda l: st.tuples(
@@ -140,16 +142,16 @@ class TestNormalForm:
         assert normal_form(f, []) == f
 
     @FIELDS
-    def test_exact_difference_in_ideal(self, field):
+    def test_exact_difference_in_ideal(self, p):
         rng = random.Random(17)
-        G = [convert(g, field) for g in polys(["x^2 - y", "x*y - 1"], 2)]
-        gb = buchberger(G)
+        G = polys(["x^2 - y", "x*y - 1"], 2)
+        gb = groebner(G, p)
         lts = [g.leading_power_product() for g in G]
         nonzero = 0
         for _ in range(20):
-            f = convert(random_polynomial(2, 4, 4, rng), field)
-            r = normal_form(f, G)
-            assert normal_form(f - r, gb.elements).is_zero
+            f = random_polynomial(2, 4, 4, rng)
+            r = reduce_mod(f, G, p)
+            assert reduce_mod(f - r, gb.elements, p).is_zero
             assert not any(lt.divides(pp) for pp, _ in r.terms() for lt in lts)
             nonzero += not r.is_zero
         assert nonzero > 10
@@ -243,15 +245,14 @@ class TestBuchberger:
         assert leading_term_ideal(gb).is_unit
 
     @FIELDS
-    def test_degree_cap(self, field):
-        gens = [convert(g, field) for g in
-                polys(["x^2 - y*z", "x*y^2 - z^3", "y^4 - x*z^2"], 3)]
+    def test_degree_cap(self, p):
+        gens = polys(["x^2 - y*z", "x*y^2 - z^3", "y^4 - x*z^2"], 3)
         with pytest.raises(DegreeCapExceeded, match="generator"):
-            buchberger(gens, degree_cap=3)
+            groebner(gens, p, degree_cap=3)
         with pytest.raises(DegreeCapExceeded, match="S-pair"):
-            buchberger(gens, degree_cap=7)
-        assert buchberger(gens, degree_cap=8) == buchberger(gens)
-        # the cap inside the reduction kernel
+            groebner(gens, p, degree_cap=7)
+        assert groebner(gens, p, degree_cap=8) == groebner(gens, p)
+        # the cap of normal_form, over QQ
         f = gens[2] * gens[0]
         with pytest.raises(DegreeCapExceeded, match="reduction"):
             normal_form(f, gens, degree_cap=5)
@@ -262,12 +263,16 @@ class TestBuchberger:
             buchberger([])
 
     def test_prime_field_mode(self):
-        gb = buchberger([convert(g, GF(7)) for g in
-                         polys(["x^2 + 3y^2", "x*y - 2"], 2)])
+        gens = polys(["x^2 + 3y^2", "x*y - 2"], 2)
+        gb = groebner(gens, 7)
+        assert gb.p == 7 and gb != groebner(gens)
         for g in gb.elements:
             assert g.leading_coefficient() == 1
-            s = s_polynomial(gb.elements[0], gb.elements[-1])
-            assert normal_form(s, gb.elements).is_zero
+            assert all(0 <= c < 7 and c.denominator == 1 for _, c in g.terms())
+        # read mod 7, the S-polynomial and the generators reduce to zero
+        s = s_polynomial(gb.elements[0], gb.elements[-1])
+        assert reduce_mod(s, gb.elements, 7).is_zero
+        assert all(reduce_mod(g, gb.elements, 7).is_zero for g in gens)
 
 
 class TestLeadingTermIdeal:
@@ -304,20 +309,20 @@ def homogeneous_forms(draw, top=4, dense=True):
 
 
 class TestDenseRows:
-    @pytest.mark.parametrize("field", [QQ, GF(3), GF(32003), GF(2**61 - 1)],
+    @pytest.mark.parametrize("p", [None, 3, 32003, 2**61 - 1],
                              ids=["QQ", "GF3", "GF32003", "GF2^61-1"])
     @settings(max_examples=40, deadline=None)
     @given(homogeneous_forms())
-    def test_rows_and_dicts_agree(self, field, case):
+    def test_rows_and_dicts_agree(self, p, case):
         l, gens = case
         # a coefficient that p divides becomes 1, so the forms stay dense
-        gens = [Polynomial({m: c if field.p is None or c % field.p else 1
-                            for m, c in g.terms()}, l, field) for g in gens]
-        assert groebner_module._dense([_int_terms(g)[0] for g in gens], l)
-        rows = buchberger(gens)
+        gens = [Polynomial({m: c if p is None or c % p else 1
+                            for m, c in g.terms()}, l) for g in gens]
+        assert groebner_module._dense([residues(g, p) for g in gens], l)
+        rows = groebner(gens, p)
         with pytest.MonkeyPatch.context() as m:
             m.setattr(groebner_module, "_dense", lambda gens, nvars: False)
-            dicts = buchberger(gens)
+            dicts = groebner(gens, p)
         assert [d[1] for d in rows._divisors] == [d[1] for d in dicts._divisors]
         assert leading_term_ideal(rows) == leading_term_ideal(dicts)
         assert rows.elements == dicts.elements
@@ -333,23 +338,24 @@ class TestDenseRows:
         cols = groebner_module._columns(3, 16)[0]
         gens = [{k: 1 for k in cols[j:]} for j in range(70)]
         gens.append({k: (1 - i) % p for i, k in enumerate(cols)})
-        rows = groebner_module.hilbert_hint(gens, (3, GF(p)))
+        rows = groebner_module.hilbert_hint(gens, (3, p))
         with pytest.MonkeyPatch.context() as m:
             m.setattr(groebner_module, "_dense", lambda gens, nvars: False)
-            dicts = groebner_module.hilbert_hint(gens, (3, GF(p)))
+            dicts = groebner_module.hilbert_hint(gens, (3, p))
         # f's remainder leads at column 70, after 70 steps
         assert rows.packed[70][1] == cols[70]
         assert [(d[1], d[2], dict(_tail(d, 3))) for d in rows.divisors] == \
             [(d[1], d[2], dict(d[3])) for d in dicts.divisors]
 
     @FIELDS
-    def test_sparse_homogeneous_input_stays_on_dicts(self, field):
+    def test_sparse_homogeneous_input_stays_on_dicts(self, p):
         # a dense row of degree 2^15 - 1 has about 5 * 10^8 columns; these
         # must stay on term dicts, where the degree limit raises at once
-        gens = [convert(g, field)
-                for g in polys([f"x^{TOP - 1}*y - z^{TOP}", "y*z"], 3)]
+        gens = polys([f"x^{TOP - 1}*y - z^{TOP}", "y*z"], 3)
         assert all(g.is_homogeneous() for g in gens)
-        assert not groebner_module._dense([_int_terms(g)[0] for g in gens], 3)
+        assert not groebner_module._dense([residues(g, p) for g in gens], 3)
+        with pytest.raises(DegreeCapExceeded, match=f"S-pair lcm degree {TOP + 1}"):
+            groebner(gens, p)
 
 
 def _dense_form(l, d, p, rng):
@@ -411,19 +417,18 @@ class TestTruncatedRun:
     @settings(max_examples=60, deadline=None)
     @given(homogeneous_forms(top=3, dense=False),
            st.lists(st.integers(0, 10), min_size=1, max_size=12))
-    def test_counts_in_any_order(self, field, case, degrees):
+    def test_counts_in_any_order(self, p, case, degrees):
         # a hint runs only as far as the degree asked, yet a lower degree
         # asked later still reads the full basis's count
         l, gens = case
-        gens = [convert(g, field) for g in gens]
-        hint = groebner_module.hilbert_hint([_int_terms(g)[0] for g in gens], (l, field))
-        B = leading_term_ideal(buchberger(gens))
+        hint = groebner_module.hilbert_hint([residues(g) for g in gens], (l, p))
+        B = leading_term_ideal(groebner(gens, p))
         for d in degrees:
             assert hint.count(d) == math.comb(d + l - 1, l - 1) - hilbert_function(B, d), d
 
     def test_hint_runs_only_as_far_as_asked(self):
         gens = polys(["x^2 - y*z", "x*y^2 - z^3", "y^4 - x*z^2"], 3)
-        hint = groebner_module.hilbert_hint([_int_terms(g)[0] for g in gens], (3, QQ))
+        hint = groebner_module.hilbert_hint([residues(g) for g in gens], (3, None))
         hint.count(3)
         assert hint.pairs and min(_degree(k, 3) for k in hint.pairs.values()) > 3
         G = buchberger(gens, hilbert=hint)
@@ -466,13 +471,12 @@ class TestAgainstSympy:
 
     @FIELDS
     @pytest.mark.parametrize("nvars", range(1, 5))
-    def test_whole_monic_bases_match(self, field, nvars):
+    def test_whole_monic_bases_match(self, p, nvars):
         sympy = pytest.importorskip("sympy")
-        p = field.p
         xs = sympy.symbols(f"s0:{nvars}")
         rng = random.Random(31 + nvars)
         for k in range(8):   # homogeneous ideals, then inhomogeneous ones
-            gens = [convert(g, field) for g in (
+            gens = [g for g in (
                 _random_form(nvars, rng.randint(2, 3), rng.randint(2, 4), rng)
                 if k < 4 else random_polynomial(nvars, 3, 3, rng)
                 for _ in range(3)) if not g.is_zero]
@@ -490,9 +494,9 @@ class TestAgainstSympy:
                           (m, int(c) * pow(int(lc), -1, p) % p))
                          for m, c in f.terms())
                 ref.add(frozenset(terms))
-            mine = {frozenset((tuple(pp), sympy.Rational(c) if p is None else c)
+            mine = {frozenset((tuple(pp), sympy.Rational(c) if p is None else int(c))
                               for pp, c in g.terms())
-                    for g in buchberger(gens).elements}
+                    for g in groebner(gens, p).elements}
             assert mine == ref
 
 
@@ -532,24 +536,25 @@ def _random_form(nvars, deg, terms, rng):
                        for _ in range(terms)}, nvars)
 
 
-def _hint(gens, rng):
-    """The leading term ideal of gens after a random change of coordinates:
-    another ideal with the Hilbert function of gens."""
+def _hint(gens, rng, p=None):
+    """The leading term ideal of gens after a random change of coordinates,
+    over GF(p) when p is set: another ideal with the Hilbert function of
+    gens."""
     g = LinearChange(random_linear_change(gens[0].nvars, rng, 5))
-    return leading_term_ideal(buchberger([apply_linear_change(f, g) for f in gens]))
+    return leading_term_ideal(groebner([apply_linear_change(f, g) for f in gens], p))
 
 
 class TestHilbertDriven:
     @FIELDS
-    def test_hint_gives_the_same_basis(self, field):
+    def test_hint_gives_the_same_basis(self, p):
         rng = random.Random(41)
         for _ in range(12):
             nv = rng.randint(2, 4)
-            gens = [convert(_random_form(nv, rng.randint(1, 4), rng.randint(1, 4), rng),
-                            field) for _ in range(rng.randint(2, 3))]
-            hinted = buchberger(gens, hilbert=_hint(gens, rng))
-            assert hinted == buchberger(gens)
-            assert leading_term_ideal(hinted) == leading_term_ideal(buchberger(gens))
+            gens = [_random_form(nv, rng.randint(1, 4), rng.randint(1, 4), rng)
+                    for _ in range(rng.randint(2, 3))]
+            hinted = groebner(gens, p, hilbert=_hint(gens, rng, p))
+            assert hinted == groebner(gens, p)
+            assert leading_term_ideal(hinted) == leading_term_ideal(groebner(gens, p))
 
     def test_hint_saves_reductions(self, monkeypatch):
         # the first Ziegler arrangement, moved by a random change
@@ -558,10 +563,9 @@ class TestHilbertDriven:
         A = Arrangement([poly("+".join(f"({c})*{v}" for c, v in zip(r, "xyz")), 3)
                          for r in rows])
         rng = random.Random(43)
-        field = GF(32003)
         g = LinearChange(random_linear_change(3, rng, 5))
-        gens = [apply_linear_change(convert(f, field), g) for f in jacobian_ideal(A)]
-        hint = _hint([convert(f, field) for f in jacobian_ideal(A)], rng)
+        gens = [apply_linear_change(f, g) for f in jacobian_ideal(A)]
+        hint = _hint(jacobian_ideal(A), rng, 32003)
         # the moved generators are dense, so every reduction runs on packed rows
         calls, dict_calls = [], []
         original = groebner_module._Engine._reduce_packed
@@ -570,9 +574,9 @@ class TestHilbertDriven:
         reduce = groebner_module._reduce
         monkeypatch.setattr(groebner_module, "_reduce",
                             lambda *a, **k: dict_calls.append(1) or reduce(*a, **k))
-        plain = leading_term_ideal(buchberger(gens))
+        plain = leading_term_ideal(groebner(gens, 32003))
         unhinted, calls[:] = len(calls), []
-        assert leading_term_ideal(buchberger(gens, hilbert=hint)) == plain
+        assert leading_term_ideal(groebner(gens, 32003, hilbert=hint)) == plain
         assert 0 < len(calls) < unhinted and not dict_calls
 
     def test_inhomogeneous_input_ignores_the_hint(self):
@@ -588,9 +592,8 @@ class TestHilbertDriven:
             buchberger(gens, hilbert=MonomialIdeal([PowerProduct((2, 0, 0))], 3))
 
     def test_leading_terms_before_and_after_the_elements(self, monkeypatch):
-        for field in (QQ, GF(32003)):
-            gens = [convert(g, field) for g in
-                    polys(["x^2 - y*z", "x*y^2 - z^3", "y^4 - x*z^2"], 3)]
+        for p in (None, 32003):
+            gens = polys(["x^2 - y*z", "x*y^2 - z^3", "y^4 - x*z^2"], 3)
             calls, full = [], []
             original = groebner_module._interreduce
             monkeypatch.setattr(groebner_module, "_interreduce",
@@ -601,7 +604,7 @@ class TestHilbertDriven:
                 full.append(not top)
                 return reduce(*a, top=top, **k)
             monkeypatch.setattr(groebner_module, "_reduce", tracked)
-            G = buchberger(gens)
+            G = groebner(gens, p)
             before = leading_term_ideal(G)
             # the engine only top-reduced, and nothing read the elements yet
             assert full and not any(full) and not calls
@@ -669,8 +672,7 @@ class TestLazyResidues:
             outputs.append(_unpacked(out, P, 3))
             return out
         monkeypatch.setattr(groebner_module._Engine, "_spair_packed", recorded)
-        G = buchberger([convert(g, GF(P)) for g in
-                        polys(["x*y + 3*y^2", "x^2 + 3*x*y + y^2"], 2)])
+        G = groebner(polys(["x*y + 3*y^2", "x^2 + 3*x*y + y^2"], 2), P)
         assert outputs[0] == [P * (P - 1), P * (P - 3), P - 1]
         assert [c % P for c in outputs[0]] == [0, 0, P - 1]
         assert all(0 <= c <= P * P for row in outputs for c in row)
@@ -689,7 +691,7 @@ class TestReductionKeepsDegree:
     @settings(max_examples=40, deadline=None)
     @given(l=st.integers(2, 4), homogeneous=st.booleans(),
            seed=st.integers(0, 2**32 - 1))
-    def test_no_popped_term_above_the_input(self, field, l, homogeneous, seed):
+    def test_no_popped_term_above_the_input(self, p, l, homogeneous, seed):
         rng = random.Random(seed)
 
         def draw():
@@ -697,7 +699,7 @@ class TestReductionKeepsDegree:
                 f = (_random_form(l, rng.randint(1, 3), rng.randint(1, 5), rng)
                      if homogeneous else random_polynomial(l, 3, rng.randint(1, 5), rng))
                 if not f.is_zero:
-                    return convert(f, field)
+                    return f
         gens = [draw() for _ in range(rng.randint(1, 3))]
         # every key _reduce can pop is in its work at the start or written
         # there by _subtract
@@ -719,13 +721,14 @@ class TestReductionKeepsDegree:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(groebner_module, "_reduce", reduced)
             mp.setattr(groebner_module, "_subtract", subtracted)
-            G = buchberger(gens).elements
+            G = groebner(gens, p).elements
             # in the ideal, so its leading term reduces at least once
-            f = gens[0] * convert(poly("x", l), field) + draw()
-            nf = normal_form(f, G)
-            normal_form(gens[0] * convert(poly("y", l), field), gens)
+            f = gens[0] * poly("x", l) + draw()
+            reduce_mod(f, G, p)
+            reduce_mod(gens[0] * poly("y", l), gens, p)
         assert calls
-        # the public cap: checked once, against the degree of f
+        # the public cap of normal_form: checked once, against the degree of f
+        nf = normal_form(f, G)
         for cap in range(f.total_degree() + 2):
             if cap < f.total_degree():
                 with pytest.raises(DegreeCapExceeded, match=f"reduction reached "
