@@ -8,7 +8,7 @@ from .polyring import (DimensionError, LinearChange, Polynomial,
 from .monomial import (INFINITE, BettiTable, LexSegmentShape, MonomialIdeal,
                        NotStronglyStableError, SectionalMatrix,
                        StronglyStableIdeal, betti_eliahou_kervaire,
-                       borel_closure, codimension, is_cm_codim2_stable,
+                       codimension, is_cm_codim2_stable,
                        is_cohen_macaulay, is_strongly_stable, reduction_number,
                        regularity_stable, sectional_matrix, triangle_equality)
 from .groebner import (DegreeCapExceeded, GroebnerBasis, buchberger,

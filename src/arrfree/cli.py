@@ -15,6 +15,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -47,6 +48,9 @@ EXIT_PIPE = 141          # 128 + SIGPIPE, as a shell reports a tool it killed
 # (exit 2) before any computation starts.
 MAX_HYPERPLANES = 100
 MAX_GEN_DEGREE = 100
+# The sectional matrix counts monomials in every variable, so its work grows
+# steeply with the number of variables.
+MAX_VARIABLES = 16
 # A number literal, and a power of a coefficient in any expression, may not
 # exceed this many bits: 3^200000000 is rejected before it is computed.
 MAX_COEFF_BITS = 1024
@@ -230,10 +234,9 @@ def _parse(text: str, names: Sequence[str], source: str, line: int,
     return _ExprParser(tokens, len(names), source, line, sum_powers).parse()
 
 
-def parse_expression(text: str, names: Sequence[str], source: str = "<input>",
-                     line: int = 1) -> Polynomial:
+def parse_expression(text: str, names: Sequence[str]) -> Polynomial:
     """Parse one polynomial expression over the declared variables."""
-    return _parse(text, names, source, line, sum_powers=True)
+    return _parse(text, names, "<input>", 1, sum_powers=True)
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +281,11 @@ def parse_input(text: str, source: str = "<input>") -> InputDocument:
             names = rest.split()
             if not names:
                 raise ParseError("vars line declares no variables", source, lineno, 1)
+            if len(names) > MAX_VARIABLES:
+                # the column of the first name past the limit; "vars" is word 0
+                col = [m.start() for m in re.finditer(r"\S+", raw)][MAX_VARIABLES + 1]
+                raise ParseError(f"more than {MAX_VARIABLES} variables",
+                                 source, lineno, col + 1)
             if len(set(names)) != len(names):
                 raise ParseError("variable names must be unique", source, lineno, 1)
             for name in names:

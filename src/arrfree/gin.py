@@ -28,12 +28,14 @@ __all__ = [
     "random_linear_change", "rgin",
 ]
 
+DRAWS_PER_TRIAL = 5     # each field may make this many draws per agreeing trial
+
 
 @dataclass(frozen=True)
 class GinConfig:
     """Parameters of the randomized gin computation.
 
-    Each field (QQ, or each of the two primes) may make ``max_retries *
+    Each field (QQ, or each of the two primes) may make ``DRAWS_PER_TRIAL *
     trials`` draws.  ``entry_bound`` bounds the matrix entries in exact mode
     only; modular draws are uniform over GF(p).
     """
@@ -41,7 +43,6 @@ class GinConfig:
     seed: int = 1
     trials: int = 2
     entry_bound: int = 10
-    max_retries: int = 5
     mode: str = "exact"                     # "exact" or "modular"
     primes: Tuple[int, int] = (32003, 32009)
     degree_cap: Optional[int] = None
@@ -51,8 +52,6 @@ class GinConfig:
             raise ValueError("at least 2 agreement trials are required")
         if self.entry_bound < 1:
             raise ValueError("entry bound must be >= 1")
-        if self.max_retries < 1:
-            raise ValueError("max_retries must be >= 1")
         if self.mode not in ("exact", "modular"):
             raise ValueError(f"unknown coefficient mode {self.mode!r}")
         if self.mode == "modular":
@@ -187,7 +186,7 @@ def rgin(gens: Union[Sequence[Polynomial], int], cfg: GinConfig = GinConfig(),
     candidate so far: one that is not strongly stable, or smaller, is
     discarded and redrawn; one that is larger becomes the candidate and
     discards every draw kept so far.  A field that has made
-    ``cfg.max_retries * cfg.trials`` draws without that raises
+    ``DRAWS_PER_TRIAL * cfg.trials`` draws without that raises
     ``GenericityExhaustedError``.  The k-th draw of a field uses the same
     random stream whatever happened to the draws before it.
 
@@ -250,7 +249,7 @@ def rgin(gens: Union[Sequence[Polynomial], int], cfg: GinConfig = GinConfig(),
     fields = ([("exact", None)] if cfg.mode == "exact"
               else [(f"mod{p}", p) for p in cfg.primes])
 
-    budget = cfg.max_retries * cfg.trials
+    budget = DRAWS_PER_TRIAL * cfg.trials
     draws = []                                # (tag, k, matrix, borel, ideal)
     made = {tag: 0 for tag, _ in fields}
     kept = {tag: [] for tag, _ in fields}     # indices into draws
@@ -302,7 +301,7 @@ def _exhausted(cfg: GinConfig, tag: str, draws: list,
         hint = "retry with a different seed"
     return GenericityExhaustedError(
         f"no {cfg.trials} agreeing Borel-fixed leading term ideals: {tag} used "
-        f"all {cfg.max_retries * cfg.trials} of its draws (seed {cfg.seed}, "
+        f"all {DRAWS_PER_TRIAL * cfg.trials} of its draws (seed {cfg.seed}, "
         f"{entries}); {len(draws)} draws, "
         f"{sum(not d.borel for d in history)} not Borel, "
         f"{len(set(observed))} distinct candidates; {hint}",

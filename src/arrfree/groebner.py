@@ -302,22 +302,18 @@ def _tail(d: tuple, nvars: int) -> list:
 # public operations
 # ---------------------------------------------------------------------------
 
-def normal_form(f: Polynomial, G: Sequence[Polynomial],
-                degree_cap: Optional[int] = None) -> Polynomial:
+def normal_form(f: Polynomial, G: Sequence[Polynomial]) -> Polynomial:
     """Remainder of f on division by the list G.
 
     No term of the result is divisible by any leading term of G, and the
     difference f - result lies in the ideal generated by G.  Reduction always
     uses the first divisor in list order, so the result is deterministic.
-    Reduction never raises the degree, so ``degree_cap`` bounds f alone.
     """
     divisors = [g for g in G if not g.is_zero]
     for g in divisors:
         f._check_compatible(g)
     if f.is_zero or not divisors:
         return f
-    if degree_cap is not None and (d := f.total_degree()) > degree_cap:
-        raise DegreeCapExceeded(f"reduction reached degree {d} > cap {degree_cap}")
     work, m0 = _int_terms(f)
     packed = [_pack(_normalize(_int_terms(g)[0], None), f.nvars) for g in divisors]
     rem, mult = _reduce(work, packed, None, f.nvars)

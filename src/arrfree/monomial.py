@@ -9,6 +9,7 @@ closed form; the sectional matrix counts standard monomials.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -16,7 +17,7 @@ from .polyring import DimensionError, PowerProduct, format_power_product
 
 __all__ = [
     "INFINITE", "MonomialIdeal", "StronglyStableIdeal", "NotStronglyStableError",
-    "is_strongly_stable", "borel_moves", "borel_closure",
+    "is_strongly_stable",
     "SectionalMatrix", "sectional_matrix", "triangle_equality",
     "reduction_number", "regularity_stable",
     "BettiTable", "betti_eliahou_kervaire",
@@ -25,21 +26,7 @@ __all__ = [
 ]
 
 
-class _Infinite:
-    """Sentinel for an infinite reduction number."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "INFINITE"
-
-
-INFINITE = _Infinite()
+INFINITE = math.inf     # an infinite reduction number
 
 
 class NotStronglyStableError(ValueError):
@@ -123,21 +110,6 @@ class MonomialIdeal:
 # strong stability (Borel-fixedness)
 # ---------------------------------------------------------------------------
 
-def borel_moves(t: PowerProduct) -> Iterator[PowerProduct]:
-    """The adjacent moves x_(j-1) * t / x_j for x_j dividing t, j >= 2.
-
-    Any move x_i * t / x_j with i < j is the chain of adjacent moves
-    x_j -> x_(j-1) -> ... -> x_i, so closing under adjacent moves closes
-    under all of them.
-    """
-    for j in range(1, len(t)):
-        if t[j]:
-            moved = list(t)
-            moved[j] -= 1
-            moved[j - 1] += 1
-            yield PowerProduct(moved)
-
-
 def is_strongly_stable(B: MonomialIdeal) -> bool:
     """True iff every adjacent move on every minimal generator stays in B.
 
@@ -167,38 +139,25 @@ def is_strongly_stable(B: MonomialIdeal) -> bool:
     return True
 
 
-def borel_closure(gens: Iterable[PowerProduct], nvars: int) -> MonomialIdeal:
-    """Smallest strongly stable ideal containing the given monomials."""
-    seen = set()
-    queue = [g if isinstance(g, PowerProduct) else PowerProduct(g) for g in gens]
-    while queue:
-        t = queue.pop()
-        if t in seen:
-            continue
-        seen.add(t)
-        queue.extend(borel_moves(t))
-    return MonomialIdeal(seen, nvars)
-
-
 class StronglyStableIdeal(MonomialIdeal):
     """A monomial ideal verified to be strongly stable.
 
-    ``certificate`` carries randomized-computation metadata when the ideal
-    was produced as a generic initial ideal; it does not take part in
+    ``certificate`` carries randomized-computation metadata when ``rgin``
+    produced the ideal, and is None otherwise; it does not take part in
     equality or hashing.
     """
 
     __slots__ = ("certificate",)
 
-    def __init__(self, gens: Iterable[PowerProduct], nvars: int, certificate=None):
+    def __init__(self, gens: Iterable[PowerProduct], nvars: int):
         super().__init__(gens, nvars)
         if not is_strongly_stable(self):
             raise NotStronglyStableError(f"{self!r} is not strongly stable")
-        self.certificate = certificate
+        self.certificate = None
 
     @classmethod
-    def from_ideal(cls, B: MonomialIdeal, certificate=None) -> "StronglyStableIdeal":
-        return cls(B.generators, B.nvars, certificate)
+    def from_ideal(cls, B: MonomialIdeal) -> "StronglyStableIdeal":
+        return cls(B.generators, B.nvars)
 
     @classmethod
     def _checked(cls, B: MonomialIdeal, certificate=None) -> "StronglyStableIdeal":
@@ -257,12 +216,11 @@ def count_standard_monomials(B: MonomialIdeal, i: int, d: int) -> int:
 class SectionalMatrix:
     """Table M(i, d) of generic-section Hilbert values, i = 1..l, d = 0..dmax."""
 
-    __slots__ = ("values", "dmax", "source")
+    __slots__ = ("values", "dmax")
 
-    def __init__(self, values: Sequence[Sequence[int]], source: MonomialIdeal):
+    def __init__(self, values: Sequence[Sequence[int]]):
         self.values = tuple(tuple(row) for row in values)
         self.dmax = len(self.values[0]) - 1
-        self.source = source
 
     @property
     def nrows(self) -> int:
@@ -286,8 +244,7 @@ class SectionalMatrix:
         return all(v == 0 for row in self.values for v in row)
 
     def __eq__(self, other):
-        return (isinstance(other, SectionalMatrix) and self.values == other.values
-                and self.source == other.source)
+        return isinstance(other, SectionalMatrix) and self.values == other.values
 
     def __repr__(self):
         return f"SectionalMatrix(dmax={self.dmax}, rows={self.values})"
@@ -308,7 +265,7 @@ def sectional_matrix(B: MonomialIdeal, dmax: Optional[int] = None) -> SectionalM
         dmax = (top if top is not None else 0) + 2
     values = [[count_standard_monomials(B, i, d) for d in range(dmax + 1)]
               for i in range(1, B.nvars + 1)]
-    return SectionalMatrix(values, B)
+    return SectionalMatrix(values)
 
 
 def triangle_equality(M: SectionalMatrix, i: int, d: int) -> bool:

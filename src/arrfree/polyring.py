@@ -187,9 +187,6 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
     def __len__(self) -> int:
         return len(self._terms)
 

@@ -6,8 +6,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from arrfree import (Arrangement, ExponentVector, FreenessReport, GinCertificate,
-                     LinearChange, Polynomial, PowerProduct, StronglyStableIdeal,
-                     betti_eliahou_kervaire, borel_closure, buchberger,
+                     LinearChange, MonomialIdeal, Polynomial, PowerProduct,
+                     StronglyStableIdeal, betti_eliahou_kervaire, buchberger,
                      normal_form, sectional_matrix)
 from arrfree import groebner as groebner_module
 from arrfree.cli import ParseError, parse_expression
@@ -103,6 +103,20 @@ def random_linear_form(nvars, rng, bound=5):
         if c:
             d[PowerProduct.variable(i + 1, nvars)] = c
     return Polynomial(d, nvars)
+
+
+def borel_closure(gens, nvars):
+    """Smallest strongly stable ideal containing the given monomials: their
+    closure under the adjacent moves x_(j-1) * t / x_j, since any move
+    x_i * t / x_j with i < j is a chain of them."""
+    seen, queue = set(), [tuple(g) for g in gens]
+    while queue:
+        t = queue.pop()
+        if t not in seen:
+            seen.add(t)
+            queue.extend(t[:j - 1] + (t[j - 1] + 1, t[j] - 1) + t[j + 1:]
+                         for j in range(1, len(t)) if t[j])
+    return MonomialIdeal(seen, nvars)
 
 
 def random_borel_ideal(nvars, max_deg, n_seeds, rng):
@@ -225,8 +239,8 @@ def report_from_dict(data):
             coeff_mode=prov["coeff_mode"],
             matrices=tuple(tuple(tuple(row) for row in m)
                            for m in prov["matrices"]))
-    B = StronglyStableIdeal((_parse_monomial(s, l) for s in data["rgin"]), l,
-                            certificate=cert)
+    B = StronglyStableIdeal._checked(StronglyStableIdeal(
+        (_parse_monomial(s, l) for s in data["rgin"]), l), cert)
     dmax = len(data["sectional_matrix"][0]) - 1
     M = sectional_matrix(B, dmax)
     if [list(row) for row in M.values] != data["sectional_matrix"]:

@@ -10,28 +10,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arrfree import (Arrangement, ArrangementError, DimensionError,
-                     ExponentVector, GinConfig,
+                     ExponentVector, GinConfig, INFINITE,
                      InternalConsistencyError, NotFreeRginError, Polynomial, PowerProduct,
                      StronglyStableIdeal, analyze, check_conjecture_Z,
                      exponents_from_rgin, is_free_via_rgin,
                      is_free_via_sectional, jacobian_ideal, jacobian_rgin,
-                     realizable_as_free, rgin, rgin_from_exponents,
-                     supersolvable_from_exponents)
-from arrfree import (LinearChange, apply_linear_change, borel_closure,
-                     random_linear_change, variables)
+                     realizable_as_free, reduction_number, rgin,
+                     rgin_from_exponents, supersolvable_from_exponents)
+from arrfree import (LinearChange, apply_linear_change, random_linear_change,
+                     variables)
 from arrfree import arrangement as arrangement_module
 from arrfree import gin as gin_module
 from arrfree import groebner as groebner_module
 from arrfree.arrangement import (_expand, _free_by_generator_shape,
                                   is_cm_codim2_stable, sectional_bounds)
-from arrfree.cli import report_to_dict
+from arrfree.cli import load_input, report_to_dict
 from arrfree.groebner import _poly
 from helpers import arrangement as bench_arrangement
-from helpers import (bench_workloads, defining_polynomial, derivative,
-                     distinct_random_forms, poly, polys, random_borel_ideal,
-                     random_linear_form, residues)
+from helpers import (bench_workloads, borel_closure, defining_polynomial,
+                     derivative, distinct_random_forms, poly, polys,
+                     random_borel_ideal, random_linear_form, residues)
 
 CFG = GinConfig(seed=9)
+INPUTS = Path(__file__).resolve().parents[1] / "inputs"
 
 
 def arrangement(texts, nvars):
@@ -142,6 +143,19 @@ def perturbed_staircase():
             return Arrangement(forms)
         except ArrangementError:         # two forms define one hyperplane
             continue
+
+
+class TestUniqueGin:
+    """The gin is unique, so every seed in either coefficient mode gives the
+    same rgin of an input file."""
+
+    @pytest.mark.parametrize("path", sorted(INPUTS.glob("*.arr")),
+                             ids=lambda path: path.stem)
+    def test_one_rgin_per_file(self, path):
+        A = load_input(str(path)).as_arrangement()
+        rgins = {jacobian_rgin(A, GinConfig(seed=seed, mode=mode))
+                 for seed in range(1, 9) for mode in ("exact", "modular")}
+        assert len(rgins) == 1, rgins
 
 
 class TestTrialRoutes:
@@ -369,6 +383,11 @@ class TestFreenessGoldens:
             assert (d0, reg) == (rep.d0, rep.regularity)
             assert dmax == rep.sectional.dmax == max(reg, d0) + 2
         assert sectional_bounds(StronglyStableIdeal([], 3))[:2] == (None, None)
+
+    def test_infinite_reduction_number_gives_no_d0(self):
+        B = StronglyStableIdeal([(1, 0, 0)], 3)     # no pure power of x_2
+        assert reduction_number(B, 1) is INFINITE
+        assert sectional_bounds(B)[0] is None
 
     # x_2^(d0+1) is a minimal generator when d0 is finite, so d0 + 2 never
     # exceeds regularity + 1 and the default dmax is regularity + 2 alone

@@ -12,8 +12,9 @@ import pytest
 from arrfree import (DegreeCapExceeded, GinConfig, Polynomial, PowerProduct,
                      analyze, rgin)
 from arrfree.cli import (EXIT_COMPUTE, EXIT_OK, EXIT_PARSE, EXIT_PIPE, EXIT_USAGE,
-                         MAX_NESTING, ParseError, main, parse_expression,
-                         parse_input, report_to_dict, render_sectional_matrix)
+                         MAX_NESTING, MAX_VARIABLES, ParseError, main,
+                         parse_expression, parse_input, report_to_dict,
+                         render_sectional_matrix)
 from arrfree.polyring import _is_prime
 from helpers import polys, report_from_dict
 
@@ -659,14 +660,25 @@ class TestErrorLocations:
          "parentheses nested more than 100 deep"),
         (f"vars x y\nhyperplane {'(' * 101}x{')' * 101}\nhyperplane y\n", "2:112",
          "parentheses nested more than 100 deep"),
+        # the column of the 17th name
+        (f"vars {' '.join(f'x{i}' for i in range(1, 18))}\nhyperplane x1\n", "1:61",
+         "more than 16 variables"),
+        (f"  vars  {'  '.join(f'x{i}' for i in range(1, 41))}  # forty\nhyperplane x1\n",
+         "1:80", "more than 16 variables"),
     ], ids=["character", "exponent", "negative-exponent", "parenthesis", "token", "empty",
             "duplicate-vars", "empty-vars", "variable-name", "directive",
-            "nesting-400", "nesting-101"])
+            "nesting-400", "nesting-101", "variables-17", "variables-40"])
     def test_line_errors(self, tmp_path, capsys, text, where, message):
         path = tmp_path / "bad.arr"
         path.write_text(text)
         assert run_cli("analyze", str(path)) == (EXIT_PARSE, "")
         assert capsys.readouterr().err == f"error: {path}:{where}: {message}\n"
+
+    def test_variable_limit_parses(self):
+        assert MAX_VARIABLES == 16
+        names = tuple(f"x{i}" for i in range(1, MAX_VARIABLES + 1))
+        doc = parse_input(f"vars {' '.join(names)}\nhyperplane x1 + x16\n")
+        assert doc.var_names == names
 
     def test_nesting_limit_parses(self, tmp_path):
         assert MAX_NESTING == 100

@@ -147,8 +147,6 @@ class TestCertification:
             GinConfig(mode="modular", primes=(32004, 7))
         with pytest.raises(ValueError, match="entry bound"):
             GinConfig(entry_bound=0)
-        with pytest.raises(ValueError, match="max_retries"):
-            GinConfig(max_retries=0)
         with pytest.raises(ValueError, match="unknown coefficient mode"):
             GinConfig(mode="x")
 
@@ -162,12 +160,14 @@ class TestGenericityFailure:
         def rigged(l, rng, bound):
             return tuple(tuple(int(i == j) for j in range(l)) for i in range(l))
         monkeypatch.setattr(gin_module, "random_linear_change", rigged)
+        monkeypatch.setattr(gin_module, "DRAWS_PER_TRIAL", 2)
         gens = polys(["z^5", "x*y*z^3"], 3)  # its own leading terms are not Borel
         with pytest.raises(GenericityExhaustedError) as err:
-            rgin(gens, GinConfig(seed=1, max_retries=2))
-        assert len(err.value.observed) == 4  # 2 retries x 2 trials
+            rgin(gens, GinConfig(seed=1))
+        assert len(err.value.observed) == 4  # 2 draws per trial x 2 trials
 
-    def test_history_of_an_exhausted_run(self):
+    def test_history_of_an_exhausted_run(self, monkeypatch):
+        monkeypatch.setattr(gin_module, "DRAWS_PER_TRIAL", 2)
         gens = polys(["z^5", "x*y*z^3"], 3)
         seen = []
 
@@ -175,7 +175,7 @@ class TestGenericityFailure:
             seen.append((g, p))
             return _moved(gens, g, p) if len(seen) == 2 else _packed(gens)
         with pytest.raises(GenericityExhaustedError) as err:
-            rgin(3, GinConfig(seed=2, max_retries=2), build)
+            rgin(3, GinConfig(seed=2), build)
         assert seen[0] == (_IDENTITY, None)   # the unmoved generators come first
         draws = err.value.draws
         assert [(d.field, d.index) for d in draws] == [("exact", k) for k in range(4)]
@@ -186,10 +186,11 @@ class TestGenericityFailure:
         assert "4 draws, 3 not Borel, 2 distinct candidates" in str(err.value)
         assert "larger entry bound" in str(err.value)
 
-    def test_modular_exhaustion_does_not_suggest_entry_bound(self):
+    def test_modular_exhaustion_does_not_suggest_entry_bound(self, monkeypatch):
+        monkeypatch.setattr(gin_module, "DRAWS_PER_TRIAL", 1)
         gens = polys(["z^5", "x*y*z^3"], 3)
         with pytest.raises(GenericityExhaustedError) as err:
-            rgin(3, GinConfig(seed=1, max_retries=1, mode="modular"),
+            rgin(3, GinConfig(seed=1, mode="modular"),
                  lambda g, p: _packed(gens, p))
         assert len(err.value.draws) == 2  # the first prime's budget
         assert "uniform mod p" in str(err.value)

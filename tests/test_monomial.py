@@ -11,14 +11,14 @@ from hypothesis import strategies as st
 from arrfree import (INFINITE, DimensionError, LexSegmentShape, MonomialIdeal,
                      NotStronglyStableError,
                      PowerProduct, StronglyStableIdeal, betti_eliahou_kervaire,
-                     borel_closure, codimension,
+                     codimension,
                      is_cm_codim2_stable, is_cohen_macaulay,
                      is_strongly_stable, reduction_number,
                      regularity_stable, sectional_matrix, triangle_equality)
 from arrfree import monomial as monomial_module
 from arrfree.cli import render_sectional_matrix
 from arrfree.monomial import count_standard_monomials, degree_monomials
-from helpers import random_borel_ideal, random_exponent
+from helpers import borel_closure, random_borel_ideal, random_exponent
 
 
 def B(gens, nvars):
@@ -389,6 +389,11 @@ class TestReductionNumbers:
     def test_bounds(self):
         with pytest.raises(IndexError):
             reduction_number(FIVE, 3)
+
+    def test_infinite_is_math_inf(self):
+        r = reduction_number(B([(1, 0)], 2), 0)
+        assert r is INFINITE and INFINITE is math.inf
+        assert r > 2**64
 
 
 class TestRegularity:

@@ -1,6 +1,7 @@
 """The README's library quick start runs as written and shows its values,
 and its list of public names is the package's."""
 
+import importlib
 import re
 from pathlib import Path
 from types import ModuleType
@@ -39,4 +40,8 @@ def test_library_names():
               if not name.startswith("_") and not isinstance(value, ModuleType)}
     assert sorted(listed) == sorted(public)
     for name, module in listed.items():
-        assert getattr(arrfree, name).__module__ == module, name
+        value = getattr(arrfree, name)
+        # a constant such as INFINITE = math.inf has no __module__ of its
+        # own: its module must hold the very object
+        assert getattr(value, "__module__", module) == module, name
+        assert getattr(importlib.import_module(module), name) is value, name
