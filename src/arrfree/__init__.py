@@ -3,8 +3,7 @@ and sectional matrices of the Jacobian ideal, with converters between
 exponents, Betti tables, lex-segment ideals and explicit free arrangements.
 """
 
-from .polyring import (DimensionError, LinearChange, Polynomial,
-                       PowerProduct, apply_linear_change, variables)
+from .polyring import DimensionError, Polynomial, PowerProduct, variables
 from .monomial import (INFINITE, BettiTable, LexSegmentShape, MonomialIdeal,
                        NotStronglyStableError, SectionalMatrix,
                        StronglyStableIdeal, betti_eliahou_kervaire,

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import re
 import sys
@@ -56,6 +57,10 @@ MAX_VARIABLES = 16
 MAX_COEFF_BITS = 1024
 # Parentheses may nest this deep: the parser recurses once per level.
 MAX_NESTING = 100
+# Each random draw expands polynomials densely: the product of the n forms,
+# or a generator of degree d, in l variables has up to C(n+l-1, l-1) or
+# C(d+l-1, l-1) terms.  A larger input is rejected (exit 2) before a draw.
+MAX_DENSE_TERMS = 200_000
 
 
 class ParseError(ValueError):
@@ -251,16 +256,29 @@ class InputDocument:
     source: str
 
     def as_arrangement(self) -> Arrangement:
+        """The arrangement, whose draws must stay within ``MAX_DENSE_TERMS``."""
         if self.kind != "arrangement":
             raise ParseError("expected an arrangement file (hyperplane lines)",
                              self.source)
-        return Arrangement(self.items)
+        A = Arrangement(self.items)
+        self.check_dense_terms(A.n)
+        return A
 
     def as_monomial_ideal(self) -> MonomialIdeal:
         if self.kind != "ideal":
             raise ParseError("expected an ideal file (gen lines)", self.source)
         return MonomialIdeal(
             (f.leading_power_product() for f in self.items), len(self.var_names))
+
+    def check_dense_terms(self, degree: int) -> None:
+        """Reject a draw that would expand a polynomial of this degree to
+        more than ``MAX_DENSE_TERMS`` terms."""
+        l = len(self.var_names)
+        terms = math.comb(degree + l - 1, l - 1)
+        if terms > MAX_DENSE_TERMS:
+            raise ParseError(f"a random change of coordinates expands a polynomial "
+                             f"of degree {degree} in {l} variables to {terms} "
+                             f"terms, more than {MAX_DENSE_TERMS}", self.source)
 
 
 def parse_input(text: str, source: str = "<input>") -> InputDocument:
@@ -494,6 +512,7 @@ def _rgin_of_document(doc: InputDocument, cfg: GinConfig) -> StronglyStableIdeal
     if doc.kind == "arrangement":
         return arr.jacobian_rgin(doc.as_arrangement(), cfg)
     ideal = doc.as_monomial_ideal()
+    doc.check_dense_terms(ideal.max_generator_degree())
     gens = [Polynomial.monomial(pp, ideal.nvars) for pp in ideal.generators]
     return rgin(gens, cfg)
 

@@ -8,7 +8,6 @@ and safe to share across workers.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from operator import add
 from typing import Iterable, Iterator, Mapping, Sequence, Tuple, Union
@@ -16,7 +15,7 @@ from typing import Iterable, Iterator, Mapping, Sequence, Tuple, Union
 __all__ = [
     "DimensionError", "PowerProduct",
     "Polynomial", "variables",
-    "LinearChange", "apply_linear_change",
+    "apply_linear_change",
     "var_names", "format_power_product",
 ]
 
@@ -308,7 +307,7 @@ def variables(nvars: int) -> list:
 
 
 # ---------------------------------------------------------------------------
-# invertible linear changes of coordinates
+# integer elimination and linear changes of coordinates
 # ---------------------------------------------------------------------------
 
 def _bareiss(rows: Sequence[Sequence[int]]) -> Tuple[int, int]:
@@ -336,57 +335,22 @@ def _bareiss(rows: Sequence[Sequence[int]]) -> Tuple[int, int]:
     return rank, sign * prev if rank == len(m) and last == rank - 1 else 0
 
 
-class LinearChange:
-    """Invertible linear substitution x_j -> sum_k matrix[j][k] * x_k.
-
-    ``det`` is the exact determinant, computed once at construction.
-    """
-
-    __slots__ = ("matrix", "nvars", "det")
-
-    def __init__(self, matrix: Sequence[Sequence[CoeffLike]]):
-        rows = tuple(tuple(Fraction(c) for c in row) for row in matrix)
-        n = len(rows)
-        if n == 0 or any(len(r) != n for r in rows):
-            raise ValueError("matrix must be square and non-empty")
-        # each row scaled to integers by the lcm of its denominators
-        scales = [math.lcm(*(c.denominator for c in row)) for row in rows]
-        det = _bareiss([[c.numerator * (s // c.denominator) for c in row]
-                        for row, s in zip(rows, scales)])[1]
-        if det == 0:
-            raise ValueError("singular matrix rejected")
-        self.matrix = rows
-        self.nvars = n
-        self.det = Fraction(det, math.prod(scales))
-
-    @classmethod
-    def identity(cls, nvars: int) -> "LinearChange":
-        return cls([[1 if i == j else 0 for j in range(nvars)] for i in range(nvars)])
-
-    def __eq__(self, other):
-        return isinstance(other, LinearChange) and self.matrix == other.matrix
-
-    def __hash__(self):
-        return hash(self.matrix)
-
-    def __repr__(self):
-        return f"LinearChange({[[str(c) for c in row] for row in self.matrix]})"
-
-
-def apply_linear_change(f: Polynomial, g: LinearChange) -> Polynomial:
-    """Compose f with the linear map g (substitute each variable)."""
-    if f.nvars != g.nvars:
-        raise DimensionError(f"polynomial in {f.nvars} variables, change in {g.nvars}")
+def apply_linear_change(f: Polynomial,
+                        rows: Sequence[Sequence[CoeffLike]]) -> Polynomial:
+    """Substitute x_j -> sum_k rows[j][k] * x_k into f.  The square matrix
+    is given by its rows, as ``gin.random_linear_change`` draws them, with
+    int or Fraction entries; it need not be invertible."""
+    n = f.nvars
+    if len(rows) != n:
+        raise DimensionError(f"a change of {n} variables needs {n} rows, got {len(rows)}")
+    for j, row in enumerate(rows, start=1):
+        if len(row) != n:
+            raise DimensionError(f"row {j} of the change has {len(row)} entries, "
+                                 f"expected {n}")
     if f.is_zero:
         return f
-    n = f.nvars
-    images = []
-    for j in range(n):
-        row = {}
-        for k, c in enumerate(g.matrix[j]):
-            if c:
-                row[PowerProduct.variable(k + 1, n)] = c
-        images.append(Polynomial(row, n))
+    images = [Polynomial({PowerProduct.variable(k + 1, n): c
+                          for k, c in enumerate(row)}, n) for row in rows]
     # Cache powers of each image so dense inputs reuse work.
     pows: list = [[Polynomial.constant(1, n), images[j]] for j in range(n)]
 

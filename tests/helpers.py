@@ -6,7 +6,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from arrfree import (Arrangement, ExponentVector, FreenessReport, GinCertificate,
-                     LinearChange, MonomialIdeal, Polynomial, PowerProduct,
+                     MonomialIdeal, Polynomial, PowerProduct,
                      StronglyStableIdeal, betti_eliahou_kervaire, buchberger,
                      normal_form, sectional_matrix)
 from arrfree import groebner as groebner_module
@@ -172,7 +172,7 @@ def row_reduce(rows):
     The reduced row echelon form has a leading 1 in each pivot row and zero
     rows last.  ``det`` is the determinant of the leading square block (the
     first len(rows) columns), 0 when that block is singular.  The oracle of
-    ``polyring._bareiss``.
+    ``polyring._bareiss`` and of ``gin.random_linear_change``.
     """
     m = [[Fraction(c) for c in row] for row in rows]
     pivots: list = []
@@ -202,19 +202,16 @@ def row_reduce(rows):
 
 def linear_change_oracle(l, rng, bound=None, modulus=None):
     """The rows of a random invertible l x l matrix, drawn as
-    ``gin.random_linear_change`` draws them but checked by ``LinearChange``:
-    a draw it rejects as singular is redrawn, and mod p the numerator of
-    its exact determinant must not vanish.  The oracle of that draw loop.
+    ``gin.random_linear_change`` draws them but checked by ``row_reduce``:
+    a draw with determinant 0 over QQ, or 0 mod p, is redrawn.  The oracle
+    of that draw loop, sharing no code with ``polyring._bareiss``.
     """
     lo, hi = (-bound, bound) if modulus is None else (0, modulus - 1)
     while True:
-        rows = [[rng.randint(lo, hi) for _ in range(l)] for _ in range(l)]
-        try:
-            g = LinearChange(rows)
-        except ValueError:
-            continue
-        if modulus is None or g.det.numerator % modulus:
-            return tuple(tuple(row) for row in rows)
+        rows = tuple(tuple(rng.randint(lo, hi) for _ in range(l)) for _ in range(l))
+        det = row_reduce(rows)[2]
+        if det and (modulus is None or det.numerator % modulus):
+            return rows
 
 
 def _parse_monomial(text, l):

@@ -17,8 +17,7 @@ from arrfree import (Arrangement, ArrangementError, DimensionError,
                      is_free_via_sectional, jacobian_ideal, jacobian_rgin,
                      realizable_as_free, reduction_number, rgin,
                      rgin_from_exponents, supersolvable_from_exponents)
-from arrfree import (LinearChange, apply_linear_change, random_linear_change,
-                     variables)
+from arrfree import random_linear_change, variables
 from arrfree import arrangement as arrangement_module
 from arrfree import gin as gin_module
 from arrfree import groebner as groebner_module
@@ -26,6 +25,7 @@ from arrfree.arrangement import (_expand, _free_by_generator_shape,
                                   is_cm_codim2_stable, sectional_bounds)
 from arrfree.cli import load_input, report_to_dict
 from arrfree.groebner import _poly
+from arrfree.polyring import apply_linear_change
 from helpers import arrangement as bench_arrangement
 from helpers import (bench_workloads, borel_closure, defining_polynomial,
                      derivative, distinct_random_forms, poly, polys,
@@ -300,8 +300,7 @@ class TestPackedTrials:
             trial = builds.pop()(g, p)
             # the reference: the primitive product, moved, then differentiated,
             # read mod p term by term when p is set
-            Qg = apply_linear_change(defining_polynomial(A).scale(1 / A.content),
-                                     LinearChange(g))
+            Qg = apply_linear_change(defining_polynomial(A).scale(1 / A.content), g)
             assert trial == [residues(derivative(Qg, i), p) for i in range(1, l + 1)]
             for t in trial:
                 assert all(c and (p is None or 0 < c < p) for c in t.values())

@@ -11,6 +11,7 @@ import pytest
 
 from arrfree import (DegreeCapExceeded, GinConfig, Polynomial, PowerProduct,
                      analyze, rgin)
+from arrfree import cli
 from arrfree.cli import (EXIT_COMPUTE, EXIT_OK, EXIT_PARSE, EXIT_PIPE, EXIT_USAGE,
                          MAX_NESTING, MAX_VARIABLES, ParseError, main,
                          parse_expression, parse_input, report_to_dict,
@@ -636,6 +637,61 @@ class TestExitCodes:
         with _cut_after_5s("the generator was moved before any limit"):
             with pytest.raises(DegreeCapExceeded, match="kernel limit"):
                 rgin([big], GinConfig(mode=mode))
+
+
+class TestDenseTermLimit:
+    """A file whose random draws would expand a polynomial to more than
+    ``MAX_DENSE_TERMS`` terms exits 2 before the first draw."""
+
+    # (x1^100 moved, and the product of the 40 moved forms), dense in all
+    # of 8 and of 10 variables
+    IDEAL = "vars a b c d e f g h\ngen a^100\n"
+    ARR = "vars " + " ".join(f"x{i}" for i in range(1, 11)) + "\n" + "".join(
+        f"hyperplane x1 + {k}*x2 + x{3 + k % 8}\n" for k in range(1, 41))
+
+    @pytest.mark.parametrize("command, text, degree, l, terms", [
+        ("rgin", IDEAL, 100, 8, 26075972546),
+        ("sm", IDEAL, 100, 8, 26075972546),
+        ("analyze", ARR, 40, 10, 2054455634),
+        ("rgin", ARR, 40, 10, 2054455634),
+        ("sm", ARR, 40, 10, 2054455634),
+        ("exponents", ARR, 40, 10, 2054455634),
+    ], ids=["rgin-ideal", "sm-ideal", "analyze", "rgin-arr", "sm-arr",
+            "exponents-arr"])
+    def test_rejected_before_a_draw(self, tmp_path, capsys, command, text,
+                                    degree, l, terms):
+        assert cli.MAX_DENSE_TERMS == 200_000
+        path = tmp_path / "dense.txt"
+        path.write_text(text)
+        code, elapsed = _guarded_cli(command, str(path))
+        assert code == EXIT_PARSE and elapsed < 1.0
+        assert capsys.readouterr().err == (
+            f"error: {path}: a random change of coordinates expands a polynomial "
+            f"of degree {degree} in {l} variables to {terms} terms, "
+            f"more than 200000\n")
+
+    def test_commands_without_draws_unchanged(self, tmp_path):
+        path = tmp_path / "dense.ideal"
+        path.write_text(self.IDEAL)
+        assert run_cli("conjecture", str(path)) == (
+            EXIT_OK, "conjecture holds (vacuously); d0 = None\n")
+        assert run_cli("realize", str(path)) == (
+            EXIT_OK, "NO: not Cohen-Macaulay of codimension 2 (generators must "
+                     "form a two-variable lex segment)\n")
+
+    @pytest.mark.parametrize("command, text, terms", [
+        ("analyze", FIVE_ARR, 21),       # C(5 + 2, 2): five forms in x, y, z
+        ("rgin", STAIR_IDEAL, 6),        # C(5 + 1, 1): y^5 in x, y
+    ], ids=["arrangement", "ideal"])
+    def test_limit_is_inclusive(self, tmp_path, monkeypatch, command, text, terms):
+        path = tmp_path / "at_limit.txt"
+        path.write_text(text)
+        expected = run_cli(command, str(path), "--json")
+        assert expected[0] == EXIT_OK
+        monkeypatch.setattr(cli, "MAX_DENSE_TERMS", terms)
+        assert run_cli(command, str(path), "--json") == expected
+        monkeypatch.setattr(cli, "MAX_DENSE_TERMS", terms - 1)
+        assert run_cli(command, str(path), "--json") == (EXIT_PARSE, "")
 
 
 class TestErrorLocations:
