@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .gin import GinCertificate, GinConfig, _product, rgin
-from .groebner import (_W, InternalConsistencyError, _poly, _residues,
-                       _variables)
+from .gin import GinCertificate, GinConfig, rgin
+from .groebner import (InternalConsistencyError, moved_partials,
+                       product_and_partials)
 from .monomial import (INFINITE, BettiTable, LexSegmentShape, MonomialIdeal,
                        NotStronglyStableError, SectionalMatrix,
                        StronglyStableIdeal, betti_eliahou_kervaire,
@@ -135,20 +135,6 @@ class Arrangement:
         return f"Arrangement([{', '.join(str(f) for f in self.forms)}])"
 
 
-def _expand(rows: Sequence[Sequence[int]], p: Optional[int]) -> List[dict]:
-    """[Q, dQ/dx_1, ..., dQ/dx_l] for Q the product of the integer rows
-    (``_product``), as term dicts in the Groebner kernel's packed keys, over
-    QQ when p is None and else read mod the prime p; the exponent of x_j in
-    a term is read off its field."""
-    l = len(rows[0])
-    Q = _product(rows, l, p)
-    partials, low = [], (1 << _W) - 1
-    for j, x in enumerate(_variables(l)):  # -k >> W*j & low: exponent of x
-        partials.append(_residues(
-            {k - x: c * (-k >> _W * j & low) for k, c in Q.items()}, p))
-    return [Q] + partials
-
-
 def jacobian_ideal(A: Arrangement) -> List[Polynomial]:
     """Generators of the Jacobian ideal: the l partial derivatives.
 
@@ -157,8 +143,7 @@ def jacobian_ideal(A: Arrangement) -> List[Polynomial]:
     the generator list.  ``analyze`` does not build this list: its rgin
     trials move the forms instead (see ``jacobian_rgin``).
     """
-    Q, *partials = [_poly(t, 1, A.nvars).scale(A.content)
-                    for t in _expand(A.rows, None)]
+    Q, *partials = [f.scale(A.content) for f in product_and_partials(A.rows)]
     euler = Polynomial.zero(A.nvars)
     xs = variables(A.nvars)
     for xi, dQ in zip(xs, partials):
@@ -174,21 +159,15 @@ def jacobian_rgin(A: Arrangement, cfg: GinConfig = GinConfig()) -> StronglyStabl
     In exact mode this is ``rgin(jacobian_ideal(A), cfg)``, with the same
     draws; in modular mode it is that too whenever p divides the content of
     no form.  By the chain rule grad(Q o g) = g^T (grad Q o g), and g^T is
-    invertible, so J(Q o g) = J(Q) o g.  Each trial, ``build(rows, p)`` of
-    ``rgin``, therefore moves the n primitive integer rows of the forms by
-    g, multiplies them and differentiates the product with ``_expand``,
-    instead of substituting g into the l dense partials of degree n - 1;
-    J(A) itself is never built.  Scaling a form changes no ideal, and a
-    primitive row moved by a matrix invertible mod p never vanishes mod p,
-    so modular answers do not depend on how the forms are scaled.
+    invertible, so J(Q o g) = J(Q) o g.  Each trial therefore moves the n
+    primitive integer rows of the forms by g, multiplies them and
+    differentiates the product (``moved_partials``), instead of substituting
+    g into the l dense partials of degree n - 1; J(A) itself is never built.
+    Scaling a form changes no ideal, and a primitive row moved by a matrix
+    invertible mod p never vanishes mod p, so modular answers do not depend
+    on how the forms are scaled.
     """
-    def build(rows, p):
-        cols = list(zip(*rows))
-        moved = [[sum(a * b for a, b in zip(row, col)) for col in cols]
-                 for row in A.rows]
-        return _expand(moved, p)[1:]
-
-    return rgin(A.nvars, cfg, build)
+    return rgin(A.nvars, cfg, moved_partials(A.rows))
 
 
 # ---------------------------------------------------------------------------
@@ -312,16 +291,8 @@ def analyze(A: Arrangement, cfg: GinConfig = GinConfig(),
                           betti=betti, provenance=B.certificate)
 
 
-def is_free_via_rgin(A: Arrangement, cfg: GinConfig = GinConfig()) -> FreenessReport:
-    """``analyze(A, cfg)``: the generator shape and the sectional matrix
-    both decide, and must agree."""
-    return analyze(A, cfg)
-
-
-def is_free_via_sectional(A: Arrangement, cfg: GinConfig = GinConfig()) -> FreenessReport:
-    """``analyze(A, cfg)``: the sectional matrix and the generator shape
-    both decide, and must agree."""
-    return analyze(A, cfg)
+# both characterizations decide every call, whichever one a name stresses
+is_free_via_rgin = is_free_via_sectional = analyze
 
 
 # ---------------------------------------------------------------------------

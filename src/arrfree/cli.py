@@ -23,8 +23,8 @@ from typing import List, Optional, Sequence, Tuple
 
 from . import arrangement as arr
 from .arrangement import (Arrangement, ExponentVector, FreenessReport,
-                          analyze, check_conjecture_Z, realizable_as_free,
-                          supersolvable_from_exponents)
+                          _is_linear_form, analyze, check_conjecture_Z,
+                          realizable_as_free, supersolvable_from_exponents)
 from .gin import GenericityExhaustedError, GinConfig, rgin
 from .groebner import DegreeCapExceeded
 from .monomial import (MonomialIdeal, SectionalMatrix, StronglyStableIdeal,
@@ -332,7 +332,7 @@ def parse_input(text: str, source: str = "<input>") -> InputDocument:
             poly = _parse(rest, names, source, lineno, sum_powers=False,
                           offset=start)
             if keyword == "hyperplane":
-                if poly.is_zero or not poly.is_homogeneous() or poly.total_degree() != 1:
+                if not _is_linear_form(poly):
                     raise ParseError(f"hyperplane form must be linear homogeneous, "
                                      f"got {poly}", source, lineno, 1)
             else:
@@ -423,7 +423,7 @@ def _print_report(report: FreenessReport, out) -> None:
     print("method    : both", file=out)
     print(f"n, l      : {report.n}, {report.l}", file=out)
     print(f"essential : {report.essential}", file=out)
-    print(f"rgin      : <{', '.join(_ideal_strings(report.rgin))}>", file=out)
+    print(f"rgin      : {report.rgin!r}", file=out)
     if report.exponents is not None:
         print(f"exponents : {tuple(report.exponents)}", file=out)
     if report.d0 is not None:
@@ -526,7 +526,7 @@ def _cmd_rgin(args, out) -> int:
              "provenance": B.certificate.as_dict() if B.certificate else None},
             indent=2), file=out)
     else:
-        print(f"rgin: <{', '.join(_ideal_strings(B)) or '0'}>", file=out)
+        print(f"rgin: {B!r}", file=out)
     return EXIT_OK
 
 
@@ -584,8 +584,10 @@ def _cmd_construct(args, out) -> int:
 def _cmd_realize(args, out) -> int:
     doc = load_input(args.input)
     B = StronglyStableIdeal.from_ideal(doc.as_monomial_ideal())
-    verdict = realizable_as_free(B, _config_from_args(args),
-                                 verify=not args.no_verify)
+    verdict = realizable_as_free(B, verify=False)
+    if verdict.realizable and not args.no_verify:   # the witness's draws are bounded
+        doc.check_dense_terms(sum(verdict.exponents))
+        verdict = arr._realized(verdict.exponents, B, _config_from_args(args), verify=True)
     if args.json:
         print(json.dumps(
             {"realizable": verdict.realizable, "reason": verdict.reason,

@@ -16,8 +16,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Tuple, Union
 
-from .groebner import (_Staircase, _int_terms, _key, _normalize, _power_product,
-                       _residues, _variables, buchberger, hilbert_hint, leading_term_ideal)
+from .groebner import buchberger, hilbert_hint, leading_term_ideal, moved_generators
 from .monomial import MonomialIdeal, StronglyStableIdeal, is_strongly_stable
 # no trial calls apply_linear_change: it stays here for the bench to wrap
 from .polyring import Polynomial, _bareiss, _is_prime, apply_linear_change
@@ -74,8 +73,13 @@ class GinCertificate:
     trials: int
     coeff_mode: str
     matrices: tuple   # the integer rows of each kept draw, field by field
-    # the other draws, in the order they were made; not part of the JSON
-    discarded: tuple = field(default=(), compare=False)
+    # every ``Draw``, in the order they were made; not part of the JSON
+    draws: tuple = field(default=(), compare=False)
+
+    @property
+    def discarded(self) -> tuple:
+        """The matrices of the draws not kept, in the order they were made."""
+        return tuple(d.matrix for d in self.draws if not d.kept)
 
     def as_dict(self) -> dict:
         return {
@@ -96,16 +100,20 @@ class Draw:
     matrix: tuple
     borel: bool
     kept: bool
+    ideal: MonomialIdeal   # its leading term ideal
 
 
 class GenericityExhaustedError(RuntimeError):
     """A field used up its draws before ``trials`` of them agreed."""
 
-    def __init__(self, message: str, observed: Sequence[MonomialIdeal],
-                 draws: Sequence[Draw] = ()):
+    def __init__(self, message: str, draws: Sequence[Draw] = ()):
         super().__init__(message)
-        self.observed = tuple(observed)
         self.draws = tuple(draws)
+
+    @property
+    def observed(self) -> tuple:
+        """The leading term ideal of each draw, in the order they were made."""
+        return tuple(d.ideal for d in self.draws)
 
 
 def random_linear_change(l: int, rng: random.Random, bound: Optional[int] = None,
@@ -132,33 +140,6 @@ def _trial_stream(seed: int, attempt: int, trial: int, tag: str) -> random.Rando
     # Private substream per (seed, attempt, trial); string seeding is stable
     # across processes and platforms.
     return random.Random(f"rgin:{seed}:{attempt}:{trial}:{tag}")
-
-
-def _product(rows: Sequence[Sequence[int]], l: int, p: Optional[int],
-             Q: Optional[dict] = None) -> dict:
-    """The product of Q, by default 1, and the linear forms whose
-    coefficients are the integer rows, as a term dict in the Groebner
-    kernel's packed keys (integers, residues mod p): a product by x_j adds
-    the key of x_j."""
-    xs = _variables(l)
-    Q = {0: 1} if Q is None else Q          # key 0 is the monomial 1
-    for row in rows:
-        out: dict = {}
-        for x, a in zip(xs, row):
-            if a:
-                for k, c in Q.items():
-                    out[k + x] = out.get(k + x, 0) + a * c
-        Q = _residues(out, p)
-    return Q
-
-
-def _one_trial(build: Callable, l, rng, cfg: GinConfig, p: Optional[int],
-               hint: Optional[MonomialIdeal]) -> Tuple[MonomialIdeal, tuple]:
-    rows = (random_linear_change(l, rng, cfg.entry_bound) if p is None
-            else random_linear_change(l, rng, modulus=p))
-    gb = buchberger(build(rows, p), degree_cap=cfg.degree_cap,
-                    hilbert=hint, ring=(l, p))
-    return leading_term_ideal(gb), rows
 
 
 def _larger(a: MonomialIdeal, b: MonomialIdeal) -> bool:
@@ -194,17 +175,15 @@ def rgin(gens: Union[Sequence[Polynomial], int], cfg: GinConfig = GinConfig(),
     packed term dicts (see ``buchberger``), which must generate the ideal of
     ``gens`` after the change by the integer ``rows`` drawn by
     ``random_linear_change``, over QQ when p is None, else mod the prime p.
-    The default reads each generator once as primitive integer terms
-    (``_normalize`` of ``_int_terms``), so none vanishes mod p, and moves
-    each term c*x^a, read mod p, to c times the ``_product`` of a_j copies
-    of row j; a caller with a cheaper route to the same ideal passes its
-    own, and passes the number of variables l as ``gens``.  The draws do not
-    depend on the route.  All draws share the Hilbert function of the ideal,
-    so ``buchberger`` skips the pairs it proves to reduce to zero: in exact
-    mode by the ``hilbert_hint`` of the unmoved generators
-    ``build(identity, None)``, which every draw shares; over each prime,
-    where that run costs as much as a draw, by the leading terms of the
-    prime's first draw.
+    The default is ``moved_generators(gens)``; a caller with a cheaper route
+    to the same ideal, as ``groebner.moved_partials`` is for a Jacobian
+    ideal, passes its own, and passes the number of variables l as
+    ``gens``.  The draws do not depend on the route.  All draws share the
+    Hilbert function of the ideal, so ``buchberger`` skips the pairs it
+    proves to reduce to zero: in exact mode by the ``hilbert_hint`` of the
+    unmoved generators ``build(identity, None)``, which every draw shares;
+    over each prime, where that run costs as much as a draw, by the leading
+    term ideal of the prime's first draw.
     """
     if build is not None:
         l = gens
@@ -218,81 +197,54 @@ def rgin(gens: Union[Sequence[Polynomial], int], cfg: GinConfig = GinConfig(),
         nonzero = [g for g in gens if not g.is_zero]
         if not nonzero:
             return StronglyStableIdeal((), l)
-        # primitive integer terms keep the ideal, and no prime divides all
-        # of them, so no generator vanishes mod p
-        primitive = [_normalize(_int_terms(f)[0], None) for f in nonzero]
-
-        def build(rows, p):
-            out, xs = [], _variables(l)
-            powers = {0: {0: 1}}      # key of x^a -> prod_j (row j)^a_j
-
-            def power(key):
-                """x^a moved as x^(a - e_j) moved times row j, for the last j
-                with a_j > 0: one product per power product and draw."""
-                chain, k = [], key
-                while k not in powers:
-                    j = max(j for j, e in enumerate(_power_product(k, l)) if e)
-                    chain.append((k, j))
-                    k -= xs[j]
-                for k, j in reversed(chain):
-                    powers[k] = _product([rows[j]], l, p, powers[k - xs[j]])
-                return powers[key]
-
-            for f in primitive:       # c*x^a moves to c * prod_j (row j)^a_j
-                moved: dict = {}
-                for k, c in _residues(f, p).items():
-                    for m, v in power(k).items():
-                        moved[m] = moved.get(m, 0) + c * v
-                out.append(_residues(moved, p))
-            return out
+        build = moved_generators(nonzero)
 
     fields = ([("exact", None)] if cfg.mode == "exact"
               else [(f"mod{p}", p) for p in cfg.primes])
-
-    budget = DRAWS_PER_TRIAL * cfg.trials
     draws = []                                # (tag, k, matrix, borel, ideal)
-    made = {tag: 0 for tag, _ in fields}
-    kept = {tag: [] for tag, _ in fields}     # indices into draws
     hints = {}                                # tag -> Hilbert function hint
     if cfg.mode == "exact":
         identity = tuple(tuple(int(i == j) for j in range(l)) for i in range(l))
         hints["exact"] = hilbert_hint(build(identity, None), (l, None), cfg.degree_cap)
     best = None
-    while any(len(v) < cfg.trials for v in kept.values()):
+
+    def short(tag):   # kept draws gave the candidate, larger than all drawn before it
+        return sum(d[0] == tag and d[4] == best for d in draws) < cfg.trials
+
+    while any(short(tag) for tag, _ in fields):
         for tag, p in fields:
-            while len(kept[tag]) < cfg.trials:
-                k = made[tag]
-                if k == budget:
-                    raise _exhausted(cfg, tag, draws, kept)
-                made[tag] += 1
+            while short(tag):
+                k = sum(d[0] == tag for d in draws)
+                if k == DRAWS_PER_TRIAL * cfg.trials:
+                    raise _exhausted(cfg, tag, _history(draws, best))
                 rng = _trial_stream(cfg.seed, k // cfg.trials, k % cfg.trials, tag)
-                ideal, rows = _one_trial(build, l, rng, cfg, p, hints.get(tag))
-                if tag not in hints:     # later draws share the first's staircase
-                    hints[tag] = _Staircase(map(_key, ideal.generators), l)
+                rows = (random_linear_change(l, rng, cfg.entry_bound) if p is None
+                        else random_linear_change(l, rng, modulus=p))
+                ideal = leading_term_ideal(buchberger(
+                    build(rows, p), cfg.degree_cap, hints.get(tag), (l, p)))
+                hints.setdefault(tag, ideal)   # a prime's later draws share its first's
                 # the candidate was checked when it became the candidate
                 borel = ideal == best or is_strongly_stable(ideal)
                 draws.append((tag, k, rows, borel, ideal))
                 if borel and (best is None or _larger(ideal, best)):
                     best = ideal
-                    for v in kept.values():
-                        v.clear()
-                if borel and ideal == best:
-                    kept[tag].append(len(draws) - 1)
 
-    chosen = [i for tag, _ in fields for i in kept[tag]]
+    history = _history(draws, best)
     cert = GinCertificate(
         seed=cfg.seed, trials=cfg.trials, coeff_mode=cfg.coeff_mode,
-        matrices=tuple(draws[i][2] for i in chosen),
-        discarded=tuple(d[2] for i, d in enumerate(draws) if i not in chosen))
+        matrices=tuple(d.matrix for tag, _ in fields for d in history
+                       if d.field == tag and d.kept),
+        draws=history)
     return StronglyStableIdeal._checked(best, cert)
 
 
-def _exhausted(cfg: GinConfig, tag: str, draws: list,
-               kept: dict) -> GenericityExhaustedError:
-    chosen = {i for v in kept.values() for i in v}
-    history = [Draw(t, k, m, borel, i in chosen)
-               for i, (t, k, m, borel, _) in enumerate(draws)]
-    observed = [d[4] for d in draws]
+def _history(draws: list, best: Optional[MonomialIdeal]) -> tuple:
+    """The draws as ``Draw`` records; kept are those that gave the candidate."""
+    return tuple(Draw(tag, k, m, borel, ideal == best, ideal)
+                 for tag, k, m, borel, ideal in draws)
+
+
+def _exhausted(cfg: GinConfig, tag: str, history: tuple) -> GenericityExhaustedError:
     if cfg.mode == "exact":
         entries = f"entries in [-{cfg.entry_bound}, {cfg.entry_bound}]"
         hint = "retry with a different seed or a larger entry bound"
@@ -302,7 +254,7 @@ def _exhausted(cfg: GinConfig, tag: str, draws: list,
     return GenericityExhaustedError(
         f"no {cfg.trials} agreeing Borel-fixed leading term ideals: {tag} used "
         f"all {DRAWS_PER_TRIAL * cfg.trials} of its draws (seed {cfg.seed}, "
-        f"{entries}); {len(draws)} draws, "
+        f"{entries}); {len(history)} draws, "
         f"{sum(not d.borel for d in history)} not Borel, "
-        f"{len(set(observed))} distinct candidates; {hint}",
-        observed, history)
+        f"{len({d.ideal for d in history})} distinct candidates; {hint}",
+        history)

@@ -13,8 +13,8 @@ packed basis element keeps.  Every exponent must stay below 2^15, so a
 monomial of degree 2^15 or more raises ``DegreeCapExceeded`` on its way in,
 and so does an S-pair whose lcm reaches that degree; reduction never raises
 the degree.  ``_int_terms`` converts from ``PowerProduct`` on the way in and
-``_poly`` converts back on the way out; ``gin`` builds every rgin trial in
-these keys directly, from products of moved linear forms.
+``_poly`` converts back on the way out; the trial builders ``moved_partials``
+and ``moved_generators`` build every rgin trial in these keys directly.
 
 QQ and GF(p), whose prime p the kernel takes as an int (None for QQ), share
 one fraction-free reduction kernel on integer term dicts.  Over QQ divisors
@@ -65,7 +65,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import compress, count, islice
 from operator import itemgetter
-from typing import Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .monomial import MonomialIdeal, count_standard_monomials, degree_monomials
 from .polyring import Polynomial, PowerProduct
@@ -74,6 +74,7 @@ __all__ = [
     "DegreeCapExceeded", "InternalConsistencyError", "GroebnerBasis",
     "normal_form", "buchberger", "hilbert_hint",
     "leading_term_ideal", "hilbert_function",
+    "moved_generators", "moved_partials", "product_and_partials",
 ]
 
 
@@ -673,10 +674,10 @@ def buchberger(gens: Sequence, degree_cap: Optional[int] = None,
     dicts in the kernel's packed keys, never changed: over QQ when p is None,
     else read mod the prime p.  Zero generators are discarded; an all-zero
     input yields the zero ideal, represented by an empty basis.  ``hilbert``,
-    a monomial ideal, its ``_Staircase`` or a ``hilbert_hint`` with the
-    Hilbert function of that ideal, is used only when every generator is
-    homogeneous: it drops the pairs it proves to reduce to zero, and a basis
-    that outgrows it raises ``InternalConsistencyError``.
+    a monomial ideal or a ``hilbert_hint`` with the Hilbert function of that
+    ideal, is used only when every generator is homogeneous: it drops the
+    pairs it proves to reduce to zero, and a basis that outgrows it raises
+    ``InternalConsistencyError``.
     """
     gens = list(gens)
     if not gens:
@@ -748,3 +749,86 @@ def hilbert_function(B: MonomialIdeal, d: int) -> int:
     if d < 0:
         raise ValueError("degree must be non-negative")
     return count_standard_monomials(B, B.nvars, d)
+
+
+# ---------------------------------------------------------------------------
+# rgin trials, built in packed keys
+# ---------------------------------------------------------------------------
+
+def _product(rows: Sequence[Sequence[int]], l: int, p: Optional[int],
+             Q: Optional[dict] = None) -> dict:
+    """The product of Q, by default 1, and the linear forms whose
+    coefficients are the integer rows, as a packed term dict (integers,
+    residues mod p): a product by x_j adds the key of x_j."""
+    xs = _variables(l)
+    Q = {0: 1} if Q is None else Q          # key 0 is the monomial 1
+    for row in rows:
+        out: dict = {}
+        for x, a in zip(xs, row):
+            if a:
+                for k, c in Q.items():
+                    out[k + x] = out.get(k + x, 0) + a * c
+        Q = _residues(out, p)
+    return Q
+
+
+def _expand(rows: Sequence[Sequence[int]], p: Optional[int]) -> List[dict]:
+    """[Q, dQ/dx_1, ..., dQ/dx_l] for Q the ``_product`` of the integer
+    rows, over QQ when p is None and else read mod the prime p; the exponent
+    of x_j in a term is read off its field."""
+    l = len(rows[0])
+    Q = _product(rows, l, p)
+    partials, low = [], (1 << _W) - 1
+    for j, x in enumerate(_variables(l)):  # -k >> W*j & low: exponent of x
+        partials.append(_residues(
+            {k - x: c * (-k >> _W * j & low) for k, c in Q.items()}, p))
+    return [Q] + partials
+
+
+def product_and_partials(rows: Sequence[Sequence[int]]) -> List[Polynomial]:
+    """``_expand`` over QQ, as Polynomials."""
+    return [_poly(t, 1, len(rows[0])) for t in _expand(rows, None)]
+
+
+def moved_partials(rows: Sequence[Sequence[int]]) -> Callable:
+    """The rgin trial builder of the Jacobian ideal of the product of these
+    integer rows: ``build(g, p)`` moves them by g, then ``_expand``."""
+    def build(g, p):
+        cols = list(zip(*g))
+        return _expand([[sum(a * b for a, b in zip(row, col)) for col in cols]
+                        for row in rows], p)[1:]
+    return build
+
+
+def moved_generators(gens: Sequence[Polynomial]) -> Callable:
+    """The rgin trial builder of nonzero generators in l variables, each read
+    once as primitive integer terms: they keep the ideal, and no prime divides
+    them all, so none vanishes mod p.  ``build(g, p)`` moves each term c*x^a,
+    read mod p, to c times the ``_product`` of a_j copies of row j of g."""
+    l = gens[0].nvars
+    primitive = [_normalize(_int_terms(f)[0], None) for f in gens]
+
+    def build(rows, p):
+        out, xs = [], _variables(l)
+        powers = {0: {0: 1}}      # key of x^a -> prod_j (row j)^a_j
+
+        def power(key):
+            """x^a moved as x^(a - e_j) moved times row j, for the last j
+            with a_j > 0: one product per power product and draw."""
+            chain, k = [], key
+            while k not in powers:
+                j = max(j for j, e in enumerate(_power_product(k, l)) if e)
+                chain.append((k, j))
+                k -= xs[j]
+            for k, j in reversed(chain):
+                powers[k] = _product([rows[j]], l, p, powers[k - xs[j]])
+            return powers[key]
+
+        for f in primitive:       # c*x^a moves to c * prod_j (row j)^a_j
+            moved: dict = {}
+            for k, c in _residues(f, p).items():
+                for m, v in power(k).items():
+                    moved[m] = moved.get(m, 0) + c * v
+            out.append(_residues(moved, p))
+        return out
+    return build

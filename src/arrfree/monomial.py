@@ -157,7 +157,8 @@ class StronglyStableIdeal(MonomialIdeal):
 
     @classmethod
     def from_ideal(cls, B: MonomialIdeal) -> "StronglyStableIdeal":
-        return cls(B.generators, B.nvars)
+        """B checked once: calls chained on the result skip the check."""
+        return B if isinstance(B, StronglyStableIdeal) else cls(B.generators, B.nvars)
 
     @classmethod
     def _checked(cls, B: MonomialIdeal, certificate=None) -> "StronglyStableIdeal":
@@ -166,16 +167,6 @@ class StronglyStableIdeal(MonomialIdeal):
         out = cls._minimal(B.generators, B.nvars)
         out.certificate = certificate
         return out
-
-
-def _as_stable(B: MonomialIdeal) -> StronglyStableIdeal:
-    """B checked once: calls chained on the result skip the check."""
-    if isinstance(B, StronglyStableIdeal):
-        return B
-    if not is_strongly_stable(B):
-        raise NotStronglyStableError(
-            f"{B!r} is not strongly stable; count_standard_monomials counts it")
-    return StronglyStableIdeal._checked(B)
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +250,7 @@ def sectional_matrix(B: MonomialIdeal, dmax: Optional[int] = None) -> SectionalM
     """
     if dmax is not None and dmax < 0:
         raise ValueError(f"dmax must be non-negative, got {dmax}")
-    B = _as_stable(B)
+    B = StronglyStableIdeal.from_ideal(B)
     if dmax is None:
         top = B.max_generator_degree()
         dmax = (top if top is not None else 0) + 2
@@ -296,7 +287,7 @@ def reduction_number(B: MonomialIdeal, i: int):
 
 def regularity_stable(B: MonomialIdeal) -> int:
     """Regularity of a strongly stable ideal: its top generator degree."""
-    B = _as_stable(B)
+    B = StronglyStableIdeal.from_ideal(B)
     if B.is_zero:
         raise ValueError("regularity undefined for the zero ideal")
     return B.max_generator_degree()
@@ -322,7 +313,7 @@ class BettiTable:
 
 def betti_eliahou_kervaire(B: MonomialIdeal) -> BettiTable:
     """Betti numbers of a strongly stable ideal from its generators."""
-    B = _as_stable(B)
+    B = StronglyStableIdeal.from_ideal(B)
     m_table: dict = {}
     for g in B.generators:
         k = g.max_variable()
@@ -367,7 +358,7 @@ def is_cm_codim2_stable(B: MonomialIdeal) -> Optional[LexSegmentShape]:
     order, to be 0, 1, ..., n-1 and the x_2-exponents to fall
     (Eliahou-Kervaire, J. Algebra 129, 1990).
     """
-    B = _as_stable(B)
+    B = StronglyStableIdeal.from_ideal(B)
     if B.is_zero or B.is_unit or any(g.max_variable() > 2 for g in B.generators):
         return None
     by_x1 = sorted(B.generators, key=lambda g: g[0])
@@ -382,7 +373,7 @@ def codimension(B: MonomialIdeal) -> int:
 
     Strong stability puts them on x_1, ..., x_c, one for each variable.
     """
-    B = _as_stable(B)
+    B = StronglyStableIdeal.from_ideal(B)
     if B.is_unit:
         return B.nvars
     return sum(g.degree() == g[g.max_variable() - 1] for g in B.generators)
@@ -398,7 +389,7 @@ def is_cohen_macaulay(B: MonomialIdeal) -> bool:
     for every d up to the regularity) gives the same verdict and is kept as
     the test oracle.
     """
-    B = _as_stable(B)
+    B = StronglyStableIdeal.from_ideal(B)
     if B.is_zero or B.is_unit:
         return True
     return max(g.max_variable() for g in B.generators) == codimension(B)

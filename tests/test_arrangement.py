@@ -21,10 +21,10 @@ from arrfree import random_linear_change, variables
 from arrfree import arrangement as arrangement_module
 from arrfree import gin as gin_module
 from arrfree import groebner as groebner_module
-from arrfree.arrangement import (_expand, _free_by_generator_shape,
-                                  is_cm_codim2_stable, sectional_bounds)
+from arrfree.arrangement import (_free_by_generator_shape, is_cm_codim2_stable,
+                                  sectional_bounds)
 from arrfree.cli import load_input, report_to_dict
-from arrfree.groebner import _poly
+from arrfree.groebner import _expand, _poly
 from arrfree.polyring import apply_linear_change
 from helpers import arrangement as bench_arrangement
 from helpers import (bench_workloads, borel_closure, defining_polynomial,

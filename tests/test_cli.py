@@ -646,8 +646,14 @@ class TestDenseTermLimit:
     # (x1^100 moved, and the product of the 40 moved forms), dense in all
     # of 8 and of 10 variables
     IDEAL = "vars a b c d e f g h\ngen a^100\n"
-    ARR = "vars " + " ".join(f"x{i}" for i in range(1, 11)) + "\n" + "".join(
+    VARS = "vars " + " ".join(f"x{i}" for i in range(1, 11)) + "\n"
+    ARR = VARS + "".join(
         f"hyperplane x1 + {k}*x2 + x{3 + k % 8}\n" for k in range(1, 41))
+    # the rgin of the 49 forms of exponents (1 x 9, 40) in 10 variables,
+    # whose witness realize moves to verify: the i-th generator has degree
+    # 48 for i < 10, then 49, ..., 87
+    LEX = VARS + "".join(f"gen x1^{48 - i}*x2^{d - 48 + i}\n"
+                         for i, d in enumerate([48] * 10 + list(range(49, 88))))
 
     @pytest.mark.parametrize("command, text, degree, l, terms", [
         ("rgin", IDEAL, 100, 8, 26075972546),
@@ -656,8 +662,9 @@ class TestDenseTermLimit:
         ("rgin", ARR, 40, 10, 2054455634),
         ("sm", ARR, 40, 10, 2054455634),
         ("exponents", ARR, 40, 10, 2054455634),
+        ("realize", LEX, 49, 10, 10648873950),
     ], ids=["rgin-ideal", "sm-ideal", "analyze", "rgin-arr", "sm-arr",
-            "exponents-arr"])
+            "exponents-arr", "realize"])
     def test_rejected_before_a_draw(self, tmp_path, capsys, command, text,
                                     degree, l, terms):
         assert cli.MAX_DENSE_TERMS == 200_000
@@ -678,6 +685,11 @@ class TestDenseTermLimit:
         assert run_cli("realize", str(path)) == (
             EXIT_OK, "NO: not Cohen-Macaulay of codimension 2 (generators must "
                      "form a two-variable lex segment)\n")
+        # without the verification draw the lex segment answers at once
+        path.write_text(self.LEX)
+        code, text = run_cli("realize", str(path), "--no-verify")
+        assert code == EXIT_OK and text.startswith(
+            f"YES: exponents {(1,) * 9 + (40,)}\nhyperplane x1\n")
 
     @pytest.mark.parametrize("command, text, terms", [
         ("analyze", FIVE_ARR, 21),       # C(5 + 2, 2): five forms in x, y, z

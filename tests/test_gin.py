@@ -17,6 +17,7 @@ from arrfree import (Arrangement, GenericityExhaustedError, GinConfig,
                      leading_term_ideal, random_linear_change,
                      regularity_stable, rgin)
 from arrfree import gin as gin_module
+from arrfree import groebner as groebner_module
 from arrfree.groebner import _normalize
 from arrfree.polyring import apply_linear_change
 from helpers import arrangement, bench_workloads, groebner, monomial_gens, poly, polys, \
@@ -182,6 +183,7 @@ class TestGenericityFailure:
         assert [(d.matrix, None) for d in draws] == seen[1:]
         assert [d.borel for d in draws] == [True, False, False, False]
         assert [d.kept for d in draws] == [True, False, False, False]
+        assert err.value.observed == tuple(d.ideal for d in draws)
         assert len(err.value.observed) == 4
         assert "4 draws, 3 not Borel, 2 distinct candidates" in str(err.value)
         assert "larger entry bound" in str(err.value)
@@ -206,6 +208,20 @@ def _x5(p):
 class TestRedraws:
     GENS = polys(["z^5", "x*y*z^3"], 3)
     GIN = "<x^5, x^4*y, x^3*y^3>"
+    X5 = "<x^5, x^4*y, x^4*z^2, x^3*y^4>"
+
+    @staticmethod
+    def history(B):
+        """(field, index, matrix, borel, kept, ideal) of each draw of B, in
+        draw order, once the kept matrices, field by field, and the
+        discarded ones are checked to be read off the draws."""
+        draws = B.certificate.draws
+        fields = dict.fromkeys(d.field for d in draws)
+        assert B.certificate.matrices == tuple(
+            d.matrix for f in fields for d in draws if d.field == f and d.kept)
+        assert B.certificate.discarded == tuple(d.matrix for d in draws if not d.kept)
+        return [(d.field, d.index, d.matrix, d.borel, d.kept, str(d.ideal))
+                for d in draws]
 
     def test_order_within_a_degree(self):
         a = MonomialIdeal([(2, 0), (1, 1)], 2)
@@ -237,6 +253,9 @@ class TestRedraws:
         assert str(B) == self.GIN
         assert B.certificate.matrices == tuple(draws[1:3])
         assert B.certificate.discarded == (draws[0],)
+        assert self.history(B) == [("exact", 0, draws[0], True, False, self.X5),
+                                   ("exact", 1, draws[1], True, True, self.GIN),
+                                   ("exact", 2, draws[2], True, True, self.GIN)]
 
     def test_larger_candidate_resets_kept_draws_in_both_fields(self):
         # calls 0-2 (mod p1 draws 0 and 1, mod p2 draw 0) are kept until
@@ -253,6 +272,12 @@ class TestRedraws:
         assert len(seen) == 7
         assert B.certificate.matrices == (seen[5], seen[6], seen[3], seen[4])
         assert B.certificate.discarded == tuple(seen[:3])
+        p1, p2 = "mod32003", "mod32009"
+        assert self.history(B) == [
+            (p1, 0, seen[0], True, False, self.X5), (p1, 1, seen[1], True, False, self.X5),
+            (p2, 0, seen[2], True, False, self.X5), (p2, 1, seen[3], True, True, self.GIN),
+            (p2, 2, seen[4], True, True, self.GIN), (p1, 2, seen[5], True, True, self.GIN),
+            (p1, 3, seen[6], True, True, self.GIN)]
 
     def test_later_draws_with_another_hilbert_function_raise(self):
         from arrfree import InternalConsistencyError
@@ -307,6 +332,9 @@ class TestRedraws:
         B = rgin(gens, GinConfig(seed=2, entry_bound=1))
         assert str(B) == "<x^3, x^2*y^2, x*y^4, y^6>"
         assert B.certificate.discarded
+        history = self.history(B)
+        assert all(kept == (ideal == str(B)) for *_, kept, ideal in history)
+        assert not all(borel for _, _, _, borel, _, _ in history)   # one is not Borel
 
     @pytest.mark.stretch
     def test_ziegler_sweep_near_minimum_trials(self, monkeypatch):
@@ -491,11 +519,11 @@ class _Caught(Exception):
 
 
 def _default_build(gens):
-    """rgin's own builder for gens, caught at its first draw."""
-    def catch(build, *args):
-        raise _Caught(build)
+    """rgin's own builder for gens, caught when rgin makes it."""
+    def catch(nonzero):
+        raise _Caught(groebner_module.moved_generators(nonzero))
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(gin_module, "_one_trial", catch)
+        m.setattr(gin_module, "moved_generators", catch)
         with pytest.raises(_Caught) as caught:
             rgin(gens, GinConfig(mode="modular"))
     return caught.value.args[0]
@@ -524,8 +552,8 @@ class TestDefaultBuild:
         # x^3, x^2*y and x*y^2 + y^3 need x, x^2, x^3, x^2*y, x*y, x*y^2,
         # y, y^2 and y^3 moved, each as one product by a row
         calls = []
-        product = gin_module._product
-        monkeypatch.setattr(gin_module, "_product", lambda rows, *a:
+        product = groebner_module._product
+        monkeypatch.setattr(groebner_module, "_product", lambda rows, *a:
                             calls.append(len(rows)) or product(rows, *a))
         build = _default_build(polys(["x^3", "x^2*y", "x*y^2 + y^3"], 2))
         for p in (None, P):

@@ -1,5 +1,6 @@
 """Every module-level import in src/arrfree is used in its module or
-exported by it, so a name that a change stops calling does not linger."""
+exported by it, so a name that a change stops calling does not linger; and
+only ``groebner`` touches its packed monomial keys."""
 
 import ast
 from pathlib import Path
@@ -51,3 +52,42 @@ def test_the_check_sees_a_leftover():
         ["Fraction"]
     # without __all__, public names are exported and private ones must be used
     assert unused_imports("from .a import b, _c\n") == ["_c"]
+
+
+def private_names(source: str, module: str) -> list:
+    """The private names that ``source`` takes from its sibling ``module``:
+    by ``from .module import _name``, or as ``alias._name`` after ``from .
+    import module as alias``."""
+    tree = ast.parse(source)
+    names, aliases = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module == module:
+                names += [a.name for a in node.names if a.name.startswith("_")]
+            elif node.module is None:
+                aliases |= {a.asname or a.name for a in node.names if a.name == module}
+    names += [node.attr for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in aliases and node.attr.startswith("_")]
+    return sorted(names)
+
+
+# groebner's private names are its packed keys (_W, _key, _variables, ...)
+# and the kernel that reads them; the rgin trial builders live there too
+@pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py"))
+                                  if p.stem != "groebner"], ids=lambda p: p.stem)
+def test_only_groebner_reads_packed_keys(path):
+    assert private_names(path.read_text(encoding="utf-8"), "groebner") == []
+
+
+def test_arrangement_takes_nothing_private_from_gin():
+    assert private_names((SRC / "arrangement.py").read_text(encoding="utf-8"),
+                         "gin") == []
+
+
+def test_the_guard_sees_a_private_name():
+    assert private_names("from .groebner import _key, buchberger\n", "groebner") == ["_key"]
+    assert private_names("from . import groebner as g\nw = g._W + g.buchberger\n",
+                         "groebner") == ["_W"]
+    assert private_names("from .gin import _product\nimport groebner\n",
+                         "groebner") == []
