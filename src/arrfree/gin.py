@@ -13,10 +13,12 @@ is flagged as modular.
 from __future__ import annotations
 
 import random
+from contextlib import suppress
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Tuple, Union
 
-from .groebner import buchberger, hilbert_hint, leading_term_ideal, moved_generators
+from .groebner import (ZeroDivisorError, buchberger, hilbert_hint, leading_term_ideal,
+                       moved_generators)
 from .monomial import MonomialIdeal, StronglyStableIdeal, is_strongly_stable
 # no trial calls apply_linear_change: it stays here for the bench to wrap
 from .polyring import Polynomial, _bareiss, _is_prime, apply_linear_change
@@ -53,10 +55,9 @@ class GinConfig:
             raise ValueError("entry bound must be >= 1")
         if self.mode not in ("exact", "modular"):
             raise ValueError(f"unknown coefficient mode {self.mode!r}")
-        if self.mode == "modular":
-            p1, p2 = self.primes
-            if p1 == p2 or not all(p < 1 << 64 and _is_prime(p) for p in self.primes):
-                raise ValueError("modular mode needs two distinct primes below 2^64")
+        if self.mode == "modular" and (len(set(self.primes)) != 2 or not all(
+                p < 1 << 64 and _is_prime(p) for p in self.primes)):
+            raise ValueError("modular mode needs two distinct primes below 2^64")
 
     @property
     def coeff_mode(self) -> str:
@@ -171,19 +172,20 @@ def rgin(gens: Union[Sequence[Polynomial], int], cfg: GinConfig = GinConfig(),
     ``GenericityExhaustedError``.  The k-th draw of a field uses the same
     random stream whatever happened to the draws before it.
 
-    ``build(rows, p)`` returns the generators of one trial as the kernel's
+    ``build(rows, m)`` returns the generators of one trial as the kernel's
     packed term dicts (see ``buchberger``), which must generate the ideal of
     ``gens`` after the change by the integer ``rows`` drawn by
-    ``random_linear_change``, over QQ when p is None, else mod the prime p.
-    The default is ``moved_generators(gens)``; a caller with a cheaper route
-    to the same ideal, as ``groebner.moved_partials`` is for a Jacobian
-    ideal, passes its own, and passes the number of variables l as
-    ``gens``.  The draws do not depend on the route.  All draws share the
-    Hilbert function of the ideal, so ``buchberger`` skips the pairs it
+    ``random_linear_change``, over QQ when m is None, else as integers read
+    mod m, a prime or p*q (below).  The default is ``moved_generators(gens)``;
+    a caller with a cheaper route to the same ideal, as ``moved_partials`` is
+    for a Jacobian ideal, passes its own, and passes the number of variables
+    l as ``gens``.  The draws do not depend on the route.  All draws share
+    the Hilbert function of the ideal, so ``buchberger`` skips the pairs it
     proves to reduce to zero: in exact mode by the ``hilbert_hint`` of the
     unmoved generators ``build(identity, None)``, which every draw shares;
     over each prime, where that run costs as much as a draw, by the leading
-    term ideal of the prime's first draw.
+    term ideal of its first draw.  In modular mode both primes' draws k <
+    ``cfg.trials`` run as one modulo p*q unless a leading coefficient splits them.
     """
     if build is not None:
         l = gens
@@ -206,10 +208,34 @@ def rgin(gens: Union[Sequence[Polynomial], int], cfg: GinConfig = GinConfig(),
     if cfg.mode == "exact":
         identity = tuple(tuple(int(i == j) for j in range(l)) for i in range(l))
         hints["exact"] = hilbert_hint(build(identity, None), (l, None), cfg.degree_cap)
-    best = None
+    ahead, best = {}, None                    # (tag, k) -> (rows, ideal or None)
 
     def short(tag):   # kept draws gave the candidate, larger than all drawn before it
         return sum(d[0] == tag and d[4] == best for d in draws) < cfg.trials
+
+    def run(rows, m, tag):
+        return leading_term_ideal(buchberger(
+            build(rows, m), cfg.degree_cap, hints.get(tag), (l, m)))
+
+    def change(tag, p, k):
+        rng = _trial_stream(cfg.seed, k // cfg.trials, k % cfg.trials, tag)
+        return (random_linear_change(l, rng, cfg.entry_bound) if p is None
+                else random_linear_change(l, rng, modulus=p))
+
+    def drawn(tag, p, k):   # not recursive: a cycle would keep the hints alive
+        """The rows of draw k of ``tag`` and None, or the first prime's rows and
+        joint ideal while both primes share a hint: none, then one ideal's."""
+        rows, (tag2, q) = change(tag, p, k), fields[-1]
+        if p != cfg.primes[0] or k >= cfg.trials or hints.get(tag) is not hints.get(tag2):
+            return rows, None
+        rows2, u, ideal = change(tag2, q, k), pow(p, -1, q), None
+        with suppress(ZeroDivisorError):
+            ideal = run(tuple(tuple(a + p * ((b - a) * u % q) for a, b in zip(r, r2))
+                              for r, r2 in zip(rows, rows2)), p * q, tag)
+        ahead[tag2, k] = rows2, ideal
+        if k == 0 and ideal is not None:
+            hints[tag] = hints[tag2] = hilbert_hint(ideal, (l, p))
+        return rows, ideal
 
     while any(short(tag) for tag, _ in fields):
         for tag, p in fields:
@@ -217,12 +243,11 @@ def rgin(gens: Union[Sequence[Polynomial], int], cfg: GinConfig = GinConfig(),
                 k = sum(d[0] == tag for d in draws)
                 if k == DRAWS_PER_TRIAL * cfg.trials:
                     raise _exhausted(cfg, tag, _history(draws, best))
-                rng = _trial_stream(cfg.seed, k // cfg.trials, k % cfg.trials, tag)
-                rows = (random_linear_change(l, rng, cfg.entry_bound) if p is None
-                        else random_linear_change(l, rng, modulus=p))
-                ideal = leading_term_ideal(buchberger(
-                    build(rows, p), cfg.degree_cap, hints.get(tag), (l, p)))
-                hints.setdefault(tag, ideal)   # a prime's later draws share its first's
+                rows, ideal = ahead.pop((tag, k), None) or drawn(tag, p, k)
+                if ideal is None:
+                    ideal = run(rows, p, tag)
+                if tag not in hints:   # a prime's later draws share its first's
+                    hints[tag] = hilbert_hint(ideal, (l, p))
                 # the candidate was checked when it became the candidate
                 borel = ideal == best or is_strongly_stable(ideal)
                 draws.append((tag, k, rows, borel, ideal))

@@ -38,6 +38,12 @@ only, and its tail, decoded by ``_tail`` only when the tails are reduced.
 x^q * g is laid out with one join per group of runs that share the
 exponents of x_4, ..., x_l, its runs q_1 + q_2 zero columns apart.
 
+``gin.rgin`` runs both primes' k-th draws as one run modulo p*q, which is a
+run mod p and one mod q (Z/pq = Z/p x Z/q) while every leading coefficient
+that it inverts is a unit (the D5 principle: Della Dora, Dicrescenzo, Duval,
+EUROCAL 1985).  One that vanishes mod one prime only raises ZeroDivisorError
+and the draws run apart: answers, provenance and messages are as if separate.
+
 Buchberger's algorithm only top-reduces each S-polynomial: it stops at the
 first leading term that no basis element divides.  The leading terms, all
 that the pair update and ``leading_term_ideal`` read, are those of full
@@ -48,8 +54,7 @@ and selected by smallest lcm degree first.
 
 For homogeneous generators a caller may pass the Hilbert function of their
 ideal (Traverso, "Hilbert functions and the Buchberger algorithm", JSC 22,
-1996): a monomial ideal that has it, or a ``hilbert_hint``, a run on other
-generators of such an ideal that goes only as far as the degrees asked.
+1996): a monomial ideal that has it, or a ``hilbert_hint`` that runs share.
 Homogeneous pairs are reduced degree by degree, so once the leading terms
 found span as many degree-d monomials as the hint does, every remaining
 degree-d pair reduces to zero and is dropped.
@@ -71,7 +76,7 @@ from .monomial import MonomialIdeal, count_standard_monomials, degree_monomials
 from .polyring import Polynomial, PowerProduct
 
 __all__ = [
-    "DegreeCapExceeded", "InternalConsistencyError", "GroebnerBasis",
+    "DegreeCapExceeded", "InternalConsistencyError", "ZeroDivisorError", "GroebnerBasis",
     "normal_form", "buchberger", "hilbert_hint",
     "leading_term_ideal", "hilbert_function",
     "moved_generators", "moved_partials", "product_and_partials",
@@ -85,6 +90,10 @@ class DegreeCapExceeded(RuntimeError):
 class InternalConsistencyError(RuntimeError):
     """Two routes that must agree did not; indicates a failed genericity
     certificate or a bug."""
+
+
+class ZeroDivisorError(ArithmeticError):
+    """A leading coefficient to invert is not a unit modulo a product of primes."""
 
 
 # ---------------------------------------------------------------------------
@@ -167,10 +176,17 @@ def _normalize(terms: dict, p: Optional[int]) -> dict:
         return terms
     lead = max(terms)
     if p is not None:
-        inv = pow(terms[lead], -1, p)
+        inv = _inverse(terms[lead], p)
         return terms if inv == 1 else {k: c * inv % p for k, c in terms.items()}
     content = math.gcd(*terms.values()) * (-1 if terms[lead] < 0 else 1)
     return terms if content == 1 else {k: v // content for k, v in terms.items()}
+
+
+def _inverse(c: int, m: int) -> int:
+    """1/c mod m; ``ZeroDivisorError`` when c is not a unit mod m."""
+    if math.gcd(c, m) != 1:
+        raise ZeroDivisorError(f"{c} is not a unit mod {m}")
+    return pow(c, -1, m)
 
 
 def _pack(terms: dict, nvars: int) -> tuple:
@@ -274,16 +290,20 @@ def _columns(nvars: int, d: int) -> Tuple[list, dict, list]:
 
 
 def _to_bytes(vals: list, width: int) -> bytes:
-    """The non-negative ints vals as little-endian fields of ``width`` bytes."""
-    if width == 8 and sys.byteorder == "little":    # the order of ``array``
-        return array("Q", vals).tobytes()
+    """The ints 0 <= v < p as little-endian fields of ``width`` bytes; up to
+    16 bytes p < 2^47 (``_width``), so a field is one 64-bit word or two."""
+    if width <= 16 and sys.byteorder == "little":    # the order of ``array``
+        words = array("Q", bytes(width * len(vals)))
+        words[::width // 8] = array("Q", vals)
+        return words.tobytes()
     return b"".join(v.to_bytes(width, "little") for v in vals)
 
 
 def _from_bytes(b: bytes, width: int):
-    """The fields of ``_to_bytes``: the ints in order, as an iterable."""
-    if width == 8 and sys.byteorder == "little":
-        return array("Q", b)
+    """The fields of a packed row, as of ``_to_bytes``: the ints in order."""
+    if width <= 16 and sys.byteorder == "little":
+        w = array("Q", b)
+        return w if width == 8 else [x | y << 64 for x, y in zip(w[::2], w[1::2])]
     return (int.from_bytes(b[i:i + width], "little") for i in range(0, len(b), width))
 
 
@@ -500,7 +520,7 @@ class _Engine:
         cut into runs, grouped, for ``_row_packed``.  A negated entry is
         p - v, so it lies in [1, p]."""
         p, s, size = self.p, self.width, len(cols) - o
-        inv = pow(c, -1, p)
+        inv = _inverse(c, p)
         pos = _to_bytes([f * inv % p for f in _from_bytes(b, s)], s)
         neg = (int.from_bytes(p.to_bytes(s, "little") * size, "little")
                - int.from_bytes(pos, "little")).to_bytes(s * size, "little")
@@ -696,20 +716,20 @@ def buchberger(gens: Sequence, degree_cap: Optional[int] = None,
     return GroebnerBasis(engine.divisors, nvars, p)
 
 
-def hilbert_hint(gens: Sequence[dict], ring: tuple,
-                 degree_cap: Optional[int] = None) -> Optional[_Engine]:
-    """A ``hilbert`` hint for ``buchberger``: a run on other generators, as
-    with ``ring`` = (nvars, p), of an ideal with the same Hilbert function,
-    taken only as far as the degrees asked; None when every generator is
-    zero."""
+def hilbert_hint(gens, ring: tuple, degree_cap: Optional[int] = None):
+    """A ``hilbert`` hint that runs share, built only as far as they ask: the
+    monomials of a ``MonomialIdeal``, or a run on packed generators, read as
+    with ``ring`` = (nvars, p), of such an ideal; None when all are zero."""
+    if isinstance(gens, MonomialIdeal):
+        return _Staircase(map(_key, gens.generators), ring[0])
     return _start(gens, *ring, degree_cap, None)
 
 
 def _start(gens: Sequence[dict], nvars: int, p: Optional[int],
            degree_cap: Optional[int], hilbert) -> Optional[_Engine]:
-    """An engine fed with the packed ``gens`` and with no pair finished yet;
-    None when every generator is zero."""
-    nonzero = [g for g in (_residues(g, p) for g in gens) if g]
+    """An engine fed with the normalized ``gens``, no pair finished yet (None
+    when all are zero); a run modulo p*q splits before the cap is read."""
+    nonzero = sorted((_normalize(r, p) for g in gens if (r := _residues(g, p))), key=max)
     if not nonzero:
         return None
     if degree_cap is not None:
@@ -721,11 +741,11 @@ def _start(gens: Sequence[dict], nvars: int, p: Optional[int],
     if not all(_degree(min(g), nvars) == _degree(max(g), nvars) for g in nonzero):
         hilbert = None
     elif isinstance(hilbert, MonomialIdeal):
-        hilbert = _Staircase(map(_key, hilbert.generators), nvars)
+        hilbert = hilbert_hint(hilbert, (nvars, p))
     engine = _Engine(p, degree_cap, hilbert, nvars, _dense(nonzero, nvars))
     # feed generators smallest leading term first, reducing each against the
     # basis built so far
-    for terms in sorted((_normalize(g, p) for g in nonzero), key=max):
+    for terms in nonzero:
         reduced = engine._nf(terms)
         if reduced:
             engine.add(reduced)

@@ -258,26 +258,30 @@ class TestRedraws:
                                    ("exact", 2, draws[2], True, True, self.GIN)]
 
     def test_larger_candidate_resets_kept_draws_in_both_fields(self):
-        # calls 0-2 (mod p1 draws 0 and 1, mod p2 draw 0) are kept until
-        # call 3 (mod p2 draw 1) brings the larger gin
+        # the primes' draws 0 run as one modulo p1*p2 and so would their
+        # draws 1, but those generators vanish mod p2 and split the run
+        # (call 1); mod p1 draw 1 runs alone (call 2), and mod p2 draw 1
+        # (call 3) brings the larger gin, which discards both primes' draws
         seen = []
-
-        def build(g, p):
-            seen.append(g)
-            if len(seen) <= 3:
-                return _x5(p)
-            return _moved(self.GENS, g, p)
-        B = rgin(3, GinConfig(seed=42, mode="modular"), build)
+        B = rgin(3, GinConfig(seed=42, mode="modular"), _resetting(seen))
+        p1, p2 = 32003, 32009
         assert str(B) == self.GIN
-        assert len(seen) == 7
-        assert B.certificate.matrices == (seen[5], seen[6], seen[3], seen[4])
-        assert B.certificate.discarded == tuple(seen[:3])
-        p1, p2 = "mod32003", "mod32009"
+        assert [m for _, m in seen] == [p1 * p2, p1 * p2, p1, p2, p2, p1, p1]
+        m = {(d.field, d.index): d.matrix for d in B.certificate.draws}
+        for k, (lifted, _) in enumerate(seen[:2]):   # the CRT lift of both draws k
+            assert all(x % p1 == a and x % p2 == b for r, r1, r2 in zip(
+                lifted, m["mod32003", k], m["mod32009", k]) for x, a, b in zip(r, r1, r2))
+        assert [g for g, _ in seen[2:]] == [m["mod32003", 1], m["mod32009", 1],
+                                            m["mod32009", 2], m["mod32003", 2],
+                                            m["mod32003", 3]]
+        t1, t2 = "mod32003", "mod32009"
+        assert B.certificate.matrices == (m[t1, 2], m[t1, 3], m[t2, 1], m[t2, 2])
+        assert B.certificate.discarded == (m[t1, 0], m[t1, 1], m[t2, 0])
         assert self.history(B) == [
-            (p1, 0, seen[0], True, False, self.X5), (p1, 1, seen[1], True, False, self.X5),
-            (p2, 0, seen[2], True, False, self.X5), (p2, 1, seen[3], True, True, self.GIN),
-            (p2, 2, seen[4], True, True, self.GIN), (p1, 2, seen[5], True, True, self.GIN),
-            (p1, 3, seen[6], True, True, self.GIN)]
+            (t1, 0, m[t1, 0], True, False, self.X5), (t1, 1, m[t1, 1], True, False, self.X5),
+            (t2, 0, m[t2, 0], True, False, self.X5), (t2, 1, m[t2, 1], True, True, self.GIN),
+            (t2, 2, m[t2, 2], True, True, self.GIN), (t1, 2, m[t1, 2], True, True, self.GIN),
+            (t1, 3, m[t1, 3], True, True, self.GIN)]
 
     def test_later_draws_with_another_hilbert_function_raise(self):
         from arrfree import InternalConsistencyError
@@ -421,23 +425,35 @@ def _ziegler_modular():
     return jacobian_rgin(A, GinConfig(seed=29, mode="modular"))
 
 
-def _reset_modular():
-    seen = []
+def _resetting(seen):
+    """A modular builder that records each (rows, modulus) in ``seen``: the
+    joint run of both primes' draws 0 and the single run of mod p1 draw 1
+    give X5, smaller than the gin; the joint run of their draws 1 gets
+    generators that vanish mod the second prime 32009, so it splits; every
+    other run gives the gin."""
+    def build(g, m):
+        seen.append((g, m))
+        if len(seen) == 2:
+            return _packed([f.scale(32009) for f in polys(
+                ["x^5", "x^4*y", "x^4*z^2", "x^3*y^4"], 3)], m)
+        return _x5(m) if len(seen) <= 3 else _moved(TestRedraws.GENS, g, m)
+    return build
 
-    def build(g, p):                   # three smaller draws, then the gin
-        seen.append(g)
-        return _x5(p) if len(seen) <= 3 else _moved(TestRedraws.GENS, g, p)
-    return rgin(3, GinConfig(seed=42, mode="modular"), build)
+
+def _reset_modular():
+    return rgin(3, GinConfig(seed=42, mode="modular"), _resetting([]))
 
 
 _REDRAWN = polys(["x^4 - y^2*z^2", "x*y^2 - y*z^2 - z^3"], 3)
 
 
 class TestWrappedNames:
-    """bench/spans.py and CI's "Trial counts" and "Genericity draws" steps
-    wrap gin.buchberger, gin.random_linear_change and gin.is_strongly_stable:
-    one Buchberger run and one coordinate change per draw, and a Borel check
-    on every draw that differs from the best candidate of that moment."""
+    """bench/spans.py and CI's "Benchmark answers" step wrap gin.buchberger,
+    gin.random_linear_change and gin.is_strongly_stable: one coordinate
+    change per draw, one finished Buchberger run per draw, or per pair of
+    k-th draws run as one modulo the product of the primes, and a Borel
+    check on every draw that differs from the best candidate of that
+    moment."""
 
     @pytest.mark.parametrize("run", [
         lambda: rgin(_REDRAWN, GinConfig(seed=2, entry_bound=1)),
@@ -445,12 +461,16 @@ class TestWrappedNames:
         _ziegler_modular, _reset_modular],
         ids=["exact", "modular", "modular-ziegler", "modular-reset"])
     def test_calls_per_draw(self, monkeypatch, run):
-        calls = {"buchberger": 0, "random_linear_change": 0}
-        for name in calls:
-            def counted(*args, _name=name, _call=getattr(gin_module, name), **kw):
-                calls[_name] += 1
-                return _call(*args, **kw)
-            monkeypatch.setattr(gin_module, name, counted)
+        runs, changes = [], []
+        buchberger, change = gin_module.buchberger, gin_module.random_linear_change
+
+        def counted(gens, cap, hint, ring):   # a run that splits is not counted
+            G = buchberger(gens, cap, hint, ring)
+            runs.append(ring[1])
+            return G
+        monkeypatch.setattr(gin_module, "buchberger", counted)
+        monkeypatch.setattr(gin_module, "random_linear_change",
+                            lambda *a, **kw: changes.append(a) or change(*a, **kw))
         ideals, checked = [], []
         lti, check = gin_module.leading_term_ideal, gin_module.is_strongly_stable
         monkeypatch.setattr(gin_module, "leading_term_ideal",
@@ -458,18 +478,99 @@ class TestWrappedNames:
         monkeypatch.setattr(gin_module, "is_strongly_stable",
                             lambda B: checked.append((B, check(B))) or checked[-1][1])
         B = run()
-        draws = len(B.certificate.matrices) + len(B.certificate.discarded)
-        assert calls == {"buchberger": draws, "random_linear_change": draws}
-        assert len(ideals) == draws
-        # replay the best candidate: the checked draws are those that differ
+        draws = B.certificate.draws
+        assert len(draws) == len(B.certificate.matrices) + len(B.certificate.discarded)
+        assert len(changes) == len(draws) and len(ideals) == len(runs)
+        # each draw reads the ideal of one run; a run modulo p*q serves the
+        # k-th draw of both primes, any other run one draw of its own field
+        primes = {int(d.field[3:]) for d in draws if d.field != "exact"}
+        served = {id(I): [] for I in ideals}
+        for d in draws:
+            served[id(d.ideal)].append((d.field, d.index))
+        for I, m in zip(ideals, runs):
+            fields, index = zip(*served[id(I)])
+            assert fields == ((f"mod{m}",) if m in primes else ("exact",) if m is None
+                              else tuple(f"mod{p}" for p in sorted(primes)))
+            assert len(set(index)) == 1
+        # replay the best candidate in draw order: the checked draws are
+        # those that differ from it
         verdicts, best, expected = iter(v for _, v in checked), None, []
-        for ideal in ideals:
-            if ideal != best:
-                expected.append(ideal)
-                if next(verdicts) and (best is None or gin_module._larger(ideal, best)):
-                    best = ideal
+        for d in draws:
+            if d.ideal != best:
+                expected.append(d.ideal)
+                if next(verdicts) and (best is None or gin_module._larger(d.ideal, best)):
+                    best = d.ideal
         assert [I for I, _ in checked] == expected and best == B
-        assert len(checked) < draws
+        assert len(checked) < len(draws)
+
+
+class TestJointRuns:
+    """In modular mode the two primes' k-th draws run as one modulo p*q
+    until a leading coefficient that is not a unit splits them into two
+    runs; either way each draw gives its own prime's leading term ideal."""
+
+    @staticmethod
+    def draws(name, primes, seed):
+        from arrfree import jacobian_rgin
+        from arrfree.cli import load_input
+        A = Arrangement(load_input(str(INPUTS / name)).items)
+        try:
+            B = jacobian_rgin(A, GinConfig(seed=seed, mode="modular", primes=primes))
+        except GenericityExhaustedError as err:
+            return A, err.draws
+        return A, B.certificate.draws
+
+    @pytest.mark.parametrize("primes", [(32003, 32009), (101, 103)],
+                             ids=["mod:32003,32009", "mod:101,103"])
+    @pytest.mark.parametrize("name", ["five_planes.arr", "five_planes_nonfree.arr",
+                                      "ziegler_1.arr"])
+    def test_every_draw_is_its_primes_run(self, name, primes):
+        for seed in (1, 2, 3):
+            A, draws = self.draws(name, primes, seed)
+            build = groebner_module.moved_partials(A.rows)
+            for d in draws:
+                p = int(d.field[3:])
+                G = buchberger(build(d.matrix, p), ring=(A.nvars, p))
+                assert leading_term_ideal(G) == d.ideal, (seed, d.field, d.index)
+
+    def test_both_paths_run(self, monkeypatch):
+        # five planes at seed 1: under (32003, 32009) both draws k run as
+        # one; under (101, 103) the joint run of the draws 0 meets the
+        # leading coefficient 8549 = 83 * 103 and splits
+        runs = []
+        buchberger = gin_module.buchberger
+
+        def recorded(*args):
+            try:
+                G = buchberger(*args)
+            except groebner_module.ZeroDivisorError as err:
+                runs.append((args[3][1], str(err)))
+                raise
+            runs.append((args[3][1], None))
+            return G
+        monkeypatch.setattr(gin_module, "buchberger", recorded)
+        self.draws("five_planes.arr", (32003, 32009), 1)
+        assert runs == [(32003 * 32009, None)] * 2
+        runs.clear()
+        self.draws("five_planes.arr", (101, 103), 1)
+        assert runs == [(101 * 103, "8549 is not a unit mod 10403")] + \
+            [(101, None)] * 2 + [(103, None)] * 3
+
+    def test_against_sympy(self):
+        # an oracle that shares no code with the kernel: the moved forms'
+        # product and partials in sympy, reduced mod each draw's own prime
+        sympy = pytest.importorskip("sympy")
+        xs = sympy.symbols("x y z")
+        for name in ("five_planes.arr", "five_planes_nonfree.arr"):
+            A, draws = self.draws(name, (32003, 32009), 1)
+            assert len(draws) == 4
+            for d in draws:
+                Q = sympy.prod(sum(sum(r[i] * d.matrix[i][j] for i in range(3)) * x
+                                   for j, x in enumerate(xs)) for r in A.rows)
+                G = sympy.groebner([sympy.diff(Q, x) for x in xs], *xs,
+                                   order="grevlex", modulus=int(d.field[3:]))
+                leads = [sympy.Poly(g, *xs).monoms(order="grevlex")[0] for g in G.exprs]
+                assert MonomialIdeal([PowerProduct(e) for e in leads], 3) == d.ideal
 
 
 class TestChainRule:

@@ -270,6 +270,53 @@ class TestBuchberger:
         assert all(reduce_mod(g, gb.elements, 7).is_zero for g in gens)
 
 
+class TestCompositeModulus:
+    """A run modulo p*q is a run mod p and a run mod q at once (Z/pq = Z/p x
+    Z/q) while every leading coefficient it inverts is a unit; one that
+    vanishes modulo one prime only raises ZeroDivisorError."""
+
+    P, Q = 32003, 32009
+
+    @pytest.mark.parametrize("l, texts", [
+        (2, ["32009*x + y", "x*y"]),              # a generator's, as it is fed
+        (3, ["x^2 + y^2", "x^2 + 32010*y^2"]),    # a remainder's, on term dicts
+        (2, ["x + y", "x + 32010*y"]),            # a remainder's, on dense rows
+    ], ids=["generator", "sparse", "dense"])
+    def test_lead_that_one_prime_divides_splits(self, l, texts):
+        gens = [residues(f) for f in polys(texts, l)]
+        with pytest.raises(groebner_module.ZeroDivisorError, match="32009 is not a unit"):
+            buchberger(gens, ring=(l, self.P * self.Q))
+        for p in (self.P, self.Q):      # each prime alone runs through
+            buchberger(gens, ring=(l, p))
+
+    @pytest.mark.parametrize("m", [32003, 32003 * 32009, 2 ** 61 - 1],
+                             ids=["8-bytes", "16-bytes", "24-bytes"])
+    def test_fields_round_trip(self, m):
+        # the routes through 64-bit words against int.to_bytes and
+        # int.from_bytes: residues below m in, packed row fields out
+        rng, width = random.Random(m), groebner_module._width(m)
+        vals = [rng.randrange(m) for _ in range(50)] + [0, m - 1]
+        assert groebner_module._to_bytes(vals, width) == \
+            b"".join(v.to_bytes(width, "little") for v in vals)
+        fields = [rng.randrange(1 << 8 * width) for _ in range(50)] + [(1 << 8 * width) - 1]
+        assert list(groebner_module._from_bytes(b"".join(
+            v.to_bytes(width, "little") for v in fields), width)) == fields
+
+    @pytest.mark.parametrize("l, texts", [
+        (3, ["x^2 - y*z", "x*y^2 - z^3", "y^4 - x*z^2"]),
+        (2, ["x + y", "x + 2*y"]),
+        (3, ["x^2 + 2*x*y + 3*y^2 + 4*y*z + 5*z^2", "x*y + 6*x*z + 7*y^2 + 8*z^2"]),
+    ], ids=["sparse", "dense-linear", "dense"])
+    def test_unit_pivots_give_each_primes_basis(self, l, texts):
+        gens = [residues(f) for f in polys(texts, l)]
+        joint = buchberger(gens, ring=(l, self.P * self.Q))
+        for p in (self.P, self.Q):
+            alone = buchberger(gens, ring=(l, p))
+            assert leading_term_ideal(joint) == leading_term_ideal(alone)
+            assert {frozenset((pp, c % p) for pp, c in g.terms() if c % p)
+                    for g in joint} == {frozenset(g.terms()) for g in alone}
+
+
 class TestLeadingTermIdeal:
     def test_trusted_on_the_corpus_trials(self, monkeypatch):
         # the engine's leading terms, taken as they are, against the ideal
