@@ -1,10 +1,10 @@
 """Combinatorics of monomial ideals.
 
 Minimal generators, membership, sectional matrices, reduction numbers,
-regularity and graded Betti numbers of strongly stable ideals, the
-two-variable lex-segment shape test, and Cohen-Macaulayness.  Every
-invariant but the sectional matrix is read off the minimal generators in
-closed form; the sectional matrix counts standard monomials.
+regularity and graded Betti numbers of strongly stable ideals, the two-variable
+lex-segment shape test, and Cohen-Macaulayness.  Every invariant but the
+sectional matrix is read off the minimal generators in closed form; the
+sectional matrix counts standard monomials by a packed divisibility test.
 """
 
 from __future__ import annotations
@@ -110,6 +110,15 @@ class MonomialIdeal:
 # strong stability (Borel-fixedness)
 # ---------------------------------------------------------------------------
 
+def _packing(top: int, nvars: int) -> tuple:
+    """(w, G, pack): pack puts exponents up to top into an int, one w-bit
+    field per variable with a spare top bit, the bits of G.  For packed a
+    and b, a divides b when ((b | G) - a) & G == G, as in ``groebner``."""
+    w = top.bit_length() + 1
+    shifts = range(0, w * nvars, w)
+    return w, sum(1 << s + w - 1 for s in shifts), lambda e: sum(map(int.__lshift__, e, shifts))
+
+
 def is_strongly_stable(B: MonomialIdeal) -> bool:
     """True iff every adjacent move on every minimal generator stays in B.
 
@@ -117,15 +126,13 @@ def is_strongly_stable(B: MonomialIdeal) -> bool:
     move on t moves either g or u, so B is closed under adjacent moves on
     all its monomials, and every move x_i * t / x_j is a chain of them.
 
-    Monomials are packed into ints, one field per variable, each wide enough
-    for the largest exponent plus one and a spare top bit G: a divides b when
-    ((b | G) - a) & G == G, as in ``groebner``.  A move keeps the degree, so
-    it lies in B when it is a generator or a lower-degree generator divides it.
+    Monomials are packed by ``_packing``, with fields wide enough for the
+    largest exponent plus one.  A move keeps the degree, so it lies in B when
+    it is a generator or a lower-degree generator divides it.
     """
     gens = B.generators
-    w = (max(map(max, gens), default=0) + 1).bit_length() + 1
-    G = sum(1 << w * j + w - 1 for j in range(B.nvars))
-    packed = [sum(e << w * j for j, e in enumerate(g)) for g in gens]
+    w, G, pack = _packing(max(map(max, gens), default=0) + 1, B.nvars)
+    packed = [pack(g) for g in gens]
     members, below, degree = set(packed), [], 0
     for i, (g, t) in enumerate(zip(gens, packed)):
         if g.degree() > degree:
@@ -184,18 +191,23 @@ def degree_monomials(degree: int, nvars: int) -> Iterator[tuple]:
 
 
 def count_standard_monomials(B: MonomialIdeal, i: int, d: int) -> int:
-    """Number of degree-d monomials in x_1..x_i lying outside B."""
+    """Number of degree-d monomials in x_1..x_i lying outside B, each tested
+    against the generators of degree at most d in x_1..x_i, packed by
+    ``_packing`` in the variables they involve: one subtraction each."""
     if not 1 <= i <= B.nvars:
         raise IndexError(f"row index {i} out of range 1..{B.nvars}")
     if d < 0:
         return 0
-    # Generators involving variables beyond x_i never divide such monomials.
-    gens = [g[:i] for g in B.generators if all(e == 0 for e in g[i:])]
-    if any(not any(g) for g in gens):
-        return 0  # unit ideal
+    gens = [g for g in B.generators if g.degree() <= d and not any(g[i:])]
+    _, G, pack = _packing(d, max(map(PowerProduct.max_variable, gens), default=0))
+    packed = list(map(pack, gens))
     count = 0
     for mono in degree_monomials(d, i):
-        if not any(all(a <= b for a, b in zip(g, mono)) for g in gens):
+        m = pack(mono) | G
+        for a in packed:
+            if (m - a) & G == G:
+                break
+        else:
             count += 1
     return count
 

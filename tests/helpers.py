@@ -12,6 +12,7 @@ from arrfree import (Arrangement, ExponentVector, FreenessReport, GinCertificate
 from arrfree import groebner as groebner_module
 from arrfree.cli import ParseError, parse_expression
 from arrfree.groebner import _int_terms, _normalize, _pack, _poly, _residues
+from arrfree.monomial import degree_monomials
 from arrfree.polyring import var_names
 
 
@@ -124,6 +125,22 @@ def random_borel_ideal(nvars, max_deg, n_seeds, rng):
     seeds = [random_exponent(rng.randint(1, max_deg), nvars, rng)
              for _ in range(n_seeds)]
     return borel_closure(seeds, nvars)
+
+
+def standard_monomials_oracle(B, i, d):
+    """Number of degree-d monomials in x_1..x_i outside B, each compared
+    with every generator in x_1..x_i exponent by exponent: the oracle of
+    ``count_standard_monomials``, which tests divisibility on packed ints."""
+    if d < 0:
+        return 0
+    gens = [g[:i] for g in B.generators if all(e == 0 for e in g[i:])]
+    if any(not any(g) for g in gens):
+        return 0  # unit ideal
+    count = 0
+    for mono in degree_monomials(d, i):
+        if not any(all(a <= b for a, b in zip(g, mono)) for g in gens):
+            count += 1
+    return count
 
 
 def monomial_gens(B):

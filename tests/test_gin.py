@@ -504,6 +504,19 @@ class TestWrappedNames:
         assert len(checked) < len(draws)
 
 
+def _sympy_leading_term_ideal(sympy, rows, draw):
+    """The leading term ideal of a draw, re-derived by an oracle that shares
+    no code with the kernel: the moved forms' product and partials in sympy,
+    reduced over QQ or mod the draw's own prime."""
+    xs = sympy.symbols("x y z")
+    Q = sympy.prod(sum(sum(r[i] * draw.matrix[i][j] for i in range(3)) * x
+                       for j, x in enumerate(xs)) for r in rows)
+    modulus = {} if draw.field == "exact" else {"modulus": int(draw.field[3:])}
+    G = sympy.groebner([sympy.diff(Q, x) for x in xs], *xs, order="grevlex", **modulus)
+    leads = [sympy.Poly(g, *xs).monoms(order="grevlex")[0] for g in G.exprs]
+    return MonomialIdeal([PowerProduct(e) for e in leads], 3)
+
+
 class TestJointRuns:
     """In modular mode the two primes' k-th draws run as one modulo p*q
     until a leading coefficient that is not a unit splits them into two
@@ -557,20 +570,28 @@ class TestJointRuns:
             [(101, None)] * 2 + [(103, None)] * 3
 
     def test_against_sympy(self):
-        # an oracle that shares no code with the kernel: the moved forms'
-        # product and partials in sympy, reduced mod each draw's own prime
         sympy = pytest.importorskip("sympy")
-        xs = sympy.symbols("x y z")
         for name in ("five_planes.arr", "five_planes_nonfree.arr"):
             A, draws = self.draws(name, (32003, 32009), 1)
             assert len(draws) == 4
             for d in draws:
-                Q = sympy.prod(sum(sum(r[i] * d.matrix[i][j] for i in range(3)) * x
-                                   for j, x in enumerate(xs)) for r in A.rows)
-                G = sympy.groebner([sympy.diff(Q, x) for x in xs], *xs,
-                                   order="grevlex", modulus=int(d.field[3:]))
-                leads = [sympy.Poly(g, *xs).monoms(order="grevlex")[0] for g in G.exprs]
-                assert MonomialIdeal([PowerProduct(e) for e in leads], 3) == d.ideal
+                assert _sympy_leading_term_ideal(sympy, A.rows, d) == d.ideal
+
+
+class TestExactDraws:
+    def test_against_sympy(self):
+        # every exact draw at seed 1, the discarded non-Borel one of five
+        # planes among them, re-derived over QQ
+        from arrfree import jacobian_rgin
+        from arrfree.cli import load_input
+        sympy = pytest.importorskip("sympy")
+        seen = []
+        for name in ("five_planes.arr", "five_planes_nonfree.arr"):
+            A = Arrangement(load_input(str(INPUTS / name)).items)
+            for d in jacobian_rgin(A, GinConfig(seed=1)).certificate.draws:
+                assert _sympy_leading_term_ideal(sympy, A.rows, d) == d.ideal
+                seen.append((d.field, d.kept))
+        assert seen == [("exact", False)] + [("exact", True)] * 4
 
 
 class TestChainRule:

@@ -11,14 +11,15 @@ from hypothesis import strategies as st
 from arrfree import (INFINITE, DimensionError, LexSegmentShape, MonomialIdeal,
                      NotStronglyStableError,
                      PowerProduct, StronglyStableIdeal, betti_eliahou_kervaire,
-                     codimension,
+                     codimension, hilbert_function,
                      is_cm_codim2_stable, is_cohen_macaulay,
                      is_strongly_stable, reduction_number,
                      regularity_stable, sectional_matrix, triangle_equality)
 from arrfree import monomial as monomial_module
 from arrfree.cli import render_sectional_matrix
 from arrfree.monomial import count_standard_monomials, degree_monomials
-from helpers import borel_closure, random_borel_ideal, random_exponent
+from helpers import borel_closure, random_borel_ideal, random_exponent, \
+    standard_monomials_oracle
 
 
 def B(gens, nvars):
@@ -208,6 +209,45 @@ class TestCounting:
             for i in range(1, nv + 1):
                 for d in range(0, 8):
                     assert count_standard_monomials(I, i, d) == counting_oracle(I, i, d)
+
+    @staticmethod
+    def check_packed(I, degrees):
+        for d in degrees:
+            assert hilbert_function(I, d) == standard_monomials_oracle(I, I.nvars, d), (I, d)
+            for i in range(1, I.nvars + 1):
+                assert count_standard_monomials(I, i, d) == \
+                    standard_monomials_oracle(I, i, d), (I, i, d)
+
+    @pytest.mark.parametrize("l", [1, 2, 3, 4, 5])
+    def test_against_tuple_comparison(self, l):
+        # the packed test of count_standard_monomials and hilbert_function
+        # against the exponent-by-exponent comparison of the oracle, on
+        # Borel and non-Borel ideals, the zero ideal and the unit ideal
+        rng = random.Random(3400 + l)
+        ideals = [MonomialIdeal((), l), MonomialIdeal([(0,) * l], l)]
+        for _ in range(6):
+            ideals.append(random_borel_ideal(l, 5, rng.randint(1, 3), rng))
+            ideals.append(MonomialIdeal([random_exponent(rng.randint(1, 6), l, rng)
+                                         for _ in range(rng.randint(1, 4))], l))
+        assert l == 1 or not all(map(is_strongly_stable, ideals))
+        for I in ideals:
+            self.check_packed(I, range((I.max_generator_degree() or 0) + 4))
+
+    @pytest.mark.parametrize("d", [1, 3, 7, 15])
+    def test_widest_fields(self, d):
+        # d = 2^k - 1 fills the k value bits of each field: an exponent d
+        # sits at the top of its field, generators of degree d + 1 would
+        # carry into the spare bit and must be dropped, and some lie beyond
+        # x_1..x_i
+        rng = random.Random(d)
+        for l in (1, 2, 3, 4):
+            for _ in range(3):
+                gens = [PowerProduct([d + 1] + [0] * (l - 1)),
+                        PowerProduct([0] * (l - 1) + [d])]
+                gens += [random_exponent(rng.randint(d - 1, d + 1), l, rng)
+                         for _ in range(rng.randint(0, 3))]
+                self.check_packed(MonomialIdeal(gens, l), (d - 1, d, d + 1))
+        assert count_standard_monomials(B([(d + 1,)], 1), 1, d) == 1
 
     def test_degree_monomials_count(self):
         assert sum(1 for _ in degree_monomials(6, 3)) == math.comb(8, 2)
