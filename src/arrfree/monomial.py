@@ -4,7 +4,9 @@ Minimal generators, membership, sectional matrices, reduction numbers,
 regularity and graded Betti numbers of strongly stable ideals, the two-variable
 lex-segment shape test, and Cohen-Macaulayness.  Every invariant but the
 sectional matrix is read off the minimal generators in closed form; the
-sectional matrix counts standard monomials by a packed divisibility test.
+sectional matrix counts standard monomials in the variables the generators
+involve by a packed divisibility test, each weighted by the number of
+monomials in the other variables that complete it to the degree.
 """
 
 from __future__ import annotations
@@ -191,24 +193,36 @@ def degree_monomials(degree: int, nvars: int) -> Iterator[tuple]:
 
 
 def count_standard_monomials(B: MonomialIdeal, i: int, d: int) -> int:
-    """Number of degree-d monomials in x_1..x_i lying outside B, each tested
-    against the generators of degree at most d in x_1..x_i, packed by
-    ``_packing`` in the variables they involve: one subtraction each."""
+    """Number of degree-d monomials in x_1..x_i lying outside B.
+
+    Membership reads only x_1..x_k, the variables of the generators of
+    degree at most d in x_1..x_i.  So the monomials of x_1..x_k are built
+    degree by degree, packed by ``_packing`` and tested with one subtraction
+    per generator, and a standard one of degree s counts C(d-s+i-k-1, i-k-1)
+    times, once per degree-(d-s) monomial in x_(k+1)..x_i (k = i: d only)."""
     if not 1 <= i <= B.nvars:
         raise IndexError(f"row index {i} out of range 1..{B.nvars}")
     if d < 0:
         return 0
     gens = [g for g in B.generators if g.degree() <= d and not any(g[i:])]
-    _, G, pack = _packing(d, max(map(PowerProduct.max_variable, gens), default=0))
+    k = max(map(PowerProduct.max_variable, gens), default=0)
+    w, G, pack = _packing(d, k)
     packed = list(map(pack, gens))
-    count = 0
-    for mono in degree_monomials(d, i):
-        m = pack(mono) | G
-        for a in packed:
-            if (m - a) & G == G:
-                break
-        else:
-            count += 1
+    # level: the degree-s monomials of x_1..x_k in blocks by largest variable,
+    # so the C(s + j, j) of x_1..x_(j+1) come first
+    count, level = 0, [G]
+    for s in range(d + 1):
+        if s:
+            level = [m + (1 << w * j) for j in range(k)
+                     for m in level[:math.comb(s - 1 + j, j)]]
+        if k < i or s == d:
+            weight = math.comb(d - s + i - k - 1, i - k - 1) if k < i else 1
+            for m in level:
+                for a in packed:
+                    if (m - a) & G == G:
+                        break
+                else:
+                    count += weight
     return count
 
 

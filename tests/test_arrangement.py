@@ -2,6 +2,7 @@
 
 import io
 import random
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -373,6 +374,15 @@ class TestFreenessGoldens:
         assert rep.free and not rep.trivially_free
         assert str(rep.rgin) == "<x^4, x^3*y, x^2*y^2, x*y^4, y^6>"
         assert rep.exponents == (1, 1, 3)
+
+    def test_three_lines_in_forty_variables(self):
+        # the forms involve x1 and x2 alone, and so do the rgin's generators:
+        # the sectional matrix enumerates monomials of x1, x2 only and
+        # weights each by its multiples in the other 38 variables
+        start = time.perf_counter()
+        rep = analyze(arrangement(["x1", "x2", "x1+x2"], 40))
+        assert time.perf_counter() - start < 10
+        assert rep.free and str(rep.rgin) == "<x1^2, x1*x2, x2^3>"
 
     def test_sectional_bounds_match_report(self):
         for texts in (["x", "y", "z", "x+y", "x-y"],

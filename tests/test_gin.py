@@ -504,17 +504,23 @@ class TestWrappedNames:
         assert len(checked) < len(draws)
 
 
+def _sympy_leads(sympy, gens, xs, field):
+    """The leading term ideal of sympy expressions in xs, re-derived by an
+    oracle that shares no code with the kernel: reduced over QQ or mod the
+    draw's own prime."""
+    modulus = {} if field == "exact" else {"modulus": int(field[3:])}
+    G = sympy.groebner(gens, *xs, order="grevlex", **modulus)
+    leads = [sympy.Poly(g, *xs).monoms(order="grevlex")[0] for g in G.exprs]
+    return MonomialIdeal([PowerProduct(e) for e in leads], len(xs))
+
+
 def _sympy_leading_term_ideal(sympy, rows, draw):
-    """The leading term ideal of a draw, re-derived by an oracle that shares
-    no code with the kernel: the moved forms' product and partials in sympy,
-    reduced over QQ or mod the draw's own prime."""
+    """The leading term ideal of a Jacobian draw: the moved forms' product
+    and partials in sympy, reduced by ``_sympy_leads``."""
     xs = sympy.symbols("x y z")
     Q = sympy.prod(sum(sum(r[i] * draw.matrix[i][j] for i in range(3)) * x
                        for j, x in enumerate(xs)) for r in rows)
-    modulus = {} if draw.field == "exact" else {"modulus": int(draw.field[3:])}
-    G = sympy.groebner([sympy.diff(Q, x) for x in xs], *xs, order="grevlex", **modulus)
-    leads = [sympy.Poly(g, *xs).monoms(order="grevlex")[0] for g in G.exprs]
-    return MonomialIdeal([PowerProduct(e) for e in leads], 3)
+    return _sympy_leads(sympy, [sympy.diff(Q, x) for x in xs], xs, draw.field)
 
 
 class TestJointRuns:
@@ -592,6 +598,34 @@ class TestExactDraws:
                 assert _sympy_leading_term_ideal(sympy, A.rows, d) == d.ideal
                 seen.append((d.field, d.kept))
         assert seen == [("exact", False)] + [("exact", True)] * 4
+
+
+class TestMovedGenerators:
+    # the default builder for plain generators, which serves ``rgin`` on an
+    # ideal file and the verification draw of ``realize``: the five-plane
+    # rgin's generators, and binomials whose first two span x*y*z and y^3
+    # only through their coefficients; with the exact draws each makes at
+    # seed 1 (the binomials discard two, one of them not Borel), and four
+    # modular ones each
+    IDEALS = [(["x^4", "x^3*y", "x^2*y^2", "x*y^4", "y^6"], 2),
+              (["x*y*z - y^3", "x*y*z + 2*y^3", "x^3 + 2*z^3"], 4)]
+
+    @pytest.mark.parametrize("mode", ["exact", "modular"])
+    def test_against_sympy(self, mode):
+        # every draw at seed 1; in modular mode both primes' draws k run as
+        # one modulo 32003 * 32009, and each must give its own prime's ideal
+        sympy = pytest.importorskip("sympy")
+        xs = sympy.symbols("x y z")
+        for texts, exact_draws in self.IDEALS:
+            draws = rgin(polys(texts, 3), GinConfig(seed=1, mode=mode)).certificate.draws
+            assert len(draws) == (exact_draws if mode == "exact" else 4)
+            gens = [sympy.sympify(t.replace("^", "**"), locals=dict(zip("xyz", xs)))
+                    for t in texts]
+            for d in draws:     # x_i moves to sum_j matrix[i][j] x_j
+                moved = {x: sum(d.matrix[i][j] * y for j, y in enumerate(xs))
+                         for i, x in enumerate(xs)}
+                moved = [sympy.expand(g.subs(moved, simultaneous=True)) for g in gens]
+                assert _sympy_leads(sympy, moved, xs, d.field) == d.ideal, (texts, d.field)
 
 
 class TestChainRule:

@@ -249,6 +249,24 @@ class TestCounting:
                 self.check_packed(MonomialIdeal(gens, l), (d - 1, d, d + 1))
         assert count_standard_monomials(B([(d + 1,)], 1), 1, d) == 1
 
+    @pytest.mark.parametrize("l", [6, 7, 8])
+    def test_generators_in_few_variables(self, l):
+        # generators in x_1..x_3 only: rows 4..l weight each standard
+        # monomial of x_1..x_k by its multiples in the other variables, and
+        # rows 1 and 2 of the first ideal keep no generator at all
+        rng = random.Random(3500 + l)
+        pad = (0,) * (l - 3)
+        ideals = [B([(0, 0, 2) + pad, (0, 1, 1) + pad], l)]
+        for _ in range(2):
+            small = [random_borel_ideal(3, 4, rng.randint(1, 2), rng).generators,
+                     [random_exponent(rng.randint(1, 4), 3, rng)
+                      for _ in range(rng.randint(1, 3))]]
+            ideals += [B([tuple(g) + pad for g in gens], l) for gens in small]
+        if l == 8:
+            ideals += [MonomialIdeal((), l), MonomialIdeal([(0,) * l], l)]
+        for I in ideals:
+            self.check_packed(I, range((I.max_generator_degree() or 0) + 4))
+
     def test_degree_monomials_count(self):
         assert sum(1 for _ in degree_monomials(6, 3)) == math.comb(8, 2)
 
