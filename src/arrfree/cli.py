@@ -49,8 +49,8 @@ EXIT_PIPE = 141          # 128 + SIGPIPE, as a shell reports a tool it killed
 # (exit 2) before any computation starts.
 MAX_HYPERPLANES = 100
 MAX_GEN_DEGREE = 100
-# The sectional matrix counts monomials in every variable, so its work grows
-# steeply with the number of variables.
+# The sectional matrix of an rgin whose generators involve all l variables is
+# counted monomial by monomial, and every modular draw is dense in all l.
 MAX_VARIABLES = 16
 # A number literal, and a power of a coefficient in any expression, may not
 # exceed this many bits: 3^200000000 is rejected before it is computed.
@@ -461,10 +461,10 @@ def _parse_coeff(text: str) -> Tuple[str, Tuple[int, int]]:
         except ValueError:
             raise argparse.ArgumentTypeError(f"bad prime list in {text!r}")
         if len(primes) == 1 and primes[0] < 1 << 64:
-            p2 = primes[0] + 2
-            while not _is_prime(p2):
-                p2 += 1 if p2 % 2 == 0 else 2
-            primes.append(p2)
+            # the first prime from p + 2 on, else the greatest below p
+            p = primes[0]
+            primes.append(next((q for q in range(p + 2, 1 << 64) if _is_prime(q)), None)
+                          or next(q for q in range(p - 1, 1, -1) if _is_prime(q)))
         if len(primes) != 2 or primes[0] == primes[1] \
                 or not all(p < 1 << 64 and _is_prime(p) for p in primes):
             raise argparse.ArgumentTypeError(
@@ -587,7 +587,7 @@ def _cmd_realize(args, out) -> int:
     verdict = realizable_as_free(B, verify=False)
     if verdict.realizable and not args.no_verify:   # the witness's draws are bounded
         doc.check_dense_terms(sum(verdict.exponents))
-        verdict = arr._realized(verdict.exponents, B, _config_from_args(args), verify=True)
+        verdict = realizable_as_free(B, _config_from_args(args))
     if args.json:
         print(json.dumps(
             {"realizable": verdict.realizable, "reason": verdict.reason,

@@ -72,7 +72,7 @@ from itertools import compress, count, islice
 from operator import itemgetter
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from .monomial import MonomialIdeal, count_standard_monomials, degree_monomials
+from .monomial import MonomialIdeal, _levels, count_standard_monomials
 from .polyring import Polynomial, PowerProduct
 
 __all__ = [
@@ -282,8 +282,9 @@ def _width(p: int) -> int:
 def _columns(nvars: int, d: int) -> Tuple[list, dict, list]:
     """The degree-d keys in descending order, the column of each, and the
     columns that start a run, the monomials without x_2, each with whether
-    it starts a group of runs, the monomials without x_2 and x_3."""
-    keys = sorted(map(_key, degree_monomials(d, nvars)), reverse=True)
+    it starts a group of runs, the monomials without x_2 and x_3.  Keys add,
+    so ``monomial._levels`` lists them: blocks by largest variable descend."""
+    keys, = islice(_levels(0, _variables(nvars), d), d, None)   # no lower degree kept
     starts = [(i, not r >> _W) for i, k in enumerate(keys)
               if not (r := _fields(k, nvars) >> _W & (1 << 2 * _W) - 1) & (1 << _W) - 1]
     return keys, {k: i for i, k in enumerate(keys)}, starts

@@ -24,7 +24,7 @@ __all__ = [
     "reduction_number", "regularity_stable",
     "BettiTable", "betti_eliahou_kervaire",
     "LexSegmentShape", "is_cm_codim2_stable", "codimension", "is_cohen_macaulay",
-    "count_standard_monomials", "degree_monomials",
+    "count_standard_monomials",
 ]
 
 
@@ -182,24 +182,28 @@ class StronglyStableIdeal(MonomialIdeal):
 # counting standard monomials
 # ---------------------------------------------------------------------------
 
-def degree_monomials(degree: int, nvars: int) -> Iterator[tuple]:
-    """All exponent tuples of the given total degree (plain tuples)."""
-    if nvars == 1:
-        yield (degree,)
-        return
-    for first in range(degree, -1, -1):
-        for rest in degree_monomials(degree - first, nvars - 1):
-            yield (first,) + rest
+def _levels(start: int, steps: Sequence[int], top: int) -> Iterator[list]:
+    """The monomials of degree 0..top in x_1..x_n, n = len(steps), one list per
+    degree, each start plus steps[j - 1] per factor x_j, in blocks by largest
+    variable: the first C(s + j, j) of degree s, those of x_1..x_(j+1), times
+    x_(j+1) are the block of x_(j+1) one degree up."""
+    level = [start]
+    yield level
+    for s in range(1, top + 1):
+        level = [m + steps[j] for j in range(len(steps))
+                 for m in level[:math.comb(s - 1 + j, j)]]
+        yield level
 
 
 def count_standard_monomials(B: MonomialIdeal, i: int, d: int) -> int:
     """Number of degree-d monomials in x_1..x_i lying outside B.
 
     Membership reads only x_1..x_k, the variables of the generators of
-    degree at most d in x_1..x_i.  So the monomials of x_1..x_k are built
-    degree by degree, packed by ``_packing`` and tested with one subtraction
-    per generator, and a standard one of degree s counts C(d-s+i-k-1, i-k-1)
-    times, once per degree-(d-s) monomial in x_(k+1)..x_i (k = i: d only)."""
+    degree at most d in x_1..x_i.  So ``_levels`` builds the monomials of
+    x_1..x_k degree by degree, packed by ``_packing``, each tested with one
+    subtraction per generator; a standard one of degree s counts
+    C(d-s+i-k-1, i-k-1) times, once per degree-(d-s) monomial in x_(k+1)..x_i
+    (k = i: d only)."""
     if not 1 <= i <= B.nvars:
         raise IndexError(f"row index {i} out of range 1..{B.nvars}")
     if d < 0:
@@ -208,13 +212,8 @@ def count_standard_monomials(B: MonomialIdeal, i: int, d: int) -> int:
     k = max(map(PowerProduct.max_variable, gens), default=0)
     w, G, pack = _packing(d, k)
     packed = list(map(pack, gens))
-    # level: the degree-s monomials of x_1..x_k in blocks by largest variable,
-    # so the C(s + j, j) of x_1..x_(j+1) come first
-    count, level = 0, [G]
-    for s in range(d + 1):
-        if s:
-            level = [m + (1 << w * j) for j in range(k)
-                     for m in level[:math.comb(s - 1 + j, j)]]
+    count = 0
+    for s, level in enumerate(_levels(G, [1 << w * j for j in range(k)], d)):
         if k < i or s == d:
             weight = math.comb(d - s + i - k - 1, i - k - 1) if k < i else 1
             for m in level:

@@ -12,7 +12,6 @@ from arrfree import (Arrangement, ExponentVector, FreenessReport, GinCertificate
 from arrfree import groebner as groebner_module
 from arrfree.cli import ParseError, parse_expression
 from arrfree.groebner import _int_terms, _normalize, _pack, _poly, _residues
-from arrfree.monomial import degree_monomials
 from arrfree.polyring import var_names
 
 
@@ -125,6 +124,17 @@ def random_borel_ideal(nvars, max_deg, n_seeds, rng):
     seeds = [random_exponent(rng.randint(1, max_deg), nvars, rng)
              for _ in range(n_seeds)]
     return borel_closure(seeds, nvars)
+
+
+def degree_monomials(degree, nvars):
+    """All exponent tuples of the given total degree, x_1's exponent
+    falling first."""
+    if nvars == 1:
+        yield (degree,)
+        return
+    for first in range(degree, -1, -1):
+        for rest in degree_monomials(degree - first, nvars - 1):
+            yield (first,) + rest
 
 
 def standard_monomials_oracle(B, i, d):

@@ -825,9 +825,20 @@ class TestLargePrimes:
             assert _is_prime(big)
             with pytest.raises(ValueError, match="below 2\\^64"):
                 GinConfig(mode="modular", primes=(32003, big))
-            # the prime after 2^64 - 59, the greatest below 2^64, is too large
-            for coeff in (f"mod:{big}", f"mod:32003,{big}", f"mod:{2 ** 64 - 59}"):
+            for coeff in (f"mod:{big}", f"mod:32003,{big}"):
                 assert run_cli("analyze", str(path), "--coeff", coeff)[0] == EXIT_USAGE
+
+    def test_greatest_prime_below_2_to_the_64_pairs_downward(self):
+        # no prime lies between 2^64 - 59, the greatest below 2^64, and 2^64,
+        # so its second prime is the greatest below it, 2^64 - 83
+        path = INPUTS / "five_planes.arr"
+        p = 2 ** 64 - 59
+        with _cut_after_5s("the second prime is too slow"):
+            code, text = run_cli("analyze", str(path), "--json", "--coeff", f"mod:{p}")
+        assert code == EXIT_OK
+        report = json.loads(text)
+        assert report["provenance"]["coeff_mode"] == f"mod:{p},{2 ** 64 - 83}"
+        assert (report["free"], report["exponents"]) == (True, [1, 1, 3])
 
 
 class TestJsonRoundTrip:

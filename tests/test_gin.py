@@ -516,11 +516,14 @@ def _sympy_leads(sympy, gens, xs, field):
 
 def _sympy_leading_term_ideal(sympy, rows, draw):
     """The leading term ideal of a Jacobian draw: the moved forms' product
-    and partials in sympy, reduced by ``_sympy_leads``."""
+    and partials as sympy polynomials over QQ or GF(p), reduced by
+    ``_sympy_leads``."""
     xs = sympy.symbols("x y z")
-    Q = sympy.prod(sum(sum(r[i] * draw.matrix[i][j] for i in range(3)) * x
-                       for j, x in enumerate(xs)) for r in rows)
-    return _sympy_leads(sympy, [sympy.diff(Q, x) for x in xs], xs, draw.field)
+    modulus = {} if draw.field == "exact" else {"modulus": int(draw.field[3:])}
+    Q = sympy.prod([sympy.Poly(sum(sum(r[i] * draw.matrix[i][j] for i in range(3)) * x
+                                   for j, x in enumerate(xs)), *xs, **modulus)
+                    for r in rows])
+    return _sympy_leads(sympy, [Q.diff(x) for x in xs], xs, draw.field)
 
 
 class TestJointRuns:
@@ -598,6 +601,39 @@ class TestExactDraws:
                 assert _sympy_leading_term_ideal(sympy, A.rows, d) == d.ideal
                 seen.append((d.field, d.kept))
         assert seen == [("exact", False)] + [("exact", True)] * 4
+
+
+def _primitive(row):
+    """The row divided by its content, its first nonzero entry positive: one
+    row per hyperplane."""
+    g = math.gcd(*row) * (1 if next(c for c in row if c) > 0 else -1)
+    return tuple(c // g for c in row)
+
+
+# up to six distinct planes through 0 in three variables, entries in [-3, 3]
+random_planes = st.lists(
+    st.tuples(*[st.integers(-3, 3)] * 3).filter(any).map(_primitive),
+    min_size=1, max_size=6, unique=True)
+
+
+class TestRandomArrangements:
+    @pytest.mark.parametrize("mode", ["exact", "modular"])
+    @settings(max_examples=4, deadline=None, derandomize=True)
+    @given(random_planes)
+    def test_every_draw_against_sympy(self, mode, rows):
+        # every draw of jacobian_rgin at seed 1, kept or not, and in modular
+        # mode both primes' draws k run as one modulo 32003 * 32009 unless a
+        # leading coefficient splits them
+        from arrfree import jacobian_rgin
+        sympy = pytest.importorskip("sympy")
+        A = arrangement(rows)
+        try:
+            draws = jacobian_rgin(A, GinConfig(seed=1, mode=mode)).certificate.draws
+        except GenericityExhaustedError as err:
+            draws = err.draws
+        assert draws
+        for d in draws:
+            assert _sympy_leading_term_ideal(sympy, A.rows, d) == d.ideal, (rows, d.field)
 
 
 class TestMovedGenerators:

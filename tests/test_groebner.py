@@ -18,11 +18,10 @@ from arrfree.cli import load_input
 from arrfree.groebner import (_W, _degree, _exponents, _fields,
                               _guards, _key, _max_fields, _pack,
                               _power_product, _reduce, _tail)
-from arrfree.monomial import degree_monomials
 from arrfree.polyring import apply_linear_change
-from helpers import (arrangement, bench_workloads, groebner, poly, polys,
-                     random_exponent, random_polynomial, reduce_mod, residues,
-                     row_reduce, s_polynomial)
+from helpers import (arrangement, bench_workloads, degree_monomials, groebner,
+                     poly, polys, random_exponent, random_polynomial, reduce_mod,
+                     residues, row_reduce, s_polynomial)
 
 INPUTS = Path(__file__).resolve().parents[1] / "inputs"
 # the prime of the kernel's coefficient field, None for QQ
@@ -408,6 +407,25 @@ def _dense_form(l, d, p, rng):
         terms = {k: rng.randrange(1, p) for k in cols if rng.random() < 0.8}
         if 2 * len(terms) >= len(cols):
             return terms
+
+
+class TestColumns:
+    """``_columns`` lists the keys without sorting: the counter's level step
+    from the key of 1, a product adding keys, must already descend."""
+
+    @pytest.mark.parametrize("l, top", [(l, 12) for l in range(1, 9)] + [(16, 5), (40, 3)])
+    def test_keys_descend_and_runs_start_without_x2(self, l, top):
+        for d in range(top + 1):
+            keys, index, starts = groebner_module._columns.__wrapped__(l, d)
+            # the keys are distinct, so this is sorted(map(_key, ...)) with
+            # each key's exponents alongside
+            ordered = sorted(((_key(m), m) for m in degree_monomials(d, l)), reverse=True)
+            assert keys == [k for k, _ in ordered]
+            assert index == {k: i for i, k in enumerate(keys)}
+            # a run starts at each monomial without x_2, a group of runs at
+            # each without x_2 and x_3
+            assert starts == [(i, e[2] == 0) for i, (_, m) in enumerate(ordered)
+                              if (e := m + (0, 0))[1] == 0]
 
 
 class TestPackedLayout:

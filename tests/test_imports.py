@@ -85,6 +85,12 @@ def test_arrangement_takes_nothing_private_from_gin():
                          "gin") == []
 
 
+def test_cli_calls_public_arrangement_code():
+    # the parser's linearity test is the one private name the CLI shares
+    assert private_names((SRC / "cli.py").read_text(encoding="utf-8"),
+                         "arrangement") == ["_is_linear_form"]
+
+
 def test_the_guard_sees_a_private_name():
     assert private_names("from .groebner import _key, buchberger\n", "groebner") == ["_key"]
     assert private_names("from . import groebner as g\nw = g._W + g.buchberger\n",

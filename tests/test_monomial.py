@@ -17,9 +17,9 @@ from arrfree import (INFINITE, DimensionError, LexSegmentShape, MonomialIdeal,
                      regularity_stable, sectional_matrix, triangle_equality)
 from arrfree import monomial as monomial_module
 from arrfree.cli import render_sectional_matrix
-from arrfree.monomial import count_standard_monomials, degree_monomials
-from helpers import borel_closure, random_borel_ideal, random_exponent, \
-    standard_monomials_oracle
+from arrfree.monomial import count_standard_monomials
+from helpers import borel_closure, degree_monomials, random_borel_ideal, \
+    random_exponent, standard_monomials_oracle
 
 
 def B(gens, nvars):
