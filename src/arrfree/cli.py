@@ -533,10 +533,8 @@ def _cmd_rgin(args, out) -> int:
 def _cmd_sm(args, out) -> int:
     doc = load_input(args.input)
     B = _rgin_of_document(doc, _config_from_args(args))
-    d0, _, dmax = arr.sectional_bounds(B)
-    if args.dmax is not None:
-        dmax = args.dmax
-    M = sectional_matrix(B, dmax)
+    d0 = arr.sectional_bounds(B)[0]
+    M = sectional_matrix(B, args.dmax)
     if args.json:
         print(json.dumps({"rgin": _ideal_strings(B), "d0": d0,
                           "sectional_matrix": [list(row) for row in M.values]},
@@ -618,9 +616,9 @@ def _cmd_conjecture(args, out) -> int:
         status = "holds" if result.holds else "fails"
         extra = " (vacuously)" if result.vacuous and result.holds else ""
         print(f"conjecture {status}{extra}; d0 = {result.d0}", file=out)
-        bound = (f" < {result.d0 + 1}" if result.d0 is not None
-                 else f"; no pure power of {var_names(B.nvars)[1]}")
-        for g in result.violations:
+        for g in result.violations:   # each has x_3, so B has a second variable
+            bound = (f" < {result.d0 + 1}" if result.d0 is not None
+                     else f"; no pure power of {var_names(B.nvars)[1]}")
             print(f"violating generator: {format_power_product(g)} "
                   f"(degree {g.degree()}{bound})", file=out)
     return EXIT_OK

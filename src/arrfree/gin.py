@@ -55,8 +55,9 @@ class GinConfig:
             raise ValueError("entry bound must be >= 1")
         if self.mode not in ("exact", "modular"):
             raise ValueError(f"unknown coefficient mode {self.mode!r}")
-        if self.mode == "modular" and (len(set(self.primes)) != 2 or not all(
-                p < 1 << 64 and _is_prime(p) for p in self.primes)):
+        if self.mode == "modular" and not (
+                len(self.primes) == len(set(self.primes)) == 2
+                and all(p < 1 << 64 and _is_prime(p) for p in self.primes)):
             raise ValueError("modular mode needs two distinct primes below 2^64")
 
     @property
@@ -184,8 +185,10 @@ def rgin(gens: Union[Sequence[Polynomial], int], cfg: GinConfig = GinConfig(),
     proves to reduce to zero: in exact mode by the ``hilbert_hint`` of the
     unmoved generators ``build(identity, None)``, which every draw shares;
     over each prime, where that run costs as much as a draw, by the leading
-    term ideal of its first draw.  In modular mode both primes' draws k <
-    ``cfg.trials`` run as one modulo p*q unless a leading coefficient splits them.
+    term ideal of its first draw.  In modular mode the first prime's draw k <
+    ``cfg.trials`` runs as one with the second prime's draw k, modulo p*q,
+    when k = 0 or when the joint run of the draws 0 did not split; a leading
+    coefficient that only one prime divides splits a joint run in two.
     """
     if build is not None:
         l = gens
@@ -203,6 +206,7 @@ def rgin(gens: Union[Sequence[Polynomial], int], cfg: GinConfig = GinConfig(),
 
     fields = ([("exact", None)] if cfg.mode == "exact"
               else [(f"mod{p}", p) for p in cfg.primes])
+    tag2, q = fields[-1]                      # the second prime, or QQ alone
     draws = []                                # (tag, k, matrix, borel, ideal)
     hints = {}                                # tag -> Hilbert function hint
     if cfg.mode == "exact":
@@ -222,28 +226,23 @@ def rgin(gens: Union[Sequence[Polynomial], int], cfg: GinConfig = GinConfig(),
         return (random_linear_change(l, rng, cfg.entry_bound) if p is None
                 else random_linear_change(l, rng, modulus=p))
 
-    def drawn(tag, p, k):   # not recursive: a cycle would keep the hints alive
-        """The rows of draw k of ``tag`` and None, or the first prime's rows and
-        joint ideal while both primes share a hint: none, then one ideal's."""
-        rows, (tag2, q) = change(tag, p, k), fields[-1]
-        if p != cfg.primes[0] or k >= cfg.trials or hints.get(tag) is not hints.get(tag2):
-            return rows, None
-        rows2, u, ideal = change(tag2, q, k), pow(p, -1, q), None
-        with suppress(ZeroDivisorError):
-            ideal = run(tuple(tuple(a + p * ((b - a) * u % q) for a, b in zip(r, r2))
-                              for r, r2 in zip(rows, rows2)), p * q, tag)
-        ahead[tag2, k] = rows2, ideal
-        if k == 0 and ideal is not None:
-            hints[tag] = hints[tag2] = hilbert_hint(ideal, (l, p))
-        return rows, ideal
-
     while any(short(tag) for tag, _ in fields):
         for tag, p in fields:
             while short(tag):
                 k = sum(d[0] == tag for d in draws)
                 if k == DRAWS_PER_TRIAL * cfg.trials:
                     raise _exhausted(cfg, tag, _history(draws, best))
-                rows, ideal = ahead.pop((tag, k), None) or drawn(tag, p, k)
+                rows, ideal = ahead.pop((tag, k), None) or (change(tag, p, k), None)
+                # the first prime's draw k < trials runs with the second's
+                # modulo p*q unless the draws 0 split; their joint run is still
+                # ahead, as the second prime draws after the first's trials
+                if tag != tag2 and k < cfg.trials and (
+                        k == 0 or ahead[tag2, 0][1] is not None):
+                    rows2, u = change(tag2, q, k), pow(p, -1, q)
+                    with suppress(ZeroDivisorError):
+                        ideal = run(tuple(tuple(a + p * ((b - a) * u % q) for a, b in zip(r, r2))
+                                          for r, r2 in zip(rows, rows2)), p * q, tag)
+                    ahead[tag2, k] = rows2, ideal
                 if ideal is None:
                     ideal = run(rows, p, tag)
                 if tag not in hints:   # a prime's later draws share its first's

@@ -373,6 +373,18 @@ class TestCommands:
         assert json.loads(text) == {"holds": False, "d0": None,
                                     "violations": ["x*z"], "vacuous": False}
 
+    def test_conjecture_in_one_variable(self, tmp_path):
+        # with no third variable nothing can violate the bound, and the
+        # text output names no second variable
+        path = tmp_path / "x3.ideal"
+        path.write_text("vars x\ngen x^3\n")
+        assert run_cli("conjecture", str(path)) == (
+            EXIT_OK, "conjecture holds (vacuously); d0 = None\n")
+        code, text = run_cli("conjecture", str(path), "--json")
+        assert code == EXIT_OK
+        assert json.loads(text) == {"holds": True, "d0": None,
+                                    "violations": [], "vacuous": True}
+
     def test_one_variable_unit_ideal(self, tmp_path):
         # the rgin of the single hyperplane x, as construct prints it
         path = tmp_path / "unit.ideal"

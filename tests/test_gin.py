@@ -144,6 +144,8 @@ class TestCertification:
             GinConfig(trials=1)
         with pytest.raises(ValueError):
             GinConfig(mode="modular", primes=(32003, 32003))
+        with pytest.raises(ValueError, match="two distinct primes"):
+            GinConfig(mode="modular", primes=(101, 101, 103))
         with pytest.raises(ValueError):
             GinConfig(mode="modular", primes=(32004, 7))
         with pytest.raises(ValueError, match="entry bound"):
@@ -532,12 +534,13 @@ class TestJointRuns:
     runs; either way each draw gives its own prime's leading term ideal."""
 
     @staticmethod
-    def draws(name, primes, seed):
+    def draws(name, primes, seed, trials=2):
         from arrfree import jacobian_rgin
         from arrfree.cli import load_input
         A = Arrangement(load_input(str(INPUTS / name)).items)
         try:
-            B = jacobian_rgin(A, GinConfig(seed=seed, mode="modular", primes=primes))
+            B = jacobian_rgin(A, GinConfig(seed=seed, trials=trials, mode="modular",
+                                           primes=primes))
         except GenericityExhaustedError as err:
             return A, err.draws
         return A, B.certificate.draws
@@ -555,10 +558,10 @@ class TestJointRuns:
                 G = buchberger(build(d.matrix, p), ring=(A.nvars, p))
                 assert leading_term_ideal(G) == d.ideal, (seed, d.field, d.index)
 
-    def test_both_paths_run(self, monkeypatch):
-        # five planes at seed 1: under (32003, 32009) both draws k run as
-        # one; under (101, 103) the joint run of the draws 0 meets the
-        # leading coefficient 8549 = 83 * 103 and splits
+    @staticmethod
+    def recorded_runs(monkeypatch):
+        """The list that each Buchberger run of rgin appends its modulus to,
+        with the message of the error that split it, else None."""
         runs = []
         buchberger = gin_module.buchberger
 
@@ -571,12 +574,29 @@ class TestJointRuns:
             runs.append((args[3][1], None))
             return G
         monkeypatch.setattr(gin_module, "buchberger", recorded)
+        return runs
+
+    def test_both_paths_run(self, monkeypatch):
+        # five planes at seed 1: under (32003, 32009) both draws k run as
+        # one; under (101, 103) the joint run of the draws 0 meets the
+        # leading coefficient 8549 = 83 * 103 and splits
+        runs = self.recorded_runs(monkeypatch)
         self.draws("five_planes.arr", (32003, 32009), 1)
         assert runs == [(32003 * 32009, None)] * 2
         runs.clear()
         self.draws("five_planes.arr", (101, 103), 1)
         assert runs == [(101 * 103, "8549 is not a unit mod 10403")] + \
             [(101, None)] * 2 + [(103, None)] * 3
+
+    def test_later_split_keeps_the_run_order(self, monkeypatch):
+        # five planes under (101, 103) with three trials at seed 3: the
+        # draws 0 run jointly, so the draws 1 try too and split; the draws 2
+        # still run jointly, and the second prime's draw 1 runs when that
+        # prime reaches it, after all of the first prime's draws
+        runs = self.recorded_runs(monkeypatch)
+        self.draws("five_planes.arr", (101, 103), 3, trials=3)
+        assert [(m, err is not None) for m, err in runs] == [
+            (10403, False), (10403, True), (101, False), (10403, False), (103, False)]
 
     def test_against_sympy(self):
         sympy = pytest.importorskip("sympy")
@@ -634,6 +654,59 @@ class TestRandomArrangements:
         assert draws
         for d in draws:
             assert _sympy_leading_term_ideal(sympy, A.rows, d) == d.ideal, (rows, d.field)
+
+
+class TestJointRunsAreInvisible:
+    """A joint run modulo p*q changes only the number of Buchberger runs.
+    The reference refuses every modulus but the two primes, as a leading
+    coefficient that one prime divides would, so each pair of draws k runs
+    apart; the rgin, the kept matrices and the ``Draw`` records, or the
+    error and its draws, must be those of the joint runs."""
+
+    SETTINGS = [(primes, trials) for primes in [(32003, 32009), (101, 103)]
+                for trials in (2, 3)]
+
+    @staticmethod
+    def outcome(A, cfg, apart):
+        build, (p, q) = groebner_module.moved_partials(A.rows), cfg.primes
+        lifts = []
+
+        def recorded(rows, m):
+            if m == p * q:
+                lifts.append(rows)
+                if apart:
+                    raise groebner_module.ZeroDivisorError(f"{m} is not prime")
+            return build(rows, m)
+        try:
+            B = rgin(A.nvars, cfg, recorded)
+            result = B, B.certificate.matrices, B.certificate.draws
+        except GenericityExhaustedError as err:
+            result = str(err), err.draws
+        # the joint runs are tried for k = 0, 1, ... in turn, each on the
+        # rows that are draw k of either prime modulo that prime
+        for d in result[-1]:
+            if d.index < len(lifts):
+                m = int(d.field[3:])
+                assert tuple(tuple(c % m for c in r) for r in lifts[d.index]) == d.matrix
+        return result
+
+    def check(self, A, seeds):
+        for primes, trials in self.SETTINGS:
+            for seed in seeds:
+                cfg = GinConfig(seed=seed, trials=trials, mode="modular", primes=primes)
+                assert self.outcome(A, cfg, False) == self.outcome(A, cfg, True), \
+                    (A.rows, primes, trials, seed)
+
+    @pytest.mark.parametrize("name", ["five_planes.arr", "five_planes_nonfree.arr",
+                                      "ziegler_1.arr"])
+    def test_input_files(self, name):
+        from arrfree.cli import load_input
+        self.check(Arrangement(load_input(str(INPUTS / name)).items), (1, 2, 3))
+
+    @settings(max_examples=6, deadline=None, derandomize=True)
+    @given(random_planes)
+    def test_random_arrangements(self, rows):
+        self.check(arrangement(rows), (1,))
 
 
 class TestMovedGenerators:
