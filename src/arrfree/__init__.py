@@ -7,11 +7,11 @@ from .polyring import DimensionError, Polynomial, PowerProduct, variables
 from .monomial import (INFINITE, BettiTable, LexSegmentShape, MonomialIdeal,
                        NotStronglyStableError, SectionalMatrix,
                        StronglyStableIdeal, betti_eliahou_kervaire,
-                       codimension, is_cm_codim2_stable,
+                       codimension, hilbert_function, is_cm_codim2_stable,
                        is_cohen_macaulay, is_strongly_stable, reduction_number,
                        regularity_stable, sectional_matrix, triangle_equality)
 from .groebner import (DegreeCapExceeded, GroebnerBasis, buchberger,
-                       hilbert_function, leading_term_ideal, normal_form)
+                       leading_term_ideal, normal_form)
 from .gin import (GenericityExhaustedError, GinCertificate, GinConfig,
                   random_linear_change, rgin)
 from .arrangement import (Arrangement, ArrangementError, ConjectureReport,

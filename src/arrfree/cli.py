@@ -29,8 +29,7 @@ from .gin import GenericityExhaustedError, GinConfig, rgin
 from .groebner import DegreeCapExceeded
 from .monomial import (MonomialIdeal, SectionalMatrix, StronglyStableIdeal,
                        sectional_matrix, triangle_equality)
-from .polyring import (Polynomial, format_power_product,
-                       var_names, _is_prime)
+from .polyring import Polynomial, format_power_product, var_names
 
 __all__ = [
     "ParseError", "InputDocument", "parse_input", "parse_expression",
@@ -452,31 +451,28 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _parse_coeff(text: str) -> Tuple[str, Tuple[int, int]]:
+def _parse_coeff(text: str) -> dict:
+    """The ``GinConfig`` keyword arguments that a ``--coeff`` value names."""
     if text == "exact":
-        return "exact", (32003, 32009)
+        return {"mode": "exact"}
     if text.startswith("mod:"):
         try:
-            primes = [int(p) for p in text[4:].split(",")]
+            kwargs = {"mode": "modular",
+                      "primes": tuple(int(p) for p in text[4:].split(","))}
         except ValueError:
             raise argparse.ArgumentTypeError(f"bad prime list in {text!r}")
-        if len(primes) == 1 and primes[0] < 1 << 64:
-            # the first prime from p + 2 on, else the greatest below p
-            p = primes[0]
-            primes.append(next((q for q in range(p + 2, 1 << 64) if _is_prime(q)), None)
-                          or next(q for q in range(p - 1, 1, -1) if _is_prime(q)))
-        if len(primes) != 2 or primes[0] == primes[1] \
-                or not all(p < 1 << 64 and _is_prime(p) for p in primes):
+        try:
+            GinConfig(**kwargs)
+        except ValueError:
             raise argparse.ArgumentTypeError(
                 "expected mod:<p> or mod:<p>,<p2> with distinct primes below 2^64")
-        return "modular", (primes[0], primes[1])
+        return kwargs
     raise argparse.ArgumentTypeError(f"unknown coefficient mode {text!r}")
 
 
 def _config_from_args(args) -> GinConfig:
-    mode, primes = args.coeff
     return GinConfig(seed=args.seed, trials=args.trials,
-                     entry_bound=args.entry_bound, mode=mode, primes=primes)
+                     entry_bound=args.entry_bound, **args.coeff)
 
 
 def _at_least(low: int):
@@ -639,8 +635,7 @@ def _build_parser() -> _Parser:
     common.add_argument("--entry-bound", type=_at_least(1), default=10,
                         help="exact mode: random matrix entries are drawn "
                              "from [-b, b] (modular draws are uniform mod p)")
-    common.add_argument("--coeff", type=_parse_coeff,
-                        default=("exact", (32003, 32009)),
+    common.add_argument("--coeff", type=_parse_coeff, default={"mode": "exact"},
                         help="coefficient mode: exact or mod:<p>[,<p2>]")
     common.add_argument("--json", action="store_true",
                         help="emit a machine-readable JSON report")

@@ -21,7 +21,7 @@ from .groebner import (ZeroDivisorError, buchberger, hilbert_hint, leading_term_
                        moved_generators)
 from .monomial import MonomialIdeal, StronglyStableIdeal, is_strongly_stable
 # no trial calls apply_linear_change: it stays here for the bench to wrap
-from .polyring import Polynomial, _bareiss, _is_prime, apply_linear_change
+from .polyring import Polynomial, _bareiss, apply_linear_change
 
 __all__ = [
     "GinConfig", "GinCertificate", "Draw", "GenericityExhaustedError",
@@ -32,20 +32,42 @@ __all__ = [
 DRAWS_PER_TRIAL = 5     # each field may make this many draws per agreeing trial
 
 
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin over the prime bases 2..37, which no composite below
+    3.18 * 10^23 passes (Sorenson and Webster, Math. Comp. 86, 2017)."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2 or any(n % a == 0 for a in bases):
+        return n in bases
+    s = ((n - 1) & (1 - n)).bit_length() - 1      # n - 1 = 2^s * d, d odd
+    for a in bases:
+        x = pow(a, (n - 1) >> s, n)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == n - 1:
+                break
+            x = x * x % n
+        else:
+            return False
+    return True
+
+
 @dataclass(frozen=True)
 class GinConfig:
     """Parameters of the randomized gin computation.
 
     Each field (QQ, or each of the two primes) may make ``DRAWS_PER_TRIAL *
     trials`` draws.  ``entry_bound`` bounds the matrix entries in exact mode
-    only; modular draws are uniform over GF(p).
+    only; modular draws are uniform over GF(p).  Modular mode takes two
+    distinct primes below 2^64, or one, p, paired with the first prime from
+    p + 2 on, else (when none stays below 2^64) the greatest prime below p.
     """
 
     seed: int = 1
     trials: int = 2
     entry_bound: int = 10
     mode: str = "exact"                     # "exact" or "modular"
-    primes: Tuple[int, int] = (32003, 32009)
+    primes: Tuple[int, ...] = (32003, 32009)
     degree_cap: Optional[int] = None
 
     def __post_init__(self):
@@ -56,9 +78,14 @@ class GinConfig:
         if self.mode not in ("exact", "modular"):
             raise ValueError(f"unknown coefficient mode {self.mode!r}")
         if self.mode == "modular" and not (
-                len(self.primes) == len(set(self.primes)) == 2
+                len(self.primes) == len(set(self.primes)) in (1, 2)
                 and all(p < 1 << 64 and _is_prime(p) for p in self.primes)):
-            raise ValueError("modular mode needs two distinct primes below 2^64")
+            raise ValueError("modular mode needs one or two distinct primes below 2^64")
+        if self.mode == "modular" and len(self.primes) == 1:
+            p, = self.primes
+            q = next((q for q in range(p + 2, 1 << 64) if _is_prime(q)), None) \
+                or next(q for q in range(p - 1, 1, -1) if _is_prime(q))
+            object.__setattr__(self, "primes", (p, q))
 
     @property
     def coeff_mode(self) -> str:

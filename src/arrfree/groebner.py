@@ -72,13 +72,13 @@ from itertools import compress, count, islice
 from operator import itemgetter
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from .monomial import MonomialIdeal, _levels, count_standard_monomials
+from .monomial import MonomialIdeal, _levels
 from .polyring import Polynomial, PowerProduct
 
 __all__ = [
     "DegreeCapExceeded", "InternalConsistencyError", "ZeroDivisorError", "GroebnerBasis",
     "normal_form", "buchberger", "hilbert_hint",
-    "leading_term_ideal", "hilbert_function",
+    "leading_term_ideal",
     "moved_generators", "moved_partials", "product_and_partials",
 ]
 
@@ -763,13 +763,6 @@ def leading_term_ideal(G: GroebnerBasis) -> MonomialIdeal:
     """
     return MonomialIdeal._minimal(
         (_power_product(d[1], G.nvars) for d in G._divisors), G.nvars)
-
-
-def hilbert_function(B: MonomialIdeal, d: int) -> int:
-    """Dimension of degree-d part of the monomial quotient S/B."""
-    if d < 0:
-        raise ValueError("degree must be non-negative")
-    return count_standard_monomials(B, B.nvars, d)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,12 @@
 """Combinatorics of monomial ideals.
 
-Minimal generators, membership, sectional matrices, reduction numbers,
-regularity and graded Betti numbers of strongly stable ideals, the two-variable
-lex-segment shape test, and Cohen-Macaulayness.  Every invariant but the
-sectional matrix is read off the minimal generators in closed form; the
-sectional matrix counts standard monomials in the variables the generators
-involve by a packed divisibility test, each weighted by the number of
-monomials in the other variables that complete it to the degree.
+Minimal generators, membership, Hilbert functions, sectional matrices,
+reduction numbers, regularity and graded Betti numbers of strongly stable
+ideals, the two-variable lex-segment shape test, and Cohen-Macaulayness.
+Every invariant but Hilbert functions and sectional matrices is read off the
+minimal generators in closed form; those count standard monomials in the
+variables the generators involve by a packed divisibility test, each weighted
+by the number of monomials in the other variables that complete its degree.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ __all__ = [
     "reduction_number", "regularity_stable",
     "BettiTable", "betti_eliahou_kervaire",
     "LexSegmentShape", "is_cm_codim2_stable", "codimension", "is_cohen_macaulay",
-    "count_standard_monomials",
+    "count_standard_monomials", "hilbert_function",
 ]
 
 
@@ -223,6 +223,13 @@ def count_standard_monomials(B: MonomialIdeal, i: int, d: int) -> int:
                 else:
                     count += weight
     return count
+
+
+def hilbert_function(B: MonomialIdeal, d: int) -> int:
+    """Dimension of degree-d part of the monomial quotient S/B."""
+    if d < 0:
+        raise ValueError("degree must be non-negative")
+    return count_standard_monomials(B, B.nvars, d)
 
 
 # ---------------------------------------------------------------------------

@@ -108,30 +108,6 @@ class PowerProduct(tuple):
 
 
 # ---------------------------------------------------------------------------
-# primes for modular mode
-# ---------------------------------------------------------------------------
-
-def _is_prime(n: int) -> bool:
-    """Miller-Rabin over the prime bases 2..37, which no composite below
-    3.18 * 10^23 passes (Sorenson and Webster, Math. Comp. 86, 2017)."""
-    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-    if n < 2 or any(n % a == 0 for a in bases):
-        return n in bases
-    s = ((n - 1) & (1 - n)).bit_length() - 1      # n - 1 = 2^s * d, d odd
-    for a in bases:
-        x = pow(a, (n - 1) >> s, n)
-        if x == 1:
-            continue
-        for _ in range(s):
-            if x == n - 1:
-                break
-            x = x * x % n
-        else:
-            return False
-    return True
-
-
-# ---------------------------------------------------------------------------
 # polynomials
 # ---------------------------------------------------------------------------
 

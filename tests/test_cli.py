@@ -16,7 +16,7 @@ from arrfree.cli import (EXIT_COMPUTE, EXIT_OK, EXIT_PARSE, EXIT_PIPE, EXIT_USAG
                          MAX_NESTING, MAX_VARIABLES, ParseError, main,
                          parse_expression, parse_input, report_to_dict,
                          render_sectional_matrix)
-from arrfree.polyring import _is_prime
+from arrfree.gin import _is_prime
 from helpers import polys, report_from_dict
 
 FIVE_ARR = """\
@@ -242,7 +242,7 @@ class TestCommands:
         # each .ideal file) gives the recorded exit code, stdout and stderr
         monkeypatch.chdir(INPUTS.parent)
         records = json.loads((GOLDEN / "cli_seed7.json").read_text())
-        assert len(records) == 30
+        assert len(records) == 39
         for record in records:
             out, err = io.StringIO(), io.StringIO()
             with redirect_stderr(err):
@@ -411,6 +411,11 @@ class TestCommands:
             assert json.loads(text) == {"free": free, "exponents": exps}
         code, text = run_cli("exponents", str(flat), "--seed", "7")
         assert text == "free but not essential: exponents not extracted\n"
+
+    def test_exponents_of_a_non_free_arrangement(self):
+        code, text = run_cli("exponents", str(INPUTS / "five_planes_nonfree.arr"),
+                             "--seed", "7")
+        assert (code, text) == (EXIT_OK, "not free: no exponents\n")
 
     def test_exponents_of_a_non_lex_ideal(self, capsys):
         code, text = run_cli("exponents", str(INPUTS / "staircase.ideal"))

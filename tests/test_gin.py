@@ -4,6 +4,7 @@ import io
 import json
 import math
 import random
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,6 +17,7 @@ from arrfree import (Arrangement, GenericityExhaustedError, GinConfig,
                      buchberger, hilbert_function,
                      leading_term_ideal, random_linear_change,
                      regularity_stable, rgin)
+from arrfree import cli
 from arrfree import gin as gin_module
 from arrfree import groebner as groebner_module
 from arrfree.groebner import _normalize
@@ -156,6 +158,29 @@ class TestCertification:
     def test_rejects_empty_and_modular_input(self):
         with pytest.raises(ValueError, match="at least one generator"):
             rgin([], CFG)
+
+
+class TestOnePrime:
+    """One prime p pairs with the first prime from p + 2 on, or with the
+    greatest prime below p when none above it stays below 2^64, in the
+    library as under ``--coeff mod:p``."""
+
+    @pytest.mark.parametrize("p, q", [
+        (2, 5), (7, 11), (32003, 32009), (2 ** 61 - 1, 2 ** 61 + 15),
+        (2 ** 64 - 59, 2 ** 64 - 83)], ids=lambda n: str(n))
+    def test_pairs_as_the_cli_does(self, p, q):
+        assert GinConfig(mode="modular", primes=(p,)).primes == (p, q)
+        out = io.StringIO()
+        assert cli.main(["rgin", str(INPUTS / "staircase.ideal"), "--json",
+                         "--coeff", f"mod:{p}"], out=out) == 0
+        assert json.loads(out.getvalue())["provenance"]["coeff_mode"] == f"mod:{p},{q}"
+
+    def test_no_search_for_a_composite_or_a_prime_past_2_to_the_64(self):
+        for p in (561, 2 ** 64 + 13):
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match="below 2\\^64"):
+                GinConfig(mode="modular", primes=(p,))
+            assert time.perf_counter() - start < 5, p
 
 
 class TestGenericityFailure:

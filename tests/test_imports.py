@@ -91,6 +91,12 @@ def test_cli_calls_public_arrangement_code():
                          "arrangement") == ["_is_linear_form"]
 
 
+def test_cli_takes_nothing_private_from_polyring():
+    # the primes of modular mode, primality test included, belong to gin
+    assert private_names((SRC / "cli.py").read_text(encoding="utf-8"),
+                         "polyring") == []
+
+
 def test_the_guard_sees_a_private_name():
     assert private_names("from .groebner import _key, buchberger\n", "groebner") == ["_key"]
     assert private_names("from . import groebner as g\nw = g._W + g.buchberger\n",

@@ -197,6 +197,16 @@ class TestCounting:
         assert count_standard_monomials(MonomialIdeal((), 3), 3, 5) == 21
         assert count_standard_monomials(B([(1, 0, 0)], 3), 3, 4) == 5
 
+    def test_no_standard_monomials_below_degree_0(self):
+        for i in (1, 2, 3):
+            assert count_standard_monomials(FIVE, i, -1) == 0
+        assert count_standard_monomials(MonomialIdeal((), 3), 3, -4) == 0
+
+    def test_hilbert_function_rejects_negative_degrees(self):
+        assert hilbert_function(FIVE, 0) == 1
+        with pytest.raises(ValueError, match="degree must be non-negative"):
+            hilbert_function(FIVE, -1)
+
     def test_against_inclusion_exclusion(self):
         rng = random.Random(31)
         checked = 0
