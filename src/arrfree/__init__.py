@@ -18,9 +18,8 @@ from .arrangement import (Arrangement, ArrangementError, ConjectureReport,
                           ExponentVector, FreenessReport,
                           InternalConsistencyError, NotFreeRginError,
                           RealizabilityVerdict, analyze, check_conjecture_Z,
-                          exponents_from_rgin, is_free_via_rgin,
-                          is_free_via_sectional, jacobian_ideal,
-                          jacobian_rgin, realizable_as_free, rgin_from_exponents,
+                          exponents_from_rgin, jacobian_ideal, jacobian_rgin,
+                          realizable_as_free, rgin_from_exponents,
                           supersolvable_from_exponents)
 
 __version__ = "0.1.0"

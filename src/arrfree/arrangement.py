@@ -30,7 +30,7 @@ __all__ = [
     "ArrangementError", "NotFreeRginError", "InternalConsistencyError",
     "Arrangement", "ExponentVector", "FreenessReport",
     "RealizabilityVerdict", "ConjectureReport", "jacobian_ideal", "jacobian_rgin",
-    "sectional_bounds", "analyze", "is_free_via_rgin", "is_free_via_sectional",
+    "sectional_bounds", "analyze",
     "exponents_from_rgin", "rgin_from_exponents",
     "supersolvable_from_exponents", "realizable_as_free", "check_conjecture_Z",
 ]
@@ -289,10 +289,6 @@ def analyze(A: Arrangement, cfg: GinConfig = GinConfig(),
                           d0=d0, regularity=reg,
                           exponents=exponents if A.essential else None,
                           betti=betti, provenance=B.certificate)
-
-
-# both characterizations decide every call, whichever one a name stresses
-is_free_via_rgin = is_free_via_sectional = analyze
 
 
 # ---------------------------------------------------------------------------

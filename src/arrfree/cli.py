@@ -80,50 +80,25 @@ class ParseError(ValueError):
 # expression parsing
 # ---------------------------------------------------------------------------
 
-_OPS = set("+-*^()")
+def _scanner(names: Sequence[str], source: str, line: int) -> re.Pattern:
+    """The token pattern of these variable names, once they pass the rule of
+    a ``vars`` line: at least one name, unique, identifier syntax.
 
-
-def _tokenize(text: str, names: Sequence[str], source: str, line: int,
-              offset: int = 0) -> List[tuple]:
-    """Tokens: ("num", int, col), ("name", index, col), (op, None, col).
-
-    ``offset`` is the position of ``text`` within its file line, so that
-    columns count from the start of that line.
+    Its alternatives in order: a number (the decimal digits ``int()`` reads),
+    a declared name (longest first), an operator, and any other non-space
+    character, which is an error.
     """
-    tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        col = offset + i + 1
-        if ch in _OPS:
-            tokens.append((ch, None, col))
-            i += 1
-        elif ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            # the digit count bounds the bits before int() reads them
-            if j - i > MAX_COEFF_BITS or int(text[i:j]).bit_length() > MAX_COEFF_BITS:
-                raise ParseError(f"number of more than {MAX_COEFF_BITS} bits",
-                                 source, line, col)
-            tokens.append(("num", int(text[i:j]), col))
-            i = j
-        elif ch.isalpha() or ch == "_":
-            match = None
-            for idx, name in enumerate(names):
-                if text.startswith(name, i) and (match is None or len(name) > len(names[match])):
-                    match = idx
-            if match is None:
-                raise ParseError(f"unknown variable starting at {text[i:i+8]!r}",
-                                 source, line, col)
-            tokens.append(("name", match, col))
-            i += len(names[match])
-        else:
-            raise ParseError(f"unexpected character {ch!r}", source, line, col)
-    return tokens
+    if not names:
+        raise ParseError("vars line declares no variables", source, line, 1)
+    if len(set(names)) != len(names):
+        raise ParseError("variable names must be unique", source, line, 1)
+    for name in names:
+        if not (name[:1].isalpha() or name[:1] == "_") or \
+                not all(c.isalnum() or c == "_" for c in name):
+            raise ParseError(f"bad variable name {name!r}", source, line, 1)
+    longest_first = sorted(names, key=len, reverse=True)
+    return re.compile(rf"(\d+)|({'|'.join(map(re.escape, longest_first))})"
+                      r"|([-+*^()])|(\S)")
 
 
 class _ExprParser:
@@ -143,7 +118,7 @@ class _ExprParser:
 
     def _error(self, message: str):
         tok = self._peek()
-        col = tok[2] if tok else (self.tokens[-1][2] if self.tokens else 1)
+        col = tok[2] if tok else self.tokens[-1][2]    # _parse has tokens
         raise ParseError(message, self.source, self.line, col)
 
     def parse(self) -> Polynomial:
@@ -230,17 +205,44 @@ class _ExprParser:
         self._error(f"unexpected {kind!r}")
 
 
-def _parse(text: str, names: Sequence[str], source: str, line: int,
-           sum_powers: bool, offset: int = 0) -> Polynomial:
-    tokens = _tokenize(text, names, source, line, offset)
+def _parse(text: str, names: Sequence[str], scanner: re.Pattern, source: str,
+           line: int, sum_powers: bool, offset: int = 0) -> Polynomial:
+    """Tokenize ``text`` with ``scanner`` and parse the tokens: ("num", int,
+    col), ("name", index, col) and (op, None, col).
+
+    ``offset`` is the position of ``text`` within its file line, so that
+    columns count from the start of that line.
+    """
+    tokens = []
+    for match in scanner.finditer(text):      # whitespace matches nothing
+        number, name, op, other = match.groups()
+        col = offset + match.start() + 1
+        if number:
+            # the digit count bounds the bits before int() reads them
+            if len(number) > MAX_COEFF_BITS or int(number).bit_length() > MAX_COEFF_BITS:
+                raise ParseError(f"number of more than {MAX_COEFF_BITS} bits",
+                                 source, line, col)
+            tokens.append(("num", int(number), col))
+        elif name:
+            tokens.append(("name", names.index(name), col))
+        elif op:
+            tokens.append((op, None, col))
+        elif other.isalpha() or other == "_":
+            raise ParseError("unknown variable starting at "
+                             f"{text[match.start():match.start() + 8]!r}",
+                             source, line, col)
+        else:
+            raise ParseError(f"unexpected character {other!r}", source, line, col)
     if not tokens:
         raise ParseError("empty expression", source, line, offset + 1)
     return _ExprParser(tokens, len(names), source, line, sum_powers).parse()
 
 
 def parse_expression(text: str, names: Sequence[str]) -> Polynomial:
-    """Parse one polynomial expression over the declared variables."""
-    return _parse(text, names, "<input>", 1, sum_powers=True)
+    """Parse one polynomial expression over the declared variables, which
+    must pass the rule of a ``vars`` line."""
+    scanner = _scanner(names, "<input>", 1)
+    return _parse(text, names, scanner, "<input>", 1, sum_powers=True)
 
 
 # ---------------------------------------------------------------------------
@@ -296,19 +298,12 @@ def parse_input(text: str, source: str = "<input>") -> InputDocument:
             if names is not None:
                 raise ParseError("duplicate vars line", source, lineno, 1)
             names = rest.split()
-            if not names:
-                raise ParseError("vars line declares no variables", source, lineno, 1)
             if len(names) > MAX_VARIABLES:
                 # the column of the first name past the limit; "vars" is word 0
                 col = [m.start() for m in re.finditer(r"\S+", raw)][MAX_VARIABLES + 1]
                 raise ParseError(f"more than {MAX_VARIABLES} variables",
                                  source, lineno, col + 1)
-            if len(set(names)) != len(names):
-                raise ParseError("variable names must be unique", source, lineno, 1)
-            for name in names:
-                if not (name[0].isalpha() or name[0] == "_") or \
-                        not all(c.isalnum() or c == "_" for c in name):
-                    raise ParseError(f"bad variable name {name!r}", source, lineno, 1)
+            scanner = _scanner(names, source, lineno)
             continue
         if keyword in ("hyperplane", "gen"):
             if names is None:
@@ -328,8 +323,8 @@ def parse_input(text: str, source: str = "<input>") -> InputDocument:
             # neither a linear form nor a monomial needs a power or a
             # product of sums, and expanding one, say (x+y+z)^400, would not
             # finish
-            poly = _parse(rest, names, source, lineno, sum_powers=False,
-                          offset=start)
+            poly = _parse(rest, names, scanner, source, lineno,
+                          sum_powers=False, offset=start)
             if keyword == "hyperplane":
                 if not _is_linear_form(poly):
                     raise ParseError(f"hyperplane form must be linear homogeneous, "
@@ -414,31 +409,32 @@ def render_sectional_matrix(M: SectionalMatrix, d0: Optional[int] = None) -> str
     return "\n".join(lines)
 
 
-def _print_report(report: FreenessReport, out) -> None:
+def _report_text(report: FreenessReport) -> str:
     verdict = "FREE" if report.free else "NOT FREE"
     if report.trivially_free:
         verdict += " (trivially: rgin is the whole ring)"
-    print(f"verdict   : {verdict}", file=out)
-    print("method    : both", file=out)
-    print(f"n, l      : {report.n}, {report.l}", file=out)
-    print(f"essential : {report.essential}", file=out)
-    print(f"rgin      : {report.rgin!r}", file=out)
+    lines = [f"verdict   : {verdict}",
+             "method    : both",
+             f"n, l      : {report.n}, {report.l}",
+             f"essential : {report.essential}",
+             f"rgin      : {report.rgin!r}"]
     if report.exponents is not None:
-        print(f"exponents : {tuple(report.exponents)}", file=out)
+        lines.append(f"exponents : {tuple(report.exponents)}")
     if report.d0 is not None:
-        print(f"d0        : {report.d0}", file=out)
+        lines.append(f"d0        : {report.d0}")
     if report.regularity is not None:
-        print(f"regularity: {report.regularity}", file=out)
+        lines.append(f"regularity: {report.regularity}")
     if report.betti is not None:
         b0 = ", ".join(f"b0[{j}]={v}" for j, v in report.betti.beta0.items())
         b1 = ", ".join(f"b1[{j}]={v}" for j, v in report.betti.beta1.items())
-        print(f"betti     : {b0}; {b1}", file=out)
-    print("sectional matrix:", file=out)
-    print(render_sectional_matrix(report.sectional, report.d0), file=out)
+        lines.append(f"betti     : {b0}; {b1}")
+    lines.append("sectional matrix:")
+    lines.append(render_sectional_matrix(report.sectional, report.d0))
     if report.provenance is not None:
-        print(f"provenance: seed={report.provenance.seed} "
-              f"trials={report.provenance.trials} "
-              f"coeff={report.provenance.coeff_mode}", file=out)
+        lines.append(f"provenance: seed={report.provenance.seed} "
+                     f"trials={report.provenance.trials} "
+                     f"coeff={report.provenance.coeff_mode}")
+    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -493,15 +489,13 @@ def _exponent_list(text: str) -> ExponentVector:
         raise argparse.ArgumentTypeError(str(exc))
 
 
-def _cmd_analyze(args, out) -> int:
-    doc = load_input(args.input)
-    A = doc.as_arrangement()
-    report = analyze(A, _config_from_args(args), dmax=args.dmax)
-    if args.json:
-        print(json.dumps(report_to_dict(report), indent=2), file=out)
-    else:
-        _print_report(report, out)
-    return EXIT_OK
+# Each command takes the parsed arguments and the input document (None for
+# construct) and returns its JSON object and a function that renders its
+# text; main prints one of the two.
+
+def _cmd_analyze(args, doc: InputDocument):
+    report = analyze(doc.as_arrangement(), _config_from_args(args), dmax=args.dmax)
+    return report_to_dict(report), lambda: _report_text(report)
 
 
 def _rgin_of_document(doc: InputDocument, cfg: GinConfig) -> StronglyStableIdeal:
@@ -513,111 +507,84 @@ def _rgin_of_document(doc: InputDocument, cfg: GinConfig) -> StronglyStableIdeal
     return rgin(gens, cfg)
 
 
-def _cmd_rgin(args, out) -> int:
-    doc = load_input(args.input)
+def _cmd_rgin(args, doc: InputDocument):
     B = _rgin_of_document(doc, _config_from_args(args))
-    if args.json:
-        print(json.dumps(
-            {"rgin": _ideal_strings(B),
+    return ({"rgin": _ideal_strings(B),
              "provenance": B.certificate.as_dict() if B.certificate else None},
-            indent=2), file=out)
-    else:
-        print(f"rgin: {B!r}", file=out)
-    return EXIT_OK
+            lambda: f"rgin: {B!r}")
 
 
-def _cmd_sm(args, out) -> int:
-    doc = load_input(args.input)
+def _cmd_sm(args, doc: InputDocument):
     B = _rgin_of_document(doc, _config_from_args(args))
     d0 = arr.sectional_bounds(B)[0]
     M = sectional_matrix(B, args.dmax)
-    if args.json:
-        print(json.dumps({"rgin": _ideal_strings(B), "d0": d0,
-                          "sectional_matrix": [list(row) for row in M.values]},
-                         indent=2), file=out)
-    else:
-        print(render_sectional_matrix(M, d0), file=out)
-    return EXIT_OK
+    return ({"rgin": _ideal_strings(B), "d0": d0,
+             "sectional_matrix": [list(row) for row in M.values]},
+            lambda: render_sectional_matrix(M, d0))
 
 
-def _cmd_exponents(args, out) -> int:
-    doc = load_input(args.input)
+def _cmd_exponents(args, doc: InputDocument):
     if doc.kind == "arrangement":
         report = analyze(doc.as_arrangement(), _config_from_args(args))
         free, exps = report.free, report.exponents
     else:
         B = StronglyStableIdeal.from_ideal(doc.as_monomial_ideal())
         free, exps = True, arr.exponents_from_rgin(B)
-    if args.json:
-        print(json.dumps({"free": free,
-                          "exponents": list(exps) if exps else None},
-                         indent=2), file=out)
-    elif not free:
-        print("not free: no exponents", file=out)
-    elif exps is None:
-        print("free but not essential: exponents not extracted", file=out)
-    else:
-        print(f"exponents: {tuple(exps)}", file=out)
-    return EXIT_OK
+
+    def text() -> str:
+        if not free:
+            return "not free: no exponents"
+        if exps is None:
+            return "free but not essential: exponents not extracted"
+        return f"exponents: {tuple(exps)}"
+    return {"free": free, "exponents": list(exps) if exps else None}, text
 
 
-def _cmd_construct(args, out) -> int:
+def _cmd_construct(args, doc: None):
     exps = args.exponents
     A = supersolvable_from_exponents(exps)
-    if args.json:
-        print(json.dumps({"exponents": list(exps), "n": A.n, "l": A.l,
-                          "forms": [str(f) for f in A.forms]},
-                         indent=2), file=out)
-    else:
-        print(f"vars {' '.join(var_names(A.l))}", file=out)
-        for f in A.forms:
-            print(f"hyperplane {f}", file=out)
-    return EXIT_OK
+    forms = [str(f) for f in A.forms]
+    return ({"exponents": list(exps), "n": A.n, "l": A.l, "forms": forms},
+            lambda: "\n".join([f"vars {' '.join(var_names(A.l))}"]
+                              + [f"hyperplane {f}" for f in forms]))
 
 
-def _cmd_realize(args, out) -> int:
-    doc = load_input(args.input)
+def _cmd_realize(args, doc: InputDocument):
     B = StronglyStableIdeal.from_ideal(doc.as_monomial_ideal())
     verdict = realizable_as_free(B, verify=False)
     if verdict.realizable and not args.no_verify:   # the witness's draws are bounded
         doc.check_dense_terms(sum(verdict.exponents))
         verdict = realizable_as_free(B, _config_from_args(args))
-    if args.json:
-        print(json.dumps(
-            {"realizable": verdict.realizable, "reason": verdict.reason,
+    forms = [str(f) for f in verdict.arrangement.forms] if verdict.arrangement else None
+
+    def text() -> str:
+        if not verdict.realizable:
+            return f"NO: {verdict.reason}"
+        verified = " (rgin verified)" if verdict.verified else ""
+        return "\n".join([f"YES: exponents {tuple(verdict.exponents)}{verified}"]
+                         + [f"hyperplane {f}" for f in forms])
+    return ({"realizable": verdict.realizable, "reason": verdict.reason,
              "exponents": list(verdict.exponents) if verdict.exponents else None,
-             "forms": [str(f) for f in verdict.arrangement.forms]
-             if verdict.arrangement else None,
-             "verified": verdict.verified}, indent=2), file=out)
-    elif verdict.realizable:
-        print(f"YES: exponents {tuple(verdict.exponents)}"
-              + (" (rgin verified)" if verdict.verified else ""), file=out)
-        for f in verdict.arrangement.forms:
-            print(f"hyperplane {f}", file=out)
-    else:
-        print(f"NO: {verdict.reason}", file=out)
-    return EXIT_OK
+             "forms": forms, "verified": verdict.verified}, text)
 
 
-def _cmd_conjecture(args, out) -> int:
-    doc = load_input(args.input)
+def _cmd_conjecture(args, doc: InputDocument):
     B = StronglyStableIdeal.from_ideal(doc.as_monomial_ideal())
     result = check_conjecture_Z(B)
-    if args.json:
-        print(json.dumps(
-            {"holds": result.holds, "d0": result.d0,
-             "violations": [format_power_product(g) for g in result.violations],
-             "vacuous": result.vacuous}, indent=2), file=out)
-    else:
+
+    def text() -> str:
         status = "holds" if result.holds else "fails"
         extra = " (vacuously)" if result.vacuous and result.holds else ""
-        print(f"conjecture {status}{extra}; d0 = {result.d0}", file=out)
+        lines = [f"conjecture {status}{extra}; d0 = {result.d0}"]
         for g in result.violations:   # each has x_3, so B has a second variable
             bound = (f" < {result.d0 + 1}" if result.d0 is not None
                      else f"; no pure power of {var_names(B.nvars)[1]}")
-            print(f"violating generator: {format_power_product(g)} "
-                  f"(degree {g.degree()}{bound})", file=out)
-    return EXIT_OK
+            lines.append(f"violating generator: {format_power_product(g)} "
+                         f"(degree {g.degree()}{bound})")
+        return "\n".join(lines)
+    return ({"holds": result.holds, "d0": result.d0,
+             "violations": [format_power_product(g) for g in result.violations],
+             "vacuous": result.vacuous}, text)
 
 
 # One parser per process, however often main() runs in it: building one
@@ -639,33 +606,31 @@ def _build_parser() -> _Parser:
                         help="coefficient mode: exact or mod:<p>[,<p2>]")
     common.add_argument("--json", action="store_true",
                         help="emit a machine-readable JSON report")
+    reads_file = argparse.ArgumentParser(add_help=False)
+    reads_file.add_argument("input")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("analyze", parents=[common],
+    p = sub.add_parser("analyze", parents=[common, reads_file],
                        help="full freeness report for an arrangement file")
-    p.add_argument("input")
     p.add_argument("--dmax", type=_at_least(0), default=None,
                    help="widen the sectional matrix to this degree; it never "
                         "shows fewer than degrees 0 to regularity + 2, which "
                         "the freeness tests read")
     p.set_defaults(func=_cmd_analyze)
 
-    p = sub.add_parser("rgin", parents=[common],
+    p = sub.add_parser("rgin", parents=[common, reads_file],
                        help="generic initial ideal of an arrangement Jacobian "
                             "ideal or of a monomial ideal")
-    p.add_argument("input")
     p.set_defaults(func=_cmd_rgin)
 
-    p = sub.add_parser("sm", parents=[common], help="sectional matrix")
-    p.add_argument("input")
+    p = sub.add_parser("sm", parents=[common, reads_file], help="sectional matrix")
     p.add_argument("--dmax", type=_at_least(0), default=None,
                    help="largest displayed degree")
     p.set_defaults(func=_cmd_sm)
 
-    p = sub.add_parser("exponents", parents=[common],
+    p = sub.add_parser("exponents", parents=[common, reads_file],
                        help="exponents of a free arrangement or of a "
                             "lex-segment ideal")
-    p.add_argument("input")
     p.set_defaults(func=_cmd_exponents)
 
     p = sub.add_parser("construct", parents=[common],
@@ -674,17 +639,15 @@ def _build_parser() -> _Parser:
                    help="comma separated, e.g. 1,2,4")
     p.set_defaults(func=_cmd_construct)
 
-    p = sub.add_parser("realize", parents=[common],
+    p = sub.add_parser("realize", parents=[common, reads_file],
                        help="decide whether an ideal is the rgin of a free "
                             "arrangement Jacobian ideal")
-    p.add_argument("input")
     p.add_argument("--no-verify", action="store_true",
                    help="skip the end-to-end rgin check of the witness")
     p.set_defaults(func=_cmd_realize)
 
-    p = sub.add_parser("conjecture", parents=[common],
+    p = sub.add_parser("conjecture", parents=[common, reads_file],
                        help="third-variable degree bound check")
-    p.add_argument("input")
     p.set_defaults(func=_cmd_conjecture)
     return parser
 
@@ -697,7 +660,12 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args, out)
+        doc = load_input(args.input) if "input" in args else None
+        payload, text = args.func(args, doc)
+        if args.json:
+            print(json.dumps(payload, indent=2), file=out)
+        else:
+            print(text(), file=out)
     except (GenericityExhaustedError, DegreeCapExceeded,
             arr.InternalConsistencyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -705,6 +673,7 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     except ValueError as exc:     # ParseError, ArrangementError and the rest
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    return EXIT_OK
 
 
 def console() -> int:

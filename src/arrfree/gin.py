@@ -25,7 +25,6 @@ from .polyring import Polynomial, _bareiss, apply_linear_change
 
 __all__ = [
     "GinConfig", "GinCertificate", "Draw", "GenericityExhaustedError",
-    "StronglyStableIdeal", "is_strongly_stable",
     "random_linear_change", "rgin",
 ]
 

@@ -9,8 +9,12 @@ Each run is ``cli.main`` in-process at seed 7: ``analyze --json`` on every
 ``inputs/*.arr`` file, exact, with ``--coeff mod:32003,32009`` and with
 ``--coeff mod:2305843009213693951``, and
 ``rgin``, ``exponents``, ``realize``, ``conjecture`` and ``sm`` with
-``--json`` on every ``inputs/*.ideal`` file.  Input paths are relative to
-the repository root, which is where the replay runs them.
+``--json`` on every ``inputs/*.ideal`` file; then every command that reads a
+file on every ``inputs/*`` file in text, exact, failures included;
+``construct --exponents 1,2,4`` in text and in JSON; ``sm --dmax 2`` on
+``five_planes.arr`` and ``realize --no-verify`` on ``realizable.ideal``.
+Input paths are relative to the repository root, which is where the replay
+runs them.
 """
 
 import contextlib
@@ -33,6 +37,14 @@ def runs():
     for path in sorted((ROOT / "inputs").glob("*.ideal")):
         for command in ("rgin", "exponents", "realize", "conjecture", "sm"):
             yield [command, f"inputs/{path.name}", "--json", "--seed", "7"]
+    for path in sorted((ROOT / "inputs").iterdir()):
+        for command in ("analyze", "rgin", "sm", "exponents", "realize",
+                        "conjecture"):
+            yield [command, f"inputs/{path.name}", "--seed", "7"]
+    yield ["construct", "--exponents", "1,2,4"]
+    yield ["construct", "--exponents", "1,2,4", "--json"]
+    yield ["sm", "inputs/five_planes.arr", "--dmax", "2", "--seed", "7"]
+    yield ["realize", "inputs/realizable.ideal", "--no-verify", "--seed", "7"]
 
 
 def run(argv):

