@@ -351,7 +351,7 @@ def load_input(path: str) -> InputDocument:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read input: {exc}", path)
     return parse_input(text, source=path)
 

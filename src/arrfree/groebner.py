@@ -32,9 +32,11 @@ in descending order, each x^q * g built once per run.  Over QQ a row is a
 list, and a step one list comprehension.  Over GF(p) it is one int, column k
 in its k-th field of ``_width(p)`` bytes: a step is one multiply-add of a
 negated row, and a field is read mod p only when it leads.  A basis element
-stays packed: the remainder that finds it is read once into monic values,
-which give its blocks, one per run of columns that differ in x_1 and x_2
-only, and its tail, decoded by ``_tail`` only when the tails are reduced.
+keeps its row from its leading column on: over QQ primitive, over GF(p) the
+bytes of -g for g monic, made in one pass over the remainder that finds it.
+That row is its tail, decoded by ``_tail`` only when the tails are reduced,
+and it is cut once into blocks, one per run of columns that differ in x_1
+and x_2 only, by the plan that ``_plan`` keeps for its degree and column.
 x^q * g is laid out with one join per group of runs that share the
 exponents of x_4, ..., x_l, its runs q_1 + q_2 zero columns apart.
 
@@ -278,16 +280,46 @@ def _width(p: int) -> int:
     return -(-(2 * p.bit_length() + 34) // 64) * 8
 
 
+_built: dict = {}       # nvars -> (d, keys) of the degree ``_columns`` built last
+
+
 @lru_cache(maxsize=64)
 def _columns(nvars: int, d: int) -> Tuple[list, dict, list]:
     """The degree-d keys in descending order, the column of each, and the
     columns that start a run, the monomials without x_2, each with whether
     it starts a group of runs, the monomials without x_2 and x_3.  Keys add,
-    so ``monomial._levels`` lists them: blocks by largest variable descend."""
-    keys, = islice(_levels(0, _variables(nvars), d), d, None)   # no lower degree kept
+    so ``monomial._levels`` lists them: blocks by largest variable descend.
+    Runs rise a degree at a time, so when degree d - 1 was built last, degree
+    d is one level step from it; else the levels are built from degree 0."""
+    s, keys = _built.get(nvars, (None, None))
+    if s != d - 1:
+        s, keys = 0, [0]                    # the key of the monomial 1
+    keys, = islice(_levels(keys, _variables(nvars), d, s), d - s, None)
+    _built[nvars] = d, keys
     starts = [(i, not r >> _W) for i, k in enumerate(keys)
               if not (r := _fields(k, nvars) >> _W & (1 << 2 * _W) - 1) & (1 << _W) - 1]
     return keys, {k: i for i, k in enumerate(keys)}, starts
+
+
+@lru_cache(maxsize=256)
+def _plan(nvars: int, d: int, o: int) -> list:
+    """How a degree-d row from column o on is cut (``_Engine._element``):
+    per group of runs, the key of its first column and the (start, end) of
+    each of its runs, in columns from o; the first run and group start at o."""
+    cols, _, starts = _columns(nvars, d)
+    cuts = [(o, True), *(a for a in starts if a[0] > o), (len(cols), True)]
+    heads = [i for i, (_, group) in enumerate(cuts) if group]
+    runs = [(a - o, e - o) for (a, _), (e, _) in zip(cuts, cuts[1:])]
+    return [(cols[cuts[i][0]], runs[i:j]) for i, j in zip(heads, heads[1:])]
+
+
+def _join(gap: list, runs: list) -> list:
+    """The runs gap apart, as ``bytes.join`` lays out packed ones."""
+    out = list(runs[0])
+    for run in islice(runs, 1, None):
+        out += gap
+        out += run
+    return out
 
 
 def _to_bytes(vals: list, width: int) -> bytes:
@@ -308,15 +340,17 @@ def _from_bytes(b: bytes, width: int):
     return (int.from_bytes(b[i:i + width], "little") for i in range(0, len(b), width))
 
 
-def _tail(d: tuple, nvars: int) -> list:
-    """The tail of a packed element as ``_pack`` lists it.  A dense GF(p)
-    element keeps there the bytes of its monic row from lt on instead, and
-    this decodes them."""
-    if type(d[3]) is not bytes:
+def _tail(d: tuple, nvars: int, p: Optional[int]) -> list:
+    """The tail of a packed element as ``_pack`` lists it.  A dense element
+    keeps there its row from lt on instead (``_Engine._element``), over QQ a
+    tuple and over GF(p) the bytes of the negated row, and this decodes it,
+    negating back mod p."""
+    if type(d[3]) is list:
         return d[3]
     cols, index, _ = _columns(nvars, _degree(d[1], nvars))
     o = index[d[1]]
-    vals = _from_bytes(d[3], len(d[3]) // (len(cols) - o))
+    vals = d[3] if p is None else [
+        -v % p for v in _from_bytes(d[3], len(d[3]) // (len(cols) - o))]
     return [(k, c) for k, c in zip(islice(cols, o + 1, None), islice(vals, 1, None)) if c]
 
 
@@ -384,7 +418,7 @@ class GroebnerBasis:
 
 def _interreduce(divisors: list, p: Optional[int], nvars: int) -> list:
     """Tail-reduce each packed divisor against the others."""
-    divisors, final = [(*d[:3], _tail(d, nvars)) for d in divisors], []
+    divisors, final = [(*d[:3], _tail(d, nvars, p)) for d in divisors], []
     for i, (_, lt, lc, tail) in enumerate(divisors):
         rem, _ = _reduce({lt: lc, **dict(tail)}, divisors[:i] + divisors[i + 1:],
                          p, nvars)
@@ -431,7 +465,7 @@ class _Engine:
         self.p = p
         self.rows = {} if dense else None   # (lt of g, t) -> row
         self.width = _width(p) if dense and p else None   # bytes per column
-        self.blocks: dict = {}     # lt of g -> (key, runs) per group (``_element``)
+        self.blocks: dict = {}     # lt of g -> (key, runs) per group (``_plan``)
         self.nvars = nvars
         # S-pairs stop at the cap and below the field limit
         self.top = _LIMIT - 1 if degree_cap is None else min(degree_cap, _LIMIT - 1)
@@ -457,20 +491,40 @@ class _Engine:
         rem, _ = _reduce(work, self.divisors, self.p, self.nvars, top=True)
         return _pack(_normalize(rem, self.p), self.nvars) if rem else None
 
-    def _row(self, g: tuple, t: int) -> list:
-        """x^q * g for the packed g with x^q * lt = t, as a row from the
-        column of t on."""
+    def _row(self, g: tuple, t: int):
+        """x^q * g for the dense g with x^q * lt = t, as a row from the column
+        of t on: over QQ a list, over GF(p) -x^q * g packed into an int, each
+        field in [0, p).  It is laid out from the blocks of g (``_element``):
+        a group of runs keeps its order in every degree and its runs of
+        x^q * g lie q_1 + q_2 columns apart, so each group is one join, put in
+        place by the column of its first key times x^q."""
         row = self.rows.get((g[1], t))
         if row is None:
-            _, lt, lc, tail = g
+            zero, join = (bytes(self.width), bytes.join) if self.p else ([0], _join)
             index = _columns(self.nvars, _degree(t, self.nvars))[1]
-            start, q = index[t], t - lt
-            row = [0] * (len(index) - start)
-            row[0] = lc
-            for k, c in tail:
-                row[index[k + q] - start] = c
-            self.rows[lt, t] = row
+            q = t - g[1]
+            rq = _fields(q, self.nvars)
+            gap = zero * ((rq & (1 << _W) - 1) + (rq >> _W & (1 << _W) - 1))
+            pieces, end = [], index[t]
+            for key, runs in self.blocks[g[1]]:
+                i = index[key + q]
+                block = join(gap, runs)
+                pieces += zero * (i - end), block
+                end = i + len(block) // len(zero)
+            row = join(zero[:0], [*pieces, zero * (len(index) - end)])
+            row = self.rows[g[1], t] = int.from_bytes(row, "little") if self.p else row
         return row
+
+    def _element(self, row, d: int, o: int) -> tuple:
+        """The dense basis element whose row from column o of degree d on,
+        from its leading term, is ``row``: over QQ the primitive tuple, over
+        GF(p) the bytes of -g for g monic, each field in [0, p).  The row is
+        its tail (``_tail`` decodes it), and ``_plan`` cuts it into the runs,
+        grouped, that ``_row`` lays out."""
+        plan, s = _plan(self.nvars, d, o), self.width or 1
+        lt = plan[0][0]
+        self.blocks[lt] = [(key, [row[s * a:s * e] for a, e in runs]) for key, runs in plan]
+        return _fields(lt, self.nvars), lt, row[0] if self.p is None else 1, row
 
     def _spair_row(self, i: int, j: int, lcm: int) -> list:
         """The S-polynomial of i and j as a row from the column of lcm on."""
@@ -484,8 +538,8 @@ class _Engine:
         """The row w over QQ, whose entries are the coefficients of the
         monomials from the key first down in its degree, top-reduced by the
         basis into a packed element, or None; w is consumed."""
-        n = self.nvars
-        cols, index, _ = _columns(n, _degree(first, n))
+        n, d = self.nvars, _degree(first, self.nvars)
+        cols, index, _ = _columns(n, d)
         o = index[first]
         guards, mask = _guards(n), (1 << _W * n) - 1
         j, mult = 0, 1
@@ -499,8 +553,8 @@ class _Engine:
                 if (rt - g[0]) & guards == guards:     # lt divides t
                     break
             else:
-                return _pack(_normalize({cols[o + k]: c for k, c in enumerate(
-                    islice(w, j, None), j) if c}, None), n)
+                content = math.gcd(*islice(w, j, None)) * (-1 if w[j] < 0 else 1)
+                return self._element(tuple([x // content for x in islice(w, j, None)]), d, o + j)
             row, c = self._row(g, t), w[j]
             gcd = math.gcd(c, g[2])
             a, b = g[2] // gcd, c // gcd
@@ -514,60 +568,23 @@ class _Engine:
 
     # -- GF(p) rows packed into one int, ``width`` bytes per column --------
 
-    def _element(self, b: bytes, c: int, cols: list, o: int, starts: list) -> tuple:
-        """The basis element of the packed row whose fields from column o on
-        have the bytes b, the leading one c mod p: monic, with the bytes of
-        its row for a tail (``_tail`` decodes them), and with its negated row
-        cut into runs, grouped, for ``_row_packed``.  A negated entry is
-        p - v, so it lies in [1, p]."""
-        p, s, size = self.p, self.width, len(cols) - o
-        inv = _inverse(c, p)
-        pos = _to_bytes([f * inv % p for f in _from_bytes(b, s)], s)
-        neg = (int.from_bytes(p.to_bytes(s, "little") * size, "little")
-               - int.from_bytes(pos, "little")).to_bytes(s * size, "little")
-        cuts = [(o, True), *(a for a in starts if a[0] > o), (len(cols), True)]
-        heads = [i for i, (_, group) in enumerate(cuts) if group]
-        runs = [neg[s * (a - o):s * (e - o)] for (a, _), (e, _) in zip(cuts, cuts[1:])]
-        self.blocks[cols[o]] = [(cols[cuts[i][0]], runs[i:j]) for i, j in zip(heads, heads[1:])]
-        return _fields(cols[o], self.nvars), cols[o], 1, pos
-
-    def _row_packed(self, g: tuple, t: int) -> int:
-        """-x^q * g for the packed g with x^q * lt = t, as a packed row from
-        the column of t on, each field in [0, p].  A group of runs keeps its
-        order in every degree and its runs of x^q * g lie q_1 + q_2 columns
-        apart, so each group is one join, put in place by the column of its
-        first key times x^q."""
-        row = self.rows.get((g[1], t))
-        if row is None:
-            index = _columns(self.nvars, _degree(t, self.nvars))[1]
-            q, s = t - g[1], self.width
-            rq = _fields(q, self.nvars)
-            gap = bytes(s * ((rq & (1 << _W) - 1) + (rq >> _W & (1 << _W) - 1)))
-            pieces, end = [], s * index[t]
-            for key, runs in self.blocks[g[1]]:
-                i = s * index[key + q]
-                block = gap.join(runs)
-                pieces += bytes(i - end), block
-                end = i + len(block)
-            row = self.rows[g[1], t] = int.from_bytes(b"".join(pieces), "little")
-        return row
-
     def _spair_packed(self, i: int, j: int, lcm: int) -> int:
         """The S-polynomial of i and j as a packed row from the column of lcm
-        on: (p - 1) * (p - v) = v mod p, so it is (p - 1) times the negated
-        row of i plus that of j.  Each field is at most p^2, and the leading
-        one is p * (p - 1)."""
-        return ((self.p - 1) * self._row_packed(self.packed[i], lcm)
-                + self._row_packed(self.packed[j], lcm))
+        on: (p - 1) * -v = v mod p, so it is (p - 1) times the negated row of
+        i plus that of j.  Each field is below p^2, and the leading one is
+        p * (p - 1)."""
+        return ((self.p - 1) * self._row(self.packed[i], lcm)
+                + self._row(self.packed[j], lcm))
 
     def _reduce_packed(self, w: int, first: int) -> Optional[tuple]:
         """The packed row w, field i the coefficient of the i-th monomial from
         the key first down in its degree, top-reduced by the monic basis into
         a new element (``_element``), or None.  A field is read mod p only
-        when it leads; till then each step adds c < p times at most p to it,
-        one step per column, after a start of at most p^2 (``_width``)."""
-        n, p, s = self.nvars, self.p, self.width
-        cols, index, starts = _columns(n, _degree(first, n))
+        when it leads; till then each step adds c < p times less than p to
+        it, one step per column, after a start below p^2 (``_width``).  The
+        remainder becomes -g for g monic in one pass: times p - 1/c mod p."""
+        n, p, s, d = self.nvars, self.p, self.width, _degree(first, self.nvars)
+        cols, index, _ = _columns(n, d)
         o, low = index[first], (1 << 8 * s) - 1
         guards, mask = _guards(n), (1 << _W * n) - 1
         while w:
@@ -579,9 +596,10 @@ class _Engine:
                     if (rt - g[0]) & guards == guards:     # lt divides t
                         break
                 else:
-                    return self._element(w.to_bytes(s * (len(cols) - o), "little"),
-                                         c, cols, o, starts)
-                w += c * self._row_packed(g, t)     # the leading field becomes 0 mod p
+                    m = p - _inverse(c, p)
+                    vals = _from_bytes(w.to_bytes(s * (len(cols) - o), "little"), s)
+                    return self._element(_to_bytes([f * m % p for f in vals], s), d, o)
+                w += c * self._row(g, t)     # the leading field becomes 0 mod p
             w >>= 8 * s
             o += 1
         return None

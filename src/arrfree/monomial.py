@@ -182,14 +182,14 @@ class StronglyStableIdeal(MonomialIdeal):
 # counting standard monomials
 # ---------------------------------------------------------------------------
 
-def _levels(start: int, steps: Sequence[int], top: int) -> Iterator[list]:
-    """The monomials of degree 0..top in x_1..x_n, n = len(steps), one list per
-    degree, each start plus steps[j - 1] per factor x_j, in blocks by largest
-    variable: the first C(s + j, j) of degree s, those of x_1..x_(j+1), times
-    x_(j+1) are the block of x_(j+1) one degree up."""
-    level = [start]
+def _levels(level: list, steps: Sequence[int], top: int, s: int = 0) -> Iterator[list]:
+    """The monomials of degree s..top in x_1..x_n, n = len(steps), one list per
+    degree, from ``level``, those of degree s as this lists them from [start]
+    at degree 0: each is start plus steps[j - 1] per factor x_j, in blocks by
+    largest variable: the first C(s + j, j) of degree s, those of
+    x_1..x_(j+1), times x_(j+1) are the block of x_(j+1) one degree up."""
     yield level
-    for s in range(1, top + 1):
+    for s in range(s + 1, top + 1):
         level = [m + steps[j] for j in range(len(steps))
                  for m in level[:math.comb(s - 1 + j, j)]]
         yield level
@@ -213,7 +213,7 @@ def count_standard_monomials(B: MonomialIdeal, i: int, d: int) -> int:
     w, G, pack = _packing(d, k)
     packed = list(map(pack, gens))
     count = 0
-    for s, level in enumerate(_levels(G, [1 << w * j for j in range(k)], d)):
+    for s, level in enumerate(_levels([G], [1 << w * j for j in range(k)], d)):
         if k < i or s == d:
             weight = math.comb(d - s + i - k - 1, i - k - 1) if k < i else 1
             for m in level:

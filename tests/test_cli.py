@@ -566,6 +566,15 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith(
             f"error: {missing}: cannot read input: ")
 
+    def test_input_that_is_not_utf8(self, tmp_path, capsys):
+        # the Latin-1 superscript two is no UTF-8: the message names the file
+        path = tmp_path / "latin1.arr"
+        path.write_bytes(b"vars x y\nhyperplane x + y\xb2\n")
+        capsys.readouterr()
+        assert run_cli("analyze", str(path)) == (EXIT_PARSE, "")
+        assert capsys.readouterr().err.startswith(
+            f"error: {path}: cannot read input: 'utf-8' codec can't decode byte 0xb2")
+
     @pytest.mark.parametrize("keyword", ["hyperplane", "gen"])
     def test_power_of_sum_rejected_before_expansion(self, tmp_path, keyword):
         power = "(x+y+z)^400 - (x+y+z)^400 + x"

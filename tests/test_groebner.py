@@ -385,7 +385,7 @@ class TestDenseRows:
             dicts = groebner_module.hilbert_hint(gens, (3, p))
         # f's remainder leads at column 70, after 70 steps
         assert rows.packed[70][1] == cols[70]
-        assert [(d[1], d[2], dict(_tail(d, 3))) for d in rows.divisors] == \
+        assert [(d[1], d[2], dict(_tail(d, 3, p))) for d in rows.divisors] == \
             [(d[1], d[2], dict(d[3])) for d in dicts.divisors]
 
     @FIELDS
@@ -427,6 +427,37 @@ class TestColumns:
             assert starts == [(i, e[2] == 0) for i, (_, m) in enumerate(ordered)
                               if (e := m + (0, 0))[1] == 0]
 
+    def test_degrees_past_the_cache(self):
+        # each degree is one level step from the one built before it, far
+        # past the 64 degrees the cache keeps; a degree built from 0 takes no
+        # recursion, even at the field limit
+        for d in range(201):
+            keys = groebner_module._columns.__wrapped__(3, d)[0]
+        assert keys == sorted(map(_key, map(PowerProduct, degree_monomials(200, 3))),
+                              reverse=True)
+        assert groebner_module._columns.__wrapped__(2, 150)[0] == \
+            sorted(map(_key, map(PowerProduct, degree_monomials(150, 2))), reverse=True)
+        assert groebner_module._columns.__wrapped__(1, TOP)[0] == [_key(PowerProduct((TOP,)))]
+
+    @pytest.mark.parametrize("l", [1, 2, 3, 4, 5])
+    def test_plan_cuts_runs_and_groups(self, l):
+        # from every column o, the runs are the columns that share the
+        # exponents of x_3, ..., x_l and the groups the runs that share those
+        # of x_4, ..., x_l, both cut at o
+        for d in range(11):
+            ordered = sorted(((_key(m), m) for m in degree_monomials(d, l)), reverse=True)
+            keys, size = [k for k, _ in ordered], len(ordered)
+            runs_at = [i for i in range(1, size) if ordered[i][1][2:] != ordered[i - 1][1][2:]]
+            groups_at = {i for i in runs_at if ordered[i][1][3:] != ordered[i - 1][1][3:]}
+            for o in range(size):
+                cuts = [o, *(i for i in runs_at if i > o), size]
+                expected = []
+                for a, e in zip(cuts, cuts[1:]):
+                    if a == o or a in groups_at:
+                        expected.append((keys[a], []))
+                    expected[-1][1].append((a - o, e - o))
+                assert groebner_module._plan.__wrapped__(l, d, o) == expected, (d, o)
+
 
 class TestPackedLayout:
     """A dense GF(p) element is read into the run blocks of its negated row
@@ -443,7 +474,7 @@ class TestPackedLayout:
             # a first element, and the remainder of a second form by it
             for terms in (_dense_form(l, d, p, rng), _dense_form(l, d, p, rng)):
                 reference = groebner_module._normalize(
-                    _reduce(dict(terms), [(*e[:3], _tail(e, l)) for e in engine.divisors],
+                    _reduce(dict(terms), [(*e[:3], _tail(e, l, p)) for e in engine.divisors],
                             p, l, top=True)[0], p)
                 g = engine._nf(dict(terms))
                 if g is None:
@@ -452,10 +483,10 @@ class TestPackedLayout:
                 # the lazily decoded tail is _pack's tail of that remainder
                 packed = _pack(reference, l)
                 assert g[:3] == packed[:3]
-                assert _tail(g, l) == sorted(packed[3], reverse=True)
+                assert _tail(g, l, p) == sorted(packed[3], reverse=True)
                 engine.add(g)
             for g in engine.divisors:
-                full = {g[1]: 1, **dict(_tail(g, l))}
+                full = {g[1]: 1, **dict(_tail(g, l, p))}
                 for _ in range(4):
                     q = _key(random_exponent(rng.randint(0, 3), l, rng))
                     t = g[1] + q
@@ -463,13 +494,46 @@ class TestPackedLayout:
                     # x^q * g built term by term from its dict
                     moved = {k + q: c for k, c in full.items()}
                     size = len(cols) - index[t]
-                    row = _unpacked(engine._row_packed(g, t), p, size)
+                    row = _unpacked(engine._row(g, t), p, size)
                     for k, f in zip(cols[index[t]:], row):
                         # the negated row, and p - 1 times it the positive
                         # one, which the S-pair takes
                         c = moved.get(k, 0)
-                        assert f % p == -c % p and f <= p
+                        assert f % p == -c % p and f < p
                         assert (p - 1) * f % p == c
+
+
+class TestDenseRationalLayout:
+    """A dense QQ element keeps its primitive row from lt on, cut by the same
+    plan as a GF(p) one, and every row x^q * g is laid out from its runs."""
+
+    @pytest.mark.parametrize("l", [2, 3, 4, 5])
+    def test_rows_against_term_by_term(self, l):
+        rng = random.Random(l)
+        for _ in range(6):
+            d = rng.randint(1, 4 if l < 5 else 3)
+            engine = groebner_module._Engine(None, None, None, l, True)
+            for terms in (_dense_form(l, d, 10, rng), _dense_form(l, d, 10, rng)):
+                terms = {k: c - 5 for k, c in terms.items() if c != 5}
+                reference = groebner_module._normalize(
+                    _reduce(dict(terms), [(*e[:3], _tail(e, l, None)) for e in engine.divisors],
+                            None, l, top=True)[0], None)
+                g = engine._nf(dict(terms))
+                if g is None:
+                    assert not reference
+                    continue
+                packed = _pack(reference, l)
+                assert g[:3] == packed[:3]
+                assert _tail(g, l, None) == sorted(packed[3], reverse=True)
+                engine.add(g)
+            for g in engine.divisors:
+                full = {g[1]: g[2], **dict(_tail(g, l, None))}
+                for _ in range(4):
+                    q = _key(random_exponent(rng.randint(0, 3), l, rng))
+                    t = g[1] + q
+                    cols, index, _ = groebner_module._columns(l, _degree(t, l))
+                    # x^q * g placed term by term from its dict
+                    assert engine._row(g, t) == [full.get(k - q, 0) for k in cols[index[t]:]]
 
 
 class TestTruncatedRun:
@@ -735,7 +799,7 @@ class TestLazyResidues:
         assert all(0 <= c <= P * P for row in outputs for c in row)
         assert all(row[0] % P == 0 for row in outputs)
         for d in G._divisors:
-            assert all(0 < c < P for c in [d[2], *dict(_tail(d, 2)).values()])
+            assert all(0 < c < P for c in [d[2], *dict(_tail(d, 2, P)).values()])
         assert [str(g) for g in G.elements] == ["x*y + 3*y^2", "x^2 + 6*y^2", "y^3"]
 
 
